@@ -20,9 +20,7 @@ from corepath import es_tree, graph_core, lcd, sssp
 from oracles import INF, dijkstra
 
 import spans
-from workloads import Inputs, make_inputs
-
-SETUP_BUILDS = 3  # builds timed before the first replay; setup_s is their median
+from workloads import EPS, SOURCE, Inputs
 
 
 def _key(a, b):
@@ -70,8 +68,8 @@ class SsspTarget:
     P is sssp_path.  Estimates must land in [d, (1+eps) d]."""
 
     def __init__(self, inp: Inputs):
-        self.source = inp.source
-        self.eps = inp.eps
+        self.source = SOURCE
+        self.eps = EPS
         self.params = sssp.SsspParams(tau=inp.tau)
 
     def build(self, g):
@@ -130,7 +128,7 @@ class EsTarget:
     P is es_path (None past the cap).  Answers must be exact."""
 
     def __init__(self, inp: Inputs):
-        self.source = inp.source
+        self.source = SOURCE
         self.depth = inp.depth
 
     def build(self, g):
@@ -181,7 +179,7 @@ def target_for(inp: Inputs):
 
 @dataclass
 class Pass:
-    builds: list = field(default_factory=list)  # seconds per timed build
+    build_s: float = None  # None when the build raised
     # seconds per op, by kind; arrays keep bookkeeping out of peak_rss_mb
     times: dict = field(
         default_factory=lambda: {k: array("d") for k in "DQP"})
@@ -195,7 +193,20 @@ class Pass:
     counters: dict = field(default_factory=dict)
 
     def timed_s(self) -> float:
-        return self.builds[-1] + sum(sum(ts) for ts in self.times.values())
+        return self.build_s + sum(sum(ts) for ts in self.times.values())
+
+    def to_json(self) -> dict:
+        """The fields end_to_end and the result line read."""
+        return {"build_s": self.build_s,
+                "times": {k: list(v) for k, v in self.times.items()},
+                "attempted": self.attempted, "failed": self.failed,
+                "errors": self.errors, "dist_stretch": self.dist_stretch,
+                "path_stretch": self.path_stretch}
+
+    @classmethod
+    def from_json(cls, d: dict) -> "Pass":
+        times = {k: array("d", v) for k, v in d.pop("times").items()}
+        return cls(times=times, **d)
 
 
 def _fail(res: Pass, what: str):
@@ -204,8 +215,8 @@ def _fail(res: Pass, what: str):
         res.errors.append(what)
 
 
-def run_pass(inp: Inputs, builds: int = 1, tracer=None, target=None) -> Pass:
-    """Parse, build `builds` times (keeping the last), then replay the trace."""
+def run_pass(inp: Inputs, tracer=None, target=None) -> Pass:
+    """Parse, build, then replay the trace."""
     res = Pass()
     target = target_for(inp) if target is None else target
     t0 = time.perf_counter()
@@ -215,13 +226,11 @@ def run_pass(inp: Inputs, builds: int = 1, tracer=None, target=None) -> Pass:
     ref = target.reference(g)
     st = None
     res.attempted += 1
+    gc.collect()
     try:
-        for _ in range(builds):
-            st = None
-            gc.collect()
-            t0 = time.perf_counter()
-            st = target.build(g)
-            res.builds.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        st = target.build(g)
+        res.build_s = time.perf_counter() - t0
     except Exception as exc:  # the run reports the failure instead of dying
         _fail(res, f"build: {type(exc).__name__}: {exc}")
         return res
@@ -272,78 +281,87 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_untraced(spec, seed: int, seconds: float):
-    """Replay passes k = 0, 1, ... while the next one still fits in
-    `seconds`; the first pass always runs.  Returns (metrics, passes)."""
+def run_passes(make, seed: int, seconds: float, first: int = 0,
+               step: int = 1):
+    """Replay passes k = first, first + step, ... of `make(seed, k)` while
+    the next one still fits in `seconds`; the first pass always runs.
+    Returns (passes, peak_rss_mb)."""
     start = time.perf_counter()
     passes = []
     while True:
-        inp = make_inputs(spec, seed, len(passes))
-        passes.append(run_pass(inp, builds=SETUP_BUILDS if not passes else 1))
+        passes.append(run_pass(make(seed, first + step * len(passes))))
         if len(passes) == 1:
             # later passes only add bookkeeping, so their count must not show
             peak_rss_mb = _peak_rss_mb()
-        if not passes[-1].builds:
+        if passes[-1].build_s is None:
             break
         elapsed = time.perf_counter() - start
         if elapsed * (len(passes) + 1) / len(passes) > seconds:
             break
-    return end_to_end(passes, peak_rss_mb), passes
+    return passes, peak_rss_mb
 
 
-def end_to_end(passes, peak_rss_mb: float) -> dict:
-    builds = [b for p in passes for b in p.builds]
-    dels = [t for p in passes for t in p.times["D"]]
-    qs = [t for p in passes for t in p.times["Q"]]
-    ps = [t for p in passes for t in p.times["P"]]
-    med = statistics.median
-    out = {"peak_rss_mb": (peak_rss_mb, "MB")}
-    if builds:
-        out["setup_s"] = (med(builds), "s")
-    if dels:
-        out["delete_p50_ms"] = (med(dels) * 1e3, "ms")
-        out["delete_total_s"] = (med(sum(p.times["D"]) for p in passes), "s")
-    if qs:
-        out["dist_query_p50_us"] = (med(qs) * 1e6, "us")
-    if ps:
-        out["path_query_p50_us"] = (med(ps) * 1e6, "us")
-    ds = [s for p in passes for s in p.dist_stretch]
-    pss = [s for p in passes for s in p.path_stretch]
-    if ds:
-        out["dist_stretch_max"] = (max(ds), "ratio")
-    if pss:
-        out["path_stretch_max"] = (max(pss), "ratio")
-    return out
+def end_to_end(runs):
+    """Metrics of the untraced passes of one or more processes.
+
+    `runs` holds (passes, peak_rss_mb) per process.  The per-op medians
+    are taken in each process and then averaged over the processes,
+    because a process keeps its own speed for its whole life (see
+    README.md); the other metrics pool every process.
+    Returns ({metric: (value, unit)}, {metric: number of samples})."""
+    def each(get):  # the samples of each process, one list per process
+        return [[x for p in passes for x in get(p)] for passes, _ in runs]
+
+    def pooled_median(xss):
+        return statistics.median(x for xs in xss for x in xs)
+
+    def process_mean(xss):
+        return statistics.fmean(statistics.median(xs) for xs in xss if xs)
+
+    def pooled_max(xss):
+        return max(x for xs in xss for x in xs)
+
+    table = (  # name, unit, scale, reduction, samples per process
+        ("setup_s", "s", 1, pooled_median,
+         each(lambda p: [] if p.build_s is None else [p.build_s])),
+        ("delete_p50_ms", "ms", 1e3, process_mean,
+         each(lambda p: p.times["D"])),
+        ("delete_total_s", "s", 1, pooled_median,
+         each(lambda p: [sum(p.times["D"])] if p.times["D"] else [])),
+        ("dist_query_p50_us", "us", 1e6, process_mean,
+         each(lambda p: p.times["Q"])),
+        ("path_query_p50_us", "us", 1e6, process_mean,
+         each(lambda p: p.times["P"])),
+        ("peak_rss_mb", "MB", 1, pooled_median, [[peak] for _, peak in runs]),
+        ("dist_stretch_max", "ratio", 1, pooled_max,
+         each(lambda p: p.dist_stretch)),
+        ("path_stretch_max", "ratio", 1, pooled_max,
+         each(lambda p: p.path_stretch)),
+    )
+    metrics, samples = {}, {}
+    for name, unit, scale, reduce, xss in table:
+        n = sum(map(len, xss))
+        if n:
+            metrics[name] = (reduce(xss) * scale, unit)
+            samples[name] = n
+    return metrics, samples
 
 
-def samples(passes) -> dict:
-    """Sample count behind each end-to-end metric."""
-    return {
-        "setup_s": sum(len(p.builds) for p in passes),
-        "delete_p50_ms": sum(len(p.times["D"]) for p in passes),
-        "delete_total_s": len(passes),
-        "dist_query_p50_us": sum(len(p.times["Q"]) for p in passes),
-        "path_query_p50_us": sum(len(p.times["P"]) for p in passes),
-        "dist_stretch_max": sum(len(p.dist_stretch) for p in passes),
-        "path_stretch_max": sum(len(p.path_stretch) for p in passes),
-    }
-
-
-def run_traced(spec, seed: int):
+def run_traced(make, seed: int):
     """Pass 0 untraced, then pass 0 again traced.  The traced pass must give
     the same answers and counters; the difference in timed seconds is the
     tracing overhead.  Returns (metrics, [untraced, traced])."""
-    inp = make_inputs(spec, seed, 0)
+    inp = make(seed, 0)
     plain = run_pass(inp)
     tracer = spans.Tracer()
     with spans.tracing(tracer):
         traced = run_pass(inp, tracer=tracer)
-    if not plain.builds or not traced.builds:
+    if plain.build_s is None or traced.build_s is None:
         return {}, [plain, traced]
     if traced.answers.digest() != plain.answers.digest() \
             or traced.counters != plain.counters:
         _fail(traced, "traced pass diverged from the untraced one")
-    out = tracer.metrics(traced.builds[-1])
+    out = tracer.metrics(traced.build_s)
     out["graph_core.parse_s"] = (plain.parse_s, "s")
     out["tracing_overhead"] = (traced.timed_s() / plain.timed_s() - 1, "ratio")
     return out, [plain, traced]

@@ -2,7 +2,7 @@
 
 One workload run:
 
-    python3 perfbench/run.py --workload sssp-light --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload sssp-light --seed 1 --seconds 40 --trace 0
 
 prints a human-readable summary and, as its last line, one JSON object
 {"correct", "attempted", "failed", "metrics"}.  --trace 0 gives the
@@ -11,7 +11,7 @@ any op failed its check.
 
 Every workload, each in a fresh process, one after another:
 
-    python3 perfbench/run.py --all --seed 1 --seconds 30
+    python3 perfbench/run.py --all --seed 1 --seconds 40
 
 See perfbench/README.md for the metrics and why each workload exists.
 """
@@ -22,6 +22,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -31,13 +32,57 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import bench  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+# Fresh processes per untraced run.  The same ops timed in different
+# processes on one host differ by up to 1.8x on the Fraction-heavy query
+# path, and by much less on builds and deletions; a run takes several
+# processes so that no single one decides its figures.
+MAX_WORKERS = 12
+
+
+def run_workers(workload: str, seed: int, seconds: float):
+    """Untraced passes in fresh worker processes, one after another.
+
+    Worker j replays passes j, j + MAX_WORKERS, ... for a MAX_WORKERS-th
+    of `seconds`, and at least one pass.  Workers start while the next one
+    still fits in `seconds`; the first always starts.
+    Returns (metrics, samples, passes), or None if a worker died."""
+    start = time.perf_counter()
+    runs = []
+    while len(runs) < MAX_WORKERS:
+        proc = subprocess.run(
+            [sys.executable, str(HERE / "run.py"), "--worker",
+             str(len(runs)), "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds / MAX_WORKERS)],
+            capture_output=True, text=True, check=False)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            return None
+        out = json.loads(proc.stdout)
+        runs.append(([bench.Pass.from_json(p) for p in out["passes"]],
+                      out["peak_rss_mb"]))
+        elapsed = time.perf_counter() - start
+        if elapsed * (len(runs) + 1) / len(runs) > seconds:
+            break
+    return (*bench.end_to_end(runs), [p for passes, _ in runs for p in passes])
+
+
+def run_worker(workload: str, seed: int, seconds: float, j: int) -> int:
+    passes, peak = bench.run_passes(WORKLOADS[workload], seed, seconds,
+                                    first=j, step=MAX_WORKERS)
+    print(json.dumps({"peak_rss_mb": peak,
+                      "passes": [p.to_json() for p in passes]}))
+    return 0
+
 
 def run_one(workload: str, seed: int, seconds: float, trace: bool) -> int:
-    spec = WORKLOADS[workload]
+    samples = None
     if trace:
-        metrics, passes = bench.run_traced(spec, seed)
+        metrics, passes = bench.run_traced(WORKLOADS[workload], seed)
     else:
-        metrics, passes = bench.run_untraced(spec, seed, seconds)
+        got = run_workers(workload, seed, seconds)
+        if got is None:
+            return 1
+        metrics, samples, passes = got
     attempted = sum(p.attempted for p in passes)
     failed = sum(p.failed for p in passes)
     detail = {
@@ -47,8 +92,8 @@ def run_one(workload: str, seed: int, seconds: float, trace: bool) -> int:
         "ops_failed_frac": failed / attempted,
         "errors": [e for p in passes for e in p.errors][:10],
     }
-    if not trace:
-        detail["samples"] = bench.samples(passes)
+    if samples is not None:
+        detail["samples"] = samples
     print(json.dumps(detail))
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
               "metrics": {k: {"value": v, "unit": u}
@@ -85,11 +130,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--worker", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.all:
         return run_all(args.seed, args.seconds)
     if args.workload is None:
         ap.error("give --workload or --all")
+    if args.worker is not None:
+        return run_worker(args.workload, args.seed, args.seconds, args.worker)
     return run_one(args.workload, args.seed, args.seconds, bool(args.trace))
 
 

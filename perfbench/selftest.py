@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import sys
 import unittest
+from functools import partial
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -16,11 +17,14 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE.parent / "tests")]
 import bench  # noqa: E402
 import spans  # noqa: E402
 from corepath import lcd  # noqa: E402
-from workloads import WORKLOADS, GridSpec, SsspSpec, make_inputs  # noqa: E402
+from workloads import WORKLOADS, gnm_inputs, grid_inputs  # noqa: E402
 
+# each workload's generator at a size that runs in seconds; sssp-heavy
+# already does
 TINY = {
-    "sssp": SsspSpec(n=4, m=5, tau=None),
-    "grid": GridSpec(rows=8, cols=8),
+    "sssp-light": partial(gnm_inputs, 4, 5),
+    "sssp-heavy": WORKLOADS["sssp-heavy"],
+    "es-grid": partial(grid_inputs, 8, 8),
 }
 
 
@@ -43,13 +47,11 @@ def _patch_targets() -> list:
 
 class GeneratedText(unittest.TestCase):
     def test_same_seed_same_text_other_seed_not(self):
-        for name in WORKLOADS:
-            spec = WORKLOADS[name]
-            a = make_inputs(spec, 7, 0)
-            b = make_inputs(spec, 7, 0)
+        for name, make in WORKLOADS.items():
+            a, b = make(7, 0), make(7, 0)
             self.assertEqual((a.graph_text, a.trace_text),
                              (b.graph_text, b.trace_text), name)
-            for other in (make_inputs(spec, 8, 0), make_inputs(spec, 7, 1)):
+            for other in (make(8, 0), make(7, 1)):
                 self.assertNotEqual((a.graph_text, a.trace_text),
                                     (other.graph_text, other.trace_text), name)
 
@@ -82,7 +84,7 @@ class _CorruptLevel(bench.EsTarget):
 
 class Checker(unittest.TestCase):
     def test_wrong_estimate_and_broken_path_are_counted(self):
-        inp = make_inputs(TINY["sssp"], 3, 0)
+        inp = TINY["sssp-light"](3, 0)
         clean = bench.run_pass(inp)
         self.assertEqual(clean.failed, 0, clean.errors)
         res = bench.run_pass(inp, target=_Corrupt(inp))
@@ -91,7 +93,7 @@ class Checker(unittest.TestCase):
         self.assertGreaterEqual(max(res.dist_stretch), 3 * 0.999)
 
     def test_wrong_level_is_counted_at_each_checkpoint(self):
-        inp = make_inputs(TINY["grid"], 3, 0)
+        inp = TINY["es-grid"](3, 0)
         self.assertEqual(bench.run_pass(inp).failed, 0)
         res = bench.run_pass(inp, target=_CorruptLevel(inp))
         queried = sum(1 for i in inp.checkpoints if i % 3 == 1)
@@ -99,28 +101,28 @@ class Checker(unittest.TestCase):
 
 
 class Counters(unittest.TestCase):
-    def _traced(self, spec):
-        inp = make_inputs(spec, 5, 0)
+    def _traced(self, make):
+        inp = make(5, 0)
         tracer = spans.Tracer()
         with spans.tracing(tracer):
             res = bench.run_pass(inp, tracer=tracer)
         self.assertEqual(res.failed, 0, res.errors)
-        return res, tracer.metrics(res.builds[-1])
+        return res, tracer.metrics(res.build_s)
 
     def test_deterministic_counters_repeat(self):
-        for kind, spec in TINY.items():
-            (r1, m1), (r2, m2) = self._traced(spec), self._traced(spec)
+        for name, make in TINY.items():
+            (r1, m1), (r2, m2) = self._traced(make), self._traced(make)
             self.assertEqual(r1.counters, r2.counters)
             self.assertEqual({k: m1[k] for k in spans.DETERMINISTIC},
                              {k: m2[k] for k in spans.DETERMINISTIC})
             self.assertGreater(m1["es_tree.work"][0], 0)
-            if kind == "sssp":
+            if name != "es-grid":
                 self.assertGreater(m1["lcd.cores_built"][0], 0)
 
     def test_traced_equals_untraced_and_names_restored(self):
         before = _patch_targets()
-        for spec in TINY.values():
-            _, (plain, traced) = bench.run_traced(spec, 5)
+        for make in TINY.values():
+            _, (plain, traced) = bench.run_traced(make, 5)
             self.assertEqual(traced.failed, 0, traced.errors)
             self.assertEqual(plain.answers.digest(), traced.answers.digest())
             self.assertEqual(plain.counters, traced.counters)
@@ -136,18 +138,44 @@ class Counters(unittest.TestCase):
         self.assertEqual(_patch_targets(), before)
 
 
+class Regimes(unittest.TestCase):
+    def test_heavy_regime_is_reached_and_checked(self):
+        got, (_, traced) = bench.run_traced(WORKLOADS["sssp-heavy"], 2)
+        self.assertEqual(traced.failed, 0, traced.errors)
+        for name in ("sssp.heavy_classes", "sssp.supernodes",
+                     "lcd.short_path_calls", "expander_oracle.query_calls"):
+            self.assertGreater(got[name][0], 0, name)
+
+    def test_light_regime_stays_light(self):
+        got, (_, traced) = bench.run_traced(WORKLOADS["sssp-light"], 2)
+        self.assertEqual(traced.failed, 0, traced.errors)
+        self.assertEqual(got["sssp.heavy_classes"][0], 0)
+        self.assertEqual(got["expander_oracle.query_calls"][0], 0)
+
+
 class Contract(unittest.TestCase):
+    def test_every_workload_is_gated(self):
+        names = [wl["name"] for wl in _bench_json()["workloads"]]
+        self.assertEqual(sorted(names), sorted(WORKLOADS))
+
+    def test_pass_survives_the_worker_pipe(self):
+        res = bench.run_pass(TINY["sssp-light"](2, 0))
+        back = bench.Pass.from_json(json.loads(json.dumps(res.to_json())))
+        self.assertEqual(back.to_json(), res.to_json())
+        self.assertEqual(bench.end_to_end([([back], 1.0)]),
+                         bench.end_to_end([([res], 1.0)]))
+
     def test_printed_metrics_match_benchmark_json(self):
         spec = _bench_json()
         e2e = {m["name"]: m["unit"] for m in spec["end_to_end"]}
         layer = {m["name"]: m["unit"] for m in spec["per_layer"]}
-        for wl in spec["workloads"]:
-            kind = WORKLOADS[wl["name"]]
-            tiny = TINY["grid" if isinstance(kind, GridSpec) else "sssp"]
-            got, _ = bench.run_untraced(tiny, 1, 0)
-            self.assertEqual({k: u for k, (_v, u) in got.items()}, e2e)
-            got, _ = bench.run_traced(tiny, 1)
-            self.assertEqual({k: u for k, (_v, u) in got.items()}, layer)
+        for name, make in TINY.items():
+            got, samples = bench.end_to_end([bench.run_passes(make, 1, 0)])
+            self.assertEqual({k: u for k, (_v, u) in got.items()}, e2e, name)
+            self.assertEqual(set(samples), set(e2e), name)
+            got, _ = bench.run_traced(make, 1)
+            self.assertEqual({k: u for k, (_v, u) in got.items()}, layer,
+                             name)
 
 
 if __name__ == "__main__":

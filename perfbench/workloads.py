@@ -4,8 +4,8 @@ The program under test only ever sees the text (through parse_graph and
 parse_trace) plus the few structure parameters listed in `Inputs`.
 
 Each run replays one or more passes; pass k of a run with seed s gets the
-inputs `make_inputs(spec, s, k)`, so the same seed always gives the same
-sequence of inputs.
+inputs `make(s, k)`, where `make` is the workload's entry in WORKLOADS, so
+the same seed always gives the same sequence of inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from corepath.graph_core import DynamicGraph, format_graph, format_trace
 from oracles import INF, dijkstra
@@ -20,50 +21,25 @@ from oracles import INF, dijkstra
 SOURCE = 0
 EPS = Fraction(1, 2)
 LENGTHS = (1, 5)
-
-
-@dataclass(frozen=True)
-class SsspSpec:
-    """A fixed G(n, m) draw that every pass relabels with the run seed.
-
-    Cost of today's stack varies several-fold between G(n, m) draws of
-    this size (build 1.6-6 s, deletions 0.9-15 s at n=6, m=8 on a 2-core
-    shared x86 host), which no affordable number of draws per run averages
-    out.  Relabelling one draw keeps the shape and still moves every
-    id-based tie-break.
-    """
-
-    n: int
-    m: int
-    tau: object  # SsspParams.tau; None keeps the shipped constants
-    graph_seed: int = 2009
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    rows: int
-    cols: int
-    delete_frac: float = 0.3
-    checkpoints: int = 8
-
-
-WORKLOADS = {
-    # the stack as shipped: no heavy class, cores die at their first feed
-    "sssp-light": SsspSpec(n=6, m=8, tau=None),
-    # tau=2 is the only reachable setting where supernodes and splices run
-    "sssp-heavy": SsspSpec(n=7, m=14, tau=2),
-    # a bare ES tree with depth << m and a few pockets counting to the cap
-    "es-grid": GridSpec(rows=60, cols=60),
-}
+GRAPH_SEED = 2009  # the fixed G(n, m) draw that sssp passes relabel
+SSSP_DELETIONS = 3  # per sssp-light pass, out of m edges
+# Q and P rounds over every vertex after each sssp deletion: single queries
+# right after a deletion scatter by 2x, and a caller asks far more often
+# than it deletes
+QUERY_ROUNDS = 4
+GRID_DELETE_FRAC = 0.15
+GRID_CHECKPOINTS = 8
+# sssp-heavy: unit triangle behind bridges this long, so that at the
+# answering scale its edges round to length 1 (class 0); see cluster_inputs
+BRIDGE = 50
+HEAVY_TAU = {0: 2}
 
 
 @dataclass
 class Inputs:
     graph_text: str
     trace_text: str
-    source: int = SOURCE
-    eps: Fraction = EPS
-    tau: object = None
+    tau: object = None  # SsspParams.tau; None keeps the shipped constants
     depth: int = 0  # es-grid only: the ES depth cap
     checkpoints: set = field(default_factory=set)  # trace indices to audit
 
@@ -75,6 +51,27 @@ def _rng(*parts) -> random.Random:
 
 def _graph_text(n: int, edges) -> str:
     return format_graph(DynamicGraph.from_edges(n, edges))
+
+
+def _relabelled(n, edges, deletions, rng):
+    """Graph and trace text with every vertex but the source renamed.
+
+    After each deletion the trace asks a Q and a P for every vertex, in
+    QUERY_ROUNDS rounds."""
+    perm = [SOURCE] + rng.sample(range(1, n), n - 1)
+
+    def relabel(e):
+        a, b = perm[e[0]], perm[e[1]]
+        return min(a, b), max(a, b), e[2]
+
+    ops = []
+    for e in deletions:
+        a, b, _ = relabel(e)
+        ops.append(("D", a, b))
+        for _ in range(QUERY_ROUNDS):
+            for v in range(n):
+                ops += [("Q", SOURCE, v), ("P", SOURCE, v)]
+    return _graph_text(n, sorted(map(relabel, edges))), format_trace(ops)
 
 
 def gnm_connected(n: int, m: int, rng: random.Random) -> list:
@@ -95,62 +92,89 @@ def gnm_connected(n: int, m: int, rng: random.Random) -> list:
     return [(a, b, rng.randint(*LENGTHS)) for a, b in sorted(pairs)]
 
 
-def sssp_inputs(spec: SsspSpec, seed: int, k: int) -> Inputs:
-    """Delete about half the edges of the relabelled draw, in a fixed order;
-    after each deletion ask a Q and a P for every vertex."""
-    base_rng = _rng("sssp", spec.graph_seed, spec.n, spec.m)
-    base = gnm_connected(spec.n, spec.m, base_rng)
+def gnm_inputs(n: int, m: int, seed: int, k: int) -> Inputs:
+    """One fixed G(n, m) draw, relabelled per pass; delete SSSP_DELETIONS
+    edges in a fixed order.
+
+    Cost of today's stack varies several-fold between G(n, m) draws of
+    this size (build 1.6-6 s, deletions 0.9-15 s at n=6, m=8 on a 2-core
+    shared x86 host), which no affordable number of draws per run averages
+    out.  Relabelling one draw keeps the shape and still moves every
+    id-based tie-break.  On the sssp-light draw the first two deletions
+    each rebuild cores for about a second and the third takes a few
+    milliseconds, so the median deletion sits inside the slow group
+    rather than on the gap between the groups.
+    """
+    base_rng = _rng("sssp", GRAPH_SEED, n, m)
+    base = gnm_connected(n, m, base_rng)
     order = list(base)
     base_rng.shuffle(order)
-    rng = _rng("relabel", seed, k)
-    perm = [SOURCE] + rng.sample(range(1, spec.n), spec.n - 1)
-
-    def relabel(e):
-        a, b = perm[e[0]], perm[e[1]]
-        return min(a, b), max(a, b), e[2]
-
-    edges = sorted(map(relabel, base))
-    ops = []
-    for e in order[: spec.m // 2]:
-        a, b, _ = relabel(e)
-        ops.append(("D", a, b))
-        for v in range(spec.n):
-            ops.append(("Q", SOURCE, v))
-            ops.append(("P", SOURCE, v))
-    return Inputs(_graph_text(spec.n, edges), format_trace(ops), tau=spec.tau)
+    graph, trace = _relabelled(n, base, order[:SSSP_DELETIONS],
+                               _rng("relabel", seed, k))
+    return Inputs(graph, trace)
 
 
-def grid_inputs(spec: GridSpec, seed: int, k: int) -> Inputs:
+def cluster_inputs(seed: int, k: int) -> Inputs:
+    """Heavy regime that keeps the [d, (1+eps) d] guarantee.
+
+    Bridges of seeded lengths a little over BRIDGE from the source into
+    corners 1 and 2 of a unit-length triangle {1, 2, 3}; corner 3 is
+    reached only across the triangle.  Relabelled per pass, as in
+    gnm_inputs.
+    HEAVY_TAU makes class 0 alone heavy.  At the scales that answer for
+    the triangle its unit edges round to length 1 (class 0) and the
+    bridges do not, and crossing a class-0 component hides at most n - 1
+    scaled units, which the eps*D'/4 pad covers.  (A flat tau=2 also makes
+    long classes heavy, and those crossings undercount the true distance.)
+    The trace deletes the shorter bridge, so the P answers to 1 and 3
+    splice a short_path through the triangle; then edge 2-3, after which
+    the triangle's vertices depart from the heavy side; then 1-3, which
+    cuts 3 off.
+    """
+    rng = _rng("cluster", seed, k)
+    short = BRIDGE + rng.randint(0, 9)
+    bridges = [(0, 1, short), (0, 2, short + rng.randint(1, 5))]
+    far = [(1, 2, 1), (1, 3, 1), (2, 3, 1)]
+    graph, trace = _relabelled(4, bridges + far,
+                               [bridges[0], far[2], far[1]], rng)
+    return Inputs(graph, trace, tau=HEAVY_TAU)
+
+
+def grid_inputs(rows: int, cols: int, seed: int, k: int) -> Inputs:
     """Weighted grid; delete a seeded share of the edges, each deletion
     followed by a Q and a P for one seeded vertex."""
     rng = _rng("grid", seed, k)
-    n = spec.rows * spec.cols
+    n = rows * cols
     edges = []
-    for r in range(spec.rows):
-        for c in range(spec.cols):
-            v = r * spec.cols + c
-            if c + 1 < spec.cols:
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
                 edges.append((v, v + 1, rng.randint(*LENGTHS)))
-            if r + 1 < spec.rows:
-                edges.append((v, v + spec.cols, rng.randint(*LENGTHS)))
+            if r + 1 < rows:
+                edges.append((v, v + cols, rng.randint(*LENGTHS)))
     dist = dijkstra(n, edges, SOURCE)
     depth = 2 * max(d for d in dist if d != INF)
     order = list(edges)
     rng.shuffle(order)
     ops = []
-    for a, b, _ in order[: int(len(edges) * spec.delete_frac)]:
+    for a, b, _ in order[: int(len(edges) * GRID_DELETE_FRAC)]:
         v = rng.randrange(n)
         ops += [("D", a, b), ("Q", SOURCE, v), ("P", SOURCE, v)]
     deletions = len(ops) // 3
     # audit the Q/P pair right after evenly spaced deletions, the last included
-    marks = {3 * (deletions * (i + 1) // spec.checkpoints - 1)
-             for i in range(spec.checkpoints)}
+    marks = {3 * (deletions * (i + 1) // GRID_CHECKPOINTS - 1)
+             for i in range(GRID_CHECKPOINTS)}
     checkpoints = {i + j for i in marks if i >= 0 for j in (1, 2)}
     return Inputs(_graph_text(n, edges), format_trace(ops), depth=depth,
                   checkpoints=checkpoints)
 
 
-def make_inputs(spec, seed: int, k: int = 0) -> Inputs:
-    if isinstance(spec, SsspSpec):
-        return sssp_inputs(spec, seed, k)
-    return grid_inputs(spec, seed, k)
+WORKLOADS = {
+    # the stack as shipped: no heavy class, cores die at their first feed
+    "sssp-light": partial(gnm_inputs, 6, 8),
+    # supernodes, departures and short_path splices, answers still checked
+    "sssp-heavy": cluster_inputs,
+    # a bare ES tree with depth << m and a few pockets counting to the cap
+    "es-grid": partial(grid_inputs, 60, 60),
+}
