@@ -4,13 +4,21 @@ Every op is timed on its own; answers are checked against an independent
 Dijkstra (tests/oracles.py) after the clock stops, so checking never
 counts toward a metric.  An op fails when it raises or its answer fails
 the check; a failed op is counted and the replay goes on.
+
+Untraced timings are scaled to a reference host speed, measured while
+they run by a fixed probe (see HostSpeed).
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import gc
 import hashlib
+import heapq
+import random
 import resource
+import signal
 import statistics
 import time
 from array import array
@@ -58,6 +66,94 @@ class Reference:
                 return None
             total += w
         return total
+
+
+# -- host speed --------------------------------------------------------------
+
+# The shared host the benchmark was tuned on ran the same pure-Python code
+# at one speed for a fraction of a second to minutes, then up to 1.8x
+# slower; whole runs moved by a third.  So a pass samples the host's speed
+# with a fixed probe that is no part of the program, and each timing is
+# scaled to the speed at which the probe takes PROBE_REF_S (about the
+# host's fast spells).  The probe is a small Dijkstra over dicts and a
+# heap: of the probes tried, its slowdown tracked the program's best.
+PROBE_REF_S = 55e-6
+SAMPLE_EVERY_S = 0.01
+
+
+def _probe_grid(side: int) -> dict:
+    rng = random.Random("probe")
+    adj = {v: {} for v in range(side * side)}
+    for v in adj:
+        r, c = divmod(v, side)
+        for u in ([v + 1] if c + 1 < side else []) + \
+                 ([v + side] if r + 1 < side else []):
+            adj[v][u] = adj[u][v] = rng.randint(1, 5)
+    return adj
+
+
+_PROBE_ADJ = _probe_grid(9)
+
+
+def _probe() -> float:
+    """Seconds for a Dijkstra over _PROBE_ADJ, best of three."""
+    adj = _PROBE_ADJ
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        dist = {0: 0}
+        heap = [(0, 0)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            for u, w in adj[v].items():
+                if d + w < dist.get(u, INF):
+                    dist[u] = d + w
+                    heapq.heappush(heap, (d + w, u))
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+class HostSpeed:
+    """Runs the probe every SAMPLE_EVERY_S of wall time from a SIGALRM
+    handler, so a build or deletion that takes seconds is sampled while
+    it runs, and at entry and exit."""
+
+    def __init__(self):
+        self.at = array("d")  # when each sample started
+        self.cost = array("d")  # how long each sample took, all told
+        self.probe = array("d")
+
+    def _sample(self, *_):
+        t0 = time.perf_counter()
+        self.probe.append(_probe())
+        self.at.append(t0)
+        self.cost.append(time.perf_counter() - t0)
+
+    def __enter__(self):
+        self._old = signal.signal(signal.SIGALRM, self._sample)
+        self._sample()
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_EVERY_S, SAMPLE_EVERY_S)
+        return self
+
+    def __exit__(self, *exc):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._old)
+        self._sample()
+
+    def scaled(self, t0: float, t1: float) -> float:
+        """Seconds from t0 to t1 less the samples taken in between, at the
+        reference speed.  The speed is the mean probe over the samples in
+        between and the nearest one on each side."""
+        i = bisect.bisect_left(self.at, t0)
+        j = bisect.bisect_right(self.at, t1)
+        busy = sum(self.cost[i:j])
+        near = self.probe[max(i - 1, 0):j + 1]
+        return (t1 - t0 - busy) * PROBE_REF_S / statistics.fmean(near)
+
+    def slowdown(self) -> float:
+        return statistics.median(self.probe) / PROBE_REF_S
 
 
 # -- the structures under test ---------------------------------------------
@@ -181,6 +277,7 @@ def target_for(inp: Inputs):
 class Pass:
     build_s: float = None  # None when the build raised
     # seconds per op, by kind; arrays keep bookkeeping out of peak_rss_mb
+    # (scaled to the reference speed unless the pass was not sampled)
     times: dict = field(
         default_factory=lambda: {k: array("d") for k in "DQP"})
     parse_s: float = 0.0
@@ -191,6 +288,7 @@ class Pass:
     path_stretch: list = field(default_factory=list)
     answers: object = field(default_factory=hashlib.sha256)  # digest of every answer
     counters: dict = field(default_factory=dict)
+    host_slowdown: float = 1.0  # median probe over PROBE_REF_S
 
     def timed_s(self) -> float:
         return self.build_s + sum(sum(ts) for ts in self.times.values())
@@ -201,7 +299,8 @@ class Pass:
                 "times": {k: list(v) for k, v in self.times.items()},
                 "attempted": self.attempted, "failed": self.failed,
                 "errors": self.errors, "dist_stretch": self.dist_stretch,
-                "path_stretch": self.path_stretch}
+                "path_stretch": self.path_stretch,
+                "host_slowdown": self.host_slowdown}
 
     @classmethod
     def from_json(cls, d: dict) -> "Pass":
@@ -215,8 +314,9 @@ def _fail(res: Pass, what: str):
         res.errors.append(what)
 
 
-def run_pass(inp: Inputs, tracer=None, target=None) -> Pass:
-    """Parse, build, then replay the trace."""
+def run_pass(inp: Inputs, tracer=None, target=None, sample=True) -> Pass:
+    """Parse, build, then replay the trace.  With `sample`, timings are
+    scaled to the reference host speed; without, they are wall time."""
     res = Pass()
     target = target_for(inp) if target is None else target
     t0 = time.perf_counter()
@@ -224,53 +324,63 @@ def run_pass(inp: Inputs, tracer=None, target=None) -> Pass:
     ops = graph_core.parse_trace(inp.trace_text)
     res.parse_s = time.perf_counter() - t0
     ref = target.reference(g)
-    st = None
-    res.attempted += 1
-    gc.collect()
-    try:
-        t0 = time.perf_counter()
-        st = target.build(g)
-        res.build_s = time.perf_counter() - t0
-    except Exception as exc:  # the run reports the failure instead of dying
-        _fail(res, f"build: {type(exc).__name__}: {exc}")
-        return res
-    if tracer is not None:
-        tracer.phase = "replay"
-    gc.collect()
-    call = {"D": target.delete, "Q": target.dist, "P": target.path}
-    audit_all = not inp.checkpoints
-    clock = time.perf_counter
-    for i, (kind, u, v) in enumerate(ops):
+    speed = HostSpeed() if sample else None
+    # (start, end) of each timed op, by kind; scaled once the pass is over
+    stamps = {k: array("d") for k in "DQP"}
+    with speed or contextlib.nullcontext():
         res.attempted += 1
-        fn = call[kind]
+        gc.collect()
         try:
-            t0 = clock()
-            ans = fn(st, u, v) if kind == "D" else fn(st, v)
-            dt = clock() - t0
-        except Exception as exc:  # counted, and the replay goes on
-            _fail(res, f"op {i} {kind} {u} {v}: {type(exc).__name__}: {exc}")
+            t0 = time.perf_counter()
+            st = target.build(g)
+            build = (t0, time.perf_counter())
+        except Exception as exc:  # the run reports the failure instead of dying
+            _fail(res, f"build: {type(exc).__name__}: {exc}")
+            return res
+        if tracer is not None:
+            tracer.phase = "replay"
+        gc.collect()
+        call = {"D": target.delete, "Q": target.dist, "P": target.path}
+        audit_all = not inp.checkpoints
+        clock = time.perf_counter
+        for i, (kind, u, v) in enumerate(ops):
+            res.attempted += 1
+            fn = call[kind]
+            try:
+                t0 = clock()
+                ans = fn(st, u, v) if kind == "D" else fn(st, v)
+                t1 = clock()
+            except Exception as exc:  # counted, and the replay goes on
+                _fail(res, f"op {i} {kind} {u} {v}: "
+                           f"{type(exc).__name__}: {exc}")
+                if kind == "D":
+                    ref.delete(u, v)
+                res.answers.update(f"{i} raised;".encode())
+                continue
+            stamps[kind].extend((t0, t1))
             if kind == "D":
                 ref.delete(u, v)
-            res.answers.update(f"{i} raised;".encode())
-            continue
-        res.times[kind].append(dt)
-        if kind == "D":
-            ref.delete(u, v)
-            continue
-        res.answers.update(f"{i} {ans!r};".encode())
-        if not (audit_all or i in inp.checkpoints):
-            continue
-        if kind == "Q":
-            ok, stretch = target.check_dist(ref, st, v, ans)
-            sink = res.dist_stretch
-        else:
-            ok, stretch = target.check_path(ref, v, ans)
-            sink = res.path_stretch
-        if stretch is not None:
-            sink.append(stretch)
-        if not ok:
-            _fail(res, f"op {i} {kind} {u} {v}: wrong answer {ans!r}")
+                continue
+            res.answers.update(f"{i} {ans!r};".encode())
+            if not (audit_all or i in inp.checkpoints):
+                continue
+            if kind == "Q":
+                ok, stretch = target.check_dist(ref, st, v, ans)
+                sink = res.dist_stretch
+            else:
+                ok, stretch = target.check_path(ref, v, ans)
+                sink = res.path_stretch
+            if stretch is not None:
+                sink.append(stretch)
+            if not ok:
+                _fail(res, f"op {i} {kind} {u} {v}: wrong answer {ans!r}")
     res.counters = target.counters(st)
+    span = speed.scaled if speed else (lambda t0, t1: t1 - t0)
+    res.build_s = span(*build)
+    for kind, ts in stamps.items():
+        res.times[kind] = array("d", map(span, ts[::2], ts[1::2]))
+    if speed:
+        res.host_slowdown = speed.slowdown()
     return res
 
 
@@ -304,58 +414,48 @@ def run_passes(make, seed: int, seconds: float, first: int = 0,
 def end_to_end(runs):
     """Metrics of the untraced passes of one or more processes.
 
-    `runs` holds (passes, peak_rss_mb) per process.  The per-op medians
-    are taken in each process and then averaged over the processes,
-    because a process keeps its own speed for its whole life (see
-    README.md); the other metrics pool every process.
+    `runs` holds (passes, peak_rss_mb) per process; every metric pools
+    the samples of all of them.
     Returns ({metric: (value, unit)}, {metric: number of samples})."""
-    def each(get):  # the samples of each process, one list per process
-        return [[x for p in passes for x in get(p)] for passes, _ in runs]
+    def pooled(get):
+        return [x for passes, _ in runs for p in passes for x in get(p)]
 
-    def pooled_median(xss):
-        return statistics.median(x for xs in xss for x in xs)
-
-    def process_mean(xss):
-        return statistics.fmean(statistics.median(xs) for xs in xss if xs)
-
-    def pooled_max(xss):
-        return max(x for xs in xss for x in xs)
-
-    table = (  # name, unit, scale, reduction, samples per process
-        ("setup_s", "s", 1, pooled_median,
-         each(lambda p: [] if p.build_s is None else [p.build_s])),
-        ("delete_p50_ms", "ms", 1e3, process_mean,
-         each(lambda p: p.times["D"])),
-        ("delete_total_s", "s", 1, pooled_median,
-         each(lambda p: [sum(p.times["D"])] if p.times["D"] else [])),
-        ("dist_query_p50_us", "us", 1e6, process_mean,
-         each(lambda p: p.times["Q"])),
-        ("path_query_p50_us", "us", 1e6, process_mean,
-         each(lambda p: p.times["P"])),
-        ("peak_rss_mb", "MB", 1, pooled_median, [[peak] for _, peak in runs]),
-        ("dist_stretch_max", "ratio", 1, pooled_max,
-         each(lambda p: p.dist_stretch)),
-        ("path_stretch_max", "ratio", 1, pooled_max,
-         each(lambda p: p.path_stretch)),
+    table = (  # name, unit, scale, reduction, samples
+        ("setup_s", "s", 1, statistics.median,
+         pooled(lambda p: [] if p.build_s is None else [p.build_s])),
+        ("delete_p50_ms", "ms", 1e3, statistics.median,
+         pooled(lambda p: p.times["D"])),
+        ("delete_total_s", "s", 1, statistics.median,
+         pooled(lambda p: [sum(p.times["D"])] if p.times["D"] else [])),
+        ("dist_query_p50_us", "us", 1e6, statistics.median,
+         pooled(lambda p: p.times["Q"])),
+        ("path_query_p50_us", "us", 1e6, statistics.median,
+         pooled(lambda p: p.times["P"])),
+        ("peak_rss_mb", "MB", 1, statistics.median,
+         [peak for _, peak in runs]),
+        ("dist_stretch_max", "ratio", 1, max,
+         pooled(lambda p: p.dist_stretch)),
+        ("path_stretch_max", "ratio", 1, max,
+         pooled(lambda p: p.path_stretch)),
     )
     metrics, samples = {}, {}
-    for name, unit, scale, reduce, xss in table:
-        n = sum(map(len, xss))
-        if n:
-            metrics[name] = (reduce(xss) * scale, unit)
-            samples[name] = n
+    for name, unit, scale, reduce, xs in table:
+        if xs:
+            metrics[name] = (reduce(xs) * scale, unit)
+            samples[name] = len(xs)
     return metrics, samples
 
 
 def run_traced(make, seed: int):
     """Pass 0 untraced, then pass 0 again traced.  The traced pass must give
     the same answers and counters; the difference in timed seconds is the
-    tracing overhead.  Returns (metrics, [untraced, traced])."""
+    tracing overhead.  Neither pass samples the host speed, so no probe
+    lands in a span.  Returns (metrics, [untraced, traced])."""
     inp = make(seed, 0)
-    plain = run_pass(inp)
+    plain = run_pass(inp, sample=False)
     tracer = spans.Tracer()
     with spans.tracing(tracer):
-        traced = run_pass(inp, tracer=tracer)
+        traced = run_pass(inp, tracer=tracer, sample=False)
     if plain.build_s is None or traced.build_s is None:
         return {}, [plain, traced]
     if traced.answers.digest() != plain.answers.digest() \

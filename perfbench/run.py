@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -94,6 +96,8 @@ def run_one(workload: str, seed: int, seconds: float, trace: bool) -> int:
     }
     if samples is not None:
         detail["samples"] = samples
+        detail["host_slowdown"] = statistics.median(
+            p.host_slowdown for p in passes)
     print(json.dumps(detail))
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
               "metrics": {k: {"value": v, "unit": u}
@@ -132,6 +136,8 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--worker", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    # on SIGTERM, unwind: subprocess.run then kills the worker it waits for
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     if args.all:
         return run_all(args.seed, args.seconds)
     if args.workload is None:

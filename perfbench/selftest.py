@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import json
+import signal
 import sys
 import unittest
 from functools import partial
@@ -105,7 +106,7 @@ class Counters(unittest.TestCase):
         inp = make(5, 0)
         tracer = spans.Tracer()
         with spans.tracing(tracer):
-            res = bench.run_pass(inp, tracer=tracer)
+            res = bench.run_pass(inp, tracer=tracer, sample=False)
         self.assertEqual(res.failed, 0, res.errors)
         return res, tracer.metrics(res.build_s)
 
@@ -136,6 +137,25 @@ class Counters(unittest.TestCase):
                 self.assertIsNot(lcd.oracle_init, orig)
                 raise RuntimeError
         self.assertEqual(_patch_targets(), before)
+
+
+class HostSpeed(unittest.TestCase):
+    def test_scaled_drops_samples_and_divides_by_nearby_probes(self):
+        speed, ref = bench.HostSpeed(), bench.PROBE_REF_S
+        speed.at.extend([0.0, 1.0, 2.0, 3.0])
+        speed.cost.extend([0.1] * 4)
+        speed.probe.extend([ref, 2 * ref, 3 * ref, 9 * ref])
+        # sample 1 falls inside and is dropped; 0 and 2 are the neighbours
+        self.assertAlmostEqual(speed.scaled(0.5, 1.5), (1 - 0.1) / 2)
+        # nothing inside: only the neighbours
+        self.assertAlmostEqual(speed.scaled(1.2, 1.4), 0.2 / 2.5)
+
+    def test_pass_samples_and_restores_the_alarm(self):
+        before = signal.getsignal(signal.SIGALRM)
+        res = bench.run_pass(TINY["es-grid"](3, 0))
+        self.assertGreater(res.host_slowdown, 0)
+        self.assertIs(signal.getsignal(signal.SIGALRM), before)
+        self.assertEqual(signal.getitimer(signal.ITIMER_REAL), (0.0, 0.0))
 
 
 class Regimes(unittest.TestCase):

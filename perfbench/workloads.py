@@ -141,8 +141,8 @@ def cluster_inputs(seed: int, k: int) -> Inputs:
 
 
 def grid_inputs(rows: int, cols: int, seed: int, k: int) -> Inputs:
-    """Weighted grid; delete a seeded share of the edges, each deletion
-    followed by a Q and a P for one seeded vertex."""
+    """Weighted grid; delete a seeded share of the edges, none at the
+    source, each deletion followed by a Q and a P for one seeded vertex."""
     rng = _rng("grid", seed, k)
     n = rows * cols
     edges = []
@@ -155,7 +155,9 @@ def grid_inputs(rows: int, cols: int, seed: int, k: int) -> Inputs:
                 edges.append((v, v + cols, rng.randint(*LENGTHS)))
     dist = dijkstra(n, edges, SOURCE)
     depth = 2 * max(d for d in dist if d != INF)
-    order = list(edges)
+    # the source's own edges stay: cutting the corner source off, as 4 of
+    # 200 passes did, left nothing to repair and halved a run's medians
+    order = [e for e in edges if SOURCE not in e[:2]]
     rng.shuffle(order)
     ops = []
     for a, b, _ in order[: int(len(edges) * GRID_DELETE_FRAC)]:
