@@ -2,7 +2,7 @@
 
 Graph structures that answer distance and path queries while edges are
 being deleted, built around a layered core decomposition with expander
-cores, plus a multiplicative-weights flow application and a bench CLI.
+cores.
 """
 
 __all__ = [
@@ -14,9 +14,6 @@ __all__ = [
     "expander_oracle",
     "lcd",
     "sssp",
-    "apsp",
-    "flow_mbcf",
-    "bench_cli",
 ]
 
 __version__ = "0.1.0"

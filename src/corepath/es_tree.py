@@ -1,9 +1,25 @@
 """Bounded-depth shortest-path tree under edge deletions.
 
 Levels equal true distances from the source up to a depth cap; vertices
-past the cap are absent.  Levels never decrease while edges are deleted,
-and the repair cost is charged per level increase, so a full deletion
-sequence costs O(#edges * depth) scan work overall.
+past the cap are absent.  Levels never decrease while edges are deleted.
+
+Deleting a tree edge repairs in two phases (the Ramalingam-Reps split of
+a deletion).  Phase 1 walks the orphaned subtree in order of old level
+and finds the hurt vertices: those that no unhurt neighbour supports at
+their old level any more.  A vertex with such a supporter keeps its level
+and re-points its parent there, and its subtree is left alone.  Phase 2
+runs one depth-capped Dijkstra inside the hurt set, seeded from its
+unhurt boundary; hurt vertices it does not reach become absent.  So the
+cost of a deletion does not depend on the depth cap, only on the rows
+scanned: each hurt vertex's row three times, and each kept child of a
+hurt vertex up to its first supporter.
+
+With one edge deleted, every hurt vertex's level strictly rises (its old
+supporters are all hurt, and by induction on level they all rose), so
+hurt-vertex work stays O(#edges * depth) over a full deletion sequence,
+the Even-Shiloach bound.  Parents come out exactly as level-by-level
+raising would leave them: the first neighbour in adjacency order that
+realises the new level.
 
 Two insertion shapes are supported: attaching a fresh vertex together
 with its edge bundle, and inserting a single edge under the caller's
@@ -166,13 +182,11 @@ class EsTree:
             raise KeyError(f"no edge ({u!r},{v!r})")
         del self._adj[u][v]
         del self._adj[v][u]
-        dirty = []
-        if self.parent.get(v) is not None and self.parent[v][0] == u:
-            dirty.append(v)
-        if self.parent.get(u) is not None and self.parent[u][0] == v:
-            dirty.append(u)
-        if dirty:
-            self._repair(dirty)
+        pu, pv = self.parent.get(u), self.parent.get(v)
+        if pv is not None and pv[0] == u:
+            self._repair(v)
+        elif pu is not None and pu[0] == v:
+            self._repair(u)
 
     def es_remove_vertex(self, v):
         """Delete every edge at v, then forget it."""
@@ -260,39 +274,97 @@ class EsTree:
 
     # -- repair ----------------------------------------------------------
 
-    def _repair(self, seeds):
-        heap = [(self.level[x], self._key(x), x) for x in seeds]
+    def _repair(self, x):
+        """Restore levels after x lost its parent edge."""
+        hurt = self._find_hurt(x)
+        if hurt:
+            self._relevel(hurt)
+
+    def _find_hurt(self, x) -> dict:
+        """Phase 1: the vertices that lose their level, with old levels.
+
+        Visits x, then the dirty vertices by old level.  A vertex keeps its
+        level if a neighbour outside the hurt set still supports it
+        (level[y] + w == level[x]) and re-points its parent there;
+        otherwise it is hurt and its tree children turn dirty.  Supporters
+        sit strictly lower and are visited first, so whether they are hurt
+        is settled by then."""
+        level, parent, adj, key = self.level, self.parent, self._adj, self._key
+        work = 0
+        hurt: dict = {}
+        heap = []
+        lv = level[x]
+        while True:
+            sup = None
+            kids = []
+            for y, (w, tag) in adj[x].items():
+                work += 1
+                if y in hurt:
+                    continue
+                if level[y] + w <= lv:
+                    sup = (y, tag)
+                    break
+                p = parent[y]
+                if p is not None and p[0] == x:
+                    kids.append(y)
+            if sup is not None:
+                if self.debug and any(level[y] + w < lv
+                                      for y, (w, _) in adj[x].items()):
+                    raise AssertionError(f"level of {x!r} would drop")
+                parent[x] = sup
+            else:
+                hurt[x] = lv
+                for y in kids:
+                    heapq.heappush(heap, (level[y], key(y), y))
+            if not heap:
+                break
+            lv, _, x = heapq.heappop(heap)
+        self.work += work
+        return hurt
+
+    def _relevel(self, hurt: dict):
+        """Phase 2: one depth-capped Dijkstra inside the hurt set.
+
+        Seeded from the hurt set's boundary.  Only hurt vertices are
+        rescanned, and each one's level strictly rises, so the total stays
+        O(m * depth).  Each vertex takes as parent the first neighbour in
+        adjacency order that realises its new level, the same choice
+        level-by-level raising makes.  Hurt vertices the search does not
+        reach fall out of range."""
+        level, parent, adj, key = self.level, self.parent, self._adj, self._key
+        depth, absent = self.depth, self._absent
+        work = 0
+        for x in hurt:
+            level[x] = absent
+            parent[x] = None
+        best: dict = {}
+        heap = []
+        for x in hurt:
+            d = absent
+            for y, (w, _) in adj[x].items():
+                work += 1
+                if level[y] + w < d:
+                    d = level[y] + w
+            if d <= depth:
+                best[x] = d
+                heap.append((d, key(x), x))
         heapq.heapify(heap)
         while heap:
-            lv, _, x = heapq.heappop(heap)
-            if x == self.source or lv != self.level[x] or lv > self.depth:
+            d, _, x = heapq.heappop(heap)
+            if level[x] != absent:
                 continue
-            best = None
-            for y, (w, tag) in self._adj[x].items():
-                self.work += 1
-                ly = self.level.get(y, self._absent)
-                if ly > self.depth:
-                    continue
-                cand = ly + w
-                if best is None or cand < best[0]:
-                    best = (cand, y, tag)
-            if best is not None and best[0] <= lv:
-                if self.debug and best[0] < lv:
-                    raise AssertionError(f"level of {x!r} would drop")
-                self.parent[x] = (best[1], best[2])
-                continue
-            new = best[0] if best is not None else self._absent
-            if new > self.depth:
-                new = self._absent
-                self.parent[x] = None
-            self.level[x] = new
-            for y, (w, tag) in self._adj[x].items():
-                self.work += 1
-                p = self.parent.get(y)
-                if p is not None and p[0] == x:
-                    heapq.heappush(heap, (self.level[y], self._key(y), y))
-            if new <= self.depth:
-                heapq.heappush(heap, (new, self._key(x), x))
+            if self.debug and d < hurt[x]:
+                raise AssertionError(f"level of {x!r} would drop")
+            level[x] = d
+            for y, (w, tag) in adj[x].items():
+                work += 1
+                if parent[x] is None and level[y] + w == d:
+                    parent[x] = (y, tag)
+                nd = d + w
+                if y in hurt and nd <= depth and nd < best.get(y, absent):
+                    best[y] = nd
+                    heapq.heappush(heap, (nd, key(y), y))
+        self.work += work
 
     # -- audit -----------------------------------------------------------
 

@@ -42,6 +42,12 @@ class ScaleMisuse(GraphError):
     pass
 
 
+class PathAuditFailed(ScaleMisuse):
+    """An assembled path failed a check that guards the returned answer.
+
+    These checks raise rather than assert, so python -O keeps them."""
+
+
 class _OverTwoDType:
     __slots__ = ()
 
@@ -69,7 +75,7 @@ class SsspParams:
     of every class decomposition wholesale.  tau overrides the heavy
     threshold (one value, a mapping, or a callable on the class index);
     it exists so small inputs can reach the heavy regime at all, and
-    while it is set the replacement-budget assertions stand down.
+    while it is set the replacement-budget checks stand down.
     """
 
     q: Optional[int] = None
@@ -344,26 +350,33 @@ def sssp_path_query(inst: SsspScaleInstance, v):
         cs = inst.classes[prev[1]]
         a = walk[k - 2]
         seg = short_path(cs.lcd, cs.j_i, a, x)
-        assert seg is not NOT_CONNECTED and seg[0] == a and seg[-1] == x
-        assert all(y in cs.heavy for y in seg)
+        if seg is NOT_CONNECTED or seg[0] != a or seg[-1] != x:
+            raise PathAuditFailed(f"short_path({a!r}, {x!r}) gave {seg!r}")
+        if not all(y in cs.heavy for y in seg):
+            raise PathAuditFailed(f"splice {seg!r} leaves class {cs.i}'s "
+                                  "heavy side")
         for p, nxt in zip(seg, seg[1:]):
             repl += inst.g.length(inst.g.edge_id(p, nxt))
         if not inst.tau_overridden:
             comp = cs.conn.component_members(a)
-            assert Fraction(len(seg) - 1) <= \
-                Fraction(len(comp)) * inst.alpha / cs.tau
+            if Fraction(len(seg) - 1) > \
+                    Fraction(len(comp)) * inst.alpha / cs.tau:
+                raise PathAuditFailed(f"splice {seg!r} overran its budget")
         out.extend(seg[1:])
     pairs = set()
     for a, b in zip(out, out[1:]):
         key = (min(a, b), max(a, b))
-        assert key not in pairs, "edge repeated on the assembled path"
+        if key in pairs:
+            raise PathAuditFailed(f"edge {key} repeated on the assembled path")
         pairs.add(key)
     total = sum(inst.g.length(inst.g.edge_id(a, b))
                 for a, b in zip(out, out[1:]))
     est = Fraction(inst.tree.level_of(v), 4) + inst.eps * inst.Dp / 4
     if not inst.tau_overridden:
-        assert 4 * repl <= inst.eps * inst.Dp, "splices blew the pad budget"
-        assert total <= est
+        if 4 * repl > inst.eps * inst.Dp:
+            raise PathAuditFailed("splices blew the pad budget")
+        if total > est:
+            raise PathAuditFailed(f"path length {total} over estimate {est}")
     inst.last_path_audit = {"replaced": repl, "scaled_total": total,
                             "estimate": est}
     return out
@@ -567,5 +580,6 @@ def sssp_path(sp: SsspState, v):
     if i is None:
         return NOT_CONNECTED
     path = sssp_path_query(sp.scales[i], v)
-    assert path is not OVER_TWO_D
+    if path is OVER_TWO_D:
+        raise PathAuditFailed(f"scale {i} gave a distance but no path to {v}")
     return path

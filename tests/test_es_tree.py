@@ -156,3 +156,55 @@ class TestWorkBound:
             r = g.delete_edge(eid)
             t.es_delete(r.u, r.v)
         assert t.work <= 8 * len(edges) * depth
+
+
+class TestDeepCap:
+    """Depth caps far above m, as the expander and LCD layers use them."""
+
+    DEPTH = 10 ** 6
+
+    def _levels_match(self, n, edges, t):
+        want = clamp(orc.dijkstra(n, edges, 0, cap=self.DEPTH), self.DEPTH)
+        assert [t.level_of(v) for v in range(n)] == want
+
+    def test_cycle_cut_next_to_source_reroutes_the_far_way(self):
+        n = 60
+        edges = orc.gen_cycle(n)
+        t = tree_from(n, edges, 0, self.DEPTH, debug=True)
+        before = t.work
+        t.es_delete(0, 1)
+        assert t.work - before <= 8 * len(edges)
+        self._levels_match(n, edges[1:], t)
+        t.check()
+
+    def test_removing_a_path_vertex_detaches_the_tail(self):
+        n = 60
+        edges = orc.gen_path(n)
+        t = tree_from(n, edges, 0, self.DEPTH, debug=True)
+        before = t.work
+        t.es_remove_vertex(20)
+        assert t.work - before <= 8 * len(edges)
+        assert all(t.level_of(v) is None for v in range(21, n))
+        assert [t.level_of(v) for v in range(20)] == list(range(20))
+        t.check()
+
+    def test_fuzz_with_check_after_every_update(self):
+        for seed in range(6):
+            rng = random.Random(seed)
+            n = 14
+            edges = orc.gen_gnp_connected(n, 0.3, seed=seed, weights=(1, 4))
+            t = tree_from(n, edges, 0, self.DEPTH, debug=True)
+            live = [(u, v) for u, v, _ in edges]
+            rng.shuffle(live)
+            doomed = rng.sample(range(1, n), 3)
+            while live:
+                if doomed and rng.random() < 0.15:
+                    x = doomed.pop()
+                    t.es_remove_vertex(x)
+                    live = [e for e in live if x not in e]
+                else:
+                    t.es_delete(*live.pop())
+                t.check()
+                alive = set(live)
+                left = [e for e in edges if (e[0], e[1]) in alive]
+                self._levels_match(n, left, t)
