@@ -119,7 +119,8 @@ class _ForestBase:
         q = deque([u])
         while q:
             x = q.popleft()
-            for y in sorted(self._forest[x], key=repr):
+            # a forest holds one u-v path, so neighbour order cannot matter
+            for y in self._forest[x]:
                 if y not in par:
                     par[y] = x
                     if y == v:

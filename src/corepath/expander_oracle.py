@@ -40,6 +40,12 @@ class PrunedEndpoint(GraphError):
     pass
 
 
+class QueryAuditFailed(ExpanderError):
+    """A query path failed a check that guards the returned answer.
+
+    These checks raise rather than assert, so python -O keeps them."""
+
+
 class _Level:
     """Mutable per-level record.
 
@@ -418,11 +424,15 @@ def oracle_query(h: ExpanderHierarchy, u: int, v: int) -> list:
             path.append(p)
     path = _strip_cycles(path)
     top = h.levels[h.q].graph
-    assert path[0] == u and path[-1] == v
-    assert len(set(path)) == len(path)
+    if path[0] != u or path[-1] != v:
+        raise QueryAuditFailed(f"path {path!r} does not join {u} and {v}")
+    if len(set(path)) != len(path):
+        raise QueryAuditFailed(f"path {path!r} repeats a vertex")
     for a, b in zip(path, path[1:]):
-        assert _alive(top, a, b), f"edge ({a},{b}) not alive"
-    assert len(path) - 1 <= _len_cap(h.depth, h.q)
+        if not _alive(top, a, b):
+            raise QueryAuditFailed(f"edge ({a},{b}) not alive")
+    if len(path) - 1 > _len_cap(h.depth, h.q):
+        raise QueryAuditFailed(f"path of {len(path) - 1} edges over the length cap")
     return path
 
 

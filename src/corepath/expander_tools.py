@@ -9,7 +9,9 @@ Conventions shared by everything here:
 * logs are base 2 and floored at 1 so thresholds stay meaningful on tiny
   instances;
 * exact cut enumeration is capped at EXACT_CAP vertices, everything larger
-  falls back to a seeded sampled family (sweep cuts, balls, random subsets).
+  falls back to a seeded sampled family (sweep cuts, balls, random subsets);
+  both families land in the same cut tables, so every primitive selects
+  its cut the same way in either regime.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def _adjacency(verts, triples) -> dict:
     return adj
 
 
-# -- exact cut engine ----------------------------------------------------
+# -- cut tables ----------------------------------------------------------
 
 
 def _bit_members(nv: int) -> np.ndarray:
@@ -235,9 +237,11 @@ def _boundary_vector(mem: np.ndarray, eidx: list[tuple[int, int, int]]):
 
 
 class _CutTables:
-    """All-bipartition statistics of one small graph, numpy-backed."""
+    """Statistics of one cut family of a graph, numpy-backed: one row per
+    cut, over every bipartition (rows hold vertex 0) or over the rows of a
+    sampled family given as a membership matrix."""
 
-    def __init__(self, verts, triples, host_deg=None):
+    def __init__(self, verts, triples, host_deg=None, mem=None):
         self.verts = list(verts)
         self.idx = {v: i for i, v in enumerate(self.verts)}
         nv = len(self.verts)
@@ -254,7 +258,8 @@ class _CutTables:
             self.hdeg = deg
         else:
             self.hdeg = np.array([host_deg[v] for v in self.verts], dtype=np.int64)
-        self.mem = _bit_members(nv)
+        self.exact = mem is None
+        self.mem = _bit_members(nv) if mem is None else mem
         self.size = self.mem.sum(axis=1).astype(np.int64)
         self.boundary = _boundary_vector(self.mem, self.eidx)
         self.vol = self.mem.astype(np.int64) @ self.hdeg
@@ -292,7 +297,7 @@ def _worst_violation(tab: _CutTables, rows: np.ndarray) -> int:
 
 def _small_side(tab: _CutTables, row: int) -> frozenset:
     """The side of a cut with smaller host volume (ties: smaller size,
-    then the side holding the first vertex)."""
+    then the row's own side)."""
     vs = int(tab.vol[row])
     vr = tab.vol_total - vs
     sz = int(tab.size[row])
@@ -334,7 +339,7 @@ def _spectral_order(verts, triples, rng) -> list:
     return [verts[i] for i in keyed]
 
 
-def _candidate_cuts(verts, adj, rng, order=None):
+def _candidate_cuts(verts, adj, rng, order):
     """A deterministic (seeded) family of candidate cut sides."""
     n = len(verts)
     seen = set()
@@ -362,11 +367,10 @@ def _candidate_cuts(verts, adj, rng, order=None):
         c = emit(ring)
         if c:
             out.append(c)
-    if order:
-        for i in range(1, n):
-            c = emit(order[:i])
-            if c:
-                out.append(c)
+    for i in range(1, n):
+        c = emit(order[:i])
+        if c:
+            out.append(c)
     for _ in range(64):
         size = rng.randrange(1, n)
         c = emit(rng.sample(verts, size))
@@ -379,17 +383,18 @@ def _candidate_cuts(verts, adj, rng, order=None):
     return out
 
 
-def _cut_measure(adj, deg_of, s: frozenset):
-    """(boundary, vol_s, vol_rest) of one candidate side."""
-    boundary = 0
-    vol_s = 0
-    for u in s:
-        vol_s += deg_of(u)
-        for v, k in adj[u].items():
-            if v not in s:
-                boundary += k
-    total = sum(deg_of(u) for u in adj)
-    return boundary, vol_s, total - vol_s
+def _cut_tables(verts, triples, cap: int, rng, host_deg=None) -> _CutTables:
+    """Cut tables over every bipartition up to cap vertices, over the
+    seeded sampled family above it (rng is only read there)."""
+    if len(verts) <= cap:
+        return _CutTables(verts, triples, host_deg)
+    order = _spectral_order(verts, triples, rng)
+    cands = _candidate_cuts(verts, _adjacency(verts, triples), rng, order)
+    idx = {v: i for i, v in enumerate(verts)}
+    mem = np.zeros((len(cands), len(verts)), dtype=bool)
+    for row, cand in enumerate(cands):
+        mem[row, [idx[v] for v in cand]] = True
+    return _CutTables(verts, triples, host_deg, mem=mem)
 
 
 # -- strong expander check ----------------------------------------------
@@ -418,35 +423,6 @@ def is_strong_expander(
     return False, _small_side(tab, row)
 
 
-def _sampled_violation(verts, triples, host_deg, phi: Fraction, rng):
-    """Best violating side found by the sampled family, or None."""
-    adj = _adjacency(verts, triples)
-    order = _spectral_order(verts, triples, rng) if len(verts) > 2 else None
-    total = sum(host_deg[v] for v in verts)
-
-    def hvol(s):
-        return sum(host_deg[v] for v in s)
-
-    best = None
-    for cand in _candidate_cuts(verts, adj, rng, order):
-        boundary = 0
-        for u in cand:
-            for v, k in adj[u].items():
-                if v not in cand:
-                    boundary += k
-        vs = hvol(cand)
-        denom = min(vs, total - vs)
-        if denom <= 0:
-            continue
-        if boundary * phi.denominator < phi.numerator * denom:
-            ratio = boundary / denom
-            key = (ratio, len(cand), repr(sorted(cand, key=repr)))
-            if best is None or key < best[0]:
-                side = cand if 2 * vs <= total else frozenset(verts) - cand
-                best = (key, side)
-    return best[1] if best else None
-
-
 # -- cut or certify ------------------------------------------------------
 
 
@@ -464,13 +440,14 @@ class Certified:
     sampled: bool = False
 
 
-def _exact_sparsity(verts, triples):
-    """(min over proper cuts of boundary/min-side-size, that side).
+def _sparsity(verts, triples, cap: int, rng):
+    """(min over the family's proper cuts of boundary/min-side-size, that
+    side).
 
     None when no proper cut exists (fewer than two vertices)."""
     if len(verts) < 2:
         return None, None
-    tab = _CutTables(verts, triples)
+    tab = _cut_tables(verts, triples, cap, rng)
     rows = np.nonzero(tab.proper)[0]
     msize = tab.min_size()[rows]
     ratios = tab.boundary[rows] / msize
@@ -480,27 +457,6 @@ def _exact_sparsity(verts, triples):
     sz = int(tab.size[row])
     small = tab.side(row) if sz <= tab.nv - sz else tab.side(row, complement=True)
     return psi, small
-
-
-def _sampled_sparsity(verts, triples, rng):
-    adj = _adjacency(verts, triples)
-    order = _spectral_order(verts, triples, rng) if len(verts) > 2 else None
-    best = None
-    for cand in _candidate_cuts(verts, adj, rng, order):
-        boundary = 0
-        for u in cand:
-            for v, k in adj[u].items():
-                if v not in cand:
-                    boundary += k
-        denom = min(len(cand), len(verts) - len(cand))
-        ratio = Fraction(boundary, denom)
-        key = (ratio, denom, repr(sorted(cand, key=repr)))
-        if best is None or key < best[0]:
-            side = cand if 2 * len(cand) <= len(verts) else frozenset(verts) - cand
-            best = (key, ratio, side)
-    if best is None:
-        return None, None
-    return best[1], best[2]
 
 
 def _sub_triples(triples, keep: frozenset):
@@ -522,58 +478,23 @@ def cut_or_certify(g, params: Optional[ExpanderParams] = None):
     sparse_cap = max(1, math.floor(params.cut_sparsity * n))
     half = math.ceil(Fraction(n, 2))
 
-    if n <= params.exact_cap:
-        tab = _CutTables(verts, triples)
-        msize = tab.min_size()
-        rows = np.nonzero(tab.proper & (msize >= balance_floor) & (tab.boundary <= sparse_cap))[0]
-        if rows.size:
-            order = np.lexsort((rows, -msize[rows], tab.boundary[rows]))
-            row = int(rows[order[0]])
-            sz = int(tab.size[row])
-            a = tab.side(row) if sz <= tab.nv - sz else tab.side(row, complement=True)
-            b = frozenset(verts) - a
-            return BalancedCut(a, b, int(tab.boundary[row]))
-        # no qualifying cut: peel toward the best certified half
-        cand = frozenset(verts)
-        best_psi, best_set = None, cand
-        while True:
-            psi, small = _exact_sparsity(sorted(cand, key=repr), _sub_triples(triples, cand))
-            if psi is not None and (best_psi is None or psi > best_psi):
-                best_psi, best_set = psi, cand
-            if psi is None or small is None:
-                break
-            nxt = cand - small
-            if len(nxt) < half or len(nxt) == len(cand):
-                break
-            cand = nxt
-        return Certified(best_set, best_psi)
-
-    rng = random.Random(params.seed)
-    adj = _adjacency(verts, triples)
-    order = _spectral_order(verts, triples, rng)
-    best = None
-    for cand in _candidate_cuts(verts, adj, rng, order):
-        sz = min(len(cand), n - len(cand))
-        if sz < balance_floor:
-            continue
-        boundary = 0
-        for u in cand:
-            for v, k in adj[u].items():
-                if v not in cand:
-                    boundary += k
-        if boundary > sparse_cap:
-            continue
-        key = (boundary, -sz, repr(sorted(cand, key=repr)))
-        if best is None or key < best[0]:
-            side = cand if len(cand) <= n - len(cand) else frozenset(verts) - cand
-            best = (key, side, boundary)
-    if best:
-        a = best[1]
-        return BalancedCut(a, frozenset(verts) - a, best[2])
+    rng = random.Random(params.seed) if n > params.exact_cap else None
+    tab = _cut_tables(verts, triples, params.exact_cap, rng)
+    msize = tab.min_size()
+    rows = np.nonzero(tab.proper & (msize >= balance_floor) & (tab.boundary <= sparse_cap))[0]
+    if rows.size:
+        order = np.lexsort((rows, -msize[rows], tab.boundary[rows]))
+        row = int(rows[order[0]])
+        sz = int(tab.size[row])
+        a = tab.side(row) if sz <= tab.nv - sz else tab.side(row, complement=True)
+        b = frozenset(verts) - a
+        return BalancedCut(a, b, int(tab.boundary[row]))
+    # no qualifying cut: peel toward the best certified half
     cand = frozenset(verts)
     best_psi, best_set = None, cand
-    for _ in range(8):
-        psi, small = _sampled_sparsity(sorted(cand, key=repr), _sub_triples(triples, cand), rng)
+    while True:
+        psi, small = _sparsity(sorted(cand, key=repr), _sub_triples(triples, cand),
+                               params.exact_cap, rng)
         if psi is not None and (best_psi is None or psi > best_psi):
             best_psi, best_set = psi, cand
         if psi is None or small is None:
@@ -582,7 +503,7 @@ def cut_or_certify(g, params: Optional[ExpanderParams] = None):
         if len(nxt) < half or len(nxt) == len(cand):
             break
         cand = nxt
-    return Certified(best_set, best_psi, sampled=True)
+    return Certified(best_set, best_psi, sampled=not tab.exact)
 
 
 # -- cut player ----------------------------------------------------------
@@ -869,31 +790,16 @@ def multigraph_conductance(w: MultiGraph, cap: int = EXACT_CAP, seed: int = 0x5E
         # a declared vertex without edges disconnects the witness; the
         # zero-volume side would otherwise slip past the cut tables
         return Fraction(0), True
-    triples = w.distinct_edges()
-    if n <= cap:
-        tab = _CutTables(verts, triples)
-        denom = tab.min_vol()
-        rows = np.nonzero(tab.proper & (denom > 0))[0]
-        if rows.size == 0:
-            return None, True
-        ratios = tab.boundary[rows] / denom[rows]
-        order = np.lexsort((rows, ratios))
-        row = int(rows[order[0]])
-        return Fraction(int(tab.boundary[row]), int(denom[row])), True
-    rng = random.Random(seed)
-    adj = _adjacency(verts, triples)
-    order = _spectral_order(verts, triples, rng)
-    deg_of = w.degree
-    best = None
-    for cand in _candidate_cuts(verts, adj, rng, order):
-        boundary, vs, vr = _cut_measure(adj, deg_of, cand)
-        denom = min(vs, vr)
-        if denom <= 0:
-            continue
-        val = Fraction(boundary, denom)
-        if best is None or val < best:
-            best = val
-    return best, False
+    rng = random.Random(seed) if n > cap else None
+    tab = _cut_tables(verts, w.distinct_edges(), cap, rng)
+    denom = tab.min_vol()
+    rows = np.nonzero(tab.proper & (denom > 0))[0]
+    if rows.size == 0:
+        return None, tab.exact
+    ratios = tab.boundary[rows] / denom[rows]
+    order = np.lexsort((rows, ratios))
+    row = int(rows[order[0]])
+    return Fraction(int(tab.boundary[row]), int(denom[row])), tab.exact
 
 
 @dataclass
@@ -991,7 +897,7 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
     verts = sorted(g.vertex_list(), key=repr)
     host_deg = {v: g.degree(v) for v in verts}
     all_triples = [(u, v, 1) for u, v, _ in g.edge_list()]
-    rng = random.Random(params.seed)
+    rng = random.Random(params.seed) if len(verts) > params.exact_cap else None
 
     clusters = []
     stack = [frozenset(verts)]
@@ -1001,18 +907,15 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
         if len(pv) <= 1:
             clusters.append(piece)
             continue
-        triples = _sub_triples(all_triples, piece)
-        if len(pv) <= params.exact_cap:
-            tab = _CutTables(pv, triples, host_deg=host_deg)
-            rows = _violation_rows(tab, phi)
-            witness = _small_side(tab, _worst_violation(tab, rows)) if rows.size else None
-        else:
-            witness = _sampled_violation(pv, triples, host_deg, phi, rng)
-        if witness is None:
+        tab = _cut_tables(pv, _sub_triples(all_triples, piece), params.exact_cap, rng,
+                          host_deg)
+        rows = _violation_rows(tab, phi)
+        if rows.size == 0:
             clusters.append(piece)
         else:
+            witness = _small_side(tab, _worst_violation(tab, rows))
             stack.append(piece - witness)
-            stack.append(frozenset(witness))
+            stack.append(witness)
 
     clusters.sort(key=lambda c: repr(sorted(c, key=repr)))
     owner = {}
@@ -1052,7 +955,8 @@ class PrunedExpander:
         self.pruned: set = set()
         self.t = 0
         self.budget = max(1, int(self.phi * self.m0 / 10))
-        self._rng = random.Random(self.params.seed)
+        self._rng = (random.Random(self.params.seed)
+                     if len(self.verts) > self.params.exact_cap else None)
 
     @property
     def pruned_set(self) -> frozenset:
@@ -1092,8 +996,9 @@ class PrunedExpander:
                 for v in self.adj[u]
                 if v not in self.pruned and repr(u) < repr(v)
             ]
-            if len(rem) <= self.params.exact_cap:
-                tab = _CutTables(rem, triples, host_deg=self.deg0)
+            side = self._stray_components(rem) if len(rem) > self.params.exact_cap else None
+            if side is None:
+                tab = _cut_tables(rem, triples, self.params.exact_cap, self._rng, self.deg0)
                 rows = _violation_rows(tab, phi6)
                 if rows.size == 0:
                     break
@@ -1101,12 +1006,6 @@ class PrunedExpander:
                 denom = tab.min_vol()
                 cand = rows[np.lexsort((rows, tab.min_size()[rows], denom[rows]))[0]]
                 side = _small_side(tab, int(cand))
-            else:
-                side = self._stray_components(rem)
-                if side is None:
-                    side = _sampled_violation(rem, triples, self.deg0, phi6, self._rng)
-                if side is None:
-                    break
             self.pruned.update(side)
             newly.extend(side)
         return sorted(newly, key=repr)

@@ -1158,8 +1158,10 @@ def short_path(st: LcdState, j, u, v):
             if x == a:
                 continue
             key = _ekey(a, x)
-            assert key in st.eid_of, f"edge ({a},{x}) is not alive"
-            assert key not in used, f"edge ({a},{x}) repeated on the path"
+            if key not in st.eid_of:
+                raise PhaseBroken(f"edge ({a},{x}) is not alive")
+            if key in used:
+                raise PhaseBroken(f"edge ({a},{x}) repeated on the path")
             used.add(key)
             path.append(x)
 
@@ -1169,14 +1171,17 @@ def short_path(st: LcdState, j, u, v):
         extend(f.tree_path(cur, a))
         ka = st.cores_by_vertex.get(a)
         kb = st.cores_by_vertex.get(b)
-        assert ka is not None and ka is kb, "block ends must share a core"
+        if ka is None or ka is not kb:
+            raise PhaseBroken("block ends must share a core")
         kset.append(ka)
         extend(short_core_path(st, ka, a, b))
         cur = b
     extend(f.tree_path(cur, v))
-    assert path[0] == u and path[-1] == v
+    if path[0] != u or path[-1] != v:
+        raise PhaseBroken(f"path {path!r} does not join {u} and {v}")
     for x in path:
-        assert st.layer_of(x) <= j, f"path vertex {x} fell below layer {j}"
+        if st.layer_of(x) > j:
+            raise PhaseBroken(f"path vertex {x} fell below layer {j}")
     # structural audit against the component's live core census
     label = f.component_label(u)
     kc = 0
@@ -1186,7 +1191,8 @@ def short_path(st: LcdState, j, u, v):
                 anyv = next(iter(core.live))
                 if f.component_label(anyv) == label:
                     kc += 1
-    assert len(blocks) <= kc, "more zero blocks than live cores"
+    if len(blocks) > kc:
+        raise PhaseBroken("more zero blocks than live cores")
     tpath = f.tree_path(u, v)
     w2 = 0
     one_blocks = 0
@@ -1199,13 +1205,16 @@ def short_path(st: LcdState, j, u, v):
             one_blocks += 1
         in_one = w == 1
     if kc >= 1:
-        assert w2 <= kc - 1, "too many weight-2 edges on the forest path"
-        assert one_blocks <= 2 * kc, "too many weight-1 stretches"
+        if w2 > kc - 1:
+            raise PhaseBroken("too many weight-2 edges on the forest path")
+        if one_blocks > 2 * kc:
+            raise PhaseBroken("too many weight-1 stretches")
         treecap = st.params.c_tcp * _ilg(st.n) ** 3
         cap = (kc - 1) + 2 * kc * treecap
         for core in kset:
             cap += _len_cap(core.h.depth, core.h.q)
-        assert len(path) - 1 <= cap, "assembled path exceeds its budget"
+        if len(path) - 1 > cap:
+            raise PhaseBroken("assembled path exceeds its budget")
     return path
 
 

@@ -59,6 +59,12 @@ class TestSingleLevel:
         verify_path(h, p, 0, 1)
         assert len(p) == 3  # one intermediate hop now
 
+    def test_broken_length_cap_raises_named_error(self, monkeypatch):
+        h = build(8, orc.gen_complete(8), 1, Fraction(1, 4))
+        monkeypatch.setattr(xo, "_len_cap", lambda depth, q: 0)
+        with pytest.raises(xo.QueryAuditFailed):
+            xo.oracle_query(h, 0, 1)
+
     def test_budget_exhaustion_prunes_everything(self):
         h = build(8, orc.gen_complete(8), 1, Fraction(1, 4))
         xo.oracle_delete(h, (0, 1))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,11 @@ def view(n, edges):
 
 def induced(edges, keep):
     return [(u, v) for u, v in edges if u in keep and v in keep]
+
+
+# EXACT_CAP enumerates every cut at these sizes; 4 sends the same inputs
+# through the seeded sampled cut family
+CAPS = (xt.EXACT_CAP, 4)
 
 
 class TestParams:
@@ -108,10 +114,11 @@ class TestCutOrCertify:
         assert isinstance(res, xt.Certified)
 
     def test_branch_contracts_on_random_graphs(self):
-        for seed in range(25):
+        for cap, seed in product(CAPS, range(25)):
             n = 3 + seed % 12
             edges = orc.gen_gnp_connected(n, 0.4, 100 + seed)
-            res = xt.cut_or_certify(view(n, edges))
+            params = xt.ExpanderParams.for_size(n, exact_cap=cap)
+            res = xt.cut_or_certify(view(n, edges), params)
             if isinstance(res, xt.BalancedCut):
                 assert res.a | res.b == frozenset(range(n)) and not (res.a & res.b)
                 assert len(res.a) >= 2 and len(res.a) <= len(res.b)
@@ -124,7 +131,9 @@ class TestCutOrCertify:
                 assert 2 * len(res.s) >= n
                 sub = induced(edges, res.s)
                 got, _ = orc.sparsity_exact(sorted(res.s), sub)
-                assert got == res.psi_star
+                assert res.sampled == (n > cap)
+                # a sampled family only sees some cuts, so it can overestimate
+                assert got <= res.psi_star if res.sampled else got == res.psi_star
 
 
 class TestCutPlayerRound:
@@ -168,10 +177,12 @@ class TestCutPlayerRound:
         w = xt.MultiGraph(range(6))
         for u, v in [(0, 3), (1, 4), (2, 5), (0, 4), (1, 5), (2, 3)]:
             w.add_edge(u, v)
-        cond, exact = xt.multigraph_conductance(w)
         vol = {v: w.degree(v) for v in range(6)}
         want, _ = orc.conductance_exact(range(6), w.edge_list(), vol=vol)
-        assert exact and cond == want
+        for cap in CAPS:
+            cond, exact = xt.multigraph_conductance(w, cap=cap)
+            assert exact == (cap >= 6)
+            assert cond == want if exact else cond >= want
 
 
 class TestMatchingOrCut:
@@ -336,10 +347,13 @@ class TestDecompose:
         assert res.boundary_edges == 0 and res.quality_ok
 
     def test_bridged_cliques_split(self):
-        res = xt.expander_decompose(view(10, orc.gen_two_cliques_bridge(5)), Fraction(1, 4))
-        assert set(res.clusters) == {frozenset(range(5)), frozenset(range(5, 10))}
-        assert res.boundary_edges == 1
-        assert res.quality_ok
+        for cap in CAPS:
+            params = xt.ExpanderParams(phi=Fraction(1, 4), gamma=Fraction(4), exact_cap=cap)
+            g = view(10, orc.gen_two_cliques_bridge(5))
+            res = xt.expander_decompose(g, Fraction(1, 4), params)
+            assert set(res.clusters) == {frozenset(range(5)), frozenset(range(5, 10))}
+            assert res.boundary_edges == 1
+            assert res.quality_ok
 
     def test_star_contract_post_hoc(self):
         edges = [(0, i) for i in range(1, 9)]
@@ -352,12 +366,13 @@ class TestDecompose:
         assert res.boundary_edges <= res.budget
 
     def test_contract_on_random_graphs(self):
-        for seed in range(12):
+        for cap, seed in product(CAPS, range(12)):
             n = 6 + seed % 7
             edges = orc.gen_gnp_connected(n, 0.35, 900 + seed)
             g = view(n, edges)
             phi = Fraction(1, 4)
-            res = xt.expander_decompose(g, phi)
+            params = xt.ExpanderParams(phi=phi, gamma=Fraction(4), exact_cap=cap)
+            res = xt.expander_decompose(g, phi, params)
             allv = set()
             for cl in res.clusters:
                 assert not (cl & allv)
@@ -365,6 +380,8 @@ class TestDecompose:
             assert allv == set(range(n))
             vol = {v: g.degree(v) for v in range(n)}
             for cl in res.clusters:
+                if len(cl) > cap:
+                    continue  # certified by the sampled family only
                 ok, _ = orc.is_strong_expander_exact(sorted(cl), induced(edges, cl), vol, phi)
                 assert ok
             cidx = {v: i for i, cl in enumerate(res.clusters) for v in cl}
@@ -395,10 +412,12 @@ class TestPruning:
 
     def test_bullets_and_remainder_under_fuzz(self):
         phi = Fraction(1, 2)
-        for seed in (5, 6):
+        for cap, seed in product(CAPS, (5, 6)):
+            exact = cap >= 16
             edges = orc.gen_complete(16)
             g = view(16, edges)
-            p = xt.prune_init(g, phi)
+            p = xt.prune_init(g, phi, xt.ExpanderParams(phi=phi, gamma=Fraction(2),
+                                                        exact_cap=cap))
             assert p.budget == 6
             rng = random.Random(seed)
             alive = sorted(edges)
@@ -409,14 +428,18 @@ class TestPruning:
                 s = p.pruned_set
                 assert prev <= s
                 prev = s
-                assert p.vol_initial(s) <= 8 * t / phi
-                assert p.boundary_initial(s) <= 4 * t
-            rem = p.remainder()
-            vol0 = {v: 15 for v in range(16)}
-            ok, _ = orc.is_strong_expander_exact(
-                rem, p.remainder_edge_list(), vol0, phi / 6
-            )
-            assert ok
+                rem = p.remainder()
+                comps = orc.connected_components(16, p.remainder_edge_list())
+                assert len(rem) <= 1 or any(set(rem) <= set(c) for c in comps)
+                if exact:
+                    assert p.vol_initial(s) <= 8 * t / phi
+                    assert p.boundary_initial(s) <= 4 * t
+            if exact:
+                vol0 = {v: 15 for v in range(16)}
+                ok, _ = orc.is_strong_expander_exact(
+                    rem, p.remainder_edge_list(), vol0, phi / 6
+                )
+                assert ok
 
     def test_bullets_on_sparse_graph(self):
         edges = orc.gen_gnp_connected(12, 0.5, 42)

@@ -5,6 +5,7 @@ import pytest
 
 import oracles as orc
 from corepath import expander_oracle as xo
+from corepath import lcd
 from corepath.graph_core import DynamicGraph, GraphView
 from corepath.expander_tools import ExpanderParams
 from corepath.lcd import (
@@ -15,6 +16,7 @@ from corepath.lcd import (
     LcdError,
     LcdParams,
     NotInCore,
+    PhaseBroken,
     check_invariants,
     core_decompose,
     lcd_build,
@@ -329,6 +331,14 @@ class TestShortPath:
         for a, b in zip(path, path[1:]):
             assert (min(a, b), max(a, b)) in alive
         assert all(st.layer_of(v) <= j for v in path)
+
+    def test_broken_core_path_raises_named_error(self, monkeypatch):
+        st = build(14, BRIDGED_K6, coarse_params())
+        j = max(st.layer_of(6), st.layer_of(7))
+        # a core path that walks back over its own edge
+        monkeypatch.setattr(lcd, "short_core_path", lambda st, core, a, b: [b, a])
+        with pytest.raises(PhaseBroken):
+            short_path(st, j, 0, 10)
 
     def test_queries_agree_with_reachability_while_deleting(self):
         edges = gnp(9, 0.45, 1234)
