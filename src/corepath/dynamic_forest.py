@@ -169,9 +169,10 @@ class ConnSF(_ForestBase):
         del self._forest[u][v]
         del self._forest[v][u]
         side_u = self._side_of(u, v)
-        # replacement search over the u-side adjacency
-        for x in sorted(side_u, key=repr):
-            for y in sorted(self._adj[x], key=repr):
+        # replacement search over the u-side adjacency; any replacement
+        # keeps the same components, so the scan order does not matter
+        for x in side_u:
+            for y in self._adj[x]:
                 if y not in side_u:
                     self._forest[x][y] = True
                     self._forest[y][x] = True

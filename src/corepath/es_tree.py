@@ -2,6 +2,8 @@
 
 Levels equal true distances from the source up to a depth cap; vertices
 past the cap are absent.  Levels never decrease while edges are deleted.
+A vertex's parent is always the first neighbour in adjacency order that
+realises its level; `check()` asserts this rule.
 
 Deleting a tree edge repairs in two phases (the Ramalingam-Reps split of
 a deletion).  Phase 1 walks the orphaned subtree in order of old level
@@ -12,14 +14,14 @@ runs one depth-capped Dijkstra inside the hurt set, seeded from its
 unhurt boundary; hurt vertices it does not reach become absent.  So the
 cost of a deletion does not depend on the depth cap, only on the rows
 scanned: each hurt vertex's row three times, and each kept child of a
-hurt vertex up to its first supporter.
+hurt vertex up to its first supporter.  The build runs the same Dijkstra
+(`_settle`) with every vertex absent and the source as the only seed.
 
 With one edge deleted, every hurt vertex's level strictly rises (its old
 supporters are all hurt, and by induction on level they all rose), so
 hurt-vertex work stays O(#edges * depth) over a full deletion sequence,
-the Even-Shiloach bound.  Parents come out exactly as level-by-level
-raising would leave them: the first neighbour in adjacency order that
-realises the new level.
+the Even-Shiloach bound.  The parent rule is the one level-by-level
+raising follows, so repair leaves exactly the parents it would.
 
 Two insertion shapes are supported: attaching a fresh vertex together
 with its edge bundle, and inserting a single edge under the caller's
@@ -34,9 +36,10 @@ vertex names are arbitrary hashables and edges carry opaque tags.
 from __future__ import annotations
 
 import heapq
+from itertools import count
 from typing import Hashable, Iterable, Optional
 
-from .graph_core import GraphError, GraphView
+from .graph_core import GraphError, GraphView, dijkstra
 
 
 class SourceMissing(GraphError):
@@ -77,9 +80,9 @@ class EsTree:
         if source not in self._adj:
             raise SourceMissing(f"source {source!r} not among the vertices")
         self._absent = self.depth + 1
-        self.level: dict[Hashable, int] = {}
-        self.parent: dict[Hashable, Optional[tuple[Hashable, Hashable]]] = {}
-        self._initial_bfs()
+        self.level: dict = dict.fromkeys(self._adj, self._absent)
+        self.parent: dict = dict.fromkeys(self._adj)  # (vertex, tag) or None
+        self._settle([(0, 0, source)])
 
     @classmethod
     def es_build(
@@ -105,31 +108,6 @@ class EsTree:
             raise ValueError(f"duplicate edge ({u!r},{v!r})")
         row[v] = (int(w), tag)
         self._adj.setdefault(v, {})[u] = (int(w), tag)
-
-    def _initial_bfs(self):
-        for v in self._adj:
-            self.level[v] = self._absent
-            self.parent[v] = None
-        self.level[self.source] = 0
-        heap = [(0, self._key(self.source), self.source)]
-        done = set()
-        while heap:
-            d, _, u = heapq.heappop(heap)
-            if u in done or d > self.level[u]:
-                continue
-            done.add(u)
-            for v, (w, tag) in self._adj[u].items():
-                self.work += 1
-                nd = d + w
-                if nd <= self.depth and nd < self.level[v]:
-                    self.level[v] = nd
-                    self.parent[v] = (u, tag)
-                    heapq.heappush(heap, (nd, self._key(v), v))
-
-    @staticmethod
-    def _key(v):
-        # heap tiebreak that never compares raw vertex names of mixed types
-        return repr(v)
 
     # -- queries ---------------------------------------------------------
 
@@ -289,10 +267,11 @@ class EsTree:
         otherwise it is hurt and its tree children turn dirty.  Supporters
         sit strictly lower and are visited first, so whether they are hurt
         is settled by then."""
-        level, parent, adj, key = self.level, self.parent, self._adj, self._key
+        level, parent, adj = self.level, self.parent, self._adj
         work = 0
         hurt: dict = {}
         heap = []
+        tick = count()
         lv = level[x]
         while True:
             sup = None
@@ -315,7 +294,7 @@ class EsTree:
             else:
                 hurt[x] = lv
                 for y in kids:
-                    heapq.heappush(heap, (level[y], key(y), y))
+                    heapq.heappush(heap, (level[y], next(tick), y))
             if not heap:
                 break
             lv, _, x = heapq.heappop(heap)
@@ -327,17 +306,14 @@ class EsTree:
 
         Seeded from the hurt set's boundary.  Only hurt vertices are
         rescanned, and each one's level strictly rises, so the total stays
-        O(m * depth).  Each vertex takes as parent the first neighbour in
-        adjacency order that realises its new level, the same choice
-        level-by-level raising makes.  Hurt vertices the search does not
-        reach fall out of range."""
-        level, parent, adj, key = self.level, self.parent, self._adj, self._key
+        O(m * depth).  Hurt vertices the search does not reach fall out of
+        range."""
+        level, parent, adj = self.level, self.parent, self._adj
         depth, absent = self.depth, self._absent
         work = 0
         for x in hurt:
             level[x] = absent
             parent[x] = None
-        best: dict = {}
         heap = []
         for x in hurt:
             d = absent
@@ -346,14 +322,32 @@ class EsTree:
                 if level[y] + w < d:
                     d = level[y] + w
             if d <= depth:
-                best[x] = d
-                heap.append((d, key(x), x))
+                heap.append((d, len(heap), x))
+        self.work += work
+        self._settle(heap, hurt)
+
+    def _settle(self, heap: list, old: Optional[dict] = None):
+        """Depth-capped Dijkstra over the vertices whose level is absent.
+
+        heap holds (level, tie, vertex) seeds, one per vertex.  A vertex
+        takes its level when popped, and as parent the first neighbour in
+        adjacency order that realises it; every such neighbour sits
+        strictly lower, so it is settled by then.  Only absent neighbours
+        are relaxed: the others are settled or, after a deletion, unhurt,
+        and an unhurt vertex that was absent stays beyond the cap, since
+        distances only grow.  With `debug`, `old` holds the levels before
+        a deletion, and a settled level below one raises."""
+        level, parent, adj = self.level, self.parent, self._adj
+        absent = self._absent
+        best = {x: d for d, _, x in heap}
+        tick = count(len(heap))
         heapq.heapify(heap)
+        work = 0
         while heap:
             d, _, x = heapq.heappop(heap)
             if level[x] != absent:
                 continue
-            if self.debug and d < hurt[x]:
+            if self.debug and old is not None and d < old[x]:
                 raise AssertionError(f"level of {x!r} would drop")
             level[x] = d
             for y, (w, tag) in adj[x].items():
@@ -361,32 +355,23 @@ class EsTree:
                 if parent[x] is None and level[y] + w == d:
                     parent[x] = (y, tag)
                 nd = d + w
-                if y in hurt and nd <= depth and nd < best.get(y, absent):
+                if level[y] == absent and nd < best.get(y, absent):
                     best[y] = nd
-                    heapq.heappush(heap, (nd, key(y), y))
+                    heapq.heappush(heap, (nd, next(tick), y))
         self.work += work
 
     # -- audit -----------------------------------------------------------
 
     def check(self):
-        """Assert levels are exactly capped distances and parents consistent."""
-        dist = {v: self._absent for v in self._adj}
-        dist[self.source] = 0
-        heap = [(0, self._key(self.source), self.source)]
-        seen = set()
-        while heap:
-            d, _, u = heapq.heappop(heap)
-            if u in seen:
-                continue
-            seen.add(u)
-            for v, (w, _) in self._adj[u].items():
-                if d + w <= self.depth and d + w < dist[v]:
-                    dist[v] = d + w
-                    heapq.heappush(heap, (d + w, self._key(v), v))
-        for v in self._adj:
-            assert self.level[v] == dist[v], (v, self.level[v], dist[v])
+        """Assert levels are exactly capped distances, and each parent is
+        the first neighbour in adjacency order that realises the level."""
+        edges = [(u, v, w) for u, row in self._adj.items()
+                 for v, (w, _) in row.items()]
+        dist = dijkstra(self.source, edges, cap=self.depth)
+        for v, row in self._adj.items():
+            assert self.level[v] == dist.get(v, self._absent), \
+                (v, self.level[v], dist.get(v))
             if v != self.source and self.contains(v):
-                u, tag = self.parent[v]
-                w, tag2 = self._adj[v][u]
-                assert tag == tag2
-                assert self.level[v] == self.level[u] + w
+                first = next((u, tag) for u, (w, tag) in row.items()
+                             if self.level[u] + w == self.level[v])
+                assert self.parent[v] == first, (v, self.parent[v], first)

@@ -555,13 +555,13 @@ def _to_adj_simple(h) -> dict:
 
 def _bfs_dist(adj, sources) -> dict:
     dist = {s: 0 for s in sources}
-    frontier = sorted(sources, key=repr)
+    frontier = list(sources)
     d = 0
     while frontier:
         nxt = []
         d += 1
         for u in frontier:
-            for v in sorted(adj[u], key=repr):
+            for v in adj[u]:
                 if v not in dist:
                     dist[v] = d
                     nxt.append(v)

@@ -7,8 +7,10 @@ expander machinery, the distance structures) works against this module.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Iterator, Optional
 
 
@@ -304,6 +306,32 @@ def edge_class(length: int) -> int:
     if length <= 0 or int(length) != length:
         raise NonPositiveLength(f"length {length!r}")
     return int(length).bit_length() - 1
+
+
+def dijkstra(source, edges: Iterable[tuple], cap=None) -> dict:
+    """Distances from source over undirected (u, v, w) edges, for audits.
+
+    Vertices farther than cap, or unreachable, are left out.  Heap ties
+    break by push order, so vertex names need not be comparable.  The
+    structures under audit never call this, so it stays an independent
+    check of them."""
+    adj: dict = {}
+    for u, v, w in edges:
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    dist = {source: 0}
+    heap = [(0, 0, source)]
+    tick = count(1)
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj.get(u, ()):
+            nd = d + w
+            if (cap is None or nd <= cap) and (v not in dist or nd < dist[v]):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, next(tick), v))
+    return dist
 
 
 # -- file formats -------------------------------------------------------

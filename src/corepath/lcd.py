@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .degree_layers import LayerState
-from .dynamic_forest import MsfState, tt_connect, tt_jump, tt_minedge, tt_weight
+from .dynamic_forest import MsfState, tt_connect
 from .es_tree import EsTree
 from .expander_oracle import (
     TopLevelBudgetExhausted,
@@ -1079,57 +1079,6 @@ def short_core_path(st: LcdState, core: Core, u, v) -> list:
     return [core.back[p] for p in loc]
 
 
-def _zero_run_end(st, f, x, toward):
-    """Farthest vertex toward `toward` with an all-zero subpath from x."""
-    if x == toward:
-        return x
-    lo, hi = 0, 1
-    while True:
-        w = tt_jump(f, x, toward, hi)
-        if w is None:
-            hi -= 1
-            break
-        st._work()
-        if tt_weight(f, x, w) > 0:
-            break
-        if w == toward:
-            return toward
-        lo = hi
-        hi *= 2
-    # jump(lo) is all-zero; jump(hi) is known bad or out of range
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        w = tt_jump(f, x, toward, mid)
-        if w is not None and tt_weight(f, x, w) == 0:
-            lo = mid
-        else:
-            hi = mid - 1
-        st._work()
-    return tt_jump(f, x, toward, lo)
-
-
-def _zero_blocks(st, f, u, v) -> list:
-    """Maximal weight-zero stretches on the forest path u..v, in order."""
-    out: list = []
-
-    def rec(a, b):
-        if a == b:
-            return
-        me = tt_minedge(f, a, b)
-        st._work()
-        if me is None or me[0] > 0:
-            return
-        _w, _eid, x, y = me
-        start = _zero_run_end(st, f, x, a)
-        end = _zero_run_end(st, f, y, b)
-        rec(a, start)
-        out.append((start, end))
-        rec(end, b)
-
-    rec(u, v)
-    return out
-
-
 def short_path(st: LcdState, j, u, v):
     """Short path between u and v inside the layer-j prefix graph.
 
@@ -1148,7 +1097,19 @@ def short_path(st: LcdState, j, u, v):
     f = st.msf[j - 1]
     if not tt_connect(f, u, v):
         return NOT_CONNECTED
-    blocks = _zero_blocks(st, f, u, v)
+    tpath = f.tree_path(u, v)
+    weights = [f.edge_info(f.forest_neighbors(a)[b])[2]
+               for a, b in zip(tpath, tpath[1:])]
+    st._work(len(weights))
+    # maximal weight-0 stretches of the forest path, as index pairs
+    blocks: list = []
+    for i, w in enumerate(weights):
+        if w != 0:
+            continue
+        if blocks and blocks[-1][1] == i:
+            blocks[-1][1] = i + 1
+        else:
+            blocks.append([i, i + 1])
     path = [u]
     used = set()
 
@@ -1165,18 +1126,19 @@ def short_path(st: LcdState, j, u, v):
             used.add(key)
             path.append(x)
 
-    cur = u
+    cur = 0
     kset = []
-    for a, b in blocks:
-        extend(f.tree_path(cur, a))
+    for s, e in blocks:
+        extend(tpath[cur:s + 1])
+        a, b = tpath[s], tpath[e]
         ka = st.cores_by_vertex.get(a)
         kb = st.cores_by_vertex.get(b)
         if ka is None or ka is not kb:
             raise PhaseBroken("block ends must share a core")
         kset.append(ka)
         extend(short_core_path(st, ka, a, b))
-        cur = b
-    extend(f.tree_path(cur, v))
+        cur = e
+    extend(tpath[cur:])
     if path[0] != u or path[-1] != v:
         raise PhaseBroken(f"path {path!r} does not join {u} and {v}")
     for x in path:
@@ -1193,12 +1155,10 @@ def short_path(st: LcdState, j, u, v):
                     kc += 1
     if len(blocks) > kc:
         raise PhaseBroken("more zero blocks than live cores")
-    tpath = f.tree_path(u, v)
     w2 = 0
     one_blocks = 0
     in_one = False
-    for a, b in zip(tpath, tpath[1:]):
-        w = f.edge_info(f.forest_neighbors(a)[b])[2]
+    for w in weights:
         if w == 2:
             w2 += 1
         if w == 1 and not in_one:

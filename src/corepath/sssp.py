@@ -20,14 +20,14 @@ probes.  Deletions are broadcast to every scale.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .dynamic_forest import ConnSF
 from .es_tree import EsTree
-from .graph_core import DynamicGraph, GraphError, UnknownEdge, edge_class
+from .graph_core import (DynamicGraph, GraphError, UnknownEdge, dijkstra,
+                         edge_class)
 from .lcd import (
     NOT_CONNECTED,
     LcdParams,
@@ -385,29 +385,6 @@ def sssp_path_query(inst: SsspScaleInstance, v):
 # -- audits ----------------------------------------------------------------
 
 
-def _dijkstra(source, edges, vertices=()):
-    adj: dict = {}
-    for v in vertices:
-        adj.setdefault(v, [])
-    for u, v, w in edges:
-        adj.setdefault(u, []).append((v, w))
-        adj.setdefault(v, []).append((u, w))
-    dist = {source: 0}
-    heap = [(0, repr(source), source)]
-    done = set()
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, repr(v), v))
-    return dist
-
-
 def _hat_edges(inst):
     """The contracted light graph, rebuilt from first principles."""
     edges = []
@@ -483,7 +460,7 @@ def check_scale_invariants(inst: SsspScaleInstance):
             f"class {i} light volume overran its charge"
     # the tree is an exact bounded-depth tree of the contracted graph
     hat = _hat_edges(inst)
-    dist = _dijkstra(inst.s, hat, vertices=range(n))
+    dist = dijkstra(inst.s, hat)
     sn_ids = [snid for cs in inst.classes.values()
               for snid in cs.sn_of.values()]
     for v in list(range(n)) + sn_ids:
@@ -496,7 +473,7 @@ def check_scale_invariants(inst: SsspScaleInstance):
     tree_deg = sum(len(inst.tree.incident(x)) for x in inst.tree.vertices())
     assert tree_deg == 2 * len(hat), "stray edges inside the tree"
     # dominance: contraction never stretches a scaled distance
-    gdist = _dijkstra(inst.s, inst.g.edge_list(), vertices=range(n))
+    gdist = dijkstra(inst.s, inst.g.edge_list())
     for v in range(n):
         if v in gdist:
             assert Fraction(dist[v], 4) <= gdist[v], f"dominance lost at {v}"

@@ -27,6 +27,13 @@ class TestBuild:
         t = tree_from(3, edges, 0, 10)
         assert t.level_of(2) == 4
 
+    def test_parent_is_first_neighbour_realising_the_level(self):
+        # 3 reaches level 2 through 2 and through 1; 2 comes first in 3's
+        # adjacency, so it is the parent whichever of 1, 2 settles first
+        t = EsTree(0, 5, [(0, 1, 1), (0, 2, 1), (3, 2, 1), (3, 1, 1)])
+        assert t.parent[3][0] == 2
+        t.check()
+
     def test_source_must_exist(self):
         with pytest.raises(SourceMissing):
             EsTree(9, 3, [(0, 1, 1)])

@@ -139,7 +139,7 @@ class TestTwoLevelStructure:
         xo.oracle_delete(h, (0, 12))  # midpoint carries no guest paths
         assert h.events[before:] == []
         assert h.levels[1].d == 0 and h.levels[2].d == 1
-        assert xo.oracle_query(h, 0, 12) == [0, 7, 12]
+        assert xo.oracle_query(h, 0, 12) == [0, 1, 12]
         xo.check_invariants(h)
 
     def test_single_guest_delete_repairs_bottom(self):
