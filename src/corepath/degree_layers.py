@@ -59,7 +59,6 @@ class PrunedSet:
             for v, _ in view.neighbors(u):
                 if v in self.members:
                     self._deg[u] += 1
-        self.removal_log: list[int] = []
 
     def __contains__(self, u: int) -> bool:
         return u in self.members
@@ -82,7 +81,6 @@ class PrunedSet:
             self.members.discard(x)
             del self._deg[x]
             removed.append(x)
-            self.removal_log.append(x)
             for y, _ in self.view.neighbors(x):
                 if y in self.members:
                     self._deg[y] -= 1
@@ -138,7 +136,6 @@ class LayerState:
         self._layer = {u: self._compute_layer(u) for u in verts}
         # frozen census: |A_j| at build time, indexed by layer
         self.n_leq = tuple(len(p.members) for p in self.pruned)
-        self.n_total = len(verts)
         # nbrs[u][j] = live neighbors of u currently in layer j (1..r+1)
         self.nbrs = {u: [set() for _ in range(r + 2)] for u in verts}
         for u in verts:

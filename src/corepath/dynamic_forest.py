@@ -215,9 +215,6 @@ class MsfState(_ForestBase):
     def forest_ids(self) -> set[int]:
         return set(self._tree_ids)
 
-    def is_forest_edge(self, eid) -> bool:
-        return eid in self._tree_ids
-
     def _link(self, eid):
         u, v, w = self._edge[eid]
         self._forest[u][v] = eid

@@ -29,7 +29,7 @@ from .expander_tools import (
 from .graph_core import DynamicGraph, GraphView, GraphError, UnknownEdge
 
 VR = -1  # virtual root shared by all multi-source trees
-C_DEPTH = 8
+C_DEPTH = 8  # tree depth cap coefficient: C_DEPTH * lg n / phi
 
 
 class TopLevelBudgetExhausted(ExpanderError):
@@ -135,8 +135,8 @@ def _len_cap(depth: int, q: int) -> int:
     return cap
 
 
-def oracle_init(g: GraphView, q: int, phi, params: Optional[ExpanderParams] = None,
-                c_depth: int = C_DEPTH) -> ExpanderHierarchy:
+def oracle_init(g: GraphView, q: int, phi,
+                params: Optional[ExpanderParams] = None) -> ExpanderHierarchy:
     phi = Fraction(phi)
     if not 0 < phi <= 1:
         raise ValueError(f"phi={phi}")
@@ -148,7 +148,7 @@ def oracle_init(g: GraphView, q: int, phi, params: Optional[ExpanderParams] = No
         raise ValueError("expected contiguous vertex ids")
     if params is None:
         params = _default_params(phi)
-    depth = math.ceil(c_depth * _lg(max(2, n)) / phi)
+    depth = math.ceil(C_DEPTH * _lg(max(2, n)) / phi)
     h = ExpanderHierarchy(n, g.m, q, phi, params, depth)
 
     top = _Level(q)

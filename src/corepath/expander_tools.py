@@ -79,27 +79,33 @@ def gamma_value(n: int) -> Fraction:
     return Fraction((1 + k) ** 3)
 
 
+# balanced cuts keep at least CUT_BALANCE*n vertices per side and cross at
+# most CUT_SPARSITY*n edges
+CUT_BALANCE = Fraction(1, 4)
+CUT_SPARSITY = Fraction(1, 100)
+C_L = 32        # path length cap coefficient: C_L * lg m / phi
+C_ETA = 1024    # congestion cap coefficient: C_ETA * lg^2 m / phi^2
+C_PHI = 4       # for_size picks phi = 1 / (C_PHI * gamma)
+C_ROUNDS = 8    # cut-matching game rounds per lg of the terminal count
+SEED = 0x5EED   # seed of the sampled cut family above the exact cap
+
+
 @dataclass(frozen=True)
 class ExpanderParams:
-    """Knobs for the whole toolbox.
-
-    phi and gamma are exact rationals; the caps derived from them use the
-    floored base-2 log of the edge count.
+    """The inputs of the whole toolbox: the expansion phi, the quality
+    factor gamma, and exact_cap, the vertex count up to which every cut is
+    enumerated (tests lower it to drive small inputs through the sampled
+    cut family).  phi and gamma are exact rationals; the caps derived from
+    them use the floored base-2 log of the edge count and the C_*
+    constants above.
     """
 
     phi: Fraction
     gamma: Fraction
-    cut_balance: Fraction = Fraction(1, 4)
-    cut_sparsity: Fraction = Fraction(1, 100)
-    c_l: int = 32
-    c_eta: int = 1024
-    c_phi: int = 4
-    c_rounds: int = 8
     exact_cap: int = EXACT_CAP
-    seed: int = 0x5EED
 
     def __post_init__(self):
-        for name in ("phi", "gamma", "cut_balance", "cut_sparsity"):
+        for name in ("phi", "gamma"):
             val = getattr(self, name)
             if val <= 0:
                 raise ValueError(f"{name}={val} must be positive")
@@ -109,15 +115,15 @@ class ExpanderParams:
             raise ValueError(f"phi*gamma = {self.phi * self.gamma} > 1")
 
     @classmethod
-    def for_size(cls, n: int, c_phi: int = 4, **kw) -> "ExpanderParams":
+    def for_size(cls, n: int, **kw) -> "ExpanderParams":
         g = gamma_value(max(2, n))
-        return cls(phi=Fraction(1, c_phi) / g, gamma=g, c_phi=c_phi, **kw)
+        return cls(phi=Fraction(1, C_PHI) / g, gamma=g, **kw)
 
     def path_len_cap(self, m: int) -> int:
-        return math.ceil(self.c_l * _lg(m) / float(self.phi))
+        return math.ceil(C_L * _lg(m) / float(self.phi))
 
     def congestion_cap(self, m: int) -> int:
-        return math.ceil(self.c_eta * _lg(m) ** 2 / float(self.phi) ** 2)
+        return math.ceil(C_ETA * _lg(m) ** 2 / float(self.phi) ** 2)
 
 
 def _default_params(phi) -> ExpanderParams:
@@ -474,11 +480,11 @@ def cut_or_certify(g, params: Optional[ExpanderParams] = None):
     if n < 2:
         return Certified(frozenset(verts), None)
 
-    balance_floor = max(2, math.ceil(params.cut_balance * n))
-    sparse_cap = max(1, math.floor(params.cut_sparsity * n))
+    balance_floor = max(2, math.ceil(CUT_BALANCE * n))
+    sparse_cap = max(1, math.floor(CUT_SPARSITY * n))
     half = math.ceil(Fraction(n, 2))
 
-    rng = random.Random(params.seed) if n > params.exact_cap else None
+    rng = random.Random(SEED) if n > params.exact_cap else None
     tab = _cut_tables(verts, triples, params.exact_cap, rng)
     msize = tab.min_size()
     rows = np.nonzero(tab.proper & (msize >= balance_floor) & (tab.boundary <= sparse_cap))[0]
@@ -756,7 +762,7 @@ def terminal_matching(g: GraphView, a_set, b_set, phi, params=None):
     if len(a_sorted) > len(b_sorted):
         raise ValueError(f"|A|={len(a_sorted)} > |B|={len(b_sorted)}")
     m = g.m
-    ell = math.ceil(params.c_l * _lg(m) / float(phi))
+    ell = math.ceil(C_L * _lg(m) / float(phi))
     unmatched_a = list(a_sorted)
     unmatched_b = list(b_sorted)
     pairs = []
@@ -779,7 +785,7 @@ def terminal_matching(g: GraphView, a_set, b_set, phi, params=None):
     return pairs, Embedding.build(g, mapping)
 
 
-def multigraph_conductance(w: MultiGraph, cap: int = EXACT_CAP, seed: int = 0x5EED):
+def multigraph_conductance(w: MultiGraph, cap: int = EXACT_CAP):
     """(min conductance, exact?) of a multigraph; None when no proper cut
     with positive volume exists."""
     verts = w.vertex_list()
@@ -790,7 +796,7 @@ def multigraph_conductance(w: MultiGraph, cap: int = EXACT_CAP, seed: int = 0x5E
         # a declared vertex without edges disconnects the witness; the
         # zero-volume side would otherwise slip past the cut tables
         return Fraction(0), True
-    rng = random.Random(seed) if n > cap else None
+    rng = random.Random(SEED) if n > cap else None
     tab = _cut_tables(verts, w.distinct_edges(), cap, rng)
     denom = tab.min_vol()
     rows = np.nonzero(tab.proper & (denom > 0))[0]
@@ -832,7 +838,7 @@ def embed_expander(g: GraphView, terminals, phi, params=None) -> EmbedResult:
     target = Fraction(1) / gamma_value(n_t)
 
     def spot():
-        return multigraph_conductance(w, cap=params.exact_cap, seed=params.seed)
+        return multigraph_conductance(w, cap=params.exact_cap)
 
     if n_t <= 3:
         cap = 2 * n_t + 1
@@ -854,7 +860,7 @@ def embed_expander(g: GraphView, terminals, phi, params=None) -> EmbedResult:
         emb = Embedding.build(g, mapping)
         return EmbedResult(w, emb, rounds, cond, exact)
 
-    cap = params.c_rounds * max(1, math.ceil(math.log2(n_t)))
+    cap = C_ROUNDS * max(1, math.ceil(math.log2(n_t)))
     terminal_seen = False
     while rounds < cap:
         move = cut_player_round(w, params)
@@ -897,7 +903,7 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
     verts = sorted(g.vertex_list(), key=repr)
     host_deg = {v: g.degree(v) for v in verts}
     all_triples = [(u, v, 1) for u, v, _ in g.edge_list()]
-    rng = random.Random(params.seed) if len(verts) > params.exact_cap else None
+    rng = random.Random(SEED) if len(verts) > params.exact_cap else None
 
     clusters = []
     stack = [frozenset(verts)]
@@ -955,7 +961,7 @@ class PrunedExpander:
         self.pruned: set = set()
         self.t = 0
         self.budget = max(1, int(self.phi * self.m0 / 10))
-        self._rng = (random.Random(self.params.seed)
+        self._rng = (random.Random(SEED)
                      if len(self.verts) > self.params.exact_cap else None)
 
     @property

@@ -123,10 +123,6 @@ class DynamicGraph:
     def m(self) -> int:
         return len(self._pair)
 
-    @property
-    def edges_ever(self) -> int:
-        return len(self._u)
-
     def is_alive(self, e: int) -> bool:
         self._check_edge(e)
         return self._alive[e]

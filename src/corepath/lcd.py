@@ -50,6 +50,11 @@ CENSUS_COEFF = 72
 NEAR_FACTOR = 2
 C_TC = 8    # to-core tree depth coefficient
 C_TCP = 16  # to-core walk length cap coefficient
+# degree layers are powers of DELTA
+DELTA = 2
+# coefficient of the lifetime caps that check_invariants puts on each
+# layer's buffer moves, phase starts and created cores
+LIFETIME_COEFF = 64
 ROOT = -1   # shared virtual root of every to-core tree
 
 
@@ -91,6 +96,11 @@ def _ilg(n: int) -> int:
     return max(1, math.ceil(math.log2(max(2, n))))
 
 
+def _walk_cap(n: int) -> int:
+    """Edge cap of one to-core walk."""
+    return C_TCP * _ilg(n) ** 3
+
+
 def _ekey(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
 
@@ -101,19 +111,19 @@ def _other(key, x):
 
 @dataclass
 class LcdParams:
+    """The inputs of one decomposition: q, the depth of every core's
+    oracle hierarchy, and the expander parameters, whose phi is the core
+    expansion.  make() sizes both for n vertices; tests pass a blunter
+    phi so that oracle towers stay shallow at toy sizes.  Every other
+    constant is a module constant above.
+    """
+
     q: int
-    phi: Fraction
     expander: ExpanderParams
-    c_tc: int = C_TC
-    c_tcp: int = C_TCP
-    move_coeff: int = 64
-    phase_coeff: int = 64
-    core_coeff: int = 64
 
     @classmethod
-    def make(cls, n: int, q: int = 2, c_phi: int = 4) -> "LcdParams":
-        ep = ExpanderParams.for_size(max(2, n), c_phi=c_phi)
-        return cls(q=q, phi=ep.phi, expander=ep)
+    def make(cls, n: int, q: int = 2) -> "LcdParams":
+        return cls(q=q, expander=ExpanderParams.for_size(max(2, n)))
 
 
 @dataclass
@@ -197,7 +207,7 @@ class Core:
     """One expander core: a snapshot subgraph with a short-path oracle."""
 
     __slots__ = ("cid", "j", "ell", "live", "fwd", "back", "h",
-                 "e0", "fed", "seen", "destroyed", "phi")
+                 "e0", "fed", "seen", "destroyed")
 
     def __init__(self, cid, j, ell, members, keys, params: LcdParams):
         self.cid = cid
@@ -210,11 +220,10 @@ class Core:
         self.fed = 0
         self.seen: set = set()
         self.destroyed = False
-        self.phi = params.phi
         cg = DynamicGraph(len(self.back))
         for a, b in sorted(keys):
             cg.add_edge(self.fwd[a], self.fwd[b])
-        self.h = oracle_init(GraphView(cg), params.q, params.phi,
+        self.h = oracle_init(GraphView(cg), params.q, params.expander.phi,
                              params.expander)
 
     def top_graph(self):
@@ -228,11 +237,11 @@ class Core:
 
 class PhaseState:
     """Mutable state of one non-buffer sublayer within a phase: frozen
-    degree targets, cores, the trimmed residue with its dag, and the
-    to-core search tree hanging off a shared virtual root."""
+    degree targets, cores, the trimmed residue, and the to-core search
+    tree hanging off a shared virtual root."""
 
     __slots__ = ("j", "ell", "serial", "targets", "uset", "assoc",
-                 "cores", "dag", "tree")
+                 "cores", "tree")
 
     def __init__(self, j, ell, serial):
         self.j = j
@@ -242,7 +251,6 @@ class PhaseState:
         self.uset: set = set()
         self.assoc: dict = {}
         self.cores: list = []
-        self.dag: DagResult | None = None
         self.tree: EsTree | None = None
 
     def alive_cores(self) -> list:
@@ -269,7 +277,6 @@ class SublayerState:
         self.moves: dict = {"D": 0, "K": 0, "U1": 0, "U2": 0}
         self.starts: dict = {}
         self.ends: dict = {}
-        self.pi_log: list = []
         self.cores_created = 0
 
     def moves_total(self) -> int:
@@ -277,14 +284,11 @@ class SublayerState:
 
 
 class LcdState:
-    def __init__(self, g: DynamicGraph, delta: int, params: LcdParams,
-                 debug: bool = False):
+    def __init__(self, g: DynamicGraph, params: LcdParams):
         self.g = g
         self.n = g.n
-        self.delta = delta
         self.params = params
-        self.debug = debug
-        self.layers = LayerState(GraphView(g), delta)
+        self.layers = LayerState(GraphView(g), DELTA)
         self.r = self.layers.config.r
         self.lay: dict = {}
         self.inc = IncidentEdges()
@@ -400,7 +404,7 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
                 if u < w:
                     sub.add_edge(u, w)
         res = expander_decompose(GraphView(sub, vertices=sorted(remaining)),
-                                 params.phi, params.expander)
+                                 params.expander.phi, params.expander)
         if not res.quality_ok:
             raise LcdError("expander decomposition failed its quality check")
         for piece in res.clusters:
@@ -426,7 +430,7 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
         indeg[b] = indeg.get(b, 0) + 1
     for u, d in indeg.items():
         assert TRIM_DIV * d <= targets[u], f"in-degree at {u} over its cap"
-    phi = params.phi
+    phi = params.expander.phi
     for piece, edges in cores:
         deg = {u: 0 for u in piece}
         for a, b in edges:
@@ -477,7 +481,7 @@ def _assign_uplink(st: LcdState, x, j):
         sub.buf_up.pop(x, None)
 
 
-def _buffer_insert(st: LcdState, x, j, kind, pi=0):
+def _buffer_insert(st: LcdState, x, j, kind):
     """Complete a move of x into layer j's buffer.  Containers, position,
     refinements and up-link are all final on return; the I1 check is the
     caller's batch-boundary duty."""
@@ -486,7 +490,6 @@ def _buffer_insert(st: LcdState, x, j, kind, pi=0):
     sub.subs[sub.L].add(x)
     sub.bufkind[x] = kind
     sub.moves[kind] += 1
-    sub.pi_log.append((kind, pi))
     st.clog.buffer_moves.append((x, j, kind))
     _set_inlayer_position(st, x, j, sub.L)
     _assign_uplink(st, x, j)
@@ -566,7 +569,7 @@ def _start_phase(st: LcdState, j, lv):
     cores_sets, dag = core_decompose(GraphView(sg, vertices=members),
                                      ph.targets, st.params)
     # creation census: the sublayer cannot afford more cores than this
-    lhs = len(cores_sets) * (st.params.phi ** 2) * sub.h
+    lhs = len(cores_sets) * (st.params.expander.phi ** 2) * sub.h
     assert lhs <= CENSUS_COEFF * len(members), "phase created too many cores"
     covered = set()
     for vs in cores_sets:
@@ -578,14 +581,13 @@ def _start_phase(st: LcdState, j, lv):
         for v in vs:
             st.cores_by_vertex[v] = core
         covered |= vs
-    ph.dag = dag
     ph.uset = set(members) - covered
     assert ph.uset == set(dag.rank), "trim residue must match the dag"
     for u in sorted(ph.uset):
         cands = st.upward_keys(u, j, lv)
         if cands:
             ph.assoc[u] = min(_other(k, u) for k in cands)
-    depth = st.params.c_tc * _ilg(st.n) + 1
+    depth = C_TC * _ilg(st.n) + 1
     tedges = [(a, b, 1) for a, b in sorted(hkeys)]
     for k in ph.cores:
         for v in sorted(k.live):
@@ -606,7 +608,6 @@ def _pull_to_buffer(st: LcdState, core: Core, y, kind):
     """Move a live core member to its layer's buffer, no feeding."""
     j, l = core.j, core.ell
     sub = st.lay[j]
-    pi = len(st.inc.above.get(y, ()))
     core.live.discard(y)
     st.cores_by_vertex.pop(y, None)
     sub.subs[l].discard(y)
@@ -615,7 +616,7 @@ def _pull_to_buffer(st: LcdState, core: Core, y, kind):
     if ph is not None and ph.tree is not None and ph.tree.contains(y):
         ph.tree.es_remove_vertex(y)
     st._touched_subs.add((j, l))
-    _buffer_insert(st, y, j, kind, pi=pi)
+    _buffer_insert(st, y, j, kind)
 
 
 def _core_destroy(st: LcdState, core: Core):
@@ -650,21 +651,23 @@ def _core_prune_moves(st: LcdState, core: Core):
 
 def _core_feed_local(st: LcdState, core: Core, a, b):
     """Feed one deletion (local ids) into a core's oracle; the oracle may
-    have dropped the edge on its own already, which is fine."""
+    have dropped the edge on its own already, which is fine.  A feed that
+    would wear the core out destroys it without touching the oracle."""
     if core.destroyed:
         return
     if not core.top_graph().has_edge(a, b):
         return
     st._work(4)
+    if (core.fed + 1) * WEAR_DIV > st.params.expander.phi * core.e0:
+        core.fed += 1
+        _core_destroy(st, core)
+        return
     try:
         oracle_delete(core.h, (a, b))
     except TopLevelBudgetExhausted:
         _core_destroy(st, core)
         return
     core.fed += 1
-    if core.fed * WEAR_DIV > core.phi * core.e0:
-        _core_destroy(st, core)
-        return
     _core_prune_moves(st, core)
 
 
@@ -757,7 +760,7 @@ def _layer_drop(st: LcdState, x, jo, jn):
                 st.msf[t - 1].msf_delete(eid)
             st.jmax[key] = nj
     if jn <= st.r:
-        _buffer_insert(st, x, jn, "D", pi=0)
+        _buffer_insert(st, x, jn, "D")
     else:
         assert not st.inc.all_keys(x), "isolated vertex still has edges"
     return core, lx
@@ -795,7 +798,7 @@ def _settle(st: LcdState):
         kind = "U1" if pi < NEAR_FACTOR * deg else "U2"
         core, lx = _leave_nonbuffer(st, x, j, l)
         st.pos.pop(x, None)
-        _buffer_insert(st, x, j, kind, pi=pi)
+        _buffer_insert(st, x, j, kind)
         if core is not None and not core.destroyed:
             _detach_feed(st, core, lx)
         _i1_restarts(st, j)
@@ -893,16 +896,15 @@ def _sync_weights(st: LcdState):
 # -- build ----------------------------------------------------------------
 
 
-def lcd_build(g: DynamicGraph, delta: int = 2, q: int = 2,
-              params: LcdParams = None, debug: bool = False) -> LcdState:
+def lcd_build(g: DynamicGraph, params: LcdParams = None) -> LcdState:
     """Build the layered structure over a simple unweighted graph.
 
     Takes ownership of g; all later deletions must go through
-    lcd_delete_edge.
+    lcd_delete_edge.  params defaults to LcdParams.make(g.n).
     """
     if params is None:
-        params = LcdParams.make(g.n, q=q)
-    st = LcdState(g, delta, params, debug=debug)
+        params = LcdParams.make(g.n)
+    st = LcdState(g, params)
     for j in range(1, st.r + 1):
         st.lay[j] = SublayerState(j, st.layers.config.h(j),
                                   st.layers.n_leq[j - 1])
@@ -944,8 +946,6 @@ def lcd_build(g: DynamicGraph, delta: int = 2, q: int = 2,
     st._pending = set()
     st._touched_verts = set()
     st._touched_subs = set()
-    if debug:
-        check_invariants(st)
     return st
 
 
@@ -996,8 +996,6 @@ def lcd_delete_edge(st: LcdState, e) -> ChangeLog:
     _repair_links(st)
     _sync_weights(st)
     st._work(4)
-    if st.debug:
-        check_invariants(st)
     return st.clog
 
 
@@ -1014,7 +1012,7 @@ def to_core_path(st: LcdState, u) -> list:
     u = int(u)
     if st.layer_of(u) > st.r:
         raise IsolatedVertex(f"vertex {u} has zero virtual degree")
-    cap = st.params.c_tcp * _ilg(st.n) ** 3
+    cap = _walk_cap(st.n)
     out: list = []
     cur = u
     prev_pos = None
@@ -1169,7 +1167,7 @@ def short_path(st: LcdState, j, u, v):
             raise PhaseBroken("too many weight-2 edges on the forest path")
         if one_blocks > 2 * kc:
             raise PhaseBroken("too many weight-1 stretches")
-        treecap = st.params.c_tcp * _ilg(st.n) ** 3
+        treecap = _walk_cap(st.n)
         cap = (kc - 1) + 2 * kc * treecap
         for core in kset:
             cap += _len_cap(core.h.depth, core.h.q)
@@ -1185,7 +1183,7 @@ def short_path_quality(st: LcdState) -> Fraction:
     Mirrors the assembled-path budget above; callers measure it once
     after a build and freeze the value for their own thresholds.
     """
-    treecap = st.params.c_tcp * _ilg(st.n) ** 3
+    treecap = _walk_cap(st.n)
     best = Fraction(1)
     n_j = 0
     kc = 0
@@ -1220,7 +1218,7 @@ def check_invariants(st: LcdState):
         homes = [ll for ll in sub.subs if u in sub.subs[ll]]
         assert homes == [l], f"vertex {u} containers disagree: {homes} vs {l}"
     polylog = (1 + _ilg(st.n)) ** 3
-    phi = st.params.phi
+    phi = st.params.expander.phi
     for j in range(1, st.r + 1):
         sub = st.lay[j]
         for l in range(2, sub.L + 1):
@@ -1242,15 +1240,13 @@ def check_invariants(st: LcdState):
                 f"up-link of {x} is not the smallest neighbor"
         # lifetime counters against the configured budgets
         mv = sub.moves_total()
-        assert mv * (phi ** 3) <= \
-            st.params.move_coeff * sub.nleq0 * st.delta, \
+        assert mv * (phi ** 3) <= LIFETIME_COEFF * sub.nleq0 * DELTA, \
             f"too many buffer moves in layer {j}"
         for l, cnt in sub.starts.items():
-            assert cnt <= \
-                st.params.phase_coeff * (2 ** l) * st.delta * polylog, \
+            assert cnt <= LIFETIME_COEFF * (2 ** l) * DELTA * polylog, \
                 f"too many phases at ({j},{l})"
         assert sub.cores_created * sub.h <= \
-            st.params.core_coeff * sub.nleq0 * st.delta * polylog, \
+            LIFETIME_COEFF * sub.nleq0 * DELTA * polylog, \
             f"too many cores created in layer {j}"
         # restarts must be funded by moves: the pivot at l only fires
         # once more than nleq0/2^l vertices sank below it
@@ -1275,7 +1271,7 @@ def check_invariants(st: LcdState):
                 seen_members |= core.live
                 assert len(core.live) * CORE_SIZE_DIV >= (phi ** 2) * sub.h, \
                     f"core {core.cid} got too small"
-                assert core.fed * WEAR_DIV <= core.phi * core.e0 \
+                assert core.fed * WEAR_DIV <= phi * core.e0 \
                     or core.fed <= 1, \
                     f"core {core.cid} outlived its wear budget"
                 pruned_orig = {core.back[p] for p in oracle_pruned(core.h)}
@@ -1383,8 +1379,8 @@ def lcd_state_json(st: LcdState) -> dict:
     return {
         "n": st.n,
         "r": st.r,
-        "delta": st.delta,
-        "phi": str(st.params.phi),
+        "delta": DELTA,
+        "phi": str(st.params.expander.phi),
         "q": st.params.q,
         "alive_edges": len(st.eid_of),
         "layers": layers,

@@ -66,37 +66,33 @@ def _ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
+def q_for(n: int) -> int:
+    """Oracle depth of the class decompositions: the smallest k with
+    k^8 >= ceil(lg n)."""
+    lg = max(1, (max(1, n) - 1).bit_length())
+    k = 1
+    while k ** 8 < lg:
+        k += 1
+    return k
+
+
 @dataclass(frozen=True)
 class SsspParams:
-    """Tuning knobs shared by every scale instance of one run.
+    """The one input beyond eps shared by every scale instance of a run.
 
-    q feeds the per-class decompositions; the default grows like the
-    eighth root of log n.  lcd, when given, replaces the parameter block
-    of every class decomposition wholesale.  tau overrides the heavy
-    threshold (one value, a mapping, or a callable on the class index);
-    it exists so small inputs can reach the heavy regime at all, and
-    while it is set the replacement-budget checks stand down.
+    tau overrides the heavy threshold, as one value for every class or as
+    a mapping from class index to value (classes it leaves out keep the
+    formula).  At the formula's threshold no class goes heavy, so tests
+    and the benchmark set tau to reach the heavy regime at all; while it
+    is set the replacement-budget checks stand down.
     """
 
-    q: Optional[int] = None
-    lcd: Optional[LcdParams] = None
     tau: object = None
-
-    def q_for(self, n: int) -> int:
-        if self.q is not None:
-            return self.q
-        lg = max(1, (max(1, n) - 1).bit_length())
-        k = 1
-        while k ** 8 < lg:
-            k += 1
-        return k
 
     def tau_for(self, i: int, formula: Fraction) -> Fraction:
         t = self.tau
         if t is None:
             return formula
-        if callable(t):
-            return _frac(t(i))
         if isinstance(t, dict):
             return _frac(t[i]) if i in t else formula
         return _frac(t)
@@ -162,7 +158,6 @@ class SsspScaleInstance:
         self.depth = 32 * self.Dp
         self.tau_overridden = params.tau is not None
         self.sn_serial = 0
-        self.last_path_audit = None
         self._build_classes()
         self._build_tree()
 
@@ -175,13 +170,13 @@ class SsspScaleInstance:
             # the top nominal class sits above the 2D' length cap
             assert i < self.lam
             by_class.setdefault(i, []).append((min(u, v), max(u, v)))
-        q = self.params.q_for(self.n)
+        lcd_params = LcdParams.make(self.n, q_for(self.n))
         self.classes: dict = {}
         alpha = Fraction(1)
         for i in sorted(by_class):
             cg = DynamicGraph.from_edges(self.n, sorted(by_class[i]))
             cs = ClassState(i)
-            cs.lcd = lcd_build(cg, delta=2, q=q, params=self.params.lcd)
+            cs.lcd = lcd_build(cg, lcd_params)
             alpha = max(alpha, short_path_quality(cs.lcd))
             self.classes[i] = cs
         self.alpha = alpha
@@ -377,8 +372,6 @@ def sssp_path_query(inst: SsspScaleInstance, v):
             raise PathAuditFailed("splices blew the pad budget")
         if total > est:
             raise PathAuditFailed(f"path length {total} over estimate {est}")
-    inst.last_path_audit = {"replaced": repl, "scaled_total": total,
-                            "estimate": est}
     return out
 
 

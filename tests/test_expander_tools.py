@@ -154,7 +154,7 @@ class TestCutPlayerRound:
         # random pairing adversary; witness quality checked exactly
         for n, trials in ((8, 12), (16, 8)):
             params = xt.ExpanderParams.for_size(n)
-            cap = params.c_rounds * max(1, (n - 1).bit_length())
+            cap = xt.C_ROUNDS * max(1, (n - 1).bit_length())
             for seed in range(trials):
                 rng = random.Random(7000 + 31 * seed + n)
                 w = xt.MultiGraph(range(n))
@@ -366,13 +366,16 @@ class TestDecompose:
         assert res.boundary_edges <= res.budget
 
     def test_contract_on_random_graphs(self):
-        for cap, seed in product(CAPS, range(12)):
+        # the sparse draws have cuts below phi, the dense ones do not
+        splits = {cap: 0 for cap in CAPS}
+        for cap, seed, p in product(CAPS, range(12), (0.35, 0.15)):
             n = 6 + seed % 7
-            edges = orc.gen_gnp_connected(n, 0.35, 900 + seed)
+            edges = orc.gen_gnp_connected(n, p, 900 + seed)
             g = view(n, edges)
             phi = Fraction(1, 4)
             params = xt.ExpanderParams(phi=phi, gamma=Fraction(4), exact_cap=cap)
             res = xt.expander_decompose(g, phi, params)
+            splits[cap] += len(res.clusters) > 1
             allv = set()
             for cl in res.clusters:
                 assert not (cl & allv)
@@ -388,6 +391,7 @@ class TestDecompose:
             cross = len([e for e in edges if cidx[e[0]] != cidx[e[1]]])
             assert res.boundary_edges == cross
             assert res.quality_ok == (cross <= res.budget)
+        assert all(splits.values()), splits
 
 
 class TestPruning:
@@ -440,6 +444,35 @@ class TestPruning:
                     rem, p.remainder_edge_list(), vol0, phi / 6
                 )
                 assert ok
+
+    def test_sampled_pruning_takes_the_least_volume_side(self, monkeypatch):
+        # two cliques joined by two bridges; once one bridge goes, the
+        # other one is a cut below phi/6 and the smaller clique is the
+        # least-volume violating side, found here by the sampled family
+        sampled_hits = []
+        rows_of = xt._violation_rows
+
+        def spy(tab, phi):
+            rows = rows_of(tab, phi)
+            if not tab.exact and rows.size:
+                sampled_hits.append(rows.size)
+            return rows
+
+        monkeypatch.setattr(xt, "_violation_rows", spy)
+        phi = Fraction(1, 2)
+        for big, small_first in product((7, 8), (True, False)):
+            n = 6 + big
+            small = list(range(6)) if small_first else list(range(big, n))
+            large = [v for v in range(n) if v not in small]
+            edges = [(part[a], part[b]) for part in (small, large)
+                     for a, b in orc.gen_complete(len(part))]
+            edges += [(small[0], large[0]), (small[1], large[1])]
+            p = xt.prune_init(view(n, edges), phi, xt.ExpanderParams(
+                phi=phi, gamma=Fraction(2), exact_cap=4))
+            sampled_hits.clear()
+            newly = xt.prune_delete(p, (small[0], large[0]))
+            assert sampled_hits
+            assert set(newly) == set(small) == p.pruned_set
 
     def test_bullets_on_sparse_graph(self):
         edges = orc.gen_gnp_connected(12, 0.5, 42)

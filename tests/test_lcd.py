@@ -31,16 +31,15 @@ from corepath.lcd import (
 def coarse_params(q=2, den=16):
     """Blunt cut threshold so oracle towers stay shallow at toy sizes."""
     phi = Fraction(1, den)
-    return LcdParams(q=q, phi=phi,
-                     expander=ExpanderParams(phi=phi, gamma=Fraction(den // 2)))
+    return LcdParams(q=q, expander=ExpanderParams(phi=phi,
+                                                  gamma=Fraction(den // 2)))
 
 
 def wide_params():
     # phi*|E|/10 >= 1 for a K8 core, so one in-core deletion fits the
     # wear budget instead of tearing the core down immediately
     phi = Fraction(1, 2)
-    return LcdParams(q=2, phi=phi,
-                     expander=ExpanderParams(phi=phi, gamma=Fraction(2)))
+    return LcdParams(q=2, expander=ExpanderParams(phi=phi, gamma=Fraction(2)))
 
 
 def gnp(n, p, seed):

@@ -6,7 +6,7 @@ import pytest
 import oracles as orc
 from corepath import sssp
 from corepath.graph_core import DynamicGraph
-from corepath.lcd import NOT_CONNECTED
+from corepath.lcd import NOT_CONNECTED, short_path_quality
 from corepath.sssp import (
     PathAuditFailed,
     SsspParams,
@@ -73,6 +73,45 @@ class TestDefaultParams:
         sp = teardown(5, edges, [(2, 3)])
         assert sssp_dist(sp, 3) is NOT_CONNECTED
         assert sssp_path(sp, 4) is NOT_CONNECTED
+
+
+def gnm(n, m, seed):
+    """Seeded G(n, m) with lengths 1..5, not necessarily connected."""
+    rng = random.Random(seed)
+    pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], m)
+    return [(u, v, rng.randint(1, 5)) for u, v in pairs]
+
+
+def assert_lemma(sp):
+    """Every class: quality and tau clear h_j on populated prefixes."""
+    for inst in sp.scales.values():
+        for cs in inst.classes.values():
+            st = cs.lcd
+            quality = short_path_quality(st)
+            n_j = 0
+            for j in range(1, st.r + 1):
+                n_j += len(st.layers.members_of(j))
+                if n_j:
+                    assert quality >= st.lay[j].h
+                    assert cs.tau > st.lay[j].h
+            assert not cs.heavy
+
+
+class TestDefaultTauLemma:
+    """At the formula's tau no class can go heavy: short_path_quality is
+    at least h_j for every populated prefix j, and tau exceeds it."""
+
+    @pytest.mark.parametrize("seed,n,m", [(1, 10, 20), (2, 12, 30),
+                                          (3, 14, 24)])
+    def test_no_class_goes_heavy(self, seed, n, m):
+        edges = gnm(n, m, seed)
+        sp = build(n, edges)
+        assert_lemma(sp)
+        order = [(u, v) for u, v, _ in edges]
+        random.Random(seed).shuffle(order)
+        for u, v in order[: len(order) // 2]:
+            sssp_delete(sp, u, v)
+            assert_lemma(sp)
 
 
 class TestHeavyClass:
