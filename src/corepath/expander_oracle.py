@@ -135,6 +135,11 @@ def _len_cap(depth: int, q: int) -> int:
     return cap
 
 
+def oracle_depth(n: int, phi) -> int:
+    """Tree depth cap of an oracle over n vertices: C_DEPTH * lg n / phi."""
+    return math.ceil(C_DEPTH * _lg(max(2, n)) / Fraction(phi))
+
+
 def oracle_init(g: GraphView, q: int, phi,
                 params: Optional[ExpanderParams] = None) -> ExpanderHierarchy:
     phi = Fraction(phi)
@@ -148,8 +153,7 @@ def oracle_init(g: GraphView, q: int, phi,
         raise ValueError("expected contiguous vertex ids")
     if params is None:
         params = _default_params(phi)
-    depth = math.ceil(C_DEPTH * _lg(max(2, n)) / phi)
-    h = ExpanderHierarchy(n, g.m, q, phi, params, depth)
+    h = ExpanderHierarchy(n, g.m, q, phi, params, oracle_depth(n, phi))
 
     top = _Level(q)
     top.graph = DynamicGraph(n)

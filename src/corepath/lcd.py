@@ -3,9 +3,12 @@
 The structure slices a graph into degree layers (powers of delta), splits
 each layer into geometrically shrinking sublayers, and carves every
 non-buffer sublayer into expander cores plus a trimmed residue ordered by
-a low-in-degree DAG.  Each core carries a short-path oracle over its
-creation-time snapshot; weighted spanning forests over the layer prefixes
-let ``short_path`` stitch core-internal paths together with tree edges.
+a low-in-degree DAG.  Each core keeps its creation-time snapshot and builds
+a short-path oracle over it on first use: the first query inside the core,
+or the first fed deletion the core survives.  A core that dies at its
+first feed, or is never queried, never builds one.  Weighted spanning
+forests over the layer prefixes let ``short_path`` stitch core-internal
+paths together with tree edges.
 
 Everything is maintained under edge deletions only.  Vertices move
 downward (deeper sublayer, buffer, lower layer), cores only shrink, and
@@ -26,6 +29,7 @@ from .expander_oracle import (
     TopLevelBudgetExhausted,
     _len_cap,
     oracle_delete,
+    oracle_depth,
     oracle_init,
     oracle_pruned,
     oracle_query,
@@ -204,10 +208,17 @@ class IncidentEdges:
 
 
 class Core:
-    """One expander core: a snapshot subgraph with a short-path oracle."""
+    """One expander core: a snapshot subgraph with a short-path oracle.
 
-    __slots__ = ("cid", "j", "ell", "live", "fwd", "back", "h",
-                 "e0", "fed", "seen", "destroyed")
+    The oracle h is built from the snapshot cg on first use (oracle()): a
+    query inside the core, or a fed deletion the core survives.  cg is
+    dropped then.  Until then h is None and cg stands in for the oracle's
+    top level; no deletion reaches cg, since a surviving feed builds the
+    oracle first.
+    """
+
+    __slots__ = ("cid", "j", "ell", "live", "fwd", "back", "h", "cg",
+                 "params", "e0", "fed", "seen", "destroyed")
 
     def __init__(self, cid, j, ell, members, keys, params: LcdParams):
         self.cid = cid
@@ -220,14 +231,39 @@ class Core:
         self.fed = 0
         self.seen: set = set()
         self.destroyed = False
-        cg = DynamicGraph(len(self.back))
+        self.params = params
+        self.cg = DynamicGraph(len(self.back))
         for a, b in sorted(keys):
-            cg.add_edge(self.fwd[a], self.fwd[b])
-        self.h = oracle_init(GraphView(cg), params.q, params.expander.phi,
-                             params.expander)
+            self.cg.add_edge(self.fwd[a], self.fwd[b])
+        self.h = None
+
+    def oracle(self):
+        """The core's oracle, built from the snapshot on the first call."""
+        if self.h is None:
+            p = self.params
+            self.h = oracle_init(GraphView(self.cg), p.q, p.expander.phi,
+                                 p.expander)
+            self.cg = None
+        return self.h
 
     def top_graph(self):
+        if self.h is None:
+            return self.cg
         return self.h.levels[self.h.q].graph
+
+    def pruned(self) -> frozenset:
+        """Local ids outside the expander.  Before the oracle exists that
+        is the snapshot's degree-0 vertices: a fresh oracle prunes nothing
+        else."""
+        if self.h is None:
+            return frozenset(v for v in range(self.cg.n)
+                             if self.cg.degree(v) == 0)
+        return oracle_pruned(self.h)
+
+    def len_cap(self) -> int:
+        """Edge cap of one oracle path, known without building the oracle."""
+        return _len_cap(oracle_depth(len(self.back), self.params.expander.phi),
+                        self.params.q)
 
     def edge_alive(self, a, b) -> bool:
         if a not in self.fwd or b not in self.fwd:
@@ -663,7 +699,7 @@ def _core_feed_local(st: LcdState, core: Core, a, b):
         _core_destroy(st, core)
         return
     try:
-        oracle_delete(core.h, (a, b))
+        oracle_delete(core.oracle(), (a, b))
     except TopLevelBudgetExhausted:
         _core_destroy(st, core)
         return
@@ -1072,7 +1108,7 @@ def short_core_path(st: LcdState, core: Core, u, v) -> list:
         raise NotInCore(f"vertex {v} is not an alive member")
     if u == v:
         return []
-    loc = oracle_query(core.h, core.fwd[u], core.fwd[v])
+    loc = oracle_query(core.oracle(), core.fwd[u], core.fwd[v])
     st._work(len(loc))
     return [core.back[p] for p in loc]
 
@@ -1170,7 +1206,7 @@ def short_path(st: LcdState, j, u, v):
         treecap = _walk_cap(st.n)
         cap = (kc - 1) + 2 * kc * treecap
         for core in kset:
-            cap += _len_cap(core.h.depth, core.h.q)
+            cap += core.len_cap()
         if len(path) - 1 > cap:
             raise PhaseBroken("assembled path exceeds its budget")
     return path
@@ -1193,7 +1229,7 @@ def short_path_quality(st: LcdState) -> Fraction:
         for _l, ph in st.lay[j].phases.items():
             for core in ph.alive_cores():
                 kc += 1
-                caps += _len_cap(core.h.depth, core.h.q)
+                caps += core.len_cap()
         if n_j == 0:
             continue
         cap_j = max(n_j, (kc - 1) + 2 * kc * treecap + caps)
@@ -1274,7 +1310,7 @@ def check_invariants(st: LcdState):
                 assert core.fed * WEAR_DIV <= phi * core.e0 \
                     or core.fed <= 1, \
                     f"core {core.cid} outlived its wear budget"
-                pruned_orig = {core.back[p] for p in oracle_pruned(core.h)}
+                pruned_orig = {core.back[p] for p in core.pruned()}
                 assert not (pruned_orig & core.live), \
                     f"core {core.cid} keeps pruned members"
                 for (a, b, _w) in core.top_graph().edge_list():

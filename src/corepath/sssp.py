@@ -364,12 +364,12 @@ def sssp_path_query(inst: SsspScaleInstance, v):
         if key in pairs:
             raise PathAuditFailed(f"edge {key} repeated on the assembled path")
         pairs.add(key)
-    total = sum(inst.g.length(inst.g.edge_id(a, b))
-                for a, b in zip(out, out[1:]))
-    est = Fraction(inst.tree.level_of(v), 4) + inst.eps * inst.Dp / 4
     if not inst.tau_overridden:
         if 4 * repl > inst.eps * inst.Dp:
             raise PathAuditFailed("splices blew the pad budget")
+        total = sum(inst.g.length(inst.g.edge_id(a, b))
+                    for a, b in zip(out, out[1:]))
+        est = Fraction(inst.tree.level_of(v), 4) + inst.eps * inst.Dp / 4
         if total > est:
             raise PathAuditFailed(f"path length {total} over estimate {est}")
     return out

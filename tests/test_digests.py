@@ -4,8 +4,11 @@ A behaviour-preserving refactor must leave every digest below unchanged.
 The LCD digests cover lcd_state_json (micros included) after the build
 and after every deletion, plus every ChangeLog, over shuffled full
 teardowns; the SSSP digests cover every sssp_dist/sssp_path answer after
-the build and after every deletion.  A digest that changes on purpose
-is re-pinned in the same change that explains why.
+the build and after every deletion.  The surviving-feed digests run dense
+graphs under a phi large enough that in-core deletions survive, so the
+oracles get fed and queried, and cover every short_path answer as well.
+A digest that changes on purpose is re-pinned in the same change that
+explains why.
 """
 
 import hashlib
@@ -16,9 +19,15 @@ import pytest
 
 import oracles as orc
 from corepath.graph_core import DynamicGraph
-from corepath.lcd import lcd_build, lcd_delete_edge, lcd_state_json
+from corepath.lcd import (
+    LcdError,
+    lcd_build,
+    lcd_delete_edge,
+    lcd_state_json,
+    short_path,
+)
 from corepath.sssp import sssp_build_all, sssp_delete, sssp_dist, sssp_path
-from test_lcd import coarse_params, gnp
+from test_lcd import coarse_params, gnp, wide_params
 from test_sssp import BRIDGED_TRIANGLE, EPS, HEAVY, S
 
 LCD_SEEDS = ((31, 9, 0.5), (11, 9, 0.4), (12, 10, 0.55))
@@ -36,6 +45,22 @@ LCD_DIGESTS = {
         "a28310d59001e7b569dee3f412213376e88a65d232db46ed1d6992e45389f834",
     ("default", 12):
         "9b00d32912c262c408f7f8fbcef7a5204ac17f13b03528c5bafafe2b9b18f0c5",
+}
+
+# (name, n, edges, shuffle seed)
+FEED_CASES = (
+    ("k8", 8, orc.gen_complete(8), 1),
+    ("gnp-10-0.95", 10, gnp(10, 0.95, 5), 6),
+    ("gnp-12-0.9", 12, gnp(12, 0.9, 7), 8),
+)
+
+FEED_DIGESTS = {
+    "k8":
+        "ef28da11b281987d609ad99e749cc6d078ce30b3b026c4cb0384cd46854cb21f",
+    "gnp-10-0.95":
+        "d737c609679a8c78b62b9266ffd6034160ad69aa91cd8c689a4689a9b9513e45",
+    "gnp-12-0.9":
+        "953a75ed4450d6929785c0cfa78826bc2c863325251db6297789fed5382c11e8",
 }
 
 SSSP_DIGESTS = {
@@ -68,6 +93,42 @@ def lcd_teardown_digest(seed, n, p, params):
     return h.hexdigest()
 
 
+def _short_paths(st):
+    """Every short_path answer, over every layer and every pair in it."""
+    out = []
+    for j in range(1, st.r + 1):
+        for u in range(st.n):
+            for v in range(u + 1, st.n):
+                if max(st.layer_of(u), st.layer_of(v)) <= j:
+                    out.append(repr(short_path(st, j, u, v)))
+    return out
+
+
+def feed_teardown_digest(n, edges, seed):
+    """Shuffled teardown under wide_params(), up to the first LcdError:
+    these dense inputs eventually leave a phase that can neither trim nor
+    cut a core, and the error text is hashed as the last step."""
+    st = lcd_build(DynamicGraph.from_edges(n, edges), params=wide_params())
+    h = hashlib.sha256()
+    _feed(h, lcd_state_json(st))
+    _feed(h, _short_paths(st))
+    order = sorted(st.eid_of)
+    random.Random(seed).shuffle(order)
+    for key in order:
+        if key not in st.eid_of:
+            continue
+        try:
+            clog = lcd_delete_edge(st, key)
+        except LcdError as exc:
+            _feed(h, repr(exc))
+            break
+        _feed(h, [clog.layer_moves, clog.buffer_moves, clog.prunings,
+                  clog.destructions, clog.restarts])
+        _feed(h, lcd_state_json(st))
+        _feed(h, _short_paths(st))
+    return h.hexdigest()
+
+
 def sssp_teardown_digest(n, edges, order, params=None):
     sp = sssp_build_all(DynamicGraph.from_edges(n, edges), S, EPS, params)
     h = hashlib.sha256()
@@ -89,6 +150,12 @@ def test_lcd_teardown_digest(kind, seed, n, p):
     params = coarse_params() if kind == "coarse" else None
     assert lcd_teardown_digest(seed, n, p, params) == \
         LCD_DIGESTS[(kind, seed)]
+
+
+@pytest.mark.parametrize("name,n,edges,seed", FEED_CASES,
+                         ids=[c[0] for c in FEED_CASES])
+def test_lcd_surviving_feed_digest(name, n, edges, seed):
+    assert feed_teardown_digest(n, edges, seed) == FEED_DIGESTS[name]
 
 
 def test_sssp_default_teardown_digest():

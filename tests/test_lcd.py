@@ -273,7 +273,7 @@ class TestShortCorePath:
     def test_k8_pairs_within_oracle_cap(self, k8_state):
         st = k8_state
         core = st.core_at(0)
-        cap = xo._len_cap(core.h.depth, core.h.q)
+        cap = core.len_cap()
         for u in range(8):
             for v in range(u + 1, 8):
                 p = short_core_path(st, core, u, v)
@@ -282,6 +282,7 @@ class TestShortCorePath:
                 assert len(p) - 1 <= cap
                 for a, b in zip(p, p[1:]):
                     assert core.edge_alive(a, b)
+        assert cap == xo._len_cap(core.h.depth, core.h.q)
 
     def test_outsider_rejected(self):
         st = build(10, orc.gen_two_cliques_bridge(5), coarse_params())
@@ -297,6 +298,78 @@ class TestShortCorePath:
         assert core.destroyed
         with pytest.raises(CoreDestroyed):
             short_core_path(st, core, 4, 5)
+
+
+class TestLazyOracle:
+    """A core builds its oracle only for a query or a surviving feed."""
+
+    @pytest.fixture
+    def inits(self, monkeypatch):
+        calls = []
+        orig = lcd.oracle_init
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(lcd, "oracle_init", spy)
+        return calls
+
+    @staticmethod
+    def all_cores(st):
+        return [k for sub in st.lay.values() for ph in sub.phases.values()
+                for k in ph.cores]
+
+    def test_default_teardown_builds_none(self, inits):
+        edges = gnp(9, 0.5, 31)
+        st = build(9, edges)
+        order = sorted(st.eid_of)
+        random.Random(32).shuffle(order)
+        for key in order:
+            if key in st.eid_of:
+                lcd_delete_edge(st, key)
+        check_invariants(st)
+        assert st.core_serial > 0
+        assert inits == []
+
+    def test_quality_builds_none(self, inits):
+        st = build(10, gnp(10, 0.6, 12), coarse_params())
+        assert lcd.short_path_quality(st) >= 1
+        assert self.all_cores(st)
+        assert all(k.h is None for k in self.all_cores(st))
+        assert inits == []
+
+    def test_query_builds_once(self, inits):
+        st = build(8, orc.gen_complete(8))
+        core = st.core_at(0)
+        assert core.h is None
+        short_core_path(st, core, 0, 5)
+        assert len(inits) == 1 and core.h is not None
+        h = core.h
+        short_core_path(st, core, 2, 7)
+        assert len(inits) == 1 and core.h is h
+
+    def test_surviving_feed_builds_and_feeds(self, inits):
+        st = build(8, orc.gen_complete(8), wide_params())
+        core = st.core_at(0)
+        assert core.h is None
+        lcd_delete_edge(st, (0, 1))
+        assert not core.destroyed
+        assert core.fed == 1
+        assert core.h is not None and len(inits) == 1
+        assert not core.h.levels[core.h.q].graph.has_edge(0, 1)
+        check_invariants(st)
+
+    @pytest.mark.parametrize("n,p,seed", [(9, 0.5, 31), (10, 0.55, 12)])
+    def test_snapshot_pruned_set_matches_fresh_oracle(self, n, p, seed):
+        st = build(n, gnp(n, p, seed), coarse_params())
+        cores = self.all_cores(st)
+        assert cores
+        for core in cores:
+            before = core.pruned()
+            core.oracle()
+            assert xo.oracle_pruned(core.h) == before
+            assert core.cg is None
 
 
 BRIDGED_K6 = (orc.gen_complete(6)
