@@ -21,12 +21,16 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Iterable, Optional
 
 from .es_tree import EsTree
 from .graph_core import GraphError, GraphView, UnknownEdge, cut_stats
+
+# numpy takes about 14 MB of resident memory, so each function imports
+# it where it is used: a process that never cuts or prunes (SSSP at the
+# formula's tau, a bare ES tree) never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 EXACT_CAP = 20
 
@@ -231,11 +235,13 @@ def _bit_members(nv: int) -> np.ndarray:
 
     Row i is the subset with mask 2i+1; the full set is the last row.
     """
+    import numpy as np
     masks = (np.arange(1 << (nv - 1), dtype=np.int64) << 1) | 1
     return ((masks[:, None] >> np.arange(nv)[None, :]) & 1).astype(bool)
 
 
 def _boundary_vector(mem: np.ndarray, eidx: list[tuple[int, int, int]]):
+    import numpy as np
     out = np.zeros(mem.shape[0], dtype=np.int64)
     for ui, vi, k in eidx:
         out += (mem[:, ui] ^ mem[:, vi]) * k
@@ -248,6 +254,7 @@ class _CutTables:
     sampled family given as a membership matrix."""
 
     def __init__(self, verts, triples, host_deg=None, mem=None):
+        import numpy as np
         self.verts = list(verts)
         self.idx = {v: i for i, v in enumerate(self.verts)}
         nv = len(self.verts)
@@ -273,21 +280,25 @@ class _CutTables:
         self.proper = self.size < nv
 
     def side(self, row: int, complement=False) -> frozenset:
+        import numpy as np
         bits = self.mem[row]
         if complement:
             bits = ~bits
         return frozenset(self.verts[i] for i in np.nonzero(bits)[0])
 
     def min_vol(self) -> np.ndarray:
+        import numpy as np
         return np.minimum(self.vol, self.vol_total - self.vol)
 
     def min_size(self) -> np.ndarray:
+        import numpy as np
         return np.minimum(self.size, self.nv - self.size)
 
 
 def _violation_rows(tab: _CutTables, phi: Fraction) -> np.ndarray:
     """Rows whose strong conductance against the host volumes drops
     below phi.  Zero-volume sides never violate (vacuous)."""
+    import numpy as np
     denom = tab.min_vol()
     lhs = tab.boundary * phi.denominator
     rhs = phi.numerator * denom
@@ -296,6 +307,7 @@ def _violation_rows(tab: _CutTables, phi: Fraction) -> np.ndarray:
 
 def _worst_violation(tab: _CutTables, rows: np.ndarray) -> int:
     # float ratios only pick the argmin; ties fall back to row order
+    import numpy as np
     ratios = tab.boundary[rows] / np.maximum(tab.min_vol()[rows], 1)
     order = np.lexsort((rows, tab.min_size()[rows], ratios))
     return int(rows[order[0]])
@@ -317,6 +329,7 @@ def _small_side(tab: _CutTables, row: int) -> frozenset:
 
 def _spectral_order(verts, triples, rng) -> list:
     """Vertex order from a power-iteration sweep vector."""
+    import numpy as np
     n = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
     a = np.zeros((n, n))
@@ -392,6 +405,7 @@ def _candidate_cuts(verts, adj, rng, order):
 def _cut_tables(verts, triples, cap: int, rng, host_deg=None) -> _CutTables:
     """Cut tables over every bipartition up to cap vertices, over the
     seeded sampled family above it (rng is only read there)."""
+    import numpy as np
     if len(verts) <= cap:
         return _CutTables(verts, triples, host_deg)
     order = _spectral_order(verts, triples, rng)
@@ -451,6 +465,7 @@ def _sparsity(verts, triples, cap: int, rng):
     side).
 
     None when no proper cut exists (fewer than two vertices)."""
+    import numpy as np
     if len(verts) < 2:
         return None, None
     tab = _cut_tables(verts, triples, cap, rng)
@@ -473,6 +488,7 @@ def cut_or_certify(g, params: Optional[ExpanderParams] = None):
     """Either a balanced sparse cut (min side >= max(2, ceil(n/4)),
     crossing <= max(1, floor(n/100))) or a certified half-or-larger subset
     with its measured induced sparsity."""
+    import numpy as np
     verts, triples = _graph_data(g)
     n = len(verts)
     if params is None:
@@ -788,6 +804,7 @@ def terminal_matching(g: GraphView, a_set, b_set, phi, params=None):
 def multigraph_conductance(w: MultiGraph, cap: int = EXACT_CAP):
     """(min conductance, exact?) of a multigraph; None when no proper cut
     with positive volume exists."""
+    import numpy as np
     verts = w.vertex_list()
     n = len(verts)
     if n < 2 or w.m == 0:
@@ -990,6 +1007,7 @@ class PrunedExpander:
 
     def _settle(self) -> list:
         """Prune violating sides until the remainder re-certifies."""
+        import numpy as np
         phi6 = self.phi / 6
         newly = []
         while True:

@@ -86,6 +86,11 @@ class PhaseBroken(LcdError):
     """Internal guarantee failed; the structure cannot answer honestly."""
 
 
+class LcdPoisoned(LcdError):
+    """An earlier deletion failed after it had changed the structure,
+    which can no longer answer honestly; every later call raises this."""
+
+
 class _NotConnectedType:
     __slots__ = ()
 
@@ -336,6 +341,7 @@ class LcdState:
         self.core_serial = 0
         self.phase_serial = 0
         self.micros = 0
+        self.poisoned = None  # the error that left a deletion half-applied
         self.clog = ChangeLog()
         self._pending: set = set()
         self._touched_verts: set = set()
@@ -988,11 +994,30 @@ def lcd_build(g: DynamicGraph, params: LcdParams = None) -> LcdState:
 # -- mutation -------------------------------------------------------------
 
 
+def _check_live(st: LcdState):
+    if st.poisoned is not None:
+        raise LcdPoisoned(f"an earlier deletion failed part-way: "
+                          f"{st.poisoned!r}")
+
+
 def lcd_delete_edge(st: LcdState, e) -> ChangeLog:
+    """Delete e and repair every layer, phase, core and forest.
+
+    An unknown edge changes nothing; an error once the deletion has begun
+    poisons the structure and is re-raised."""
+    _check_live(st)
     u, v = int(e[0]), int(e[1])
     key = _ekey(u, v)
     if key not in st.eid_of:
         raise UnknownEdge(f"({u},{v}) is not an alive edge")
+    try:
+        return _delete_edge(st, u, v, key)
+    except BaseException as exc:
+        st.poisoned = exc
+        raise
+
+
+def _delete_edge(st: LcdState, u, v, key) -> ChangeLog:
     st.clog = ChangeLog()
     st._pending = set()
     st._touched_verts = {u, v}
@@ -1045,6 +1070,7 @@ def to_core_path(st: LcdState, u) -> list:
     sits inside a core.  Positions (layer, sublayer) never increase along
     the walk and strictly decrease whenever the walk switches structure.
     """
+    _check_live(st)
     u = int(u)
     if st.layer_of(u) > st.r:
         raise IsolatedVertex(f"vertex {u} has zero virtual degree")
@@ -1099,6 +1125,7 @@ def to_core_path(st: LcdState, u) -> list:
 
 def short_core_path(st: LcdState, core: Core, u, v) -> list:
     """Path between two alive members inside one core, as a vertex list."""
+    _check_live(st)
     if core is None or core.destroyed:
         raise CoreDestroyed("core is gone")
     u, v = int(u), int(v)
@@ -1119,6 +1146,7 @@ def short_path(st: LcdState, j, u, v):
     Follows the spanning forest, replacing every weight-zero block with a
     core-internal oracle path.  Returns a vertex list, or NOT_CONNECTED.
     """
+    _check_live(st)
     u, v = int(u), int(v)
     if not 1 <= j <= st.r:
         raise LayerViolation(f"layer {j} out of range 1..{st.r}")
@@ -1219,6 +1247,7 @@ def short_path_quality(st: LcdState) -> Fraction:
     Mirrors the assembled-path budget above; callers measure it once
     after a build and freeze the value for their own thresholds.
     """
+    _check_live(st)
     treecap = _walk_cap(st.n)
     best = Fraction(1)
     n_j = 0
@@ -1241,6 +1270,7 @@ def short_path_quality(st: LcdState) -> Fraction:
 
 
 def check_invariants(st: LcdState):
+    _check_live(st)
     # vertex partition across layers, positions, and buffers
     for u in range(st.n):
         j = st.layer_of(u)
@@ -1377,6 +1407,7 @@ def check_invariants(st: LcdState):
 
 
 def lcd_state_json(st: LcdState) -> dict:
+    _check_live(st)
     layers = {}
     for j in range(1, st.r + 1):
         sub = st.lay[j]

@@ -6,7 +6,7 @@ import pytest
 import oracles as orc
 from corepath import expander_oracle as xo
 from corepath import lcd
-from corepath.graph_core import DynamicGraph, GraphView
+from corepath.graph_core import DynamicGraph, GraphView, UnknownEdge
 from corepath.expander_tools import ExpanderParams
 from corepath.lcd import (
     NOT_CONNECTED,
@@ -15,6 +15,7 @@ from corepath.lcd import (
     LayerViolation,
     LcdError,
     LcdParams,
+    LcdPoisoned,
     NotInCore,
     PhaseBroken,
     check_invariants,
@@ -24,6 +25,7 @@ from corepath.lcd import (
     lcd_state_json,
     short_core_path,
     short_path,
+    short_path_quality,
     to_core_path,
 )
 
@@ -171,6 +173,45 @@ class TestDeleteInCore:
         assert cl.destructions == [core.cid]
         assert core.destroyed
         assert st.core_at(4) is not core
+        check_invariants(st)
+
+
+class TestPoison:
+    def test_failed_deletion_poisons_the_structure(self):
+        # K8 under wide_params(), edges shuffled by Random(1): deleting
+        # (0, 2) leaves a phase that can neither trim nor cut a core, and
+        # the error comes after the edge has left the graph and forests
+        st = build(8, orc.gen_complete(8), wide_params())
+        order = sorted(st.eid_of)
+        random.Random(1).shuffle(order)
+        for key in order:
+            try:
+                lcd_delete_edge(st, key)
+            except LcdError as exc:
+                failed = (key, exc)
+                break
+        key, exc = failed
+        assert key == (0, 2) and not isinstance(exc, LcdPoisoned)
+        assert st.poisoned is exc
+        for call in (lambda: lcd_delete_edge(st, next(iter(st.eid_of))),
+                     lambda: lcd_delete_edge(st, key),
+                     lambda: short_path(st, st.r, 0, 1),
+                     lambda: to_core_path(st, 0),
+                     lambda: short_core_path(st, st.core_at(0), 0, 1),
+                     lambda: short_path_quality(st),
+                     lambda: check_invariants(st),
+                     lambda: lcd_state_json(st)):
+            with pytest.raises(LcdPoisoned):
+                call()
+
+    def test_unknown_edge_changes_nothing(self):
+        st = build(8, orc.gen_complete(8), wide_params())
+        lcd_delete_edge(st, (0, 1))
+        before = lcd_state_json(st)
+        with pytest.raises(UnknownEdge):
+            lcd_delete_edge(st, (0, 1))
+        assert st.poisoned is None
+        assert lcd_state_json(st) == before
         check_invariants(st)
 
 

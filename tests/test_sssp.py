@@ -5,12 +5,17 @@ import pytest
 
 import oracles as orc
 from corepath import sssp
-from corepath.graph_core import DynamicGraph
-from corepath.lcd import NOT_CONNECTED, short_path_quality
+from corepath.graph_core import DynamicGraph, UnknownEdge, edge_class
+from corepath.lcd import (NOT_CONNECTED, LcdError, LcdParams, lcd_build,
+                          lcd_delete_edge, short_path_quality)
 from corepath.sssp import (
     PathAuditFailed,
     SsspParams,
+    SsspPoisoned,
     check_scale_invariants,
+    far_level,
+    q_for,
+    round_lengths,
     sssp_build_all,
     sssp_delete,
     sssp_dist,
@@ -82,36 +87,127 @@ def gnm(n, m, seed):
     return [(u, v, rng.randint(1, 5)) for u, v in pairs]
 
 
-def assert_lemma(sp):
-    """Every class: quality and tau clear h_j on populated prefixes."""
-    for inst in sp.scales.values():
-        for cs in inst.classes.values():
-            st = cs.lcd
-            quality = short_path_quality(st)
-            n_j = 0
-            for j in range(1, st.r + 1):
-                n_j += len(st.layers.members_of(j))
-                if n_j:
-                    assert quality >= st.lay[j].h
-                    assert cs.tau > st.lay[j].h
-            assert not cs.heavy
+def shuffled(edges, seed):
+    order = [(u, v) for u, v, _ in edges]
+    random.Random(seed).shuffle(order)
+    return order
+
+
+def class_decompositions(n, live, i):
+    """(tau by class, decomposition by class) for the scale-2^i rounding of
+    the live graph, tau by the formula SsspParams describes."""
+    g, dp, _ = round_lengths(DynamicGraph.from_edges(n, live), EPS, 2 ** i)
+    by_class = {}
+    for u, v, lp in g.edge_list():
+        by_class.setdefault(edge_class(lp), []).append((u, v))
+    lcds = {c: lcd_build(DynamicGraph.from_edges(n, sorted(es)),
+                         LcdParams.make(n, q_for(n)))
+            for c, es in by_class.items()}
+    alpha = max([Fraction(1)] + [short_path_quality(st)
+                                 for st in lcds.values()])
+    lam = (4 * dp).bit_length() - 1
+    taus = {c: Fraction(8 * n * lam) * alpha / (EPS * dp) * 2 ** c
+            for c in lcds}
+    return taus, lcds
+
+
+def assert_lemma(taus, lcds):
+    """Every class: quality and tau clear h_j on populated prefixes, so no
+    layer reaches tau and no vertex is heavy."""
+    for c, st in lcds.items():
+        quality = short_path_quality(st)
+        n_j = 0
+        for j in range(1, st.r + 1):
+            n_j += len(st.layers.members_of(j))
+            if n_j:
+                assert quality >= st.lay[j].h
+                assert taus[c] > st.lay[j].h
+        j_i = max([j for j in range(1, st.r + 1) if st.lay[j].h >= taus[c]],
+                  default=0)
+        assert not any(st.layers.members_of(j) for j in range(1, j_i + 1))
 
 
 class TestDefaultTauLemma:
     """At the formula's tau no class can go heavy: short_path_quality is
-    at least h_j for every populated prefix j, and tau exceeds it."""
+    at least h_j for every populated prefix j, and tau exceeds it.  SSSP
+    builds no decomposition at that tau, so the test builds them on every
+    scale's class graphs and keeps them through the deletions, with tau
+    frozen at the build as SSSP froze it."""
 
     @pytest.mark.parametrize("seed,n,m", [(1, 10, 20), (2, 12, 30),
                                           (3, 14, 24)])
     def test_no_class_goes_heavy(self, seed, n, m):
         edges = gnm(n, m, seed)
         sp = build(n, edges)
-        assert_lemma(sp)
-        order = [(u, v) for u, v, _ in edges]
-        random.Random(seed).shuffle(order)
-        for u, v in order[: len(order) // 2]:
+        scales = [class_decompositions(n, edges, i)
+                  for i in range(sp.imax + 1)]
+        for taus, lcds in scales:
+            assert_lemma(taus, lcds)
+        for u, v in shuffled(edges, seed)[: len(edges) // 2]:
             sssp_delete(sp, u, v)
-            assert_lemma(sp)
+            for taus, lcds in scales:
+                for st in lcds.values():
+                    if (min(u, v), max(u, v)) in st.eid_of:
+                        lcd_delete_edge(st, (u, v))
+                assert_lemma(taus, lcds)
+        assert all(inst.classes == {} for inst in sp.scales.values())
+
+
+GNP_10 = orc.gen_gnp_connected(10, 0.3, seed=3, weights=(1, 5))
+
+
+def populated(inst):
+    return {edge_class(lp) for _, _, lp in inst.g.edge_list()}
+
+
+class TestWhichClassesExist:
+    """Only classes whose tau is overridden get a ClassState and with it
+    a decomposition; each case stays oracle-checked through audit."""
+
+    def test_default_tau_builds_no_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lcd_build called at the formula's tau")
+
+        monkeypatch.setattr(sssp, "lcd_build", refuse)
+        sp = teardown(10, GNP_10, shuffled(GNP_10, 3))
+        assert all(inst.classes == {} for inst in sp.scales.values())
+
+    @pytest.mark.parametrize("n,edges,tau,picked", [
+        (4, BRIDGED_TRIANGLE, {0: 2}, lambda cs: cs & {0}),
+        (10, GNP_10, 2, lambda cs: cs),
+    ], ids=["class-0", "flat"])
+    def test_overridden_classes_only(self, n, edges, tau, picked):
+        params = SsspParams(tau=tau)
+        sp = build(n, edges, params)
+        for inst in sp.scales.values():
+            assert set(inst.classes) == picked(populated(inst))
+        assert any(inst.classes for inst in sp.scales.values())
+        teardown(n, edges, shuffled(edges, 3), params)
+
+
+class TestFarLevel:
+    def test_matches_the_fraction_inequality(self):
+        """lv > far_level(n, eps) decides exactly whether scale 2^i's
+        estimate over its factor exceeds 2 * 2^i * (1 + eps).  That
+        inequality only grows with lv, so agreeing on both sides of
+        far_level, and at 0 and 40 D', covers every level up to 40 D'."""
+        epss = sorted({Fraction(a, b) for b in range(2, 12)
+                       for a in range(1, b)})
+        for eps in epss:
+            for n in (1, 2, 5, 17, 100):
+                far = far_level(n, eps)
+                for i in range(12):
+                    _, dp, factor = round_lengths(DynamicGraph(n), eps,
+                                                  2 ** i)
+                    bound = 2 * 2 ** i * (1 + eps)
+                    levels = {0, 40 * dp} | {
+                        lv for lv in range(far - 2, far + 3)
+                        if 0 <= lv <= 40 * dp}
+                    for lv in sorted(levels):
+                        est = Fraction(lv, 4) + eps * dp / 4
+                        assert (est / factor > bound) == (lv > far), \
+                            (eps, n, i, lv)
+                assert 0 <= far < 40 * dp
 
 
 class TestHeavyClass:
@@ -133,3 +229,31 @@ class TestHeavyClass:
         monkeypatch.setattr(sssp, "short_path", lambda *a: NOT_CONNECTED)
         with pytest.raises(PathAuditFailed):
             sssp_path(sp, 1)
+
+
+class TestPoison:
+    def test_failed_deletion_poisons_the_state(self, monkeypatch):
+        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+        real = sssp.sssp_scale_delete
+
+        def fail_at_top(inst, e):
+            if inst is sp.scales[sp.imax]:
+                raise LcdError("injected")
+            real(inst, e)
+
+        monkeypatch.setattr(sssp, "sssp_scale_delete", fail_at_top)
+        with pytest.raises(LcdError, match="injected"):
+            sssp_delete(sp, 1, 2)
+        monkeypatch.undo()
+        for call in (lambda: sssp_delete(sp, 1, 3),
+                     lambda: sssp_dist(sp, 3),
+                     lambda: sssp_path(sp, 3)):
+            with pytest.raises(SsspPoisoned):
+                call()
+
+    def test_unknown_edge_changes_nothing(self):
+        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+        with pytest.raises(UnknownEdge):
+            sssp_delete(sp, 0, 3)
+        assert sp.poisoned is None
+        audit(sp, 4, BRIDGED_TRIANGLE)
