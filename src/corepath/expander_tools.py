@@ -359,14 +359,17 @@ def _spectral_order(verts, triples, rng) -> list:
 
 
 def _candidate_cuts(verts, adj, rng, order):
-    """A deterministic (seeded) family of candidate cut sides."""
+    """A deterministic (seeded) family of candidate cut sides, one side
+    per cut: a side whose complement came earlier is dropped."""
     n = len(verts)
+    whole = frozenset(verts)
     seen = set()
 
     def emit(s):
         s = frozenset(s)
         if 0 < len(s) < n and s not in seen:
             seen.add(s)
+            seen.add(whole - s)
             return s
         return None
 

@@ -1,8 +1,10 @@
 """Decremental (1+eps)-approximate single-source distances and paths.
 
-One scale instance covers true distances near a target D.  The graph is
+One scale instance covers true distances near a target D.  Lengths are
 rescaled so that D maps onto the integer range [1, 2*ceil(4n/eps)] and
-an exact bounded-depth tree becomes affordable there.  Edges split into
+an exact bounded-depth tree becomes affordable there; a scale keeps the
+rounded lengths as a table keyed by vertex pair, not as a copy of the
+graph, and edges longer than 2D leave it at the build.  Edges split into
 length classes by leading bit.  Vertices whose virtual degree in a
 layered decomposition of the class subgraph reaches the class threshold
 tau_i are heavy; every connected component of the heavy class subgraph
@@ -16,7 +18,7 @@ class decomposition.
 At the paper's formula for tau_i no vertex can go heavy (see
 SsspParams), so only classes whose tau is overridden keep a
 decomposition.  With no override every class is light and a scale is a
-bare tree over the rescaled graph: the family is a scaled Even-Shiloach
+bare tree over its length table: the family is a scaled Even-Shiloach
 structure.
 
 The top level keeps an instance per power-of-two scale and binary
@@ -65,10 +67,6 @@ OVER_TWO_D = _OverTwoDType()
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def q_for(n: int) -> int:
@@ -123,11 +121,13 @@ class ClassState:
 
 
 def round_lengths(g: DynamicGraph, eps, D):
-    """Copy g onto the integer range for scale D.
+    """The length table of g on the integer range for scale D.
 
-    Returns (graph, D', factor) with factor = 4n/(eps*D): every kept
-    length becomes ceil(factor * len), edges beyond 2D are dropped, and
-    D' = ceil(4n/eps) is the rounded scale every length now lives under.
+    Returns (length, discarded, D', factor) with factor = 4n/(eps*D).
+    length maps each pair (a, b), a < b, of an edge no longer than 2D to
+    ceil(factor * len), in g.edge_list() order; discarded holds the pairs
+    of the longer edges, and D' = ceil(4n/eps) is the rounded scale
+    every kept length now lives under.  One pass, all in integers.
     """
     eps = _frac(eps)
     D = _frac(D)
@@ -136,19 +136,23 @@ def round_lengths(g: DynamicGraph, eps, D):
     if D <= 0:
         raise ScaleMisuse(f"scale {D} is not positive")
     n = g.n
-    # factor = num/den; the loop stays in integers
-    num = 4 * n * eps.denominator * D.denominator
-    den = eps.numerator * D.numerator
-    factor = Fraction(num, den)
-    d_new = _ceil(Fraction(4 * n) / eps)
-    out = DynamicGraph(n)
+    a, b = eps.numerator, eps.denominator
+    # factor = num/den
+    num = 4 * n * b * D.denominator
+    den = a * D.numerator
+    d_new = -((-4 * n * b) // a)
+    limit = 2 * D.numerator  # len > 2D iff len * D.denominator > limit
+    length: dict = {}
+    discarded = set()
     for u, v, ln in g.edge_list():
-        if ln * D.denominator > 2 * D.numerator:
+        key = (u, v) if u < v else (v, u)
+        if ln * D.denominator > limit:
+            discarded.add(key)
             continue
         lp = -((-num * ln) // den)
         assert 1 <= lp <= 2 * d_new
-        out.add_edge(u, v, lp)
-    return out, d_new, factor
+        length[key] = lp
+    return length, discarded, d_new, Fraction(num, den)
 
 
 def far_level(n: int, eps) -> int:
@@ -161,11 +165,17 @@ def far_level(n: int, eps) -> int:
     """
     eps = _frac(eps)
     a, b = eps.numerator, eps.denominator
-    dp = _ceil(4 * n / eps)
+    dp = -((-4 * n * b) // a)
     return (32 * n * (a + b) * b // a - a * dp) // b
 
 
 class SsspScaleInstance:
+    """One scale D: the rounded-length table of the live edges no longer
+    than 2D (length, keyed by (a, b) with a < b), the pairs it dropped as
+    longer (discarded), the class states of overridden classes, and the
+    bounded-depth tree over the contracted light graph.  Deletions pop
+    from the table; there is no per-scale graph."""
+
     def __init__(self, g: DynamicGraph, s: int, eps, D, params=None):
         eps = _frac(eps)
         if params is None:
@@ -177,10 +187,8 @@ class SsspScaleInstance:
         self.D = _frac(D)
         self.params = params
         self.n = g.n
-        self.g, self.Dp, self.factor = round_lengths(g, eps, D)
-        kept = {(min(u, v), max(u, v)) for u, v, _ in self.g.edge_list()}
-        self.discarded = {(min(u, v), max(u, v)) for u, v, _ in g.edge_list()
-                          if (min(u, v), max(u, v)) not in kept}
+        self.length, self.discarded, self.Dp, self.factor = \
+            round_lengths(g, eps, D)
         self.lam = (4 * self.Dp).bit_length() - 1
         self.depth = 32 * self.Dp
         self.far_level = far_level(self.n, eps)
@@ -198,11 +206,11 @@ class SsspScaleInstance:
         if not self.tau_overridden:
             return
         by_class: dict = {}
-        for u, v, lp in self.g.edge_list():
+        for key, lp in self.length.items():
             i = edge_class(lp)
             # the top nominal class sits above the 2D' length cap
             assert i < self.lam
-            by_class.setdefault(i, []).append((min(u, v), max(u, v)))
+            by_class.setdefault(i, []).append(key)
         for i in sorted(by_class):
             tau = self.params.override(i)
             if tau is None:
@@ -221,14 +229,14 @@ class SsspScaleInstance:
                 cs.conn = ConnSF(sorted(cs.heavy), pairs)
 
     def _build_tree(self):
+        classes = self.classes
         edges = []
-        for u, v, lp in self.g.edge_list():
-            cs = self.classes.get(edge_class(lp))
+        for (a, b), lp in self.length.items():
+            cs = classes.get(edge_class(lp)) if classes else None
             if cs is not None:
-                if u in cs.heavy and v in cs.heavy:
+                if a in cs.heavy and b in cs.heavy:
                     continue
                 cs.light_ever += 1
-            a, b = min(u, v), max(u, v)
             edges.append((a, b, 4 * lp, ("lt", a, b)))
         for i in sorted(self.classes):
             cs = self.classes[i]
@@ -260,20 +268,18 @@ def sssp_scale_build(g: DynamicGraph, s: int, eps, D,
 
 def sssp_scale_delete(inst: SsspScaleInstance, e) -> None:
     u, v = int(e[0]), int(e[1])
-    key = (min(u, v), max(u, v))
-    eid = inst.g.edge_id(u, v)
-    if eid is None:
+    key = (u, v) if u < v else (v, u)
+    lp = inst.length.pop(key, None)
+    if lp is None:
         if key in inst.discarded:
             return
         raise UnknownEdge(f"({u},{v}) is not a live edge at this scale")
-    cs = inst.classes.get(edge_class(inst.g.length(eid)))
+    cs = inst.classes.get(edge_class(lp)) if inst.classes else None
     if cs is None:
-        inst.g.delete_between(u, v)
         inst.tree.es_delete(u, v)
         return
     both_heavy = u in cs.heavy and v in cs.heavy
     clog = lcd_delete_edge(cs.lcd, (u, v))
-    inst.g.delete_between(u, v)
     if both_heavy:
         ev = cs.conn.conn_delete(u, v)
         if ev is not None:
@@ -307,8 +313,7 @@ def _depart(inst, cs, deps):
             if w in cs.heavy:
                 newly.add((min(d, w), max(d, w)))
     for a, b in sorted(newly):
-        lp = inst.g.length(inst.g.edge_id(a, b))
-        inst.tree.es_insert(a, b, 4 * lp, ("lt", a, b))
+        inst.tree.es_insert(a, b, 4 * inst.length[(a, b)], ("lt", a, b))
         cs.light_ever += 1
     for d in deps:
         lab = cs.conn.component_label(d)
@@ -341,6 +346,12 @@ def _depart(inst, cs, deps):
 # -- queries ---------------------------------------------------------------
 
 
+def _est4b(inst: SsspScaleInstance, lv: int) -> int:
+    """4b times the estimate at tree level lv, for eps = a/b: the scaled
+    estimate lv/4 + eps*D'/4 as one integer."""
+    return lv * inst.eps.denominator + inst.eps.numerator * inst.Dp
+
+
 def sssp_dist_query(inst: SsspScaleInstance, v):
     """One tree level plus the eps*D/4 pad, in scaled units.
 
@@ -350,8 +361,7 @@ def sssp_dist_query(inst: SsspScaleInstance, v):
     lv = inst.tree.level_of(int(v))
     if lv is None:
         return OVER_TWO_D
-    a, b = inst.eps.numerator, inst.eps.denominator
-    return Fraction(lv * b + a * inst.Dp, 4 * b)
+    return Fraction(_est4b(inst, lv), 4 * inst.eps.denominator)
 
 
 def sssp_path_query(inst: SsspScaleInstance, v):
@@ -382,15 +392,21 @@ def sssp_path_query(inst: SsspScaleInstance, v):
         out.extend(seg[1:])
     pairs = set()
     for a, b in zip(out, out[1:]):
-        key = (min(a, b), max(a, b))
+        key = (a, b) if a < b else (b, a)
         if key in pairs:
             raise PathAuditFailed(f"edge {key} repeated on the assembled path")
         pairs.add(key)
     if not inst.tau_overridden:
-        total = sum(inst.g.length(inst.g.edge_id(a, b))
-                    for a, b in zip(out, out[1:]))
-        est = sssp_dist_query(inst, v)
-        if total > est:
+        total = 0
+        for key in pairs:
+            lp = inst.length.get(key)
+            if lp is None:
+                raise PathAuditFailed(f"path edge {key} is not live at "
+                                      "this scale")
+            total += lp
+        if 4 * inst.eps.denominator * total > \
+                _est4b(inst, inst.tree.level_of(v)):
+            est = sssp_dist_query(inst, v)
             raise PathAuditFailed(f"path length {total} over estimate {est}")
     return out
 
@@ -401,11 +417,11 @@ def sssp_path_query(inst: SsspScaleInstance, v):
 def _hat_edges(inst):
     """The contracted light graph, rebuilt from first principles."""
     edges = []
-    for u, v, lp in inst.g.edge_list():
+    for (a, b), lp in inst.length.items():
         cs = inst.classes.get(edge_class(lp))
-        if cs is not None and u in cs.heavy and v in cs.heavy:
+        if cs is not None and a in cs.heavy and b in cs.heavy:
             continue
-        edges.append((u, v, 4 * lp))
+        edges.append((a, b, 4 * lp))
     for i in sorted(inst.classes):
         cs = inst.classes[i]
         if cs.conn is None:
@@ -427,12 +443,14 @@ def check_scale_invariants(inst: SsspScaleInstance):
     assert inst.lam == (4 * inst.Dp).bit_length() - 1
     assert inst.depth == 32 * inst.Dp
     assert inst.far_level == far_level(n, inst.eps)
+    assert inst.length.keys().isdisjoint(inst.discarded)
     per: dict = {}
-    for u, v, lp in inst.g.edge_list():
+    for (a, b), lp in inst.length.items():
+        assert a < b
         assert 1 <= lp <= 2 * inst.Dp
         i = edge_class(lp)
         assert i < inst.lam
-        per.setdefault(i, set()).add((min(u, v), max(u, v)))
+        per.setdefault(i, set()).add((a, b))
     # a class state exactly for the overridden classes, populated at build
     assert all(inst.params.override(i) is not None for i in inst.classes)
     assert all(i in inst.classes for i in per
@@ -491,7 +509,8 @@ def check_scale_invariants(inst: SsspScaleInstance):
     tree_deg = sum(len(inst.tree.incident(x)) for x in inst.tree.vertices())
     assert tree_deg == 2 * len(hat), "stray edges inside the tree"
     # dominance: contraction never stretches a scaled distance
-    gdist = dijkstra(inst.s, inst.g.edge_list())
+    gdist = dijkstra(inst.s, [(a, b, lp) for (a, b), lp
+                              in inst.length.items()])
     for v in range(n):
         if v in gdist:
             assert Fraction(dist[v], 4) <= gdist[v], f"dominance lost at {v}"
@@ -580,7 +599,10 @@ def sssp_dist(sp: SsspState, v):
     i = _locate(sp, v)
     if i is None:
         return NOT_CONNECTED
-    return sssp_dist_query(sp.scales[i], v) / sp.scales[i].factor
+    inst = sp.scales[i]
+    f = inst.factor
+    return Fraction(_est4b(inst, inst.tree.level_of(v)) * f.denominator,
+                    4 * inst.eps.denominator * f.numerator)
 
 
 def sssp_path(sp: SsspState, v):

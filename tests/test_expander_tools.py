@@ -474,6 +474,33 @@ class TestPruning:
             assert sampled_hits
             assert set(newly) == set(small) == p.pruned_set
 
+    def test_sampled_tables_hold_each_cut_once(self, monkeypatch):
+        # a side and its complement are one cut; a sampled family that
+        # holds both counts its boundary and volume twice
+        tables = []
+        real = xt._cut_tables
+
+        def spy(*args, **kwargs):
+            tab = real(*args, **kwargs)
+            if not tab.exact:
+                tables.append(tab)
+            return tab
+
+        monkeypatch.setattr(xt, "_cut_tables", spy)
+        small, large = list(range(6)), list(range(6, 13))
+        edges = [(part[a], part[b]) for part in (small, large)
+                 for a, b in orc.gen_complete(len(part))]
+        edges += [(small[0], large[0]), (small[1], large[1])]
+        phi = Fraction(1, 2)
+        p = xt.prune_init(view(13, edges), phi, xt.ExpanderParams(
+            phi=phi, gamma=Fraction(2), exact_cap=4))
+        xt.prune_delete(p, (small[0], large[0]))
+        assert tables
+        for tab in tables:
+            rows = {tuple(r) for r in tab.mem.tolist()}
+            assert len(rows) == len(tab.mem)
+            assert not any(tuple(not b for b in r) in rows for r in rows)
+
     def test_bullets_on_sparse_graph(self):
         edges = orc.gen_gnp_connected(12, 0.5, 42)
         g = view(12, edges)

@@ -1,5 +1,10 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,7 @@ from corepath.sssp import (
     sssp_build_all,
     sssp_delete,
     sssp_dist,
+    sssp_dist_query,
     sssp_path,
 )
 
@@ -31,11 +37,11 @@ BRIDGED_TRIANGLE = [(0, 1, 50), (0, 2, 53), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
 HEAVY = SsspParams(tau={0: 2})
 
 
-def build(n, edges, params=None):
-    return sssp_build_all(DynamicGraph.from_edges(n, edges), S, EPS, params)
+def build(n, edges, params=None, eps=EPS):
+    return sssp_build_all(DynamicGraph.from_edges(n, edges), S, eps, params)
 
 
-def audit(sp, n, live):
+def audit(sp, n, live, eps=EPS):
     """Every answer against exact Dijkstra, then every scale's invariants."""
     dist = orc.dijkstra(n, live, S)
     for v in range(n):
@@ -43,25 +49,28 @@ def audit(sp, n, live):
         if dist[v] == orc.INF:
             assert est is NOT_CONNECTED and path is NOT_CONNECTED
             continue
-        assert dist[v] <= est <= (1 + EPS) * dist[v], (v, est, dist[v])
+        assert dist[v] <= est <= (1 + eps) * dist[v], (v, est, dist[v])
         if v == S:
             assert path == []
             continue
+        # the integer answer is the located scale's estimate over factor
+        inst = sp.scales[sssp._locate(sp, v)]
+        assert est == sssp_dist_query(inst, v) / inst.factor
         assert path[0] == S and path[-1] == v
         assert orc.path_length(live, path) <= est, (v, path, est)
     for inst in sp.scales.values():
         check_scale_invariants(inst)
 
 
-def teardown(n, edges, order, params=None):
+def teardown(n, edges, order, params=None, eps=EPS):
     """Delete edges in order, auditing after each; returns the state."""
-    sp = build(n, edges, params)
-    audit(sp, n, edges)
+    sp = build(n, edges, params, eps)
+    audit(sp, n, edges, eps)
     live = list(edges)
     for u, v in order:
         sssp_delete(sp, u, v)
         live = [e for e in live if {e[0], e[1]} != {u, v}]
-        audit(sp, n, live)
+        audit(sp, n, live, eps)
     return sp
 
 
@@ -80,11 +89,25 @@ class TestDefaultParams:
         assert sssp_path(sp, 4) is NOT_CONNECTED
 
 
-def gnm(n, m, seed):
-    """Seeded G(n, m) with lengths 1..5, not necessarily connected."""
+def gnm(n, m, seed, top=5):
+    """Seeded G(n, m) with lengths 1..top, not necessarily connected."""
     rng = random.Random(seed)
     pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], m)
-    return [(u, v, rng.randint(1, 5)) for u, v in pairs]
+    return [(u, v, rng.randint(1, top)) for u, v in pairs]
+
+
+class TestOtherEps:
+    """Oracle-backed teardowns away from eps = 1/2, with lengths up to
+    1000 so that the low scales discard most edges."""
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(2, 5),
+                                     Fraction(9, 10)])
+    @pytest.mark.parametrize("seed,n,m", [(1, 10, 18), (2, 14, 30)])
+    def test_gnm_teardown(self, eps, seed, n, m):
+        edges = gnm(n, m, seed, top=1000)
+        sp = build(n, edges, eps=eps)
+        assert sum(1 for inst in sp.scales.values() if inst.discarded) > 3
+        teardown(n, edges, shuffled(edges, seed), eps=eps)
 
 
 def shuffled(edges, seed):
@@ -96,10 +119,11 @@ def shuffled(edges, seed):
 def class_decompositions(n, live, i):
     """(tau by class, decomposition by class) for the scale-2^i rounding of
     the live graph, tau by the formula SsspParams describes."""
-    g, dp, _ = round_lengths(DynamicGraph.from_edges(n, live), EPS, 2 ** i)
+    length, _, dp, _ = round_lengths(DynamicGraph.from_edges(n, live), EPS,
+                                     2 ** i)
     by_class = {}
-    for u, v, lp in g.edge_list():
-        by_class.setdefault(edge_class(lp), []).append((u, v))
+    for key, lp in length.items():
+        by_class.setdefault(edge_class(lp), []).append(key)
     lcds = {c: lcd_build(DynamicGraph.from_edges(n, sorted(es)),
                          LcdParams.make(n, q_for(n)))
             for c, es in by_class.items()}
@@ -157,7 +181,7 @@ GNP_10 = orc.gen_gnp_connected(10, 0.3, seed=3, weights=(1, 5))
 
 
 def populated(inst):
-    return {edge_class(lp) for _, _, lp in inst.g.edge_list()}
+    return {edge_class(lp) for lp in inst.length.values()}
 
 
 class TestWhichClassesExist:
@@ -185,6 +209,76 @@ class TestWhichClassesExist:
         teardown(n, edges, shuffled(edges, 3), params)
 
 
+class TestRoundLengths:
+    @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 2),
+                                     Fraction(2, 5), Fraction(9, 10)])
+    def test_matches_the_fraction_reference(self, eps):
+        """Lengths 1..1000 on 46 vertices against ceil(4n/(eps*D) * len),
+        at scales that are powers of two, other integers and a fraction."""
+        n = 46
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        random.Random(7).shuffle(pairs)
+        # both orientations reach round_lengths
+        edges = [(v, u, ln) if ln % 2 else (u, v, ln)
+                 for (u, v), ln in zip(pairs, range(1, 1001))]
+        g = DynamicGraph.from_edges(n, edges)
+        for D in (1, 2, 8, 64, 512, 3, 5, 100, 999, Fraction(3, 2)):
+            length, discarded, dp, factor = round_lengths(g, eps, D)
+            assert dp == math.ceil(4 * n / eps)
+            assert factor == Fraction(4 * n) / (eps * D)
+            kept = [((min(u, v), max(u, v)), ln) for u, v, ln in edges
+                    if ln <= 2 * D]
+            assert list(length) == [key for key, _ in kept]
+            for key, ln in kept:
+                assert length[key] == math.ceil(Fraction(4 * n) / (eps * D)
+                                                * ln), (eps, D, ln)
+            assert discarded == {(min(u, v), max(u, v))
+                                 for u, v, ln in edges if ln > 2 * D}
+
+
+def path_guard_fires():
+    """Whether sssp_path refuses a path once the length table entry of one
+    of its edges is raised past the estimate.  Raises and returns, never
+    asserts, so that it also tells under python -O."""
+    sp = build(10, GNP_10)
+    v = max(range(10), key=lambda x: len(sssp_path(sp, x)))
+    path = sssp_path(sp, v)
+    inst = sp.scales[sssp._locate(sp, v)]
+    key = (min(path[:2]), max(path[:2]))
+    inst.length[key] += inst.far_level + inst.Dp
+    try:
+        sssp_path(sp, v)
+    except PathAuditFailed:
+        return True
+    return False
+
+
+class TestPathGuard:
+    """The integer total > estimate guard of sssp_path_query."""
+
+    def test_overlong_path_raises(self):
+        assert path_guard_fires()
+
+    def test_overlong_path_raises_under_python_O(self):
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]))
+        code = ("import sys, test_sssp\n"
+                "sys.exit(2 if not sys.flags.optimize else\n"
+                "         0 if test_sssp.path_guard_fires() else 1)")
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+
+    def test_path_edge_missing_from_the_table_raises(self):
+        sp = build(10, GNP_10)
+        path = sssp_path(sp, 9)
+        inst = sp.scales[sssp._locate(sp, 9)]
+        del inst.length[(min(path[-2:]), max(path[-2:]))]
+        with pytest.raises(PathAuditFailed, match="not live"):
+            sssp_path(sp, 9)
+
+
 class TestFarLevel:
     def test_matches_the_fraction_inequality(self):
         """lv > far_level(n, eps) decides exactly whether scale 2^i's
@@ -197,8 +291,8 @@ class TestFarLevel:
             for n in (1, 2, 5, 17, 100):
                 far = far_level(n, eps)
                 for i in range(12):
-                    _, dp, factor = round_lengths(DynamicGraph(n), eps,
-                                                  2 ** i)
+                    _, _, dp, factor = round_lengths(DynamicGraph(n), eps,
+                                                     2 ** i)
                     bound = 2 * 2 ** i * (1 + eps)
                     levels = {0, 40 * dp} | {
                         lv for lv in range(far - 2, far + 3)
