@@ -119,7 +119,7 @@ class LayerEvent:
 
 
 class LayerState:
-    """Parallel pruned sets, one per threshold, plus per-layer adjacency.
+    """Parallel pruned sets, one per threshold.
 
     layer_of(v) is the smallest j whose pruned set still holds v (r+1 once
     the vertex is isolated); the virtual degree is the matching threshold.
@@ -127,7 +127,6 @@ class LayerState:
     """
 
     def __init__(self, view: GraphView, delta: int = 2):
-        self.view = view
         verts = view.vertex_list()
         d_max = max((view.degree(u) for u in verts), default=0)
         self.config = LayerConfig.from_degree(d_max, delta)
@@ -136,11 +135,6 @@ class LayerState:
         self._layer = {u: self._compute_layer(u) for u in verts}
         # frozen census: |A_j| at build time, indexed by layer
         self.n_leq = tuple(len(p.members) for p in self.pruned)
-        # nbrs[u][j] = live neighbors of u currently in layer j (1..r+1)
-        self.nbrs = {u: [set() for _ in range(r + 2)] for u in verts}
-        for u in verts:
-            for v, _ in view.neighbors(u):
-                self.nbrs[u][self._layer[v] - 1].add(v)
 
     def _compute_layer(self, u: int) -> int:
         for j, p in enumerate(self.pruned, start=1):
@@ -159,18 +153,8 @@ class LayerState:
     def members_of(self, j: int) -> list[int]:
         return sorted(u for u, jj in self._layer.items() if jj == j)
 
-    def neighbors_in_layer(self, u: int, j: int) -> set[int]:
-        return self.nbrs[u][j - 1]
-
-    def deg_leq(self, u: int, j: int) -> int:
-        """Live neighbors of u in layers 1..j."""
-        return sum(len(self.nbrs[u][i]) for i in range(j))
-
     def on_delete(self, u: int, v: int) -> list[LayerEvent]:
         """Feed an already-deleted edge; returns layer moves in order."""
-        ju, jv = self._layer[u], self._layer[v]
-        self.nbrs[u][jv - 1].discard(v)
-        self.nbrs[v][ju - 1].discard(u)
         touched: list[int] = []
         seen = set()
         for p in self.pruned:
@@ -184,8 +168,5 @@ class LayerState:
             new = self._compute_layer(x)
             if new != old:
                 self._layer[x] = new
-                for y, _ in self.view.neighbors(x):
-                    self.nbrs[y][old - 1].discard(x)
-                    self.nbrs[y][new - 1].add(x)
                 events.append(LayerEvent(x, old, new))
         return events

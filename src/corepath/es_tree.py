@@ -29,8 +29,10 @@ promise that no distance from the source decreases.  The promise is
 checked locally and violations raise.
 
 The tree keeps its own adjacency snapshot, so composed graphs (virtual
-roots, supernodes, level graphs) can be driven through the same code;
-vertex names are arbitrary hashables and edges carry opaque tags.
+roots, supernodes, level graphs) can be driven through the same code.
+Vertex names are any hashables other than None, which marks "no parent";
+an edge is (u, v, w) with integer length w >= 1, and its adjacency rows
+map each endpoint to that length.
 """
 
 from __future__ import annotations
@@ -63,25 +65,23 @@ class EsTree:
         vertices: Iterable[Hashable] = (),
         debug: bool = False,
     ):
-        """edges: (u, v, w) or (u, v, w, tag) with integer w >= 1."""
+        """edges: (u, v, w) with integer w >= 1."""
         if depth < 0:
             raise ValueError(f"depth {depth}")
         self.source = source
         self.depth = depth
         self.debug = debug
         self.work = 0
-        self._adj: dict[Hashable, dict[Hashable, tuple[int, Hashable]]] = {}
+        self._adj: dict[Hashable, dict[Hashable, int]] = {}
         for v in vertices:
             self._adj.setdefault(v, {})
-        for e in edges:
-            u, v, w = e[0], e[1], e[2]
-            tag = e[3] if len(e) > 3 else (u, v)
-            self._add_adj(u, v, w, tag)
+        for u, v, w in edges:
+            self._add_adj(u, v, w)
         if source not in self._adj:
             raise SourceMissing(f"source {source!r} not among the vertices")
         self._absent = self.depth + 1
         self.level: dict = dict.fromkeys(self._adj, self._absent)
-        self.parent: dict = dict.fromkeys(self._adj)  # (vertex, tag) or None
+        self.parent: dict = dict.fromkeys(self._adj)  # vertex or None
         self._settle([(0, 0, source)])
 
     @classmethod
@@ -89,7 +89,7 @@ class EsTree:
         cls, view: GraphView, source: int, depth: int, debug: bool = False
     ) -> "EsTree":
         edges = [
-            (u, v, view.graph.length(eid), eid)
+            (u, v, view.graph.length(eid))
             for u in view.vertex_list()
             for v, eid in view.neighbors(u)
             if u < v
@@ -98,7 +98,7 @@ class EsTree:
 
     # -- plumbing --------------------------------------------------------
 
-    def _add_adj(self, u, v, w, tag):
+    def _add_adj(self, u, v, w):
         if u == v:
             raise ValueError(f"self-loop at {u!r}")
         if w < 1 or int(w) != w:
@@ -106,8 +106,8 @@ class EsTree:
         row = self._adj.setdefault(u, {})
         if v in row:
             raise ValueError(f"duplicate edge ({u!r},{v!r})")
-        row[v] = (int(w), tag)
-        self._adj.setdefault(v, {})[u] = (int(w), tag)
+        row[v] = int(w)
+        self._adj.setdefault(v, {})[u] = int(w)
 
     # -- queries ---------------------------------------------------------
 
@@ -121,15 +121,12 @@ class EsTree:
     def vertices(self):
         return self._adj.keys()
 
-    def present(self):
-        return [v for v in self._adj if self.contains(v)]
-
     def has_edge(self, u, v) -> bool:
         return v in self._adj.get(u, {})
 
     def incident(self, v) -> list:
-        """(other, w, tag) rows for the live edges at v."""
-        return [(u, w, tag) for u, (w, tag) in self._adj.get(v, {}).items()]
+        """(other, w) rows for the live edges at v."""
+        return list(self._adj.get(v, {}).items())
 
     def es_path(self, v) -> list:
         """Vertex path source..v along parent pointers."""
@@ -137,19 +134,8 @@ class EsTree:
             raise VertexAbsent(f"{v!r} is beyond depth {self.depth}")
         path = [v]
         while path[-1] != self.source:
-            path.append(self.parent[path[-1]][0])
+            path.append(self.parent[path[-1]])
         return path[::-1]
-
-    def es_path_edges(self, v) -> list:
-        """Tags of the parent edges along source..v."""
-        if not self.contains(v):
-            raise VertexAbsent(f"{v!r} is beyond depth {self.depth}")
-        tags = []
-        while v != self.source:
-            u, tag = self.parent[v]
-            tags.append(tag)
-            v = u
-        return tags[::-1]
 
     # -- mutation --------------------------------------------------------
 
@@ -160,10 +146,9 @@ class EsTree:
             raise KeyError(f"no edge ({u!r},{v!r})")
         del self._adj[u][v]
         del self._adj[v][u]
-        pu, pv = self.parent.get(u), self.parent.get(v)
-        if pv is not None and pv[0] == u:
+        if self.parent.get(v) == u:
             self._repair(v)
-        elif pu is not None and pu[0] == v:
+        elif self.parent.get(u) == v:
             self._repair(u)
 
     def es_remove_vertex(self, v):
@@ -174,13 +159,11 @@ class EsTree:
         self.level.pop(v, None)
         self.parent.pop(v, None)
 
-    def es_insert(self, u, v, w, tag=None):
+    def es_insert(self, u, v, w):
         """Single-edge insert.  Needs one endpoint fresh/absent-singleton,
         or the caller's promise that no level would decrease; a promise
         violation raises PreconditionViolated."""
-        if tag is None:
-            tag = (u, v)
-        self._add_adj(u, v, w, tag)
+        self._add_adj(u, v, w)
         for x in (u, v):
             if x not in self.level:
                 self.level[x] = self._absent
@@ -202,7 +185,7 @@ class EsTree:
         if cand > self.depth:
             return
         # the far endpoint comes into range; its other edges must agree
-        for y, (wy, _) in self._adj[far].items():
+        for y, wy in self._adj[far].items():
             self.work += 1
             ly = self.level.get(y, self._absent)
             bad = (
@@ -217,12 +200,12 @@ class EsTree:
                     f"attaching {far!r} at level {cand} breaks neighbor {y!r}"
                 )
         self.level[far] = cand
-        self.parent[far] = (near, tag)
+        self.parent[far] = near
 
     def es_attach(self, v, edges: Iterable[tuple]):
         """Case-(i) batch: add fresh vertex v with all its edges at once.
 
-        edges: (other, w) or (other, w, tag).  The new vertex adopts the
+        edges: (other, w) pairs.  The new vertex adopts the
         correct level; existing levels must not drop (checked)."""
         if v in self._adj:
             raise PreconditionViolated(f"{v!r} is not fresh")
@@ -230,18 +213,15 @@ class EsTree:
         self.level[v] = self._absent
         self.parent[v] = None
         best = None
-        for e in edges:
-            o, w = e[0], e[1]
-            tag = e[2] if len(e) > 2 else (v, o)
-            self._add_adj(v, o, w, tag)
+        for o, w in edges:
+            self._add_adj(v, o, w)
             self.work += 1
             lo = self.level.get(o, self._absent)
             if lo <= self.depth and (best is None or lo + w < best[0]):
-                best = (lo + w, o, tag)
+                best = (lo + w, o)
         if best is not None and best[0] <= self.depth:
-            self.level[v] = best[0]
-            self.parent[v] = (best[1], best[2])
-            for o, (w, _) in self._adj[v].items():
+            self.level[v], self.parent[v] = best
+            for o, w in self._adj[v].items():
                 self.work += 1
                 lo = self.level.get(o, self._absent)
                 if self.level[v] + w < lo:
@@ -276,19 +256,18 @@ class EsTree:
         while True:
             sup = None
             kids = []
-            for y, (w, tag) in adj[x].items():
+            for y, w in adj[x].items():
                 work += 1
                 if y in hurt:
                     continue
                 if level[y] + w <= lv:
-                    sup = (y, tag)
+                    sup = y
                     break
-                p = parent[y]
-                if p is not None and p[0] == x:
+                if parent[y] == x:
                     kids.append(y)
             if sup is not None:
                 if self.debug and any(level[y] + w < lv
-                                      for y, (w, _) in adj[x].items()):
+                                      for y, w in adj[x].items()):
                     raise AssertionError(f"level of {x!r} would drop")
                 parent[x] = sup
             else:
@@ -317,7 +296,7 @@ class EsTree:
         heap = []
         for x in hurt:
             d = absent
-            for y, (w, _) in adj[x].items():
+            for y, w in adj[x].items():
                 work += 1
                 if level[y] + w < d:
                     d = level[y] + w
@@ -350,10 +329,10 @@ class EsTree:
             if self.debug and old is not None and d < old[x]:
                 raise AssertionError(f"level of {x!r} would drop")
             level[x] = d
-            for y, (w, tag) in adj[x].items():
+            for y, w in adj[x].items():
                 work += 1
                 if parent[x] is None and level[y] + w == d:
-                    parent[x] = (y, tag)
+                    parent[x] = y
                 nd = d + w
                 if level[y] == absent and nd < best.get(y, absent):
                     best[y] = nd
@@ -366,12 +345,12 @@ class EsTree:
         """Assert levels are exactly capped distances, and each parent is
         the first neighbour in adjacency order that realises the level."""
         edges = [(u, v, w) for u, row in self._adj.items()
-                 for v, (w, _) in row.items()]
+                 for v, w in row.items()]
         dist = dijkstra(self.source, edges, cap=self.depth)
         for v, row in self._adj.items():
             assert self.level[v] == dist.get(v, self._absent), \
                 (v, self.level[v], dist.get(v))
             if v != self.source and self.contains(v):
-                first = next((u, tag) for u, (w, tag) in row.items()
+                first = next(u for u, w in row.items()
                              if self.level[u] + w == self.level[v])
                 assert self.parent[v] == first, (v, self.parent[v], first)

@@ -683,12 +683,12 @@ def matching_or_cut(g: GraphView, a_set, b_set, ell: int):
     target = 8.0 * k * _lg(m) / (ell * ell)
     src = ("mp#", 0)
     sink = ("mp#", 1)
-    edges = [(u, v, 1, eid) for u in g.vertex_list() for v, eid in g.neighbors(u) if u < v]
-    edges += [(src, a, 1, ("sa", a)) for a in a_left]
-    edges += [(b, sink, 1, ("tb", b)) for b in b_left]
+    edges = [(u, v, 1) for u in g.vertex_list() for v, _ in g.neighbors(u) if u < v]
+    edges += [(src, a, 1) for a in a_left]
+    edges += [(b, sink, 1) for b in b_left]
     tree = EsTree(src, ell + 2, edges, vertices=list(g.vertex_list()) + [src, sink])
 
-    used_eids: set = set()
+    used: set = set()  # harvested graph edges as (min, max) pairs
     pairs = []
     paths = []
     a_remaining = set(a_left)
@@ -700,14 +700,11 @@ def matching_or_cut(g: GraphView, a_set, b_set, ell: int):
         if lv is None or lv > ell + 2:
             break
         walk = tree.es_path(sink)
-        tags = tree.es_path_edges(sink)
         inner = walk[1:-1]
         a_v, b_v = inner[0], inner[-1]
         for x, y in zip(walk, walk[1:]):
             tree.es_delete(x, y)
-        for tag in tags:
-            if isinstance(tag, int):
-                used_eids.add(tag)
+        used.update((min(x, y), max(x, y)) for x, y in zip(inner, inner[1:]))
         pairs.append((a_v, b_v))
         paths.append(tuple(inner))
         a_remaining.discard(a_v)
@@ -719,8 +716,8 @@ def matching_or_cut(g: GraphView, a_set, b_set, ell: int):
     # too far apart: grow the cut in the graph minus the harvested paths
     adj = {u: set() for u in g.vertex_list()}
     for u in g.vertex_list():
-        for v, eid in g.neighbors(u):
-            if eid not in used_eids:
+        for v, _ in g.neighbors(u):
+            if (min(u, v), max(u, v)) not in used:
                 adj[u].add(v)
     z = ball_cut(adj, a_remaining, b_remaining, ell)
     stats = cut_stats(g, z)

@@ -897,12 +897,11 @@ def _tree_claims(st: LcdState, a, b) -> bool:
     ph = sub.phases.get(la)
     if ph is None or ph.tree is None or not ph.tree.contains(a):
         return False
+    # compare, never test truthiness: vertex 0 is a valid parent
     par = ph.tree.parent.get(a)
-    if par is None:
-        return False
-    if par[0] == b:
+    if par == b:
         return True
-    return par[0] == ROOT and ph.assoc.get(a) == b
+    return par == ROOT and ph.assoc.get(a) == b
 
 
 def _edge_weight(st: LcdState, a, b) -> int:

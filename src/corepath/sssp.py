@@ -237,7 +237,7 @@ class SsspScaleInstance:
                 if a in cs.heavy and b in cs.heavy:
                     continue
                 cs.light_ever += 1
-            edges.append((a, b, 4 * lp, ("lt", a, b)))
+            edges.append((a, b, 4 * lp))
         for i in sorted(self.classes):
             cs = self.classes[i]
             if cs.conn is None:
@@ -251,7 +251,7 @@ class SsspScaleInstance:
                 snid = self._fresh_sn(i)
                 cs.sn_of[lab] = snid
                 for u in cs.conn.component_members(v):
-                    edges.append((u, snid, 1, ("sn", snid, u)))
+                    edges.append((u, snid, 1))
         self.tree = EsTree(self.s, self.depth, edges,
                            vertices=range(self.n))
 
@@ -272,6 +272,7 @@ def sssp_scale_delete(inst: SsspScaleInstance, e) -> None:
     lp = inst.length.pop(key, None)
     if lp is None:
         if key in inst.discarded:
+            inst.discarded.remove(key)
             return
         raise UnknownEdge(f"({u},{v}) is not a live edge at this scale")
     cs = inst.classes.get(edge_class(lp)) if inst.classes else None
@@ -283,7 +284,8 @@ def sssp_scale_delete(inst: SsspScaleInstance, e) -> None:
     if both_heavy:
         ev = cs.conn.conn_delete(u, v)
         if ev is not None:
-            _apply_split(inst, cs, ev)
+            # the moved side leaves its supernode for a fresh one
+            _rehome(inst, cs, ev.new_label, ev.moved, cs.sn_of[ev.old_label])
     else:
         inst.tree.es_delete(u, v)
     deps = sorted({w for (w, old, new) in clog.layer_moves
@@ -292,14 +294,14 @@ def sssp_scale_delete(inst: SsspScaleInstance, e) -> None:
         _depart(inst, cs, deps)
 
 
-def _apply_split(inst, cs, ev):
-    # the moved side leaves its supernode for a fresh one; new rays go in
-    # while the old ones still pin every level in place
-    sn_old = cs.sn_of[ev.old_label]
+def _rehome(inst, cs, label, group, sn_old):
+    """Give heavy component `label`, with members `group`, a fresh
+    supernode in place of sn_old.  The new rays go in while the old ones
+    still pin every level in place."""
     snid = inst._fresh_sn(cs.i)
-    cs.sn_of[ev.new_label] = snid
-    inst.tree.es_attach(snid, [(x, 1, ("sn", snid, x)) for x in ev.moved])
-    for x in ev.moved:
+    cs.sn_of[label] = snid
+    inst.tree.es_attach(snid, [(x, 1) for x in group])
+    for x in group:
         inst.tree.es_delete(x, sn_old)
 
 
@@ -313,7 +315,7 @@ def _depart(inst, cs, deps):
             if w in cs.heavy:
                 newly.add((min(d, w), max(d, w)))
     for a, b in sorted(newly):
-        inst.tree.es_insert(a, b, 4 * inst.length[(a, b)], ("lt", a, b))
+        inst.tree.es_insert(a, b, 4 * inst.length[(a, b)])
         cs.light_ever += 1
     for d in deps:
         lab = cs.conn.component_label(d)
@@ -332,12 +334,7 @@ def _depart(inst, cs, deps):
             if nl in done:
                 continue
             done.add(nl)
-            snid = inst._fresh_sn(cs.i)
-            cs.sn_of[nl] = snid
-            group = cs.conn.component_members(x)
-            inst.tree.es_attach(snid, [(y, 1, ("sn", snid, y)) for y in group])
-            for y in group:
-                inst.tree.es_delete(y, sn_old)
+            _rehome(inst, cs, nl, cs.conn.component_members(x), sn_old)
         if not kept:
             cs.sn_of.pop(lab, None)
             inst.tree.es_remove_vertex(sn_old)
@@ -524,7 +521,7 @@ class SsspState:
 
     def __init__(self, g: DynamicGraph, s: int, eps, params=None):
         eps = _frac(eps)
-        self.g = g.copy()
+        self.n = g.n
         self.s = int(s)
         self.eps = eps
         self.params = params if params is not None else SsspParams()
@@ -552,9 +549,12 @@ def _check_live(sp: SsspState):
 def sssp_delete(sp: SsspState, u: int, v: int) -> None:
     """Delete (u, v) from every scale.  An unknown edge changes nothing;
     an error once the deletion has begun poisons the state and is
-    re-raised."""
+    re-raised.  The top scale keeps every live edge (2^imax is at least
+    n times the longest length), so its table decides what is live."""
     _check_live(sp)
-    sp.g.delete_between(u, v)
+    key = (u, v) if u < v else (v, u)
+    if key not in sp.scales[sp.imax].length:
+        raise UnknownEdge(f"no live edge ({u},{v})")
     try:
         for i in range(sp.imax + 1):
             sssp_scale_delete(sp.scales[i], (u, v))
@@ -587,7 +587,7 @@ def _locate(sp, v):
 
 def _check_query(sp: SsspState, v: int):
     _check_live(sp)
-    if not 0 <= v < sp.g.n:
+    if not 0 <= v < sp.n:
         raise ScaleMisuse(f"vertex {v} out of range")
 
 

@@ -117,11 +117,14 @@ class TestLayerState:
 
     def test_virtual_degree_at_least_threshold_inside_prefix(self):
         edges = orc.gen_gnp_connected(14, 0.3, seed=9)
-        st_ = dl.LayerState(make(14, edges))
+        g = make(14, edges)
+        st_ = dl.LayerState(g)
         for u in range(14):
             j = st_.layer_of(u)
             if j <= st_.config.r:
-                assert st_.deg_leq(u, j) >= st_.config.h(j)
+                deg_leq = sum(1 for v, _ in g.neighbors(u)
+                              if st_.layer_of(v) <= j)
+                assert deg_leq >= st_.config.h(j)
 
     def test_layers_only_drop_and_match_recompute(self):
         rng = random.Random(11)
@@ -142,25 +145,6 @@ class TestLayerState:
                 assert before[ev.vertex] == ev.old_layer
             for u in range(13):
                 assert st_.layer_of(u) >= before[u]
-
-    def test_neighbor_lists_partition_live_adjacency(self):
-        rng = random.Random(3)
-        edges = orc.gen_gnp_connected(10, 0.4, seed=5)
-        g = DynamicGraph.from_edges(10, edges)
-        st_ = dl.LayerState(GraphView(g))
-        eids = list(g.alive_edges())
-        rng.shuffle(eids)
-        for eid in eids[: len(eids) // 2]:
-            r = g.delete_edge(eid)
-            st_.on_delete(r.u, r.v)
-        for u in range(10):
-            live = {v for v, _ in g.neighbors(u)}
-            by_layer = [st_.neighbors_in_layer(u, j) for j in range(1, st_.config.r + 2)]
-            assert set().union(*by_layer) == live
-            assert sum(len(s) for s in by_layer) == len(live)
-            for j, s in enumerate(by_layer, start=1):
-                for v in s:
-                    assert st_.layer_of(v) == j
 
     def test_census_bound(self):
         edges = orc.gen_gnp_connected(16, 0.3, seed=21)

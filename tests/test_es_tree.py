@@ -31,12 +31,20 @@ class TestBuild:
         # 3 reaches level 2 through 2 and through 1; 2 comes first in 3's
         # adjacency, so it is the parent whichever of 1, 2 settles first
         t = EsTree(0, 5, [(0, 1, 1), (0, 2, 1), (3, 2, 1), (3, 1, 1)])
-        assert t.parent[3][0] == 2
+        assert t.parent[3] == 2
         t.check()
 
     def test_source_must_exist(self):
         with pytest.raises(SourceMissing):
             EsTree(9, 3, [(0, 1, 1)])
+
+    def test_edges_carry_no_tag(self):
+        with pytest.raises(ValueError):
+            EsTree(0, 3, [(0, 1, 1, "tag")])
+        t = EsTree(0, 3, [(0, 1, 1)])
+        with pytest.raises(ValueError):
+            t.es_attach("x", [(0, 1, "tag")])
+        assert t.incident(0) == [(1, 1)]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -76,7 +84,7 @@ class TestDelete:
     def test_nontree_deletion_is_free(self):
         t = tree_from(4, orc.gen_cycle(4), 0, 5)
         # cycle 0-1-2-3; edge (2,3) supports neither parent after BFS from 0
-        assert t.parent[2][0] == 1 and t.parent[3][0] == 0
+        assert t.parent[2] == 1 and t.parent[3] == 0
         before = t.work
         t.es_delete(2, 3)
         assert t.work == before
@@ -138,10 +146,6 @@ class TestPath:
             assert p[0] == 2 and p[-1] == v
             assert orc.path_is_simple(p)
             assert orc.path_length(edges, p) == t.level_of(v)
-
-    def test_path_edges_report_tags(self):
-        t = tree_from(4, orc.gen_path(4), 0, 9)
-        assert t.es_path_edges(3) == [0, 1, 2]  # graph edge ids in order
 
     def test_absent_vertex_raises(self):
         t = tree_from(5, orc.gen_path(5), 0, 2)

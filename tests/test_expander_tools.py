@@ -197,10 +197,21 @@ class TestMatchingOrCut:
         g = view(8, orc.gen_two_cliques_bridge(4))
         out = xt.matching_or_cut(g, {0, 1}, {4, 5}, 2)
         assert isinstance(out, xt.CutOutcome)
+        assert out.x == {1}
         assert out.x and out.y and not (out.x & out.y)
         assert out.conductance == cut_stats(g, out.x).conductance
         # lg(13) floors at 3.7; the stated bound is vacuous here but must hold
         assert out.conductance <= Fraction(24 * 4, 2)
+
+    def test_cut_grows_without_the_harvested_bridge(self):
+        # the one harvested path 0-4 crosses the bridge; the leftover seeds
+        # 1 and 5 are 3 <= ell apart through it, so the ball cut is only
+        # sound in the graph minus the harvested edges
+        g = view(8, orc.gen_two_cliques_bridge(4))
+        out = xt.matching_or_cut(g, {0, 1}, {4, 5}, 3)
+        assert isinstance(out, xt.CutOutcome)
+        assert out.x == {1}
+        assert out.conductance == cut_stats(g, out.x).conductance
 
     def test_empty_a_side(self):
         g = view(6, orc.gen_complete(6))

@@ -26,6 +26,8 @@ from corepath.sssp import (
     sssp_dist,
     sssp_dist_query,
     sssp_path,
+    sssp_scale_build,
+    sssp_scale_delete,
 )
 
 S = 0
@@ -58,6 +60,8 @@ def audit(sp, n, live, eps=EPS):
         assert est == sssp_dist_query(inst, v) / inst.factor
         assert path[0] == S and path[-1] == v
         assert orc.path_length(live, path) <= est, (v, path, est)
+    # the top scale keeps every live edge, so sssp_delete validates there
+    assert not sp.scales[sp.imax].discarded
     for inst in sp.scales.values():
         check_scale_invariants(inst)
 
@@ -279,6 +283,21 @@ class TestPathGuard:
             sssp_path(sp, 9)
 
 
+class TestScaleDelete:
+    # at D = 1 the scale keeps (0, 1) and discards (1, 2), longer than 2D
+    def test_second_deletion_of_a_pair_raises(self):
+        g = DynamicGraph.from_edges(3, [(0, 1, 1), (1, 2, 9)])
+        inst = sssp_scale_build(g, 0, EPS, 1)
+        assert list(inst.length) == [(0, 1)]
+        assert inst.discarded == {(1, 2)}
+        for e in [(0, 1), (2, 1)]:
+            sssp_scale_delete(inst, e)
+            with pytest.raises(UnknownEdge):
+                sssp_scale_delete(inst, e)
+        assert not inst.length and not inst.discarded
+        check_scale_invariants(inst)
+
+
 class TestFarLevel:
     def test_matches_the_fraction_inequality(self):
         """lv > far_level(n, eps) decides exactly whether scale 2^i's
@@ -347,7 +366,8 @@ class TestPoison:
 
     def test_unknown_edge_changes_nothing(self):
         sp = build(4, BRIDGED_TRIANGLE, HEAVY)
-        with pytest.raises(UnknownEdge):
-            sssp_delete(sp, 0, 3)
+        for u, v in [(0, 3), (2, 2), (0, 7)]:  # absent, loop, no vertex
+            with pytest.raises(UnknownEdge):
+                sssp_delete(sp, u, v)
         assert sp.poisoned is None
         audit(sp, 4, BRIDGED_TRIANGLE)
