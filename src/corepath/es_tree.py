@@ -98,11 +98,15 @@ class EsTree:
 
     # -- plumbing --------------------------------------------------------
 
-    def _add_adj(self, u, v, w):
+    @staticmethod
+    def _check_edge(u, v, w):
         if u == v:
             raise ValueError(f"self-loop at {u!r}")
         if w < 1 or int(w) != w:
             raise ValueError(f"length {w!r} on ({u!r},{v!r})")
+
+    def _add_adj(self, u, v, w):
+        self._check_edge(u, v, w)
         row = self._adj.setdefault(u, {})
         if v in row:
             raise ValueError(f"duplicate edge ({u!r},{v!r})")
@@ -206,29 +210,38 @@ class EsTree:
         """Case-(i) batch: add fresh vertex v with all its edges at once.
 
         edges: (other, w) pairs.  The new vertex adopts the
-        correct level; existing levels must not drop (checked)."""
+        correct level; existing levels must not drop (checked).  Every
+        row is checked before the tree changes, so a rejected attach
+        leaves it as it was."""
         if v in self._adj:
             raise PreconditionViolated(f"{v!r} is not fresh")
-        self._adj[v] = {}
-        self.level[v] = self._absent
-        self.parent[v] = None
+        level, absent = self.level, self._absent
+        row: dict = {}
         best = None
         for o, w in edges:
-            self._add_adj(v, o, w)
+            self._check_edge(v, o, w)
+            if o in row:
+                raise ValueError(f"duplicate edge ({v!r},{o!r})")
+            row[o] = int(w)
             self.work += 1
-            lo = self.level.get(o, self._absent)
+            lo = level.get(o, absent)
             if lo <= self.depth and (best is None or lo + w < best[0]):
                 best = (lo + w, o)
+        lv, par = absent, None
         if best is not None and best[0] <= self.depth:
-            self.level[v], self.parent[v] = best
-            for o, w in self._adj[v].items():
+            lv, par = best
+            for o, w in row.items():
                 self.work += 1
-                lo = self.level.get(o, self._absent)
-                if self.level[v] + w < lo:
+                lo = level.get(o, absent)
+                if lv + w < lo:
                     raise PreconditionViolated(
                         f"attaching {v!r} would lower {o!r}: "
-                        f"{self.level[v]}+{w} < {lo}"
+                        f"{lv}+{w} < {lo}"
                     )
+        self._adj[v] = row
+        for o, w in row.items():
+            self._adj.setdefault(o, {})[v] = w
+        level[v], self.parent[v] = lv, par
 
     # -- repair ----------------------------------------------------------
 

@@ -23,7 +23,11 @@ structure.
 
 The top level keeps an instance per power-of-two scale and binary
 searches the scales at query time, so a query costs O(log log nL)
-probes.  Deletions are broadcast to every scale.
+probes.  Deletions are broadcast to every scale.  A decomposition
+depends only on n and its class edge set, and a class set only ever
+loses the deleted edge, so the scales of one family share a single
+decomposition per distinct class edge set, and each deletion feeds it
+once; every scale holding it reads that one ChangeLog.
 """
 
 from __future__ import annotations
@@ -107,7 +111,11 @@ class SsspParams:
 
 class ClassState:
     """Heavy-side bookkeeping for one length class whose tau is
-    overridden; classes at the formula are all light and have none."""
+    overridden; classes at the formula are all light and have none.
+
+    The decomposition is shared by every scale of a family whose class
+    has the same edge set, and is fed once per deletion; tau, j_i, the
+    heavy set, its connectivity and supernodes stay with each scale."""
 
     def __init__(self, i: int, tau: Fraction, lcd):
         self.i = i
@@ -120,12 +128,13 @@ class ClassState:
         self.light_ever = 0
 
 
-def round_lengths(g: DynamicGraph, eps, D):
-    """The length table of g on the integer range for scale D.
+def round_lengths(n: int, edges, eps, D):
+    """The length table of the edges (u, v, len) of an n-vertex graph on
+    the integer range for scale D.
 
     Returns (length, discarded, D', factor) with factor = 4n/(eps*D).
     length maps each pair (a, b), a < b, of an edge no longer than 2D to
-    ceil(factor * len), in g.edge_list() order; discarded holds the pairs
+    ceil(factor * len), in the order of edges; discarded holds the pairs
     of the longer edges, and D' = ceil(4n/eps) is the rounded scale
     every kept length now lives under.  One pass, all in integers.
     """
@@ -135,7 +144,6 @@ def round_lengths(g: DynamicGraph, eps, D):
         raise ScaleMisuse(f"eps {eps} outside (0, 1)")
     if D <= 0:
         raise ScaleMisuse(f"scale {D} is not positive")
-    n = g.n
     a, b = eps.numerator, eps.denominator
     # factor = num/den
     num = 4 * n * b * D.denominator
@@ -144,7 +152,7 @@ def round_lengths(g: DynamicGraph, eps, D):
     limit = 2 * D.numerator  # len > 2D iff len * D.denominator > limit
     length: dict = {}
     discarded = set()
-    for u, v, ln in g.edge_list():
+    for u, v, ln in edges:
         key = (u, v) if u < v else (v, u)
         if ln * D.denominator > limit:
             discarded.add(key)
@@ -174,9 +182,14 @@ class SsspScaleInstance:
     than 2D (length, keyed by (a, b) with a < b), the pairs it dropped as
     longer (discarded), the class states of overridden classes, and the
     bounded-depth tree over the contracted light graph.  Deletions pop
-    from the table; there is no per-scale graph."""
+    from the table; there is no per-scale graph.
 
-    def __init__(self, g: DynamicGraph, s: int, eps, D, params=None):
+    edges is g.edge_list() when the caller has listed it already.  lcds
+    maps a sorted class edge tuple to its decomposition; the scales of
+    one SsspState share it, and a scale built alone keeps its own."""
+
+    def __init__(self, g: DynamicGraph, s: int, eps, D, params=None,
+                 edges=None, lcds=None):
         eps = _frac(eps)
         if params is None:
             params = SsspParams()
@@ -187,21 +200,24 @@ class SsspScaleInstance:
         self.D = _frac(D)
         self.params = params
         self.n = g.n
+        if edges is None:
+            edges = g.edge_list()
         self.length, self.discarded, self.Dp, self.factor = \
-            round_lengths(g, eps, D)
+            round_lengths(g.n, edges, eps, D)
         self.lam = (4 * self.Dp).bit_length() - 1
         self.depth = 32 * self.Dp
         self.far_level = far_level(self.n, eps)
         self.tau_overridden = params.tau is not None
         self.sn_serial = 0
-        self._build_classes()
+        self._build_classes({} if lcds is None else lcds)
         self._build_tree()
 
     # -- construction ----------------------------------------------------
 
-    def _build_classes(self):
-        """A ClassState, with its decomposition, for every populated class
-        whose tau is overridden; every other class is light."""
+    def _build_classes(self, lcds: dict):
+        """A ClassState for every populated class whose tau is overridden,
+        holding the decomposition of its edge set from lcds (built there
+        on first need); every other class is light."""
         self.classes: dict = {}
         if not self.tau_overridden:
             return
@@ -215,8 +231,12 @@ class SsspScaleInstance:
             tau = self.params.override(i)
             if tau is None:
                 continue
-            cg = DynamicGraph.from_edges(self.n, sorted(by_class[i]))
-            st = lcd_build(cg, LcdParams.make(self.n, q_for(self.n)))
+            pairs = tuple(sorted(by_class[i]))
+            st = lcds.get(pairs)
+            if st is None:
+                st = lcds[pairs] = lcd_build(
+                    DynamicGraph.from_edges(self.n, pairs),
+                    LcdParams.make(self.n, q_for(self.n)))
             self.classes[i] = cs = ClassState(i, tau, st)
             for j in range(1, st.r + 1):
                 if Fraction(st.lay[j].h) >= cs.tau:
@@ -224,9 +244,9 @@ class SsspScaleInstance:
             for j in range(1, cs.j_i + 1):
                 cs.heavy.update(st.layers.members_of(j))
             if cs.heavy:
-                pairs = sorted(p for p in sorted(by_class[i])
-                               if p[0] in cs.heavy and p[1] in cs.heavy)
-                cs.conn = ConnSF(sorted(cs.heavy), pairs)
+                cs.conn = ConnSF(sorted(cs.heavy),
+                                 [p for p in pairs
+                                  if p[0] in cs.heavy and p[1] in cs.heavy])
 
     def _build_tree(self):
         classes = self.classes
@@ -262,11 +282,16 @@ class SsspScaleInstance:
 
 
 def sssp_scale_build(g: DynamicGraph, s: int, eps, D,
-                     params: SsspParams = None) -> SsspScaleInstance:
-    return SsspScaleInstance(g, s, eps, D, params=params)
+                     params: SsspParams = None, edges=None,
+                     lcds=None) -> SsspScaleInstance:
+    return SsspScaleInstance(g, s, eps, D, params=params, edges=edges,
+                             lcds=lcds)
 
 
-def sssp_scale_delete(inst: SsspScaleInstance, e) -> None:
+def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
+    """Delete e from one scale.  fed maps each decomposition this
+    deletion has already reached to its ChangeLog, so that scales sharing
+    one feed it once; without it the scale feeds its own."""
     u, v = int(e[0]), int(e[1])
     key = (u, v) if u < v else (v, u)
     lp = inst.length.pop(key, None)
@@ -280,7 +305,11 @@ def sssp_scale_delete(inst: SsspScaleInstance, e) -> None:
         inst.tree.es_delete(u, v)
         return
     both_heavy = u in cs.heavy and v in cs.heavy
-    clog = lcd_delete_edge(cs.lcd, (u, v))
+    if fed is None:
+        fed = {}
+    clog = fed.get(cs.lcd)
+    if clog is None:
+        clog = fed[cs.lcd] = lcd_delete_edge(cs.lcd, (u, v))
     if both_heavy:
         ev = cs.conn.conn_delete(u, v)
         if ev is not None:
@@ -525,14 +554,17 @@ class SsspState:
         self.s = int(s)
         self.eps = eps
         self.params = params if params is not None else SsspParams()
-        lmax = max([ln for _, _, ln in g.edge_list()] or [1])
+        edges = g.edge_list()
+        lmax = max([ln for _, _, ln in edges] or [1])
         top = max(1, g.n * lmax)  # above every finite distance
         self.imax = max(0, (top - 1).bit_length())
         self.poisoned = None  # the error that left a deletion half-applied
+        lcds: dict = {}  # sorted class edge tuple -> shared decomposition
         self.scales = {}
         for i in range(self.imax + 1):
             self.scales[i] = sssp_scale_build(g, s, eps, 2 ** i,
-                                              params=self.params)
+                                              params=self.params,
+                                              edges=edges, lcds=lcds)
 
 
 def sssp_build_all(g: DynamicGraph, s: int, eps,
@@ -547,17 +579,19 @@ def _check_live(sp: SsspState):
 
 
 def sssp_delete(sp: SsspState, u: int, v: int) -> None:
-    """Delete (u, v) from every scale.  An unknown edge changes nothing;
-    an error once the deletion has begun poisons the state and is
-    re-raised.  The top scale keeps every live edge (2^imax is at least
-    n times the longest length), so its table decides what is live."""
+    """Delete (u, v) from every scale, feeding each shared decomposition
+    once.  An unknown edge changes nothing; an error once the deletion
+    has begun poisons the state and is re-raised.  The top scale keeps
+    every live edge (2^imax is at least n times the longest length), so
+    its table decides what is live."""
     _check_live(sp)
     key = (u, v) if u < v else (v, u)
     if key not in sp.scales[sp.imax].length:
         raise UnknownEdge(f"no live edge ({u},{v})")
+    fed: dict = {}
     try:
         for i in range(sp.imax + 1):
-            sssp_scale_delete(sp.scales[i], (u, v))
+            sssp_scale_delete(sp.scales[i], (u, v), fed)
     except BaseException as exc:
         sp.poisoned = exc
         raise

@@ -113,6 +113,24 @@ class TestInsert:
         with pytest.raises(PreconditionViolated):
             t.es_attach("x", [(0, 1), (3, 1)])  # 0-x-3 shortcut of length 2
 
+    @pytest.mark.parametrize("rows,err", [
+        ([(0, 1), (3, 1)], PreconditionViolated),  # would lower 3
+        ([(3, 1), (0, 1, "tag")], ValueError),     # malformed row
+        ([(3, 1), ("x", 1)], ValueError),          # self-loop
+        ([(3, 1), (2, 0)], ValueError),            # bad length
+        ([(3, 1), (3, 2)], ValueError),            # duplicate edge
+    ], ids=["drop", "arity", "loop", "length", "duplicate"])
+    def test_rejected_attach_leaves_the_tree_untouched(self, rows, err):
+        t = tree_from(4, orc.gen_path(4), 0, 10)
+        levels = dict(t.level)
+        with pytest.raises(err):
+            t.es_attach("x", rows)
+        assert "x" not in t.vertices() and "x" not in t.level
+        assert "x" not in t.parent
+        assert t.incident(3) == [(2, 1)]
+        assert t.level == levels
+        t.check()
+
     def test_insert_between_present_needs_no_decrease(self):
         t = tree_from(4, orc.gen_path(4), 0, 10)
         with pytest.raises(PreconditionViolated):

@@ -26,6 +26,7 @@ from corepath.sssp import (
     sssp_dist,
     sssp_dist_query,
     sssp_path,
+    sssp_path_query,
     sssp_scale_build,
     sssp_scale_delete,
 )
@@ -123,8 +124,7 @@ def shuffled(edges, seed):
 def class_decompositions(n, live, i):
     """(tau by class, decomposition by class) for the scale-2^i rounding of
     the live graph, tau by the formula SsspParams describes."""
-    length, _, dp, _ = round_lengths(DynamicGraph.from_edges(n, live), EPS,
-                                     2 ** i)
+    length, _, dp, _ = round_lengths(n, live, EPS, 2 ** i)
     by_class = {}
     for key, lp in length.items():
         by_class.setdefault(edge_class(lp), []).append(key)
@@ -227,7 +227,8 @@ class TestRoundLengths:
                  for (u, v), ln in zip(pairs, range(1, 1001))]
         g = DynamicGraph.from_edges(n, edges)
         for D in (1, 2, 8, 64, 512, 3, 5, 100, 999, Fraction(3, 2)):
-            length, discarded, dp, factor = round_lengths(g, eps, D)
+            length, discarded, dp, factor = round_lengths(n, g.edge_list(),
+                                                          eps, D)
             assert dp == math.ceil(4 * n / eps)
             assert factor == Fraction(4 * n) / (eps * D)
             kept = [((min(u, v), max(u, v)), ln) for u, v, ln in edges
@@ -310,8 +311,7 @@ class TestFarLevel:
             for n in (1, 2, 5, 17, 100):
                 far = far_level(n, eps)
                 for i in range(12):
-                    _, _, dp, factor = round_lengths(DynamicGraph(n), eps,
-                                                     2 ** i)
+                    _, _, dp, factor = round_lengths(n, [], eps, 2 ** i)
                     bound = 2 * 2 ** i * (1 + eps)
                     levels = {0, 40 * dp} | {
                         lv for lv in range(far - 2, far + 3)
@@ -344,15 +344,121 @@ class TestHeavyClass:
             sssp_path(sp, 1)
 
 
+def adaptive_teardown(n, edges, params, seed):
+    """Delete, each step, an edge of the path sssp_path just gave for a
+    seeded target, auditing after each, until the source reaches nothing;
+    returns the deletions in order."""
+    rng = random.Random(seed)
+    sp = build(n, edges, params)
+    live = list(edges)
+    audit(sp, n, live)
+    order = []
+    while True:
+        reach = [v for v in range(n)
+                 if v != S and sssp_path(sp, v) is not NOT_CONNECTED]
+        if not reach:
+            return order
+        path = sssp_path(sp, rng.choice(reach))
+        k = rng.randrange(len(path) - 1)
+        u, v = path[k], path[k + 1]
+        sssp_delete(sp, u, v)
+        order.append((u, v))
+        live = [e for e in live if {e[0], e[1]} != {u, v}]
+        audit(sp, n, live)
+
+
+class TestAdaptive:
+    """The adversary picks each deletion from the answer just returned."""
+
+    def test_default_tau(self):
+        edges = orc.gen_gnp_connected(12, 0.4, seed=2, weights=(1, 5))
+        order = adaptive_teardown(12, edges, None, seed=2)
+        assert len(order) > 5
+
+    def test_heavy_class_on_the_bridged_triangle(self):
+        order = adaptive_teardown(4, BRIDGED_TRIANGLE, HEAVY, seed=2)
+        # every edge, the heavy triangle's included, lay on a spliced path
+        assert len(order) == len(BRIDGED_TRIANGLE)
+
+
+GNP_12 = orc.gen_gnp_connected(12, 0.5, seed=1, weights=(1, 5))
+
+
+def decompositions(sp):
+    """(class states, distinct decompositions) over every scale."""
+    states = [cs for inst in sp.scales.values()
+              for cs in inst.classes.values()]
+    return states, {id(cs.lcd): cs.lcd for cs in states}
+
+
+class TestSharedDecompositions:
+    """Scales of one family whose class has the same edge set share one
+    decomposition and feed it once per deletion."""
+
+    def test_class_zero_scales_hold_one_decomposition(self):
+        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+        zero = [inst.classes[0] for inst in sp.scales.values()
+                if 0 in inst.classes]
+        assert len(zero) == 4
+        assert len({id(cs.lcd) for cs in zero}) == 1
+
+    def test_a_deletion_feeds_it_once(self, monkeypatch):
+        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+        fed = []
+        real = sssp.lcd_delete_edge
+
+        def counting(st, e):
+            fed.append(e)
+            return real(st, e)
+
+        monkeypatch.setattr(sssp, "lcd_delete_edge", counting)
+        sssp_delete(sp, 1, 2)
+        assert fed == [(1, 2)]
+        audit(sp, 4, [e for e in BRIDGED_TRIANGLE if e[:2] != (1, 2)])
+
+    @pytest.mark.parametrize("n,edges,params,counts", [
+        (4, BRIDGED_TRIANGLE, HEAVY, (4, 1)),
+        (12, GNP_12, SsspParams(tau=2), (20, 6)),
+    ], ids=["class-0", "flat"])
+    def test_answers_equal_standalone_scales(self, n, edges, params, counts):
+        """Every scale answers every vertex as a scale built alone, with
+        its own decompositions, does, after every deletion."""
+        g = DynamicGraph.from_edges(n, edges)
+        sp = sssp_build_all(g, S, EPS, params)
+        alone = {i: sssp_scale_build(g, S, EPS, 2 ** i, params)
+                 for i in sp.scales}
+        states, shared = decompositions(sp)
+        assert (len(states), len(shared)) == counts
+        private = [cs.lcd for inst in alone.values()
+                   for cs in inst.classes.values()]
+        assert len({id(st) for st in private}) == len(states)
+        assert not {id(st) for st in private} & set(shared)
+
+        def same_answers():
+            for i, inst in alone.items():
+                for v in range(n):
+                    assert sssp_dist_query(sp.scales[i], v) == \
+                        sssp_dist_query(inst, v), (i, v)
+                    assert sssp_path_query(sp.scales[i], v) == \
+                        sssp_path_query(inst, v), (i, v)
+
+        same_answers()
+        for u, v in shuffled(edges, 5):
+            sssp_delete(sp, u, v)
+            for inst in alone.values():
+                sssp_scale_delete(inst, (u, v))
+            same_answers()
+
+
 class TestPoison:
     def test_failed_deletion_poisons_the_state(self, monkeypatch):
         sp = build(4, BRIDGED_TRIANGLE, HEAVY)
         real = sssp.sssp_scale_delete
 
-        def fail_at_top(inst, e):
+        def fail_at_top(inst, e, fed=None):
             if inst is sp.scales[sp.imax]:
                 raise LcdError("injected")
-            real(inst, e)
+            real(inst, e, fed)
 
         monkeypatch.setattr(sssp, "sssp_scale_delete", fail_at_top)
         with pytest.raises(LcdError, match="injected"):
