@@ -14,8 +14,9 @@ runs one depth-capped Dijkstra inside the hurt set, seeded from its
 unhurt boundary; hurt vertices it does not reach become absent.  So the
 cost of a deletion does not depend on the depth cap, only on the rows
 scanned: each hurt vertex's row three times, and each kept child of a
-hurt vertex up to its first supporter.  The build runs the same Dijkstra
-(`_settle`) with every vertex absent and the source as the only seed.
+hurt vertex up to its first supporter.  The build is one bulk pass that
+fills and checks the adjacency rows, then the same Dijkstra (`_settle`)
+with every vertex absent and the source as the only seed.
 
 With one edge deleted, every hurt vertex's level strictly rises (its old
 supporters are all hurt, and by induction on level they all rose), so
@@ -72,12 +73,23 @@ class EsTree:
         self.depth = depth
         self.debug = debug
         self.work = 0
-        self._adj: dict[Hashable, dict[Hashable, int]] = {}
-        for v in vertices:
-            self._adj.setdefault(v, {})
+        self._adj = adj = {v: {} for v in vertices}
         for u, v, w in edges:
-            self._add_adj(u, v, w)
-        if source not in self._adj:
+            # an int length >= 1 between two vertices needs no more checks
+            if type(w) is not int or w < 1 or u == v:
+                self._check_edge(u, v, w)
+                w = int(w)
+            row = adj.get(u)
+            if row is None:
+                row = adj[u] = {}
+            if v in row:
+                raise ValueError(f"duplicate edge ({u!r},{v!r})")
+            row[v] = w
+            row = adj.get(v)
+            if row is None:
+                row = adj[v] = {}
+            row[u] = w
+        if source not in adj:
             raise SourceMissing(f"source {source!r} not among the vertices")
         self._absent = self.depth + 1
         self.level: dict = dict.fromkeys(self._adj, self._absent)
@@ -88,13 +100,8 @@ class EsTree:
     def es_build(
         cls, view: GraphView, source: int, depth: int, debug: bool = False
     ) -> "EsTree":
-        edges = [
-            (u, v, view.graph.length(eid))
-            for u in view.vertex_list()
-            for v, eid in view.neighbors(u)
-            if u < v
-        ]
-        return cls(source, depth, edges, vertices=view.vertex_list(), debug=debug)
+        return cls(source, depth, view.edge_list(),
+                   vertices=view.vertex_list(), debug=debug)
 
     # -- plumbing --------------------------------------------------------
 
@@ -136,10 +143,13 @@ class EsTree:
         """Vertex path source..v along parent pointers."""
         if not self.contains(v):
             raise VertexAbsent(f"{v!r} is beyond depth {self.depth}")
+        parent, source = self.parent, self.source
         path = [v]
-        while path[-1] != self.source:
-            path.append(self.parent[path[-1]])
-        return path[::-1]
+        while v != source:
+            v = parent[v]
+            path.append(v)
+        path.reverse()
+        return path
 
     # -- mutation --------------------------------------------------------
 
@@ -331,25 +341,33 @@ class EsTree:
         a deletion, and a settled level below one raises."""
         level, parent, adj = self.level, self.parent, self._adj
         absent = self._absent
+        audit = self.debug and old is not None
+        push, pop = heapq.heappush, heapq.heappop
         best = {x: d for d, _, x in heap}
-        tick = count(len(heap))
+        tick = len(heap)
         heapq.heapify(heap)
         work = 0
         while heap:
-            d, _, x = heapq.heappop(heap)
+            d, _, x = pop(heap)
             if level[x] != absent:
                 continue
-            if self.debug and old is not None and d < old[x]:
+            if audit and d < old[x]:
                 raise AssertionError(f"level of {x!r} would drop")
             level[x] = d
-            for y, w in adj[x].items():
-                work += 1
-                if parent[x] is None and level[y] + w == d:
-                    parent[x] = y
-                nd = d + w
-                if level[y] == absent and nd < best.get(y, absent):
-                    best[y] = nd
-                    heapq.heappush(heap, (nd, next(tick), y))
+            row = adj[x]
+            work += len(row)
+            par = None
+            for y, w in row.items():
+                ly = level[y]
+                if ly == absent:
+                    nd = d + w
+                    if nd < best.get(y, absent):
+                        best[y] = nd
+                        push(heap, (nd, tick, y))
+                        tick += 1
+                elif par is None and ly + w == d:
+                    par = y
+            parent[x] = par
         self.work += work
 
     # -- audit -----------------------------------------------------------

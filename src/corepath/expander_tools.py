@@ -683,7 +683,7 @@ def matching_or_cut(g: GraphView, a_set, b_set, ell: int):
     target = 8.0 * k * _lg(m) / (ell * ell)
     src = ("mp#", 0)
     sink = ("mp#", 1)
-    edges = [(u, v, 1) for u in g.vertex_list() for v, _ in g.neighbors(u) if u < v]
+    edges = [(u, v, 1) for u, v, _ in g.edge_list()]
     edges += [(src, a, 1) for a in a_left]
     edges += [(b, sink, 1) for b in b_left]
     tree = EsTree(src, ell + 2, edges, vertices=list(g.vertex_list()) + [src, sink])

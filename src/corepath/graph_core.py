@@ -241,11 +241,19 @@ class GraphView:
         return sum(self.degree(u) for u in self.vertex_list()) // 2
 
     def edge_list(self) -> list[tuple[int, int, int]]:
+        """Live (u, v, len) edges inside the view with u < v, by u and
+        then u's row order.  Reads the graph's rows directly."""
+        g, inside = self.graph, self.vertices
+        rows, alive, eu, ev, elen = g._adj, g._alive, g._u, g._v, g._len
         out = []
         for u in self.vertex_list():
-            for v, eid in self.neighbors(u):
-                if u < v:
-                    out.append((u, v, self.graph.length(eid)))
+            for eid in rows[u]:
+                if alive[eid]:
+                    v = ev[eid]
+                    if v == u:
+                        v = eu[eid]
+                    if u < v and (inside is None or v in inside):
+                        out.append((u, v, elen[eid]))
         return out
 
     def induced(self, S: Iterable[int]) -> "GraphView":

@@ -158,7 +158,9 @@ def round_lengths(n: int, edges, eps, D):
             discarded.add(key)
             continue
         lp = -((-num * ln) // den)
-        assert 1 <= lp <= 2 * d_new
+        if not 1 <= lp <= 2 * d_new:
+            raise ScaleMisuse(f"length {ln} of {key} rounds to {lp}, "
+                              f"outside [1, {2 * d_new}]")
         length[key] = lp
     return length, discarded, d_new, Fraction(num, den)
 
@@ -225,7 +227,9 @@ class SsspScaleInstance:
         for key, lp in self.length.items():
             i = edge_class(lp)
             # the top nominal class sits above the 2D' length cap
-            assert i < self.lam
+            if i >= self.lam:
+                raise ScaleMisuse(f"class {i} of {key} is not below "
+                                  f"lambda = {self.lam}")
             by_class.setdefault(i, []).append(key)
         for i in sorted(by_class):
             tau = self.params.override(i)

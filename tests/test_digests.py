@@ -9,6 +9,11 @@ graphs under a phi large enough that in-core deletions survive, so the
 oracles get fed and queried, and cover every short_path answer as well.
 A digest that changes on purpose is re-pinned in the same change that
 explains why.
+
+The work pins count EsTree.work, the rows an ES tree scans, over a build
+and a full teardown.  They hold the repair cost still without a timer: a
+loop rewrite that miscounts, or a change that makes repair costlier, moves
+them.
 """
 
 import hashlib
@@ -18,7 +23,8 @@ import random
 import pytest
 
 import oracles as orc
-from corepath.graph_core import DynamicGraph
+from corepath.es_tree import EsTree
+from corepath.graph_core import DynamicGraph, GraphView
 from corepath.lcd import (
     LcdError,
     lcd_build,
@@ -28,7 +34,7 @@ from corepath.lcd import (
 )
 from corepath.sssp import sssp_build_all, sssp_delete, sssp_dist, sssp_path
 from test_lcd import coarse_params, gnp, wide_params
-from test_sssp import BRIDGED_TRIANGLE, EPS, HEAVY, S
+from test_sssp import BRIDGED_TRIANGLE, EPS, HEAVY, S, adaptive_teardown
 
 LCD_SEEDS = ((31, 9, 0.5), (11, 9, 0.4), (12, 10, 0.55))
 
@@ -68,6 +74,12 @@ SSSP_DIGESTS = {
         "99e2c667b8b7b73d982b50e28e4db47a8f234237821e53acb18e11b16e05333c",
     "bridged-triangle-heavy":
         "250c308766275322bd91543ae3396e538ae584d604e47e01f96ba68dcb36e354",
+}
+
+# EsTree.work after the build and after the whole teardown
+WORK_PINS = {
+    "weighted-grid-6x7": (142, 838),
+    "sssp-adaptive-gnp-12": (342, 2551),
 }
 
 
@@ -170,3 +182,35 @@ def test_sssp_heavy_class_digest():
     order = [(0, 1), (2, 3), (1, 3)]
     assert sssp_teardown_digest(4, BRIDGED_TRIANGLE, order, HEAVY) == \
         SSSP_DIGESTS["bridged-triangle-heavy"]
+
+
+def test_weighted_grid_teardown_work():
+    """A weighted 6x7 grid under depth 30, every edge deleted in a seeded
+    order."""
+    rng = random.Random(5)
+    edges = [(u, v, rng.randint(1, 4)) for u, v in orc.gen_grid(6, 7)]
+    g = DynamicGraph.from_edges(42, edges)
+    t = EsTree.es_build(GraphView(g), 0, 30)
+    built = t.work
+    eids = list(g.alive_edges())
+    random.Random(6).shuffle(eids)
+    for eid in eids:
+        r = g.delete_edge(eid)
+        t.es_delete(r.u, r.v)
+    assert (built, t.work) == WORK_PINS["weighted-grid-6x7"]
+
+
+def test_sssp_adaptive_teardown_work():
+    """The scale trees' summed work over TestAdaptive's default-tau
+    teardown, replayed without audits."""
+    edges = orc.gen_gnp_connected(12, 0.4, seed=2, weights=(1, 5))
+    order = adaptive_teardown(12, edges, None, seed=2)
+    sp = sssp_build_all(DynamicGraph.from_edges(12, edges), S, EPS)
+
+    def work():
+        return sum(inst.tree.work for inst in sp.scales.values())
+
+    built = work()
+    for u, v in order:
+        sssp_delete(sp, u, v)
+    assert (built, work()) == WORK_PINS["sssp-adaptive-gnp-12"]

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from corepath.es_tree import EsTree, PreconditionViolated, SourceMissing, VertexAbsent
-from corepath.graph_core import DynamicGraph, GraphView
+from corepath.graph_core import DynamicGraph, GraphView, dijkstra
 
 
 def tree_from(n, edges, s, depth, **kw):
@@ -57,6 +57,75 @@ class TestBuild:
         t = tree_from(10, edges, s, depth)
         want = clamp(orc.dijkstra(10, edges, s), depth)
         assert [t.level_of(v) for v in range(10)] == want
+
+
+def reference(source, depth, edges, vertices):
+    """The tree EsTree should build, from definitions: rows filled edge by
+    edge through _add_adj, capped Dijkstra levels, each parent the first
+    neighbour in row order that realises the level, and work one scan of
+    every row in range."""
+    t = EsTree(source, depth, (), vertices=vertices)
+    for u, v, w in edges:
+        t._add_adj(u, v, w)
+    dist = dijkstra(source, edges, cap=depth)
+    level = {x: dist.get(x, depth + 1) for x in t._adj}
+    parent = {
+        x: next((y for y, w in row.items() if level[y] + w == level[x]), None)
+        if x != source and level[x] <= depth else None
+        for x, row in t._adj.items()
+    }
+    work = sum(len(row) for x, row in t._adj.items() if level[x] <= depth)
+    return t._adj, level, parent, work
+
+
+def bulk_case(seed):
+    """A seeded weighted graph with shuffled, mixed-orientation edges plus
+    tuple-named extra vertices, some listed only through their edges."""
+    rng = random.Random(seed)
+    n = 14
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w)
+             for u, v, w in orc.gen_gnp_connected(n, 0.25, seed=seed,
+                                                  weights=(1, 4))]
+    extra = [("sn", seed, k) for k in range(3)]
+    for x in extra:
+        for y in rng.sample(range(n), 3):
+            edges.append((x, y, rng.randint(1, 3)) if rng.random() < 0.5
+                         else (y, x, rng.randint(1, 3)))
+    rng.shuffle(edges)
+    vertices = list(range(n)) + extra[:1] + [rng.randrange(n)]
+    return edges, vertices, rng.randint(2, 12)
+
+
+class TestBulkBuild:
+    """The one-pass build equals a tree built from definitions."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_edge_by_edge_reference(self, seed):
+        edges, vertices, depth = bulk_case(seed)
+        t = EsTree(0, depth, edges, vertices=vertices)
+        adj, level, parent, work = reference(0, depth, edges, vertices)
+        assert [(x, list(row.items())) for x, row in t._adj.items()] == \
+            [(x, list(row.items())) for x, row in adj.items()]
+        assert t.level == level
+        assert t.parent == parent
+        assert t.work == work
+        t.check()
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1), (2, 2, 1)],
+        [(0, 1, 1), (1, 2, 0)],
+        [(0, 1, 1), (1, 2, 1.5)],
+        [(0, 1, 1), (2, 1, 3), (1, 2, 3)],
+    ], ids=["self-loop", "length-0", "length-1.5", "duplicate-reversed"])
+    def test_bad_rows_raise(self, edges):
+        with pytest.raises(ValueError):
+            EsTree(0, 5, edges)
+
+    def test_integral_lengths_are_stored_as_ints(self):
+        t = EsTree(0, 5, [(0, 1, 2.0), (1, 2, True)])
+        assert t.incident(1) == [(0, 2), (2, 1)]
+        assert all(type(w) is int for _, w in t.incident(1))
+        assert t.level_of(2) == 3
 
 
 class TestDelete:

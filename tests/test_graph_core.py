@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,37 @@ class TestGraphView:
         view = gc.GraphView(g, [0, 1, 2])
         g.delete_between(0, 1)
         assert view.degree(0) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_list_equals_the_neighbour_listing(self, seed):
+        """Whole graph and induced view, before and after deletions that
+        leave tombstones and compact rows."""
+        rng = random.Random(seed)
+        n = 16
+        edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for u, v in orc.gen_gnp_connected(n, 0.5, seed=seed)]
+        rng.shuffle(edges)
+        g = gc.DynamicGraph(n)
+        for u, v in edges:
+            g.add_edge(u, v, rng.randint(1, 9))
+        views = [gc.GraphView(g),
+                 gc.GraphView(g, rng.sample(range(n), n // 2))]
+
+        def listing(view):
+            return [(u, v, view.graph.length(eid))
+                    for u in view.vertex_list()
+                    for v, eid in view.neighbors(u) if u < v]
+
+        for view in views:
+            assert view.edge_list() == listing(view)
+        full = [len(row) for row in g._adj]
+        for eid in rng.sample(list(g.alive_edges()), g.m * 2 // 3):
+            g.delete_edge(eid)
+        assert any(g._dead), "no tombstones left"
+        assert any(len(row) < k for row, k in zip(g._adj, full)), \
+            "no row compacted"
+        for view in views:
+            assert view.edge_list() == listing(view)
 
     def test_materialize_remaps(self):
         g = k4()

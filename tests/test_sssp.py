@@ -15,6 +15,7 @@ from corepath.lcd import (NOT_CONNECTED, LcdError, LcdParams, lcd_build,
                           lcd_delete_edge, short_path_quality)
 from corepath.sssp import (
     PathAuditFailed,
+    ScaleMisuse,
     SsspParams,
     SsspPoisoned,
     check_scale_invariants,
@@ -239,6 +240,19 @@ class TestRoundLengths:
                                                 * ln), (eps, D, ln)
             assert discarded == {(min(u, v), max(u, v))
                                  for u, v, ln in edges if ln > 2 * D}
+
+    @pytest.mark.parametrize("ln", [0, -3])
+    def test_length_below_one_raises(self, ln):
+        # a raise, not an assert: python -O used to keep a length-0 entry
+        with pytest.raises(ScaleMisuse, match="outside"):
+            round_lengths(3, [(0, 1, ln)], Fraction(1, 2), 1)
+
+    def test_class_at_lambda_raises(self):
+        g = DynamicGraph.from_edges(4, BRIDGED_TRIANGLE)
+        inst = sssp_scale_build(g, S, EPS, 1, HEAVY)
+        inst.length[(1, 2)] = 4 * inst.Dp
+        with pytest.raises(ScaleMisuse, match="lambda"):
+            inst._build_classes({})
 
 
 def path_guard_fires():
