@@ -466,12 +466,14 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
     dag_edges = tuple(sorted((a, b) for a, b in oriented
                              if a in rank and b in rank))
     for a, b in dag_edges:
-        assert rank[a] > rank[b], "orientation must follow removal order"
+        if rank[a] <= rank[b]:
+            raise PhaseBroken("orientation must follow removal order")
     indeg: dict = {}
     for _a, b in dag_edges:
         indeg[b] = indeg.get(b, 0) + 1
     for u, d in indeg.items():
-        assert TRIM_DIV * d <= targets[u], f"in-degree at {u} over its cap"
+        if TRIM_DIV * d > targets[u]:
+            raise PhaseBroken(f"in-degree at {u} over its cap")
     phi = params.expander.phi
     for piece, edges in cores:
         deg = {u: 0 for u in piece}
@@ -479,8 +481,9 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
             deg[a] += 1
             deg[b] += 1
         for u in piece:
-            assert deg[u] >= phi * Fraction(targets[u], TRIM_DIV), \
-                f"core degree at {u} below phi*target/{TRIM_DIV}"
+            if deg[u] < phi * Fraction(targets[u], TRIM_DIV):
+                raise PhaseBroken(
+                    f"core degree at {u} below phi*target/{TRIM_DIV}")
     cores.sort(key=lambda ce: min(ce[0]))
     return [p for p, _e in cores], DagResult(rank=rank, edges=dag_edges)
 
@@ -612,7 +615,8 @@ def _start_phase(st: LcdState, j, lv):
                                      ph.targets, st.params)
     # creation census: the sublayer cannot afford more cores than this
     lhs = len(cores_sets) * (st.params.expander.phi ** 2) * sub.h
-    assert lhs <= CENSUS_COEFF * len(members), "phase created too many cores"
+    if lhs > CENSUS_COEFF * len(members):
+        raise PhaseBroken("phase created too many cores")
     covered = set()
     for vs in cores_sets:
         keys = {k for k in hkeys if k[0] in vs and k[1] in vs}
@@ -624,7 +628,8 @@ def _start_phase(st: LcdState, j, lv):
             st.cores_by_vertex[v] = core
         covered |= vs
     ph.uset = set(members) - covered
-    assert ph.uset == set(dag.rank), "trim residue must match the dag"
+    if ph.uset != set(dag.rank):
+        raise PhaseBroken("trim residue must match the dag")
     for u in sorted(ph.uset):
         cands = st.upward_keys(u, j, lv)
         if cands:
@@ -803,8 +808,8 @@ def _layer_drop(st: LcdState, x, jo, jn):
             st.jmax[key] = nj
     if jn <= st.r:
         _buffer_insert(st, x, jn, "D")
-    else:
-        assert not st.inc.all_keys(x), "isolated vertex still has edges"
+    elif st.inc.all_keys(x):
+        raise PhaseBroken("isolated vertex still has edges")
     return core, lx
 
 

@@ -21,13 +21,25 @@ decomposition.  With no override every class is light and a scale is a
 bare tree over its length table: the family is a scaled Even-Shiloach
 structure.
 
-The top level keeps an instance per power-of-two scale and binary
-searches the scales at query time, so a query costs O(log log nL)
-probes.  Deletions are broadcast to every scale.  A decomposition
-depends only on n and its class edge set, and a class set only ever
-loses the deleted edge, so the scales of one family share a single
-decomposition per distinct class edge set, and each deletion feeds it
-once; every scale holding it reads that one ChangeLog.
+The top level keeps an instance per power-of-two scale and answers v
+from the first scale that commits to it: the lowest one whose tree holds
+v within far_level.  Every scale tree's levels only rise (deletions
+raise them; inserts and attaches refuse to lower one), so a scale that
+is too far for v stays too far, and the first committing scale only
+moves up.  Each vertex keeps a scale pointer that starts at scale 0 and
+steps up past the scales that turned too far; one past the top scale it
+means v is cut off, which also lasts.  Q queries over a run cost at most
+Q + n(imax+1) scale probes, O(1) amortized, where a binary search over
+the scales costs about Q(1 + lg(imax+1)).  With every class light, "too
+far" is also monotone across scales: a path P of level at most
+F = far_level at scale i has level at most F/2 + 4|P| <= F at scale
+i+1, as |P| < n <= F/8, so the pointer stops where such a search would.
+
+Deletions are broadcast to every scale.  A decomposition depends only on
+n and its class edge set, and a class set only ever loses the deleted
+edge, so the scales of one family share a single decomposition per
+distinct class edge set, and each deletion feeds it once; every scale
+holding it reads that one ChangeLog.
 """
 
 from __future__ import annotations
@@ -209,6 +221,13 @@ class SsspScaleInstance:
         self.lam = (4 * self.Dp).bit_length() - 1
         self.depth = 32 * self.Dp
         self.far_level = far_level(self.n, eps)
+        # the original-length estimate at tree level lv is
+        # (lv*x + y) / z with (x, y, z) = dist_terms: the scaled estimate
+        # (lv*b + a*D') / 4b over factor, for eps = a/b
+        a, b = eps.numerator, eps.denominator
+        f = self.factor
+        self.dist_terms = (b * f.denominator, a * self.Dp * f.denominator,
+                           4 * b * f.numerator)
         self.tau_overridden = params.tau is not None
         self.sn_serial = 0
         self._build_classes({} if lcds is None else lcds)
@@ -395,49 +414,60 @@ def sssp_dist_query(inst: SsspScaleInstance, v):
 
 
 def sssp_path_query(inst: SsspScaleInstance, v):
-    """Tree path with every supernode hop spliced back into class edges."""
+    """Tree path with every supernode hop spliced back into class edges.
+
+    One walk along the tree path assembles the answer and audits it: a
+    splice must run between the hop's ends inside the class's heavy side,
+    no edge may repeat, and every edge must be live at this scale.  At
+    the formula's tau the summed length must also stay within the
+    estimate."""
     v = int(v)
-    if not inst.tree.contains(v):
+    lv = inst.tree.level_of(v)
+    if lv is None:
         return OVER_TWO_D
     if v == inst.s:
         return []
     walk = inst.tree.es_path(v)
-    out = [walk[0]]
-    for k in range(1, len(walk)):
-        x = walk[k]
+    length = inst.length
+    a = walk[0]
+    out = [a]
+    seen = set()
+    total = 0
+    sn = None  # the supernode just walked through, if any
+    for x in walk[1:]:
         if isinstance(x, tuple):
+            sn = x
             continue
-        prev = walk[k - 1]
-        if not isinstance(prev, tuple):
-            out.append(x)
-            continue
-        cs = inst.classes[prev[1]]
-        a = walk[k - 2]
-        seg = short_path(cs.lcd, cs.j_i, a, x)
-        if seg is NOT_CONNECTED or seg[0] != a or seg[-1] != x:
-            raise PathAuditFailed(f"short_path({a!r}, {x!r}) gave {seg!r}")
-        if not all(y in cs.heavy for y in seg):
-            raise PathAuditFailed(f"splice {seg!r} leaves class {cs.i}'s "
-                                  "heavy side")
-        out.extend(seg[1:])
-    pairs = set()
-    for a, b in zip(out, out[1:]):
-        key = (a, b) if a < b else (b, a)
-        if key in pairs:
-            raise PathAuditFailed(f"edge {key} repeated on the assembled path")
-        pairs.add(key)
-    if not inst.tau_overridden:
-        total = 0
-        for key in pairs:
-            lp = inst.length.get(key)
+        if sn is None:
+            hop = (x,)
+        else:
+            cs = inst.classes[sn[1]]
+            sn = None
+            seg = short_path(cs.lcd, cs.j_i, a, x)
+            if seg is NOT_CONNECTED or seg[0] != a or seg[-1] != x:
+                raise PathAuditFailed(f"short_path({a!r}, {x!r}) gave "
+                                      f"{seg!r}")
+            if not all(y in cs.heavy for y in seg):
+                raise PathAuditFailed(f"splice {seg!r} leaves class "
+                                      f"{cs.i}'s heavy side")
+            hop = seg[1:]
+        for y in hop:
+            key = (a, y) if a < y else (y, a)
+            if key in seen:
+                raise PathAuditFailed(f"edge {key} repeated on the "
+                                      "assembled path")
+            seen.add(key)
+            lp = length.get(key)
             if lp is None:
                 raise PathAuditFailed(f"path edge {key} is not live at "
                                       "this scale")
             total += lp
-        if 4 * inst.eps.denominator * total > \
-                _est4b(inst, inst.tree.level_of(v)):
-            est = sssp_dist_query(inst, v)
-            raise PathAuditFailed(f"path length {total} over estimate {est}")
+            out.append(y)
+            a = y
+    if not inst.tau_overridden and \
+            4 * inst.eps.denominator * total > _est4b(inst, lv):
+        est = sssp_dist_query(inst, v)
+        raise PathAuditFailed(f"path length {total} over estimate {est}")
     return out
 
 
@@ -473,6 +503,11 @@ def check_scale_invariants(inst: SsspScaleInstance):
     assert inst.lam == (4 * inst.Dp).bit_length() - 1
     assert inst.depth == 32 * inst.Dp
     assert inst.far_level == far_level(n, inst.eps)
+    # _locate reads an absent vertex's level, depth + 1, as too far
+    assert inst.far_level <= inst.depth
+    x, y, z = inst.dist_terms
+    assert Fraction(x, z) == Fraction(1, 4) / inst.factor
+    assert Fraction(y, z) == inst.eps * inst.Dp / 4 / inst.factor
     assert inst.length.keys().isdisjoint(inst.discarded)
     per: dict = {}
     for (a, b), lp in inst.length.items():
@@ -550,7 +585,10 @@ def check_scale_invariants(inst: SsspScaleInstance):
 
 
 class SsspState:
-    """Scale family for one source: instances at D = 2^i."""
+    """Scale family for one source: instances at D = 2^i, and scale_ptr,
+    one int per vertex at or below the first scale that commits to it
+    (imax + 1 once the vertex is cut off).  Levels only rise, so the
+    pointer only moves up; _locate moves it."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, params=None):
         eps = _frac(eps)
@@ -569,6 +607,7 @@ class SsspState:
             self.scales[i] = sssp_scale_build(g, s, eps, 2 ** i,
                                               params=self.params,
                                               edges=edges, lcds=lcds)
+        self.scale_ptr = [0] * g.n
 
 
 def sssp_build_all(g: DynamicGraph, s: int, eps,
@@ -601,26 +640,25 @@ def sssp_delete(sp: SsspState, u: int, v: int) -> None:
         raise
 
 
-def _too_far(sp, v, i):
-    """Whether scale i's estimate for v overshoots 2D(1+eps), so that a
-    higher scale must answer."""
-    inst = sp.scales[i]
-    lv = inst.tree.level_of(v)
-    return lv is None or lv > inst.far_level
-
-
 def _locate(sp, v):
-    """First scale that commits to an answer, or None; by binary search."""
-    if _too_far(sp, v, sp.imax):
-        return None
-    lo, hi = 0, sp.imax
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _too_far(sp, v, mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    """First scale that commits to an answer for v, or None.
+
+    Starts at v's scale pointer and steps up while the scale's level for
+    v is over its far_level (an absent vertex reads depth + 1, which is
+    over it), then stores where it stopped.  A scale passed over stays
+    too far, as tree levels only rise, so the stop is the first
+    committing scale; one probe per query plus one per step, and at most
+    imax + 1 steps per vertex over a run."""
+    i = sp.scale_ptr[v]
+    top = sp.imax
+    scales = sp.scales
+    while i <= top:
+        inst = scales[i]
+        if inst.tree.level[v] <= inst.far_level:
+            break
+        i += 1
+    sp.scale_ptr[v] = i
+    return i if i <= top else None
 
 
 def _check_query(sp: SsspState, v: int):
@@ -638,9 +676,8 @@ def sssp_dist(sp: SsspState, v):
     if i is None:
         return NOT_CONNECTED
     inst = sp.scales[i]
-    f = inst.factor
-    return Fraction(_est4b(inst, inst.tree.level_of(v)) * f.denominator,
-                    4 * inst.eps.denominator * f.numerator)
+    x, y, z = inst.dist_terms
+    return Fraction(inst.tree.level[v] * x + y, z)
 
 
 def sssp_path(sp: SsspState, v):

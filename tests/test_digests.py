@@ -10,6 +10,9 @@ oracles get fed and queried, and cover every short_path answer as well.
 A digest that changes on purpose is re-pinned in the same change that
 explains why.
 
+The probe guard counts how often the queries read the scale table, so a
+per-query search over the scales fails without a timer.
+
 The work pins count EsTree.work, the rows an ES tree scans, over a build
 and a full teardown.  They hold the repair cost still without a timer: a
 loop rewrite that miscounts, or a change that makes repair costlier, moves
@@ -176,6 +179,52 @@ def test_sssp_default_teardown_digest():
     random.Random(3).shuffle(order)
     assert sssp_teardown_digest(10, edges, order) == \
         SSSP_DIGESTS["default-gnp-3-10"]
+
+
+class CountingScales(dict):
+    """A scale table that counts its reads while reads.on is set."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.on = False
+        self.reads = 0
+
+    def __getitem__(self, key):
+        if self.on:
+            self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_sssp_queries_probe_amortized_o1():
+    """The digest teardown's queries read the scale table at most twice
+    per non-source query (one probe and one fetch) plus one pointer step
+    per vertex and scale over the whole run.  The bound is checked after
+    every round of queries, so a search that pays per query fails by the
+    second round, long before the cut-off vertices would hide its cost."""
+    n = 10
+    edges = orc.gen_gnp_connected(n, 0.3, seed=3, weights=(1, 5))
+    order = [(u, v) for u, v, _ in edges]
+    random.Random(3).shuffle(order)
+    sp = sssp_build_all(DynamicGraph.from_edges(n, edges), S, EPS)
+    sp.scales = scales = CountingScales(sp.scales)
+    steps = n * (sp.imax + 1)
+    queries = 0
+
+    def answers():
+        nonlocal queries
+        scales.on = True
+        for v in range(n):
+            sssp_dist(sp, v)
+            sssp_path(sp, v)
+        scales.on = False
+        queries += 2 * (n - 1)
+        return scales.reads <= 2 * queries + steps
+
+    assert answers()
+    for u, v in order:
+        sssp_delete(sp, u, v)
+        assert answers(), (u, v, scales.reads, 2 * queries + steps)
+    assert queries == 288 and steps == 70
 
 
 def test_sssp_heavy_class_digest():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,53 @@ class TestCoreDecompose:
         g = DynamicGraph.from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(LcdError):
             core_decompose(GraphView(g), 0)
+
+
+def residue_guard_fires():
+    """Whether lcd_build refuses a phase whose DagResult misses a vertex
+    of the trim residue.  G(12, 0.3) at seed 2 trims one vertex in its
+    second phase; a stubbed core_decompose drops it from the dag.  Raises
+    and returns, never asserts, so that it also tells under python -O."""
+    real = lcd.core_decompose
+    dropped = []
+
+    def lossy(*args, **kwargs):
+        cores, dag = real(*args, **kwargs)
+        if dag.rank and not dropped:
+            gone = min(dag.rank)
+            dropped.append(gone)
+            dag = lcd.DagResult(
+                rank={u: r for u, r in dag.rank.items() if u != gone},
+                edges=tuple(e for e in dag.edges if gone not in e))
+        return cores, dag
+
+    lcd.core_decompose = lossy
+    try:
+        build(12, gnp(12, 0.3, 2))
+    except PhaseBroken as exc:
+        return bool(dropped) and "residue" in str(exc)
+    finally:
+        lcd.core_decompose = real
+    return False
+
+
+class TestPhaseStartGuard:
+    """_start_phase's trim-residue check raises PhaseBroken, not an
+    assert that python -O strips."""
+
+    def test_dag_missing_a_residue_vertex_raises(self):
+        assert residue_guard_fires()
+
+    def test_dag_missing_a_residue_vertex_raises_under_python_O(self):
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]))
+        code = ("import sys, test_lcd\n"
+                "sys.exit(2 if not sys.flags.optimize else\n"
+                "         0 if test_lcd.residue_guard_fires() else 1)")
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 class TestDeleteInCore:

@@ -45,8 +45,22 @@ def build(n, edges, params=None, eps=EPS):
     return sssp_build_all(DynamicGraph.from_edges(n, edges), S, eps, params)
 
 
-def audit(sp, n, live, eps=EPS):
-    """Every answer against exact Dijkstra, then every scale's invariants."""
+def first_committing_scale(sp, v):
+    """The lowest scale whose tree holds v within far_level, or None, by
+    looking at every scale."""
+    for i in range(sp.imax + 1):
+        inst = sp.scales[i]
+        lv = inst.tree.level_of(v)
+        if lv is not None and lv <= inst.far_level:
+            return i
+    return None
+
+
+def audit(sp, n, live, eps=EPS, ptr=None):
+    """Every answer against exact Dijkstra, then the scale located for
+    every vertex against a scan of all scales and every scale's
+    invariants.  ptr is the scale pointers after the previous audit of sp,
+    which none may have passed; returns them as they are now."""
     dist = orc.dijkstra(n, live, S)
     for v in range(n):
         est, path = sssp_dist(sp, v), sssp_path(sp, v)
@@ -66,17 +80,26 @@ def audit(sp, n, live, eps=EPS):
     assert not sp.scales[sp.imax].discarded
     for inst in sp.scales.values():
         check_scale_invariants(inst)
+    for v in range(n):
+        assert sssp._locate(sp, v) == first_committing_scale(sp, v), v
+    now = list(sp.scale_ptr)
+    if ptr is not None:
+        assert all(a >= b for a, b in zip(now, ptr)), (ptr, now)
+    return now
 
 
-def teardown(n, edges, order, params=None, eps=EPS):
-    """Delete edges in order, auditing after each; returns the state."""
+def teardown(n, edges, order, params=None, eps=EPS, each=None):
+    """Delete edges in order, auditing after each and then calling
+    each(sp) if given; returns the state."""
     sp = build(n, edges, params, eps)
-    audit(sp, n, edges, eps)
+    ptr = audit(sp, n, edges, eps)
     live = list(edges)
     for u, v in order:
         sssp_delete(sp, u, v)
         live = [e for e in live if {e[0], e[1]} != {u, v}]
-        audit(sp, n, live, eps)
+        ptr = audit(sp, n, live, eps, ptr)
+        if each is not None:
+            each(sp)
     return sp
 
 
@@ -89,10 +112,18 @@ class TestDefaultParams:
         teardown(n, edges, order)
 
     def test_cutting_a_bridge_disconnects(self):
+        """Once cut off, 3 and 4 stay NOT_CONNECTED to both queries for
+        the rest of the teardown, their pointers parked past the top."""
         edges = [(0, 1, 2), (1, 2, 3), (2, 0, 1), (2, 3, 4), (3, 4, 1)]
-        sp = teardown(5, edges, [(2, 3)])
-        assert sssp_dist(sp, 3) is NOT_CONNECTED
-        assert sssp_path(sp, 4) is NOT_CONNECTED
+
+        def cut_off(sp):
+            for v in (3, 4):
+                assert sssp_dist(sp, v) is NOT_CONNECTED
+                assert sssp_path(sp, v) is NOT_CONNECTED
+                assert sp.scale_ptr[v] == sp.imax + 1
+
+        teardown(5, edges, [(2, 3), (3, 4), (0, 1), (2, 0), (1, 2)],
+                 each=cut_off)
 
 
 def gnm(n, m, seed, top=5):
@@ -357,6 +388,24 @@ class TestHeavyClass:
         with pytest.raises(PathAuditFailed):
             sssp_path(sp, 1)
 
+    @pytest.mark.parametrize("splice,match", [
+        (lambda a, x: [a, x, a, x], "repeated"),
+        (lambda a, x: [a, S, x], "heavy side"),
+    ], ids=["repeated-edge", "outside-heavy"])
+    def test_bad_splice_raises_named_error(self, monkeypatch, splice, match):
+        """After (0, 1) goes, 1 is reached through the triangle's
+        supernode, so its path needs a splice."""
+        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+        sssp_delete(sp, 0, 1)
+        inst = sp.scales[sssp._locate(sp, 1)]
+        walk = inst.tree.es_path(1)
+        assert any(isinstance(x, tuple) for x in walk)  # a supernode hop
+        assert all(S not in cs.heavy for cs in inst.classes.values())
+        monkeypatch.setattr(sssp, "short_path",
+                            lambda st, j, a, x: splice(a, x))
+        with pytest.raises(PathAuditFailed, match=match):
+            sssp_path(sp, 1)
+
 
 def adaptive_teardown(n, edges, params, seed):
     """Delete, each step, an edge of the path sssp_path just gave for a
@@ -365,7 +414,7 @@ def adaptive_teardown(n, edges, params, seed):
     rng = random.Random(seed)
     sp = build(n, edges, params)
     live = list(edges)
-    audit(sp, n, live)
+    ptr = audit(sp, n, live)
     order = []
     while True:
         reach = [v for v in range(n)
@@ -378,7 +427,7 @@ def adaptive_teardown(n, edges, params, seed):
         sssp_delete(sp, u, v)
         order.append((u, v))
         live = [e for e in live if {e[0], e[1]} != {u, v}]
-        audit(sp, n, live)
+        ptr = audit(sp, n, live, ptr=ptr)
 
 
 class TestAdaptive:
