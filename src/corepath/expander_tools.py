@@ -548,11 +548,11 @@ def cut_player_round(w, params: Optional[ExpanderParams] = None) -> CutPlayerMov
     A balanced sparse cut is equalized (the small side padded up to
     floor(n/2) with the smallest vertices of the other side); a certified
     subset S yields the terminal move (V minus S, S)."""
-    verts, triples = _graph_data(w)
+    verts, _triples = _graph_data(w)
     n = len(verts)
     if params is None:
         params = ExpanderParams.for_size(max(2, n))
-    res = cut_or_certify((verts, [(u, v) for u, v, k in triples for _ in range(k)]), params)
+    res = cut_or_certify(w, params)
     if isinstance(res, Certified):
         a = frozenset(verts) - res.s
         return CutPlayerMove(a, res.s, True, res.psi_star)

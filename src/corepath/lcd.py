@@ -14,6 +14,12 @@ Everything is maintained under edge deletions only.  Vertices move
 downward (deeper sublayer, buffer, lower layer), cores only shrink, and
 every repair is charged against explicit budgets that
 ``check_invariants`` re-derives from scratch.
+
+A vertex's position is its layer (``layer_of``) and its sublayer
+(``pos``), and nothing else records either.  The degree of a vertex
+toward higher layers and sublayers, which the keep-a-quarter rule, buffer
+up-links and residue links read, is counted on demand from the graph and
+each neighbour's position.
 """
 
 from __future__ import annotations
@@ -114,10 +120,6 @@ def _ekey(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
 
 
-def _other(key, x):
-    return key[0] if key[1] == x else key[1]
-
-
 @dataclass
 class LcdParams:
     """The inputs of one decomposition: q, the depth of every core's
@@ -160,56 +162,6 @@ class ChangeLog:
         return (len(self.layer_moves) + len(self.buffer_moves)
                 + len(self.prunings) + len(self.destructions)
                 + len(self.restarts))
-
-
-class IncidentEdges:
-    """Per-vertex partition of the alive incident edge keys.
-
-    by_layer[u][j] holds edges toward layers other than u's own.
-    by_sub[u][l] splits the own-layer edges by the neighbor's sublayer
-    position, kept only up to u's own position; above[u] aggregates the
-    own-layer edges pointing strictly deeper.
-    """
-
-    def __init__(self):
-        self.by_layer: dict = {}
-        self.by_sub: dict = {}
-        self.above: dict = {}
-
-    def ensure(self, u):
-        self.by_layer.setdefault(u, {})
-        self.by_sub.setdefault(u, {})
-        self.above.setdefault(u, set())
-
-    def inlayer_keys(self, u) -> set:
-        out = set(self.above.get(u, ()))
-        for ks in self.by_sub.get(u, {}).values():
-            out |= ks
-        return out
-
-    def all_keys(self, u) -> set:
-        out = self.inlayer_keys(u)
-        for ks in self.by_layer.get(u, {}).values():
-            out |= ks
-        return out
-
-    def discard_inlayer(self, u, key) -> bool:
-        if key in self.above.get(u, ()):
-            self.above[u].discard(key)
-            return True
-        for ks in self.by_sub.get(u, {}).values():
-            if key in ks:
-                ks.discard(key)
-                return True
-        return False
-
-    def discard_any(self, u, key):
-        if self.discard_inlayer(u, key):
-            return
-        for ks in self.by_layer.get(u, {}).values():
-            if key in ks:
-                ks.discard(key)
-                return
 
 
 class Core:
@@ -332,7 +284,6 @@ class LcdState:
         self.layers = LayerState(GraphView(g), DELTA)
         self.r = self.layers.config.r
         self.lay: dict = {}
-        self.inc = IncidentEdges()
         self.pos: dict = {}
         self.cores_by_vertex: dict = {}
         self.msf: list = []
@@ -354,25 +305,24 @@ class LcdState:
         return self.layers.layer_of(u)
 
     def deg_below(self, u, j, l) -> int:
-        """Current degree of u toward layers < j plus sublayers <= l."""
+        """Current degree of u toward layers < j plus sublayers <= l of
+        layer j, counted from the graph and each neighbour's
+        (layer_of, pos)."""
         t = 0
-        for jj, ks in self.inc.by_layer.get(u, {}).items():
-            if jj < j:
-                t += len(ks)
-        for ll, ks in self.inc.by_sub.get(u, {}).items():
-            if ll <= l:
-                t += len(ks)
+        for w, _e in self.g.neighbors(u):
+            jw = self.layer_of(w)
+            if jw < j or (jw == j and self.pos[w] <= l):
+                t += 1
         return t
 
-    def upward_keys(self, u, j, l) -> list:
-        """Alive keys from u toward layers < j or sublayers < l."""
+    def upward(self, u, j, l) -> list:
+        """Neighbours of u in layers < j or in sublayers < l of layer j,
+        read from the graph and each neighbour's (layer_of, pos)."""
         out = []
-        for jj, ks in self.inc.by_layer.get(u, {}).items():
-            if jj < j:
-                out.extend(ks)
-        for ll, ks in self.inc.by_sub.get(u, {}).items():
-            if ll < l:
-                out.extend(ks)
+        for w, _e in self.g.neighbors(u):
+            jw = self.layer_of(w)
+            if jw < j or (jw == j and self.pos[w] < l):
+                out.append(w)
         return out
 
     def core_at(self, u):
@@ -440,12 +390,9 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
         m = sum(len(adj[u]) for u in remaining) // 2
         if m == 0:
             raise LcdError("stuck: edgeless residue that no target trims")
-        sub = DynamicGraph(max(remaining) + 1)
-        for u in sorted(remaining):
-            for w in sorted(adj[u]):
-                if u < w:
-                    sub.add_edge(u, w)
-        res = expander_decompose(GraphView(sub, vertices=sorted(remaining)),
+        # trimming and core removal only drop edges whose endpoint leaves
+        # remaining, so the residue is the subgraph induced on remaining
+        res = expander_decompose(GraphView(view.graph, vertices=remaining),
                                  params.expander.phi, params.expander)
         if not res.quality_ok:
             raise LcdError("expander decomposition failed its quality check")
@@ -488,55 +435,29 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
     return [p for p, _e in cores], DagResult(rank=rank, edges=dag_edges)
 
 
-# -- refinement bookkeeping -----------------------------------------------
-
-
-def _set_inlayer_position(st: LcdState, x, j, newpos):
-    """Rebuild x's own-layer refinement for its (possibly new) position
-    and refile the shared keys inside every same-layer neighbor."""
-    st.inc.ensure(x)
-    keys = st.inc.inlayer_keys(x)
-    moved_in = st.inc.by_layer[x].pop(j, None)
-    if moved_in:
-        keys |= moved_in
-    st.inc.by_sub[x] = {}
-    st.inc.above[x] = set()
-    for key in sorted(keys):
-        st._work()
-        y = _other(key, x)
-        py = st.pos[y]
-        if py <= newpos:
-            st.inc.by_sub[x].setdefault(py, set()).add(key)
-        else:
-            st.inc.above[x].add(key)
-        st.inc.discard_inlayer(y, key)
-        if newpos <= py:
-            st.inc.by_sub[y].setdefault(newpos, set()).add(key)
-        else:
-            st.inc.above[y].add(key)
+# -- buffers and phases ---------------------------------------------------
 
 
 def _assign_uplink(st: LcdState, x, j):
     """Best-effort up-link; _repair_links enforces existence later."""
     sub = st.lay[j]
-    cands = st.upward_keys(x, j, sub.L)
+    cands = st.upward(x, j, sub.L)
     if cands:
-        sub.buf_up[x] = min(_other(k, x) for k in cands)
+        sub.buf_up[x] = min(cands)
     else:
         sub.buf_up.pop(x, None)
 
 
 def _buffer_insert(st: LcdState, x, j, kind):
-    """Complete a move of x into layer j's buffer.  Containers, position,
-    refinements and up-link are all final on return; the I1 check is the
-    caller's batch-boundary duty."""
+    """Complete a move of x into layer j's buffer.  Containers, position
+    and up-link are all final on return; the I1 check is the caller's
+    batch-boundary duty."""
     sub = st.lay[j]
     st.pos[x] = sub.L
     sub.subs[sub.L].add(x)
     sub.bufkind[x] = kind
     sub.moves[kind] += 1
     st.clog.buffer_moves.append((x, j, kind))
-    _set_inlayer_position(st, x, j, sub.L)
     _assign_uplink(st, x, j)
     st._touched_verts.add(x)
     st._pending.add(x)
@@ -590,10 +511,8 @@ def _restart(st: LcdState, j, lv):
     sub.subs[lv] = set(members)
     for x in members:
         st.pos[x] = lv
-    for x in sorted(members):
-        _set_inlayer_position(st, x, j, lv)
-        st._touched_verts.add(x)
-        st._pending.add(x)
+    st._touched_verts |= members
+    st._pending |= members
     _start_phase(st, j, lv)
 
 
@@ -605,21 +524,16 @@ def _start_phase(st: LcdState, j, lv):
     st.phase_serial += 1
     ph = PhaseState(j, lv, st.phase_serial)
     ph.targets = {x: st.deg_below(x, j, lv) for x in members}
-    hkeys = set()
-    for x in members:
-        hkeys |= st.inc.by_sub.get(x, {}).get(lv, set())
-    sg = DynamicGraph(st.n)
-    for a, b in sorted(hkeys):
-        sg.add_edge(a, b)
-    cores_sets, dag = core_decompose(GraphView(sg, vertices=members),
-                                     ph.targets, st.params)
+    view = GraphView(st.g, vertices=members)
+    hkeys = sorted((a, b) for a, b, _len in view.edge_list())
+    cores_sets, dag = core_decompose(view, ph.targets, st.params)
     # creation census: the sublayer cannot afford more cores than this
     lhs = len(cores_sets) * (st.params.expander.phi ** 2) * sub.h
     if lhs > CENSUS_COEFF * len(members):
         raise PhaseBroken("phase created too many cores")
     covered = set()
     for vs in cores_sets:
-        keys = {k for k in hkeys if k[0] in vs and k[1] in vs}
+        keys = [k for k in hkeys if k[0] in vs and k[1] in vs]
         st.core_serial += 1
         core = Core(st.core_serial, j, lv, vs, keys, st.params)
         ph.cores.append(core)
@@ -631,11 +545,11 @@ def _start_phase(st: LcdState, j, lv):
     if ph.uset != set(dag.rank):
         raise PhaseBroken("trim residue must match the dag")
     for u in sorted(ph.uset):
-        cands = st.upward_keys(u, j, lv)
+        cands = st.upward(u, j, lv)
         if cands:
-            ph.assoc[u] = min(_other(k, u) for k in cands)
+            ph.assoc[u] = min(cands)
     depth = C_TC * _ilg(st.n) + 1
-    tedges = [(a, b, 1) for a, b in sorted(hkeys)]
+    tedges = [(a, b, 1) for a, b in hkeys]
     for k in ph.cores:
         for v in sorted(k.live):
             tedges.append((ROOT, v, 1))
@@ -766,39 +680,9 @@ def _layer_drop(st: LcdState, x, jo, jn):
             sub.buf_up.pop(x, None)
         else:
             core, lx = _leave_nonbuffer(st, x, jo, l)
-        # the own-layer refinement dissolves into a plain layer bucket
-        keys = st.inc.inlayer_keys(x)
-        st.inc.by_sub[x] = {}
-        st.inc.above[x] = set()
-        if keys:
-            st.inc.by_layer[x].setdefault(jo, set()).update(keys)
-        for key in sorted(keys):
-            w = _other(key, x)
-            st.inc.discard_inlayer(w, key)
-            st.inc.by_layer[w].setdefault(jn, set()).add(key)
-    # neighbors outside jo refile the shared key under the new layer
-    for jj, ks in list(st.inc.by_layer.get(x, {}).items()):
-        if jj == jo:
-            continue
-        for key in list(ks):
-            z = _other(key, x)
-            zl = st.layer_of(z)
-            if zl == jo:
-                continue
-            bl = st.inc.by_layer[z]
-            if jo in bl:
-                bl[jo].discard(key)
-            if zl == jn and jn <= st.r:
-                tgt = st.lay[jn].L
-                if tgt <= st.pos[z]:
-                    st.inc.by_sub[z].setdefault(tgt, set()).add(key)
-                else:
-                    st.inc.above[z].add(key)
-            else:
-                bl.setdefault(jn, set()).add(key)
     # layer growth trims the edge out of the lower spanning forests
-    for key in sorted(st.inc.all_keys(x)):
-        w = _other(key, x)
+    for w in sorted(y for y, _e in st.g.neighbors(x)):
+        key = _ekey(x, w)
         nj = max(st.layer_of(x), st.layer_of(w))
         old = st.jmax[key]
         if nj > old:
@@ -808,7 +692,7 @@ def _layer_drop(st: LcdState, x, jo, jn):
             st.jmax[key] = nj
     if jn <= st.r:
         _buffer_insert(st, x, jn, "D")
-    elif st.inc.all_keys(x):
+    elif st.g.degree(x):
         raise PhaseBroken("isolated vertex still has edges")
     return core, lx
 
@@ -841,7 +725,8 @@ def _settle(st: LcdState):
         deg = st.deg_below(x, j, l)
         if KEEP_DIV * deg >= deg0:
             continue
-        pi = len(st.inc.above.get(x, ()))
+        pi = sum(1 for w, _e in st.g.neighbors(x)
+                 if st.layer_of(w) == j and st.pos[w] > l)
         kind = "U1" if pi < NEAR_FACTOR * deg else "U2"
         core, lx = _leave_nonbuffer(st, x, j, l)
         st.pos.pop(x, None)
@@ -857,17 +742,17 @@ def _repair_links(st: LcdState):
     for j in range(1, st.r + 1):
         sub = st.lay[j]
         for x in sorted(sub.subs[sub.L]):
-            cands = st.upward_keys(x, j, sub.L)
+            cands = st.upward(x, j, sub.L)
             if not cands:
                 raise PhaseBroken(
                     f"buffer vertex {x} in layer {j} lost all upward edges")
-            best = min(_other(k, x) for k in cands)
+            best = min(cands)
             if sub.buf_up.get(x) != best:
                 sub.buf_up[x] = best
                 st._touched_verts.add(x)
         for l, ph in sorted(sub.phases.items()):
             for u in sorted(ph.uset):
-                cands = st.upward_keys(u, j, l)
+                cands = st.upward(u, j, l)
                 if not cands:
                     if u in ph.assoc:
                         ph.assoc.pop(u)
@@ -876,7 +761,7 @@ def _repair_links(st: LcdState):
                         st._touched_subs.add((j, l))
                         st._touched_verts.add(u)
                     continue
-                best = min(_other(k, u) for k in cands)
+                best = min(cands)
                 if u not in ph.assoc:
                     # candidates only shrink; a fresh link cannot appear
                     raise PhaseBroken(f"residue vertex {u} regrew an edge")
@@ -952,29 +837,16 @@ def lcd_build(g: DynamicGraph, params: LcdParams = None) -> LcdState:
         params = LcdParams.make(g.n)
     st = LcdState(g, params)
     for j in range(1, st.r + 1):
-        st.lay[j] = SublayerState(j, st.layers.config.h(j),
-                                  st.layers.n_leq[j - 1])
-    for u in range(st.n):
-        st.inc.ensure(u)
-    for j in range(1, st.r + 1):
+        sub = st.lay[j] = SublayerState(j, st.layers.config.h(j),
+                                        st.layers.n_leq[j - 1])
         members = st.layers.members_of(j)
         if not members:
             continue
-        sub = st.lay[j]
         if sub.L < 2:
             raise LcdError(f"populated layer {j} with a lone buffer sublayer")
         sub.subs[1] = set(members)
         for x in members:
             st.pos[x] = 1
-    for (u, v, _len) in sorted(g.edge_list()):
-        key = _ekey(u, v)
-        ju, jv = st.layer_of(u), st.layer_of(v)
-        if ju == jv and ju <= st.r:
-            st.inc.by_sub[u].setdefault(1, set()).add(key)
-            st.inc.by_sub[v].setdefault(1, set()).add(key)
-        else:
-            st.inc.by_layer[u].setdefault(jv, set()).add(key)
-            st.inc.by_layer[v].setdefault(ju, set()).add(key)
     for j in range(1, st.r + 1):
         if st.lay[j].subs.get(1):
             _start_phase(st, j, 1)
@@ -1032,8 +904,6 @@ def _delete_edge(st: LcdState, u, v, key) -> ChangeLog:
     for t in range(st.jmax.pop(key), st.r + 1):
         st.msf[t - 1].msf_delete(eid)
     st.g.delete_between(u, v)
-    st.inc.discard_any(u, key)
-    st.inc.discard_any(v, key)
     st._pending.update((u, v))
     if ju == jv and ju <= st.r and pu is not None and pu == pv \
             and pu < st.lay[ju].L:
@@ -1280,7 +1150,7 @@ def check_invariants(st: LcdState):
         j = st.layer_of(u)
         if j > st.r:
             assert u not in st.pos, f"isolated vertex {u} holds a position"
-            assert not st.inc.all_keys(u), f"isolated {u} keeps incident keys"
+            assert not st.g.degree(u), f"isolated vertex {u} keeps edges"
             continue
         l = st.pos.get(u)
         assert l is not None, f"vertex {u} has no sublayer position"
@@ -1305,8 +1175,7 @@ def check_invariants(st: LcdState):
             jw = st.layer_of(w)
             assert jw < j or (jw == j and st.pos[w] < sub.L), \
                 f"up-link of {x} does not point upward"
-            cands = st.upward_keys(x, j, sub.L)
-            assert w == min(_other(k, x) for k in cands), \
+            assert w == min(st.upward(x, j, sub.L)), \
                 f"up-link of {x} is not the smallest neighbor"
         # lifetime counters against the configured budgets
         mv = sub.moves_total()
@@ -1360,40 +1229,13 @@ def check_invariants(st: LcdState):
                     assert st.cores_by_vertex.get(x) is None
                     assert ph.tree.level_of(x) is not None, \
                         f"residue vertex {x} unreachable in its tree"
-                    cands = st.upward_keys(x, j, l)
+                    cands = st.upward(x, j, l)
                     if x in ph.assoc:
                         assert cands, f"association of {x} has no backing"
-                        assert ph.assoc[x] == min(_other(k, x) for k in cands)
+                        assert ph.assoc[x] == min(cands)
                         assert _ekey(x, ph.assoc[x]) in st.eid_of
                     else:
                         assert not cands, f"vertex {x} missing an association"
-    # incident structure covers the alive edges exactly
-    for u in range(st.n):
-        if st.layer_of(u) > st.r:
-            continue
-        mine = {_ekey(u, w) for w, _e in st.g.neighbors(u)}
-        held = st.inc.all_keys(u)
-        assert held == mine, f"incident sets of {u} drifted"
-        n_in = len(st.inc.inlayer_keys(u))
-        n_by = sum(len(ks) for ks in st.inc.by_layer[u].values())
-        assert n_in + n_by == len(mine), f"incident sets of {u} overlap"
-        ju, lu = st.layer_of(u), st.pos[u]
-        assert not st.inc.by_layer[u].get(ju), \
-            f"own-layer edges of {u} left in the plain bucket"
-        for ll, ks in st.inc.by_sub[u].items():
-            assert ll <= lu, f"refinement of {u} points below its position"
-            for key in ks:
-                w = _other(key, u)
-                assert st.layer_of(w) == ju and st.pos[w] == ll, \
-                    f"misplaced refinement key {key} at {u}"
-        for key in st.inc.above[u]:
-            w = _other(key, u)
-            assert st.layer_of(w) == ju and st.pos[w] > lu, \
-                f"misfiled above key {key} at {u}"
-        for jj, ks in st.inc.by_layer[u].items():
-            for key in ks:
-                w = _other(key, u)
-                assert st.layer_of(w) == jj, f"misbucketed key {key} at {u}"
     # forests: pool membership and weights re-derived from scratch
     for t in range(1, st.r + 1):
         f = st.msf[t - 1]

@@ -1,14 +1,19 @@
 """Byte-level determinism: pinned SHA-256 digests of whole teardowns.
 
 A behaviour-preserving refactor must leave every digest below unchanged.
-The LCD digests cover lcd_state_json (micros included) after the build
-and after every deletion, plus every ChangeLog, over shuffled full
-teardowns; the SSSP digests cover every sssp_dist/sssp_path answer after
-the build and after every deletion.  The surviving-feed digests run dense
-graphs under a phi large enough that in-core deletions survive, so the
-oracles get fed and queried, and cover every short_path answer as well.
-A digest that changes on purpose is re-pinned in the same change that
-explains why.
+The LCD digests cover lcd_state_json after the build and after every
+deletion, plus every ChangeLog, over shuffled full teardowns; the SSSP
+digests cover every sssp_dist/sssp_path answer after the build and after
+every deletion.  The surviving-feed digests run dense graphs under a phi
+large enough that in-core deletions survive, so the oracles get fed and
+queried, and cover every short_path answer as well.  A digest that
+changes on purpose is re-pinned in the same change that explains why.
+
+Each LCD and surviving-feed teardown is hashed twice in one pass.  The
+micros-free digests drop the micros work counter from every
+lcd_state_json; they prove behaviour, so a refactor that only changes
+how much bookkeeping the LCD counts keeps them.  The full digests keep
+micros and so also pin the work counter.
 
 The probe guard counts how often the queries read the scale table, so a
 per-query search over the scales fails without a timer.
@@ -43,17 +48,32 @@ LCD_SEEDS = ((31, 9, 0.5), (11, 9, 0.4), (12, 10, 0.55))
 
 LCD_DIGESTS = {
     ("coarse", 31):
-        "a8f35593739e7e1d847b4993b1f1841f6741a6ef2184d5af6ab77bfc4f036f3c",
+        "a8d4e99ae7da1cdb8dca09e13aa077309a872cf11e6272ec30883c2bb026f6c1",
     ("coarse", 11):
-        "2c42c71397ae5d471cb72076fce6be64a4fb3d2d89f076a286edc8b8fbfb38ae",
+        "832d37f333dde53267e41e8b6fcbc568f67fa28b9c26070438167d51fbe6c015",
     ("coarse", 12):
-        "af8afea246857d74899baa1455b931972e7bca1e4572773cf5e4ca8c8c07c619",
+        "34c411be9e113e306b6d2b81048a2173169591181876b28e425d85587ae7949d",
     ("default", 31):
-        "70fad513a53da6af58fa435a6a1677855f17f52bfc44c6fa83789618de7deda0",
+        "adf889cff5d7d8534c88fb06992ea49bb4d83f39c5562301369e3a5f0c9a35b6",
     ("default", 11):
-        "a28310d59001e7b569dee3f412213376e88a65d232db46ed1d6992e45389f834",
+        "0bc637df193bb4f4e2d971df9ce5728e6a5af1bfa334c035d82a42e3b4f5f91e",
     ("default", 12):
-        "9b00d32912c262c408f7f8fbcef7a5204ac17f13b03528c5bafafe2b9b18f0c5",
+        "7414fa7bebcafae7c08fdb2bb5b151b44945054d15423ab2bd768cc431033e83",
+}
+
+LCD_DIGESTS_NO_MICROS = {
+    ("coarse", 31):
+        "a6375e3783eecde5e23630e45aaedfb3f67f2ca908b56d7a7d68849f3eca1276",
+    ("coarse", 11):
+        "0da8f1cea3c9a2d8508fd6b51ac684e64b06b09678a69506e5cb9d59760baf35",
+    ("coarse", 12):
+        "202025869803b293f3cb2b4aff6852f1326bec6cb7aebefcd4dba6e9e3b53c10",
+    ("default", 31):
+        "78afe41a1dae9d91612dfeeb3668e808bee0a6f449cddce6ea39c23028909ffb",
+    ("default", 11):
+        "5c4ce2a6e022afeed97b197c70ef492ced8f5b8e0be395ab7cbc958bfb2d953e",
+    ("default", 12):
+        "f1d04740621538a697f47f8e6e86ac00f94e52d435a87a96e460bd6d9b50bbe3",
 }
 
 # (name, n, edges, shuffle seed)
@@ -65,11 +85,20 @@ FEED_CASES = (
 
 FEED_DIGESTS = {
     "k8":
-        "ef28da11b281987d609ad99e749cc6d078ce30b3b026c4cb0384cd46854cb21f",
+        "1809acb8c9ca6c015ecdf9f47861892b600c7818f07eb3a4c18a46b807e1b2a3",
     "gnp-10-0.95":
-        "d737c609679a8c78b62b9266ffd6034160ad69aa91cd8c689a4689a9b9513e45",
+        "9bf475091ae551408f6ecbf205f5c52d9c2a60f344ad7ea9d8c7ccd2f6cf49c2",
     "gnp-12-0.9":
         "953a75ed4450d6929785c0cfa78826bc2c863325251db6297789fed5382c11e8",
+}
+
+FEED_DIGESTS_NO_MICROS = {
+    "k8":
+        "951236b08eb6ee3df94d0cf9e01280073b669e945f7a9831da75278d5c513811",
+    "gnp-10-0.95":
+        "4ceadd89a299c1495b220ced2c581625fb21e103d4cdd35f8100c25b04bad2b9",
+    "gnp-12-0.9":
+        "c5b2967c5ded355a4c96ff071d735c3ae1acd1ae05f7e41523aa4ca15d70bee4",
 }
 
 SSSP_DIGESTS = {
@@ -91,21 +120,45 @@ def _feed(h, obj):
     h.update(b"\n")
 
 
+class LcdDigests:
+    """The full and the micros-free digest of one LCD teardown."""
+
+    def __init__(self):
+        self.full = hashlib.sha256()
+        self.no_micros = hashlib.sha256()
+
+    def feed(self, obj):
+        _feed(self.full, obj)
+        _feed(self.no_micros, obj)
+
+    def feed_state(self, st):
+        snap = lcd_state_json(st)
+        _feed(self.full, snap)
+        del snap["micros"]
+        _feed(self.no_micros, snap)
+
+    def feed_clog(self, clog):
+        self.feed([clog.layer_moves, clog.buffer_moves, clog.prunings,
+                   clog.destructions, clog.restarts])
+
+    def hexdigests(self) -> tuple:
+        return self.full.hexdigest(), self.no_micros.hexdigest()
+
+
 def lcd_teardown_digest(seed, n, p, params):
+    """(full, micros-free) digests of a shuffled full teardown."""
     st = lcd_build(DynamicGraph.from_edges(n, gnp(n, p, seed)), params=params)
-    h = hashlib.sha256()
-    _feed(h, lcd_state_json(st))
+    d = LcdDigests()
+    d.feed_state(st)
     order = sorted(st.eid_of)
     random.Random(seed + 1).shuffle(order)
     for key in order:
         if key not in st.eid_of:
             continue
-        clog = lcd_delete_edge(st, key)
-        _feed(h, [clog.layer_moves, clog.buffer_moves, clog.prunings,
-                  clog.destructions, clog.restarts])
-        _feed(h, lcd_state_json(st))
+        d.feed_clog(lcd_delete_edge(st, key))
+        d.feed_state(st)
     assert st.alive_edges() == []
-    return h.hexdigest()
+    return d.hexdigests()
 
 
 def _short_paths(st):
@@ -120,13 +173,14 @@ def _short_paths(st):
 
 
 def feed_teardown_digest(n, edges, seed):
-    """Shuffled teardown under wide_params(), up to the first LcdError:
-    these dense inputs eventually leave a phase that can neither trim nor
-    cut a core, and the error text is hashed as the last step."""
+    """(full, micros-free) digests of a shuffled teardown under
+    wide_params(), up to the first LcdError: these dense inputs eventually
+    leave a phase that can neither trim nor cut a core, and the error text
+    is hashed as the last step."""
     st = lcd_build(DynamicGraph.from_edges(n, edges), params=wide_params())
-    h = hashlib.sha256()
-    _feed(h, lcd_state_json(st))
-    _feed(h, _short_paths(st))
+    d = LcdDigests()
+    d.feed_state(st)
+    d.feed(_short_paths(st))
     order = sorted(st.eid_of)
     random.Random(seed).shuffle(order)
     for key in order:
@@ -135,13 +189,12 @@ def feed_teardown_digest(n, edges, seed):
         try:
             clog = lcd_delete_edge(st, key)
         except LcdError as exc:
-            _feed(h, repr(exc))
+            d.feed(repr(exc))
             break
-        _feed(h, [clog.layer_moves, clog.buffer_moves, clog.prunings,
-                  clog.destructions, clog.restarts])
-        _feed(h, lcd_state_json(st))
-        _feed(h, _short_paths(st))
-    return h.hexdigest()
+        d.feed_clog(clog)
+        d.feed_state(st)
+        d.feed(_short_paths(st))
+    return d.hexdigests()
 
 
 def sssp_teardown_digest(n, edges, order, params=None):
@@ -164,13 +217,14 @@ def sssp_teardown_digest(n, edges, order, params=None):
 def test_lcd_teardown_digest(kind, seed, n, p):
     params = coarse_params() if kind == "coarse" else None
     assert lcd_teardown_digest(seed, n, p, params) == \
-        LCD_DIGESTS[(kind, seed)]
+        (LCD_DIGESTS[(kind, seed)], LCD_DIGESTS_NO_MICROS[(kind, seed)])
 
 
 @pytest.mark.parametrize("name,n,edges,seed", FEED_CASES,
                          ids=[c[0] for c in FEED_CASES])
 def test_lcd_surviving_feed_digest(name, n, edges, seed):
-    assert feed_teardown_digest(n, edges, seed) == FEED_DIGESTS[name]
+    assert feed_teardown_digest(n, edges, seed) == \
+        (FEED_DIGESTS[name], FEED_DIGESTS_NO_MICROS[name])
 
 
 def test_sssp_default_teardown_digest():

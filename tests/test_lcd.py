@@ -552,6 +552,45 @@ class TestDeterminism:
         assert lcd_state_json(a) == lcd_state_json(b)
 
 
+class TestAuditCatchesDrift:
+    """check_invariants notices a position, up-link or forest weight that
+    drifts from what the rest of the structure says."""
+
+    @pytest.fixture
+    def st(self):
+        # G(16, 0.4) after 11 shuffled deletions parks vertex 12 in layer
+        # 4's buffer with three neighbours to link up to
+        st = build(16, gnp(16, 0.4, 5))
+        order = sorted(st.eid_of)
+        random.Random(5).shuffle(order)
+        for key in order[:11]:
+            lcd_delete_edge(st, key)
+        assert st.layer_of(12) == 4 and st.pos[12] == st.lay[4].L
+        check_invariants(st)
+        return st
+
+    def test_bumped_position(self, st):
+        st.pos[0] += 1
+        with pytest.raises(AssertionError, match="containers disagree"):
+            check_invariants(st)
+
+    def test_uplink_to_another_neighbour(self, st):
+        sub = st.lay[4]
+        others = sorted(w for w, _e in st.g.neighbors(12)
+                        if w != sub.buf_up[12])
+        assert others
+        sub.buf_up[12] = others[0]
+        with pytest.raises(AssertionError, match="not the smallest"):
+            check_invariants(st)
+
+    def test_reweighted_forest_edge(self, st):
+        f = st.msf[st.r - 1]
+        eid = min(f.forest_ids())
+        f.msf_reweight(eid, f.edge_info(eid)[2] + 1)
+        with pytest.raises(AssertionError, match="stale in forest"):
+            check_invariants(st)
+
+
 class TestFuzzTeardown:
     """Randomized deletions with the full structural audit turned on."""
 
