@@ -1,108 +1,51 @@
-"""Degree pruning and the layer hierarchy it induces.
+"""Degree layers: each vertex's place on a geometric ladder of thresholds.
 
-A vertex's "virtual degree" is the largest threshold h_j it survives
-iterated min-degree pruning for, out of a geometric ladder h_1 > ... > h_r.
-Layers only move downward while edges are deleted, which is what the
-layered distance structures rely on.
+The ladder is h_1 > ... > h_r = 1 with h_j = DELTA^(r-j) and h_1 > d_max.
+A_j, the largest vertex set in which every vertex keeps at least h_j
+neighbours inside the set, is the h_j-core, and A_1 <= ... <= A_r.  A
+vertex's layer is the smallest j with the vertex in A_j (r+1 once it is
+isolated): a bucketed core number.  Layers only move to higher indices
+while edges are deleted, which the layered distance structures rely on.
+
+One count per vertex keeps every A_j.  Take x at layer j and any i > j:
+x's degree into A_i is at least its degree into A_j, which is at least
+h_j > h_i, so only A_j can lose x.  So _own[x] counts x's neighbours whose
+layer is at most x's, and pass j checks only layer-j vertices against h_j.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graph_core import BadVertex, GraphView
 
-
-def proc_degree_pruning(view: GraphView, d: int) -> set[int]:
-    """Survivors of repeatedly removing vertices with < d live neighbors.
-
-    The result is the unique maximal vertex set whose induced subgraph has
-    minimum degree >= d.
-    """
-    alive = set(view.vertex_list())
-    deg = {u: 0 for u in alive}
-    for u in alive:
-        for v, _ in view.neighbors(u):
-            if v in alive:
-                deg[u] += 1
-    queue = deque(u for u in sorted(alive) if deg[u] < d)
-    queued = set(queue)
-    while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        if u not in alive or deg[u] >= d:
-            continue
-        alive.discard(u)
-        for v, _ in view.neighbors(u):
-            if v in alive:
-                deg[v] -= 1
-                if deg[v] < d and v not in queued:
-                    queue.append(v)
-                    queued.add(v)
-    return alive
+# degree layers are powers of DELTA
+DELTA = 2
 
 
-class PrunedSet:
-    """Decremental maintenance of the maximal min-degree-d subset.
+class LayerState:
+    """Layer and own-layer degree of every vertex of a graph view.
 
     Feed every edge deletion of the underlying graph through on_delete;
-    the maintained set then always equals a fresh recompute.
+    the layers then always equal a fresh core decomposition.
     """
 
-    def __init__(self, view: GraphView, d: int):
+    def __init__(self, view: GraphView):
         self.view = view
-        self.d = d
-        self.members = proc_degree_pruning(view, d)
-        self._deg = {u: 0 for u in self.members}
-        for u in self.members:
-            for v, _ in view.neighbors(u):
-                if v in self.members:
-                    self._deg[u] += 1
-
-    def __contains__(self, u: int) -> bool:
-        return u in self.members
-
-    def deg_inside(self, u: int) -> int:
-        return self._deg[u]
-
-    def on_delete(self, u: int, v: int) -> list[int]:
-        """Account for the deleted edge (u, v); returns vertices removed
-        from the set, in removal order."""
-        removed = []
-        if u in self.members and v in self.members:
-            self._deg[u] -= 1
-            self._deg[v] -= 1
-        queue = deque(x for x in (u, v) if x in self.members and self._deg[x] < self.d)
-        while queue:
-            x = queue.popleft()
-            if x not in self.members or self._deg[x] >= self.d:
-                continue
-            self.members.discard(x)
-            del self._deg[x]
-            removed.append(x)
-            for y, _ in self.view.neighbors(x):
-                if y in self.members:
-                    self._deg[y] -= 1
-                    if self._deg[y] < self.d:
-                        queue.append(y)
-        return removed
-
-
-@dataclass(frozen=True)
-class LayerConfig:
-    delta: int
-    r: int
-    thresholds: tuple[int, ...]  # h_1 > h_2 > ... > h_r = 1
-
-    @classmethod
-    def from_degree(cls, d_max: int, delta: int = 2) -> "LayerConfig":
-        if delta < 2:
-            raise ValueError(f"delta {delta} < 2")
+        verts = view.vertex_list()
+        self._layer = {u: 1 for u in verts}
+        self._own = {u: view.degree(u) for u in verts}
+        d_max = max(self._own.values(), default=0)
         r = 1
-        while delta ** (r - 1) <= d_max:
+        while DELTA ** (r - 1) <= d_max:
             r += 1
-        return cls(delta, r, tuple(delta ** (r - j) for j in range(1, r + 1)))
+        self.r = r
+        self.thresholds = tuple(DELTA ** (r - j) for j in range(1, r + 1))
+        for j in range(1, r + 1):
+            self._peel(j, [u for u in verts if self._layer[u] == j])
+        # frozen census: |A_j| at build time, indexed by layer
+        self.n_leq = tuple(sum(1 for jj in self._layer.values() if jj <= j)
+                           for j in range(1, r + 1))
 
     def h(self, j: int) -> int:
         """Threshold of layer j; 0 for the isolated layer r+1."""
@@ -110,63 +53,46 @@ class LayerConfig:
             return 0
         return self.thresholds[j - 1]
 
-
-@dataclass(frozen=True)
-class LayerEvent:
-    vertex: int
-    old_layer: int
-    new_layer: int
-
-
-class LayerState:
-    """Parallel pruned sets, one per threshold.
-
-    layer_of(v) is the smallest j whose pruned set still holds v (r+1 once
-    the vertex is isolated); the virtual degree is the matching threshold.
-    Deletions only ever move vertices to higher layer indices.
-    """
-
-    def __init__(self, view: GraphView, delta: int = 2):
-        verts = view.vertex_list()
-        d_max = max((view.degree(u) for u in verts), default=0)
-        self.config = LayerConfig.from_degree(d_max, delta)
-        r = self.config.r
-        self.pruned = [PrunedSet(view, self.config.h(j)) for j in range(1, r + 1)]
-        self._layer = {u: self._compute_layer(u) for u in verts}
-        # frozen census: |A_j| at build time, indexed by layer
-        self.n_leq = tuple(len(p.members) for p in self.pruned)
-
-    def _compute_layer(self, u: int) -> int:
-        for j, p in enumerate(self.pruned, start=1):
-            if u in p:
-                return j
-        return self.config.r + 1
-
     def layer_of(self, u: int) -> int:
         if u not in self._layer:
             raise BadVertex(f"vertex {u}")
         return self._layer[u]
 
-    def virtual_degree(self, u: int) -> int:
-        return self.config.h(self.layer_of(u))
-
     def members_of(self, j: int) -> list[int]:
         return sorted(u for u, jj in self._layer.items() if jj == j)
 
-    def on_delete(self, u: int, v: int) -> list[LayerEvent]:
-        """Feed an already-deleted edge; returns layer moves in order."""
-        touched: list[int] = []
-        seen = set()
-        for p in self.pruned:
-            for x in p.on_delete(u, v):
-                if x not in seen:
-                    seen.add(x)
-                    touched.append(x)
-        events = []
-        for x in touched:
-            old = self._layer[x]
-            new = self._compute_layer(x)
-            if new != old:
-                self._layer[x] = new
-                events.append(LayerEvent(x, old, new))
-        return events
+    def _peel(self, j: int, seeds) -> list[tuple[int, int, int]]:
+        """Move every layer-j vertex whose own count fell below h_j to
+        layer j+1, cascading through its layer-j neighbours."""
+        layer, own = self._layer, self._own
+        h = self.thresholds[j - 1]
+        queue = deque(x for x in seeds if layer[x] == j and own[x] < h)
+        moves = []
+        while queue:
+            x = queue.popleft()
+            layer[x] = j + 1
+            moves.append((x, j, j + 1))
+            cnt = 0
+            for y, _ in self.view.neighbors(x):
+                jy = layer[y]
+                if jy == j:
+                    own[y] -= 1
+                    if own[y] == h - 1:
+                        queue.append(y)
+                if jy <= j + 1:
+                    cnt += 1
+            own[x] = cnt
+        return moves
+
+    def on_delete(self, u: int, v: int) -> list[tuple[int, int, int]]:
+        """Feed an already-deleted edge; returns the (vertex, old, new)
+        layer moves in order."""
+        ju, jv = self._layer[u], self._layer[v]
+        if jv <= ju:
+            self._own[u] -= 1
+        if ju <= jv:
+            self._own[v] -= 1
+        # only the higher endpoints lost a counted neighbour, and a vertex
+        # leaving A_j keeps h_j - 1 >= h_{j+1} neighbours in A_{j+1}, so
+        # the one pass at that layer moves every vertex that moves
+        return self._peel(max(ju, jv), (u, v))

@@ -202,21 +202,12 @@ class MultiGraph:
 
 
 def _graph_data(g) -> tuple[list, list[tuple]]:
-    """Normalize a GraphView / MultiGraph / (verts, edges) into
+    """Normalize a GraphView or MultiGraph into
     (sorted vertex list, distinct (u, v, mult) edge triples)."""
-    if isinstance(g, GraphView):
-        verts = sorted(g.vertex_list(), key=repr)
-        return verts, [(u, v, 1) for u, v, _ in g.edge_list()]
     if isinstance(g, MultiGraph):
         return g.vertex_list(), g.distinct_edges()
-    verts, edges = g
-    verts = sorted(verts, key=repr)
-    cnt = Counter()
-    for e in edges:
-        u, v = e[0], e[1]
-        key = (u, v) if repr(u) <= repr(v) else (v, u)
-        cnt[key] += 1
-    return verts, [(u, v, k) for (u, v), k in sorted(cnt.items(), key=repr)]
+    verts = sorted(g.vertex_list(), key=repr)
+    return verts, [(u, v, 1) for u, v, _ in g.edge_list()]
 
 
 def _adjacency(verts, triples) -> dict:

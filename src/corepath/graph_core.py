@@ -263,18 +263,6 @@ class GraphView:
                 raise BadVertex(f"vertex {u} not in view")
         return GraphView(self.graph, S)
 
-    def materialize(self) -> tuple[DynamicGraph, dict[int, int]]:
-        """Copy the view into a fresh compact graph.
-
-        Returns the copy plus the old-id -> new-id vertex map.
-        """
-        verts = self.vertex_list()
-        remap = {u: i for i, u in enumerate(verts)}
-        g = DynamicGraph(len(verts))
-        for u, v, ln in self.edge_list():
-            g.add_edge(remap[u], remap[v], ln)
-        return g, remap
-
 
 @dataclass(frozen=True)
 class CutStats:

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .degree_layers import LayerState
+from .degree_layers import DELTA, LayerState
 from .dynamic_forest import MsfState, tt_connect
 from .es_tree import EsTree
 from .expander_oracle import (
@@ -60,8 +60,6 @@ CENSUS_COEFF = 72
 NEAR_FACTOR = 2
 C_TC = 8    # to-core tree depth coefficient
 C_TCP = 16  # to-core walk length cap coefficient
-# degree layers are powers of DELTA
-DELTA = 2
 # coefficient of the lifetime caps that check_invariants puts on each
 # layer's buffer moves, phase starts and created cores
 LIFETIME_COEFF = 64
@@ -281,8 +279,8 @@ class LcdState:
         self.g = g
         self.n = g.n
         self.params = params
-        self.layers = LayerState(GraphView(g), DELTA)
-        self.r = self.layers.config.r
+        self.layers = LayerState(GraphView(g))
+        self.r = self.layers.r
         self.lay: dict = {}
         self.pos: dict = {}
         self.cores_by_vertex: dict = {}
@@ -837,7 +835,7 @@ def lcd_build(g: DynamicGraph, params: LcdParams = None) -> LcdState:
         params = LcdParams.make(g.n)
     st = LcdState(g, params)
     for j in range(1, st.r + 1):
-        sub = st.lay[j] = SublayerState(j, st.layers.config.h(j),
+        sub = st.lay[j] = SublayerState(j, st.layers.h(j),
                                         st.layers.n_leq[j - 1])
         members = st.layers.members_of(j)
         if not members:
@@ -916,9 +914,9 @@ def _delete_edge(st: LcdState, u, v, key) -> ChangeLog:
     # its core hands the dead edge to its own detach feed below
     moved = []
     jset = set()
-    for ev in st.layers.on_delete(u, v):
-        moved.append(_layer_drop(st, ev.vertex, ev.old_layer, ev.new_layer))
-        jset.update(jj for jj in (ev.old_layer, ev.new_layer) if jj <= st.r)
+    for x, jo, jn in st.layers.on_delete(u, v):
+        moved.append(_layer_drop(st, x, jo, jn))
+        jset.update(jj for jj in (jo, jn) if jj <= st.r)
     for jj in sorted(jset):
         _i1_restarts(st, jj)
     ku = st.cores_by_vertex.get(u)
@@ -1232,8 +1230,12 @@ def check_invariants(st: LcdState):
                     cands = st.upward(x, j, l)
                     if x in ph.assoc:
                         assert cands, f"association of {x} has no backing"
-                        assert ph.assoc[x] == min(cands)
-                        assert _ekey(x, ph.assoc[x]) in st.eid_of
+                        w = ph.assoc[x]
+                        assert w == min(cands)
+                        assert _ekey(x, w) in st.eid_of
+                        jw = st.layer_of(w)
+                        assert jw < j or (jw == j and st.pos[w] < l), \
+                            f"association of {x} does not point upward"
                     else:
                         assert not cands, f"vertex {x} missing an association"
     # forests: pool membership and weights re-derived from scratch

@@ -219,7 +219,6 @@ class SsspScaleInstance:
         self.length, self.discarded, self.Dp, self.factor = \
             round_lengths(g.n, edges, eps, D)
         self.lam = (4 * self.Dp).bit_length() - 1
-        self.depth = 32 * self.Dp
         self.far_level = far_level(self.n, eps)
         # the original-length estimate at tree level lv is
         # (lv*x + y) / z with (x, y, z) = dist_terms: the scaled estimate
@@ -295,7 +294,8 @@ class SsspScaleInstance:
                 cs.sn_of[lab] = snid
                 for u in cs.conn.component_members(v):
                     edges.append((u, snid, 1))
-        self.tree = EsTree(self.s, self.depth, edges,
+        # levels past far_level are never read, so the tree stops there
+        self.tree = EsTree(self.s, self.far_level, edges,
                            vertices=range(self.n))
 
     def _fresh_sn(self, i: int):
@@ -501,10 +501,10 @@ def _hat_edges(inst):
 def check_scale_invariants(inst: SsspScaleInstance):
     n = inst.n
     assert inst.lam == (4 * inst.Dp).bit_length() - 1
-    assert inst.depth == 32 * inst.Dp
     assert inst.far_level == far_level(n, inst.eps)
-    # _locate reads an absent vertex's level, depth + 1, as too far
-    assert inst.far_level <= inst.depth
+    # the tree stops where answers stop: _locate reads an absent vertex's
+    # level, far_level + 1, as too far
+    assert inst.tree.depth == inst.far_level
     x, y, z = inst.dist_terms
     assert Fraction(x, z) == Fraction(1, 4) / inst.factor
     assert Fraction(y, z) == inst.eps * inst.Dp / 4 / inst.factor
@@ -567,7 +567,7 @@ def check_scale_invariants(inst: SsspScaleInstance):
     for v in list(range(n)) + sn_ids:
         lv = inst.tree.level_of(v)
         dv = dist.get(v)
-        if dv is not None and dv <= inst.depth:
+        if dv is not None and dv <= inst.far_level:
             assert lv == dv, f"tree level off at {v!r}"
         else:
             assert lv is None, f"{v!r} should sit beyond the depth cap"
@@ -644,9 +644,9 @@ def _locate(sp, v):
     """First scale that commits to an answer for v, or None.
 
     Starts at v's scale pointer and steps up while the scale's level for
-    v is over its far_level (an absent vertex reads depth + 1, which is
-    over it), then stores where it stopped.  A scale passed over stays
-    too far, as tree levels only rise, so the stop is the first
+    v is over its far_level (an absent vertex reads far_level + 1, the
+    tree's depth + 1), then stores where it stopped.  A scale passed over
+    stays too far, as tree levels only rise, so the stop is the first
     committing scale; one probe per query plus one per step, and at most
     imax + 1 steps per vertex over a run."""
     i = sp.scale_ptr[v]

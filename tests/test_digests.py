@@ -15,6 +15,11 @@ lcd_state_json; they prove behaviour, so a refactor that only changes
 how much bookkeeping the LCD counts keeps them.  The full digests keep
 micros and so also pin the work counter.
 
+The layer-move digest hashes the degree layers of a 300-vertex graph and
+the (vertex, old, new) moves of every deletion of its shuffled teardown,
+so the move order is pinned on an input far larger than the LCD
+teardowns.
+
 The probe guard counts how often the queries read the scale table, so a
 per-query search over the scales fails without a timer.
 
@@ -31,6 +36,7 @@ import random
 import pytest
 
 import oracles as orc
+from corepath.degree_layers import LayerState
 from corepath.es_tree import EsTree
 from corepath.graph_core import DynamicGraph, GraphView
 from corepath.lcd import (
@@ -108,10 +114,13 @@ SSSP_DIGESTS = {
         "250c308766275322bd91543ae3396e538ae584d604e47e01f96ba68dcb36e354",
 }
 
+LAYER_MOVES_DIGEST = \
+    "b36ad294714db8e5105701039ea5ba3dbd1d79ca5e87bce144c761b45bba6ceb"
+
 # EsTree.work after the build and after the whole teardown
 WORK_PINS = {
     "weighted-grid-6x7": (142, 838),
-    "sssp-adaptive-gnp-12": (342, 2551),
+    "sssp-adaptive-gnp-12": (336, 2446),
 }
 
 
@@ -233,6 +242,23 @@ def test_sssp_default_teardown_digest():
     random.Random(3).shuffle(order)
     assert sssp_teardown_digest(10, edges, order) == \
         SSSP_DIGESTS["default-gnp-3-10"]
+
+
+def test_layer_move_digest():
+    n = 300
+    g = DynamicGraph.from_edges(n, orc.gen_gnp_connected(n, 0.05, seed=3))
+    layers = LayerState(GraphView(g))
+    h = hashlib.sha256(repr([layers.layer_of(u) for u in range(n)]).encode())
+    eids = list(g.alive_edges())
+    random.Random(3).shuffle(eids)
+    moves = 0
+    for eid in eids:
+        r = g.delete_edge(eid)
+        ev = layers.on_delete(r.u, r.v)
+        moves += len(ev)
+        h.update(repr(ev).encode())
+    assert (len(eids), moves) == (2499, 1200)
+    assert h.hexdigest() == LAYER_MOVES_DIGEST
 
 
 class CountingScales(dict):

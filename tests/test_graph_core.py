@@ -123,12 +123,6 @@ class TestGraphView:
         for view in views:
             assert view.edge_list() == listing(view)
 
-    def test_materialize_remaps(self):
-        g = k4()
-        sub, remap = gc.GraphView(g, [1, 3]).materialize()
-        assert sub.n == 2 and sub.m == 1
-        assert remap == {1: 0, 3: 1}
-
 
 class TestCutStats:
     def test_k4_half_cut(self):

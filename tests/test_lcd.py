@@ -312,6 +312,47 @@ class TestDeleteCascades:
                 totals[kind] += cnt
         assert totals == seen
 
+    def test_near_side_buffer_move(self):
+        # G(20, 0.2) under wide_params(): at deletion 17 vertex 14 has few
+        # own-layer neighbours in deeper sublayers, so it takes the near
+        # (U1) branch of _settle
+        st = build(20, gnp(20, 0.2, 42), wide_params())
+        order = sorted(st.eid_of)
+        assert len(order) == 37
+        random.Random(0).shuffle(order)
+        umoves = {}
+        for i, key in enumerate(order):
+            cl = lcd_delete_edge(st, key)
+            check_invariants(st)
+            for m in cl.buffer_moves:
+                if m[2] in ("U1", "U2"):
+                    umoves.setdefault(i, []).append(m)
+        assert umoves == {17: [(14, 3, "U1")], 35: [(11, 4, "U2")]}
+        assert st.lay[3].moves["U1"] == 1
+
+
+class TestRanks:
+    """upward(u, j, l) is the neighbours ranked strictly above (j, l);
+    deg_below(u, j, l) counts those ranked at or above it."""
+
+    def test_upward_is_strict_and_deg_below_is_not(self):
+        st = build(16, gnp(16, 0.4, 5))
+        same = 0
+        for u in sorted(st.pos):
+            j, l = st.layer_of(u), st.pos[u]
+            above, level = set(), 0
+            for w, _e in st.g.neighbors(u):
+                jw = st.layer_of(w)
+                if jw < j or (jw == j and st.pos[w] < l):
+                    above.add(w)
+                elif jw == j and st.pos[w] == l:
+                    level += 1
+            same += level
+            assert set(st.upward(u, j, l)) == above
+            assert st.deg_below(u, j, l) == len(above) + level
+        # ordered neighbour pairs sharing a sublayer, where < and <= differ
+        assert same == 92
+
 
 class TestToCorePath:
     def test_core_member_gets_empty_path(self, k8_state):
