@@ -24,13 +24,6 @@ class SplitEvent:
     moved: tuple  # members that changed label, sorted
 
 
-@dataclass(frozen=True)
-class MergeEvent:
-    kept_label: int
-    gone_label: int
-    moved: tuple
-
-
 class _ForestBase:
     """Adjacency + forest bookkeeping shared by ConnSF and MsfState."""
 
@@ -69,7 +62,7 @@ class _ForestBase:
     def forest_neighbors(self, v):
         return self._forest[v]
 
-    def _merge(self, u, v) -> MergeEvent:
+    def _merge(self, u, v):
         lu, lv = self._comp[u], self._comp[v]
         if len(self._members[lu]) < len(self._members[lv]):
             lu, lv = lv, lu  # relabel the smaller side lv -> lu
@@ -77,7 +70,6 @@ class _ForestBase:
         for x in moved:
             self._comp[x] = lu
         self._members[lu] |= moved
-        return MergeEvent(lu, lv, tuple(sorted(moved, key=repr)))
 
     def _side_of(self, root, banned_nbr) -> set:
         """Forest-component of root after conceptually dropping the edge
@@ -146,7 +138,7 @@ class ConnSF(_ForestBase):
     def has_edge(self, u, v) -> bool:
         return u in self._adj and v in self._adj[u]
 
-    def conn_insert(self, u, v) -> Optional[MergeEvent]:
+    def conn_insert(self, u, v):
         self.add_vertex(u)
         self.add_vertex(v)
         if v in self._adj[u] or u == v:
@@ -156,8 +148,7 @@ class ConnSF(_ForestBase):
         if self._comp[u] != self._comp[v]:
             self._forest[u][v] = True
             self._forest[v][u] = True
-            return self._merge(u, v)
-        return None
+            self._merge(u, v)
 
     def conn_delete(self, u, v) -> Optional[SplitEvent]:
         if v not in self._adj.get(u, {}):
@@ -179,19 +170,15 @@ class ConnSF(_ForestBase):
                     return None
         return self._split(side_u, self._members[self._comp[u]] - side_u)
 
-    def conn_remove_vertex(self, v) -> list[SplitEvent]:
-        events = []
+    def conn_remove_vertex(self, v):
         for u in sorted(list(self._adj.get(v, {})), key=repr):
-            ev = self.conn_delete(v, u)
-            if ev is not None:
-                events.append(ev)
+            self.conn_delete(v, u)
         lab = self._comp.pop(v)
         self._members[lab].discard(v)
         if not self._members[lab]:
             del self._members[lab]
         del self._adj[v]
         del self._forest[v]
-        return events
 
 
 class MsfState(_ForestBase):
@@ -211,9 +198,6 @@ class MsfState(_ForestBase):
 
     def edge_info(self, eid):
         return self._edge[eid]
-
-    def forest_ids(self) -> set[int]:
-        return set(self._tree_ids)
 
     def _link(self, eid):
         u, v, w = self._edge[eid]
@@ -240,7 +224,7 @@ class MsfState(_ForestBase):
 
     # -- operations ------------------------------------------------------
 
-    def msf_insert(self, u, v, eid, w) -> list[tuple]:
+    def msf_insert(self, u, v, eid, w):
         self.add_vertex(u)
         self.add_vertex(v)
         if eid in self._edge:
@@ -253,15 +237,13 @@ class MsfState(_ForestBase):
         if self._comp[u] != self._comp[v]:
             self._link(eid)
             self._merge(u, v)
-            return [("add", eid)]
+            return
         worst = self._path_max(u, v)
         if (w, eid) < worst:
             self._unlink(worst[1])
             self._link(eid)
-            return [("drop", worst[1]), ("add", eid)]
-        return []
 
-    def msf_delete(self, eid) -> list[tuple]:
+    def msf_delete(self, eid):
         if eid not in self._edge:
             raise KeyError(f"edge id {eid}")
         u, v, _ = self._edge[eid]
@@ -269,10 +251,9 @@ class MsfState(_ForestBase):
         del self._adj[v][u]
         if eid not in self._tree_ids:
             del self._edge[eid]
-            return []
+            return
         self._unlink(eid)
         del self._edge[eid]
-        events = [("drop", eid)]
         side_u = self._side_of(u, v)
         best = None
         for x in side_u:
@@ -283,25 +264,16 @@ class MsfState(_ForestBase):
                         best = key
         if best is not None:
             self._link(best[1])
-            events.append(("add", best[1]))
         else:
             self._split(side_u, self._members[self._comp[u]] - side_u)
-        return events
 
-    def msf_reweight(self, eid, w) -> list[tuple]:
+    def msf_reweight(self, eid, w):
         if eid not in self._edge:
             raise KeyError(f"edge id {eid}")
         u, v, old = self._edge[eid]
-        if w == old:
-            return []
-        ev1 = self.msf_delete(eid)
-        ev2 = self.msf_insert(u, v, eid, w)
-        dropped = {e for k, e in ev1 if k == "drop"} | {e for k, e in ev2 if k == "drop"}
-        added = {e for k, e in ev1 if k == "add"} | {e for k, e in ev2 if k == "add"}
-        both = dropped & added
-        out = [("drop", e) for e in sorted(dropped - both)]
-        out += [("add", e) for e in sorted(added - both)]
-        return out
+        if w != old:
+            self.msf_delete(eid)
+            self.msf_insert(u, v, eid, w)
 
 
 # -- forest path queries -------------------------------------------------

@@ -64,14 +64,12 @@ class EsTree:
         depth: int,
         edges: Iterable[tuple] = (),
         vertices: Iterable[Hashable] = (),
-        debug: bool = False,
     ):
         """edges: (u, v, w) with integer w >= 1."""
         if depth < 0:
             raise ValueError(f"depth {depth}")
         self.source = source
         self.depth = depth
-        self.debug = debug
         self.work = 0
         self._adj = adj = {v: {} for v in vertices}
         for u, v, w in edges:
@@ -97,11 +95,9 @@ class EsTree:
         self._settle([(0, 0, source)])
 
     @classmethod
-    def es_build(
-        cls, view: GraphView, source: int, depth: int, debug: bool = False
-    ) -> "EsTree":
+    def es_build(cls, view: GraphView, source: int, depth: int) -> "EsTree":
         return cls(source, depth, view.edge_list(),
-                   vertices=view.vertex_list(), debug=debug)
+                   vertices=view.vertex_list())
 
     # -- plumbing --------------------------------------------------------
 
@@ -289,9 +285,6 @@ class EsTree:
                 if parent[y] == x:
                     kids.append(y)
             if sup is not None:
-                if self.debug and any(level[y] + w < lv
-                                      for y, w in adj[x].items()):
-                    raise AssertionError(f"level of {x!r} would drop")
                 parent[x] = sup
             else:
                 hurt[x] = lv
@@ -326,9 +319,9 @@ class EsTree:
             if d <= depth:
                 heap.append((d, len(heap), x))
         self.work += work
-        self._settle(heap, hurt)
+        self._settle(heap)
 
-    def _settle(self, heap: list, old: Optional[dict] = None):
+    def _settle(self, heap: list):
         """Depth-capped Dijkstra over the vertices whose level is absent.
 
         heap holds (level, tie, vertex) seeds, one per vertex.  A vertex
@@ -337,11 +330,9 @@ class EsTree:
         strictly lower, so it is settled by then.  Only absent neighbours
         are relaxed: the others are settled or, after a deletion, unhurt,
         and an unhurt vertex that was absent stays beyond the cap, since
-        distances only grow.  With `debug`, `old` holds the levels before
-        a deletion, and a settled level below one raises."""
+        distances only grow."""
         level, parent, adj = self.level, self.parent, self._adj
         absent = self._absent
-        audit = self.debug and old is not None
         push, pop = heapq.heappush, heapq.heappop
         best = {x: d for d, _, x in heap}
         tick = len(heap)
@@ -351,8 +342,6 @@ class EsTree:
             d, _, x = pop(heap)
             if level[x] != absent:
                 continue
-            if audit and d < old[x]:
-                raise AssertionError(f"level of {x!r} would drop")
             level[x] = d
             row = adj[x]
             work += len(row)

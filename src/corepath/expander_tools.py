@@ -1,5 +1,5 @@
-"""Expander toolbox: strong-expander checks, cut-or-certify, decomposition,
-pruning, the cut-matching game, and short-path embeddings.
+"""Expander toolbox: cut-or-certify, decomposition, pruning, the
+cut-matching game, and short-path embeddings.
 
 Conventions shared by everything here:
 
@@ -36,10 +36,6 @@ EXACT_CAP = 20
 
 
 class ExpanderError(GraphError):
-    pass
-
-
-class TooLargeForExactCheck(ExpanderError):
     pass
 
 
@@ -123,9 +119,6 @@ class ExpanderParams:
         g = gamma_value(max(2, n))
         return cls(phi=Fraction(1, C_PHI) / g, gamma=g, **kw)
 
-    def path_len_cap(self, m: int) -> int:
-        return math.ceil(C_L * _lg(m) / float(self.phi))
-
     def congestion_cap(self, m: int) -> int:
         return math.ceil(C_ETA * _lg(m) ** 2 / float(self.phi) ** 2)
 
@@ -178,9 +171,6 @@ class MultiGraph:
 
     def multiplicity(self, u, v) -> int:
         return self._adj.get(u, Counter()).get(v, 0)
-
-    def max_degree(self) -> int:
-        return max((self.degree(u) for u in self._adj), default=0)
 
     def edge_list(self) -> list[tuple]:
         """Every parallel copy listed once, endpoints in repr order."""
@@ -411,32 +401,6 @@ def _cut_tables(verts, triples, cap: int, rng, host_deg=None) -> _CutTables:
     return _CutTables(verts, triples, host_deg, mem=mem)
 
 
-# -- strong expander check ----------------------------------------------
-
-
-def is_strong_expander(
-    sub: GraphView, host: GraphView, phi, cap: int = EXACT_CAP
-) -> tuple[bool, Optional[frozenset]]:
-    """Exact check that ``sub`` is a strong phi-expander against ``host``:
-    every bipartition's sub-boundary is at least phi times the smaller
-    host volume.  Returns (ok, witness); the witness is a most-violating
-    side when the check fails."""
-    phi = Fraction(phi)
-    verts = sorted(sub.vertex_list(), key=repr)
-    if len(verts) > cap:
-        raise TooLargeForExactCheck(f"{len(verts)} vertices > cap {cap}")
-    if len(verts) <= 1:
-        return True, None
-    host_deg = {v: host.degree(v) for v in verts}
-    triples = [(u, v, 1) for u, v, _ in sub.edge_list()]
-    tab = _CutTables(verts, triples, host_deg=host_deg)
-    rows = _violation_rows(tab, phi)
-    if rows.size == 0:
-        return True, None
-    row = _worst_violation(tab, rows)
-    return False, _small_side(tab, row)
-
-
 # -- cut or certify ------------------------------------------------------
 
 
@@ -589,6 +553,8 @@ def ball_cut(h, s_set, t_set, ell: int) -> frozenset:
     """Grow a ball around the lighter of the two seed sets until its
     boundary dips under (8 log m / ell) of its volume.  Needs the seed
     sets to be further than ell apart."""
+    if ell < 1:
+        raise ValueError(f"ell={ell} < 1")
     adj = _to_adj_simple(h)
     s_set = frozenset(s_set)
     t_set = frozenset(t_set)
@@ -660,6 +626,8 @@ def matching_or_cut(g: GraphView, a_set, b_set, ell: int):
     auxiliary source/sink tree while they stay within reach.  If the sets
     drift further than ell apart before the harvest reaches the count
     target 8k log(m)/ell^2, a grown sparse cut is returned instead."""
+    if ell < 1:
+        raise ValueError(f"ell={ell} < 1")
     a_left = sorted(set(a_set), key=repr)
     b_left = sorted(set(b_set), key=repr)
     if set(a_left) & set(b_left):
@@ -744,15 +712,6 @@ class Embedding:
             length = max(length, len(path) - 1)
         congestion = max(usage.values(), default=0)
         return cls(host, dict(mapping), length, congestion)
-
-    def recompute(self) -> tuple[int, int]:
-        usage = Counter()
-        length = 0
-        for path in self.guest_edges.values():
-            for x, y in zip(path, path[1:]):
-                usage[frozenset((x, y))] += 1
-            length = max(length, len(path) - 1)
-        return length, max(usage.values(), default=0)
 
 
 def terminal_matching(g: GraphView, a_set, b_set, phi, params=None):
@@ -979,22 +938,8 @@ class PrunedExpander:
     def vol_initial(self, s) -> int:
         return sum(self.deg0[v] for v in s)
 
-    def boundary_initial(self, s) -> int:
-        s = set(s)
-        return sum(1 for u in s for v in self.adj0[u] if v not in s)
-
     def remainder(self) -> list:
         return [v for v in self.verts if v not in self.pruned]
-
-    def remainder_edge_list(self) -> list[tuple]:
-        out = []
-        for u in self.verts:
-            if u in self.pruned:
-                continue
-            for v in self.adj[u]:
-                if v not in self.pruned and repr(u) < repr(v):
-                    out.append((u, v))
-        return out
 
     def _settle(self) -> list:
         """Prune violating sides until the remainder re-certifies."""

@@ -1,8 +1,8 @@
 """Shared dynamic-graph substrate.
 
-Undirected simple graphs with positive integer edge lengths, stable edge
-ids, and a deletion log.  Everything downstream (layer maintenance, trees,
-expander machinery, the distance structures) works against this module.
+Undirected simple graphs with positive integer edge lengths and stable
+edge ids.  Everything downstream (layer maintenance, trees, expander
+machinery, the distance structures) works against this module.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class DeletionReceipt:
     u: int
     v: int
     length: int
-    index: int  # position in the deletion log
 
 
 class DynamicGraph:
@@ -75,7 +74,6 @@ class DynamicGraph:
         self._adj: list[list[int]] = [[] for _ in range(n)]
         self._dead: list[int] = [0] * n  # dead entries per adjacency row
         self._pair: dict[tuple[int, int], int] = {}
-        self.deletion_log: list[int] = []
 
     # -- construction ----------------------------------------------------
 
@@ -160,12 +158,6 @@ class DynamicGraph:
     def edge_list(self) -> list[tuple[int, int, int]]:
         return [(self._u[e], self._v[e], self._len[e]) for e in self.alive_edges()]
 
-    def copy(self) -> "DynamicGraph":
-        g = DynamicGraph(self.n)
-        for e in self.alive_edges():
-            g.add_edge(self._u[e], self._v[e], self._len[e])
-        return g
-
     # -- mutation --------------------------------------------------------
 
     def delete_edge(self, e: int) -> DeletionReceipt:
@@ -180,9 +172,7 @@ class DynamicGraph:
             if self._dead[x] * 2 > len(self._adj[x]):
                 self._adj[x] = [i for i in self._adj[x] if self._alive[i]]
                 self._dead[x] = 0
-        idx = len(self.deletion_log)
-        self.deletion_log.append(e)
-        return DeletionReceipt(e, u, v, self._len[e], idx)
+        return DeletionReceipt(e, u, v, self._len[e])
 
     def delete_between(self, u: int, v: int) -> DeletionReceipt:
         eid = self.edge_id(u, v)
@@ -256,13 +246,6 @@ class GraphView:
                         out.append((u, v, elen[eid]))
         return out
 
-    def induced(self, S: Iterable[int]) -> "GraphView":
-        S = frozenset(S)
-        for u in S:
-            if not self.contains(u):
-                raise BadVertex(f"vertex {u} not in view")
-        return GraphView(self.graph, S)
-
 
 @dataclass(frozen=True)
 class CutStats:
@@ -329,27 +312,32 @@ def dijkstra(source, edges: Iterable[tuple], cap=None) -> dict:
 # -- file formats -------------------------------------------------------
 
 
+def _ints(fields, no: int, line: str) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise TraceParse(f"line {no}: {line!r}: non-integer field") from None
+
+
 def parse_graph(text: str) -> DynamicGraph:
     """Graph file: header "n m", then m lines "u v [len]" (0-based)."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise TraceParse("empty graph file")
-    head = lines[0].split()
+    no, ln = lines[0]
+    head = ln.split()
     if len(head) != 2:
-        raise TraceParse(f"bad header {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+        raise TraceParse(f"bad header {ln!r}")
+    n, m = _ints(head, no, ln)
     if len(lines) - 1 != m:
         raise TraceParse(f"header says {m} edges, file has {len(lines) - 1}")
     g = DynamicGraph(n)
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         parts = ln.split()
-        if len(parts) == 2:
-            g.add_edge(int(parts[0]), int(parts[1]))
-        elif len(parts) == 3:
-            g.add_edge(int(parts[0]), int(parts[1]), int(parts[2]))
-        else:
+        if len(parts) not in (2, 3):
             raise TraceParse(f"bad edge line {ln!r}")
+        g.add_edge(*_ints(parts, no, ln))
     return g
 
 
@@ -370,7 +358,8 @@ def parse_trace(text: str) -> list[tuple[str, int, int]]:
         parts = ln.split()
         if len(parts) != 3 or parts[0] not in ("D", "P", "Q"):
             raise TraceParse(f"line {no}: {raw!r}")
-        ops.append((parts[0], int(parts[1]), int(parts[2])))
+        u, v = _ints(parts[1:], no, raw)
+        ops.append((parts[0], u, v))
     return ops
 
 

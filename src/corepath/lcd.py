@@ -70,10 +70,6 @@ class LcdError(GraphError):
     pass
 
 
-class IsolatedVertex(LcdError):
-    """Raised for queries on vertices with zero virtual degree."""
-
-
 class NotInCore(LcdError):
     pass
 
@@ -933,66 +929,6 @@ def _delete_edge(st: LcdState, u, v, key) -> ChangeLog:
 
 
 # -- queries --------------------------------------------------------------
-
-
-def to_core_path(st: LcdState, u) -> list:
-    """Walk upward from u to the nearest reachable core vertex.
-
-    Returns the walk as (from, to) real-edge pairs; empty when u already
-    sits inside a core.  Positions (layer, sublayer) never increase along
-    the walk and strictly decrease whenever the walk switches structure.
-    """
-    _check_live(st)
-    u = int(u)
-    if st.layer_of(u) > st.r:
-        raise IsolatedVertex(f"vertex {u} has zero virtual degree")
-    cap = _walk_cap(st.n)
-    out: list = []
-    cur = u
-    prev_pos = None
-    while True:
-        if st.core_at(cur) is not None:
-            return out
-        j = st.layer_of(cur)
-        if j > st.r:
-            raise PhaseBroken(f"walk fell onto isolated vertex {cur}")
-        sub = st.lay[j]
-        l = st.pos[cur]
-        if prev_pos is not None and (j, l) >= prev_pos:
-            raise PhaseBroken("walk failed to move upward")
-        prev_pos = (j, l)
-        if len(out) > cap:
-            raise PhaseBroken(f"to-core walk exceeded {cap} edges")
-        if l == sub.L:
-            w = sub.buf_up.get(cur)
-            if w is None:
-                raise PhaseBroken(f"buffer vertex {cur} has no up-link")
-            out.append((cur, w))
-            cur = w
-            continue
-        ph = sub.phases.get(l)
-        if ph is None or ph.tree is None or ph.tree.level_of(cur) is None:
-            raise PhaseBroken(f"vertex {cur} is not tree-reachable")
-        chain = list(reversed(ph.tree.es_path(cur)))  # cur .. x1, ROOT
-        hop = None
-        for a, b in zip(chain, chain[1:]):
-            if b == ROOT:
-                # a sits next to the virtual root: it is an associated
-                # residue vertex, so cross its upward edge
-                w = ph.assoc.get(a)
-                if w is None:
-                    raise PhaseBroken(f"vertex {a} has no upward edge")
-                out.append((a, w))
-                hop = w
-                break
-            out.append((a, b))
-            if len(out) > cap:
-                raise PhaseBroken(f"to-core walk exceeded {cap} edges")
-            if st.core_at(b) is not None:
-                return out
-        if hop is None:
-            raise PhaseBroken("tree walk ended without reaching the root")
-        cur = hop
 
 
 def short_core_path(st: LcdState, core: Core, u, v) -> list:

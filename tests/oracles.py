@@ -310,6 +310,11 @@ def kruskal_msf(verts, weighted_edges):
     return out
 
 
+def forest_ids(f):
+    """Edge ids in an MsfState's forest, read from its forest rows."""
+    return {eid for v in f.vertices() for eid in f.forest_neighbors(v).values()}
+
+
 # -- degree pruning ------------------------------------------------------
 
 

@@ -8,8 +8,8 @@ from corepath.es_tree import EsTree, PreconditionViolated, SourceMissing, Vertex
 from corepath.graph_core import DynamicGraph, GraphView, dijkstra
 
 
-def tree_from(n, edges, s, depth, **kw):
-    return EsTree.es_build(GraphView(DynamicGraph.from_edges(n, edges)), s, depth, **kw)
+def tree_from(n, edges, s, depth):
+    return EsTree.es_build(GraphView(DynamicGraph.from_edges(n, edges)), s, depth)
 
 
 def clamp(dist, depth):
@@ -133,7 +133,7 @@ class TestDelete:
         rng = random.Random(4)
         edges = orc.gen_gnp_connected(12, 0.35, seed=8, weights=(1, 3))
         g = DynamicGraph.from_edges(12, edges)
-        t = EsTree.es_build(GraphView(g), 0, 9, debug=True)
+        t = EsTree.es_build(GraphView(g), 0, 9)
         eids = list(g.alive_edges())
         rng.shuffle(eids)
         prev = [t.level_of(v) for v in range(12)]
@@ -268,7 +268,7 @@ class TestDeepCap:
     def test_cycle_cut_next_to_source_reroutes_the_far_way(self):
         n = 60
         edges = orc.gen_cycle(n)
-        t = tree_from(n, edges, 0, self.DEPTH, debug=True)
+        t = tree_from(n, edges, 0, self.DEPTH)
         before = t.work
         t.es_delete(0, 1)
         assert t.work - before <= 8 * len(edges)
@@ -278,7 +278,7 @@ class TestDeepCap:
     def test_removing_a_path_vertex_detaches_the_tail(self):
         n = 60
         edges = orc.gen_path(n)
-        t = tree_from(n, edges, 0, self.DEPTH, debug=True)
+        t = tree_from(n, edges, 0, self.DEPTH)
         before = t.work
         t.es_remove_vertex(20)
         assert t.work - before <= 8 * len(edges)
@@ -291,7 +291,7 @@ class TestDeepCap:
             rng = random.Random(seed)
             n = 14
             edges = orc.gen_gnp_connected(n, 0.3, seed=seed, weights=(1, 4))
-            t = tree_from(n, edges, 0, self.DEPTH, debug=True)
+            t = tree_from(n, edges, 0, self.DEPTH)
             live = [(u, v) for u, v, _ in edges]
             rng.shuffle(live)
             doomed = rng.sample(range(1, n), 3)

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from corepath.expander_tools import ExpanderParams
 from corepath.lcd import (
     NOT_CONNECTED,
     CoreDestroyed,
-    IsolatedVertex,
     LayerViolation,
     LcdError,
     LcdParams,
@@ -30,7 +30,6 @@ from corepath.lcd import (
     short_core_path,
     short_path,
     short_path_quality,
-    to_core_path,
 )
 
 
@@ -247,7 +246,6 @@ class TestPoison:
         for call in (lambda: lcd_delete_edge(st, next(iter(st.eid_of))),
                      lambda: lcd_delete_edge(st, key),
                      lambda: short_path(st, st.r, 0, 1),
-                     lambda: to_core_path(st, 0),
                      lambda: short_core_path(st, st.core_at(0), 0, 1),
                      lambda: short_path_quality(st),
                      lambda: check_invariants(st),
@@ -352,50 +350,6 @@ class TestRanks:
             assert st.deg_below(u, j, l) == len(above) + level
         # ordered neighbour pairs sharing a sublayer, where < and <= differ
         assert same == 92
-
-
-class TestToCorePath:
-    def test_core_member_gets_empty_path(self, k8_state):
-        assert to_core_path(k8_state, 0) == []
-
-    def test_isolated_vertex_refused(self):
-        st = lcd_build(DynamicGraph(3))
-        with pytest.raises(IsolatedVertex):
-            to_core_path(st, 1)
-
-    def test_buffer_hop_follows_stored_uplink(self):
-        # K9 plus a pendant tied to eight of it: deleting one pendant edge
-        # drops the pendant a layer and parks it in that layer's buffer
-        edges = orc.gen_complete(9) + [(9, i) for i in range(8)]
-        st = build(10, edges, wide_params())
-        cl = lcd_delete_edge(st, (0, 9))
-        assert cl.layer_moves == [(9, 2, 3)]
-        assert (9, 3, "D") in cl.buffer_moves
-        j = st.layer_of(9)
-        assert st.lay[j].buf_up[9] == 1
-        assert st.core_at(9) is None
-        path = to_core_path(st, 9)
-        assert path[0] == (9, 1)
-        assert st.core_at(path[-1][1]) is not None
-        check_invariants(st)
-
-    def test_paths_end_in_cores_and_use_alive_edges(self):
-        st = build(10, UMOVE_EDGES, coarse_params())
-        for key in UMOVE_PREFIX:
-            lcd_delete_edge(st, key)
-        for v in range(10):
-            if st.layer_of(v) > st.r:
-                continue
-            path = to_core_path(st, v)
-            if st.core_at(v) is not None:
-                assert path == []
-                continue
-            assert path[0][0] == v
-            for (a, b), (c, _d) in zip(path, path[1:]):
-                assert b == c
-            for a, b in path:
-                assert (min(a, b), max(a, b)) in st.eid_of
-            assert st.core_at(path[-1][1]) is not None
 
 
 class TestShortCorePath:
@@ -545,32 +499,67 @@ class TestShortPath:
         with pytest.raises(PhaseBroken):
             short_path(st, j, 0, 10)
 
+    @staticmethod
+    def check_prefix_queries(st):
+        """short_path on every pair inside every layer prefix, against the
+        components of the alive edges inside that prefix.  Returns the
+        number of queries."""
+        queries = 0
+        for j in range(1, st.r + 1):
+            inside = [v for v in range(st.n) if st.layer_of(v) <= j]
+            keep = set(inside)
+            comp = {}
+            prefix = [(a, b) for a, b in st.alive_edges() if a in keep and b in keep]
+            for c in orc.connected_components(st.n, prefix):
+                for v in c:
+                    comp[v] = c[0]
+            for u, v in combinations(inside, 2):
+                got = short_path(st, j, u, v)
+                queries += 1
+                if comp[u] != comp[v]:
+                    assert got is NOT_CONNECTED, (j, u, v)
+                    continue
+                assert got is not NOT_CONNECTED, (j, u, v)
+                assert got[0] == u and got[-1] == v
+                assert orc.path_edge_simple(got)
+                assert all(x in keep for x in got)
+                for a, b in zip(got, got[1:]):
+                    assert (min(a, b), max(a, b)) in st.eid_of
+        return queries
+
     def test_queries_agree_with_reachability_while_deleting(self):
         edges = gnp(9, 0.45, 1234)
         st = build(9, edges, coarse_params())
         rng = random.Random(99)
         order = sorted(st.eid_of)
         rng.shuffle(order)
+        queries = 0
         for key in order[:8]:
             if key not in st.eid_of:
                 continue
             lcd_delete_edge(st, key)
-            comps = {}
-            for comp in orc.connected_components(9, st.alive_edges()):
-                for v in comp:
-                    comps[v] = comp[0]
-            for u in range(9):
-                for v in range(u + 1, 9):
-                    j = max(st.layer_of(u), st.layer_of(v))
-                    if j > st.r:
-                        continue
-                    got = short_path(st, j, u, v)
-                    if comps[u] == comps[v]:
-                        assert got is not NOT_CONNECTED
-                        assert got[0] == u and got[-1] == v
-                        assert orc.path_edge_simple(got)
-                    else:
-                        assert got is NOT_CONNECTED
+            queries += self.check_prefix_queries(st)
+        check_invariants(st)
+        assert queries == 391
+
+    def test_prefix_queries_across_buffer_uplinks(self):
+        # K9 plus a pendant tied to eight of it: deleting one pendant edge
+        # drops the pendant a layer and parks it in that layer's buffer
+        edges = orc.gen_complete(9) + [(9, i) for i in range(8)]
+        st = build(10, edges, wide_params())
+        cl = lcd_delete_edge(st, (0, 9))
+        assert cl.layer_moves == [(9, 2, 3)]
+        assert (9, 3, "D") in cl.buffer_moves
+        assert st.lay[st.layer_of(9)].buf_up[9] == 1
+        assert st.core_at(9) is None
+        assert self.check_prefix_queries(st) == 171
+        check_invariants(st)
+
+    def test_prefix_queries_after_u_moves(self):
+        st = build(10, UMOVE_EDGES, coarse_params())
+        for key in UMOVE_PREFIX:
+            lcd_delete_edge(st, key)
+        assert self.check_prefix_queries(st) == 51
         check_invariants(st)
 
 
@@ -626,7 +615,7 @@ class TestAuditCatchesDrift:
 
     def test_reweighted_forest_edge(self, st):
         f = st.msf[st.r - 1]
-        eid = min(f.forest_ids())
+        eid = min(orc.forest_ids(f))
         f.msf_reweight(eid, f.edge_info(eid)[2] + 1)
         with pytest.raises(AssertionError, match="stale in forest"):
             check_invariants(st)

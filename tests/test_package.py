@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import corepath
 
 
@@ -5,3 +8,34 @@ def test_star_import_binds_every_listed_module():
     ns: dict = {}
     exec("from corepath import *", ns)
     assert [name for name in corepath.__all__ if name not in ns] == []
+
+
+def _bare_asserts(tree: ast.AST, where: str) -> list:
+    """assert statements and raised AssertionErrors outside check* functions."""
+    out = []
+
+    def visit(node, in_check):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_check = in_check or node.name.startswith("check")
+        if not in_check:
+            if isinstance(node, ast.Assert):
+                out.append(f"{where}:{node.lineno} assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    out.append(f"{where}:{node.lineno} raise AssertionError")
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_check)
+
+    visit(tree, False)
+    return out
+
+
+def test_guards_raise_named_errors():
+    # python -O strips assert statements, so a guard that protects an
+    # answer raises a named error; only the check* audits may assert
+    src = Path(corepath.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        found += _bare_asserts(ast.parse(path.read_text()), path.name)
+    assert found == []
