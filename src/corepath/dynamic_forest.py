@@ -188,7 +188,6 @@ class MsfState(_ForestBase):
         """edges: (u, v, eid, weight)."""
         super().__init__()
         self._edge: dict[int, tuple] = {}  # eid -> (u, v, weight)
-        self._tree_ids: set[int] = set()
         for v in vertices:
             self.add_vertex(v)
         for u, v, eid, w in sorted(edges, key=lambda e: (e[3], e[2])):
@@ -203,13 +202,11 @@ class MsfState(_ForestBase):
         u, v, w = self._edge[eid]
         self._forest[u][v] = eid
         self._forest[v][u] = eid
-        self._tree_ids.add(eid)
 
     def _unlink(self, eid):
         u, v, _ = self._edge[eid]
         del self._forest[u][v]
         del self._forest[v][u]
-        self._tree_ids.discard(eid)
 
     def _path_max(self, u, v):
         """Maximum (w, eid) forest edge on the u..v path."""
@@ -249,7 +246,7 @@ class MsfState(_ForestBase):
         u, v, _ = self._edge[eid]
         del self._adj[u][v]
         del self._adj[v][u]
-        if eid not in self._tree_ids:
+        if self._forest[u].get(v) != eid:
             del self._edge[eid]
             return
         self._unlink(eid)

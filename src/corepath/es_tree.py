@@ -137,8 +137,13 @@ class EsTree:
 
     def es_path(self, v) -> list:
         """Vertex path source..v along parent pointers."""
-        if not self.contains(v):
+        if self.level.get(v, self._absent) > self.depth:
             raise VertexAbsent(f"{v!r} is beyond depth {self.depth}")
+        return self.es_walk(v)
+
+    def es_walk(self, v) -> list:
+        """es_path for a caller that has just read v's level in range;
+        from a v out of range it fails with a KeyError."""
         parent, source = self.parent, self.source
         path = [v]
         while v != source:

@@ -88,25 +88,20 @@ class ExpanderHierarchy:
         self.params = params
         self.depth = depth
         self.levels: dict[int, _Level] = {}
-        self.events: list[tuple] = []
-        self.inits: Counter = Counter()
+        self.inits: Counter = Counter()  # level -> builds of that level
+        self.stages: Counter = Counter()  # level -> budget overruns there
         self.dead = False
         self.repairs = 0
         # degree-0 vertices at build time carry no volume, so pruning can
         # never claim them; they sit outside the expander from day one
         self.iso: frozenset = frozenset()
 
-    def log(self, kind: str, level: int) -> None:
-        self.events.append((kind, level, self.levels[level].d if level in self.levels else 0))
-        if kind == "init":
-            self.inits[level] += 1
-
     def stats(self) -> dict:
         return {
             "inits": dict(self.inits),
+            "stages": dict(self.stages),
             "deletions": {i: lv.d for i, lv in self.levels.items()},
             "budgets": {i: lv.budget for i, lv in self.levels.items()},
-            "events": tuple(self.events),
         }
 
 
@@ -166,7 +161,7 @@ def oracle_init(g: GraphView, q: int, phi,
     top.budget = top.prune.budget
     h.levels[q] = top
     if q == 1:
-        h.log("init", 1)
+        h.inits[1] += 1
         _rebuild_t1(h)
     else:
         _init_level(h, q)
@@ -175,7 +170,7 @@ def oracle_init(g: GraphView, q: int, phi,
 
 def _init_level(h: ExpanderHierarchy, i: int) -> None:
     """Build level i's downward structures and the child expander below."""
-    h.log("init", i)
+    h.inits[i] += 1
     if i == 1:
         _rebuild_t1(h)
         return
@@ -309,7 +304,7 @@ def _delete(h: ExpanderHierarchy, i: int, le: tuple) -> None:
             h.dead = True
             raise TopLevelBudgetExhausted(
                 f"deletion {lv.d + 1} exceeds budget {lv.budget}")
-        h.log("stage", i)
+        h.stages[i] += 1
         _init_level(h, i + 1)
         return
     lv.graph.delete_between(a, b)

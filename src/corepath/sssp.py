@@ -21,9 +21,25 @@ decomposition.  With no override every class is light and a scale is a
 bare tree over its length table: the family is a scaled Even-Shiloach
 structure.
 
+The bare scales of a family share trees.  Scale i's table is
+ceil(factor_i * len), and factor_i halves from one scale to the next, so
+where the factors are integral, scales that keep the same edges have
+tables that are integer multiples k_i of one base table (a table over
+its gcd).  A tree over k*base is the tree over base with every level
+times k: it has the same parents, since the parent rule only compares
+sums of lengths, and every deletion hurts the same vertices.  So the
+bare scales group by key set and base table, and a group keeps one tree
+over 4*base, as deep as its member with the smallest multiple needs
+(far_level // k_min); member i reads level lv as k_i * lv and commits to
+v while lv <= cap_i = far_level // k_i.  At unit lengths the whole
+family is one breadth-first tree.  Scales with a class state keep their
+own trees: their supernode rays weigh one at every multiple, and under
+an override a multiple other than a power of two would move edges
+between classes.
+
 The top level keeps an instance per power-of-two scale and answers v
 from the first scale that commits to it: the lowest one whose tree holds
-v within far_level.  Every scale tree's levels only rise (deletions
+v within its cap.  Every scale tree's levels only rise (deletions
 raise them; inserts and attaches refuse to lower one), so a scale that
 is too far for v stays too far, and the first committing scale only
 moves up.  Each vertex keeps a scale pointer that starts at scale 0 and
@@ -35,17 +51,19 @@ far" is also monotone across scales: a path P of level at most
 F = far_level at scale i has level at most F/2 + 4|P| <= F at scale
 i+1, as |P| < n <= F/8, so the pointer stops where such a search would.
 
-Deletions are broadcast to every scale.  A decomposition depends only on
-n and its class edge set, and a class set only ever loses the deleted
-edge, so the scales of one family share a single decomposition per
-distinct class edge set, and each deletion feeds it once; every scale
-holding it reads that one ChangeLog.
+Deletions are broadcast to every scale, and each distinct tree is
+repaired once.  A decomposition depends only on n and its class edge
+set, and a class set only ever loses the deleted edge, so the scales of
+one family share a single decomposition per distinct class edge set,
+and each deletion feeds it once; every scale holding it reads that one
+ChangeLog.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .dynamic_forest import ConnSF
@@ -196,14 +214,18 @@ class SsspScaleInstance:
     than 2D (length, keyed by (a, b) with a < b), the pairs it dropped as
     longer (discarded), the class states of overridden classes, and the
     bounded-depth tree over the contracted light graph.  Deletions pop
-    from the table; there is no per-scale graph.
+    from the table; there is no per-scale graph.  The scale's level for
+    a vertex at tree level lv is k * lv, and it commits to the vertex
+    while lv <= cap = far_level // k.
 
     edges is g.edge_list() when the caller has listed it already.  lcds
-    maps a sorted class edge tuple to its decomposition; the scales of
-    one SsspState share it, and a scale built alone keeps its own."""
+    maps a sorted class edge tuple to its decomposition, and trees maps a
+    table size to the bare scales that own a tree; the scales of one
+    SsspState share both.  A scale built alone keeps its own, and its
+    tree is over its own table (k = 1)."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, D, params=None,
-                 edges=None, lcds=None):
+                 edges=None, lcds=None, trees=None):
         eps = _frac(eps)
         if params is None:
             params = SsspParams()
@@ -220,17 +242,17 @@ class SsspScaleInstance:
             round_lengths(g.n, edges, eps, D)
         self.lam = (4 * self.Dp).bit_length() - 1
         self.far_level = far_level(self.n, eps)
-        # the original-length estimate at tree level lv is
-        # (lv*x + y) / z with (x, y, z) = dist_terms: the scaled estimate
-        # (lv*b + a*D') / 4b over factor, for eps = a/b
-        a, b = eps.numerator, eps.denominator
-        f = self.factor
-        self.dist_terms = (b * f.denominator, a * self.Dp * f.denominator,
-                           4 * b * f.numerator)
         self.tau_overridden = params.tau is not None
         self.sn_serial = 0
         self._build_classes({} if lcds is None else lcds)
-        self._build_tree()
+        self._build_tree(trees)
+        # the original-length estimate at tree level lv is
+        # (lv*x + y) / z with (x, y, z) = dist_terms: the scaled estimate
+        # (k*lv*b + a*D') / 4b over factor, for eps = a/b
+        a, b = eps.numerator, eps.denominator
+        f = self.factor
+        self.dist_terms = (self.k * b * f.denominator,
+                           a * self.Dp * f.denominator, 4 * b * f.numerator)
 
     # -- construction ----------------------------------------------------
 
@@ -270,18 +292,52 @@ class SsspScaleInstance:
                                  [p for p in pairs
                                   if p[0] in cs.heavy and p[1] in cs.heavy])
 
-    def _build_tree(self):
+    def _build_tree(self, trees):
+        """The tree, the multiple k and the cap.  A scale with class
+        states builds its own tree over the contracted graph, with k = 1.
+        A bare scale of a family (trees given) joins the first tree there
+        whose owner has the same keys and a table its own is a multiple
+        of, with the owner's k at most its own; otherwise it builds a tree
+        over its table divided by the gcd and registers it."""
+        if self.classes:
+            self.k = 1
+            edges = self._contracted_edges()
+        else:
+            length = self.length
+            k = 1
+            if trees is not None:
+                k = gcd(*length.values()) or 1
+                # a family's key sets are nested (a scale keeps the edges
+                # up to 2D, in edges order), so equal sizes mean equal keys
+                peers = trees.setdefault(len(length), [])
+                for o in peers:
+                    ko = o.k
+                    if ko <= k and all(a * ko == b * k for a, b in zip(
+                            length.values(), o.length.values())):
+                        self.k, self.cap, self.tree = \
+                            k, self.far_level // k, o.tree
+                        return
+                peers.append(self)
+            self.k = k
+            edges = [(a, b, 4 * lp // k) for (a, b), lp in length.items()]
+        self.cap = self.far_level // self.k
+        # levels past the cap are never read, so the tree stops there
+        self.tree = EsTree(self.s, self.cap, edges, vertices=range(self.n))
+
+    def _contracted_edges(self) -> list:
+        """The light edges at four times their length, then every
+        supernode's rays of weight one; new supernodes get fresh ids."""
         classes = self.classes
         edges = []
         for (a, b), lp in self.length.items():
-            cs = classes.get(edge_class(lp)) if classes else None
+            cs = classes.get(edge_class(lp))
             if cs is not None:
                 if a in cs.heavy and b in cs.heavy:
                     continue
                 cs.light_ever += 1
             edges.append((a, b, 4 * lp))
-        for i in sorted(self.classes):
-            cs = self.classes[i]
+        for i in sorted(classes):
+            cs = classes[i]
             if cs.conn is None:
                 continue
             seen = set()
@@ -294,9 +350,7 @@ class SsspScaleInstance:
                 cs.sn_of[lab] = snid
                 for u in cs.conn.component_members(v):
                     edges.append((u, snid, 1))
-        # levels past far_level are never read, so the tree stops there
-        self.tree = EsTree(self.s, self.far_level, edges,
-                           vertices=range(self.n))
+        return edges
 
     def _fresh_sn(self, i: int):
         snid = ("sn", i, self.sn_serial)
@@ -306,15 +360,16 @@ class SsspScaleInstance:
 
 def sssp_scale_build(g: DynamicGraph, s: int, eps, D,
                      params: SsspParams = None, edges=None,
-                     lcds=None) -> SsspScaleInstance:
+                     lcds=None, trees=None) -> SsspScaleInstance:
     return SsspScaleInstance(g, s, eps, D, params=params, edges=edges,
-                             lcds=lcds)
+                             lcds=lcds, trees=trees)
 
 
 def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
     """Delete e from one scale.  fed maps each decomposition this
-    deletion has already reached to its ChangeLog, so that scales sharing
-    one feed it once; without it the scale feeds its own."""
+    deletion has already reached to its ChangeLog, and each tree it has
+    already repaired to None, so that scales sharing one reach it once;
+    without it the scale repairs and feeds its own."""
     u, v = int(e[0]), int(e[1])
     key = (u, v) if u < v else (v, u)
     lp = inst.length.pop(key, None)
@@ -323,13 +378,16 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
             inst.discarded.remove(key)
             return
         raise UnknownEdge(f"({u},{v}) is not a live edge at this scale")
-    cs = inst.classes.get(edge_class(lp)) if inst.classes else None
-    if cs is None:
-        inst.tree.es_delete(u, v)
-        return
-    both_heavy = u in cs.heavy and v in cs.heavy
     if fed is None:
         fed = {}
+    cs = inst.classes.get(edge_class(lp)) if inst.classes else None
+    if cs is None:
+        tree = inst.tree
+        if tree not in fed:
+            fed[tree] = None
+            tree.es_delete(u, v)
+        return
+    both_heavy = u in cs.heavy and v in cs.heavy
     clog = fed.get(cs.lcd)
     if clog is None:
         clog = fed[cs.lcd] = lcd_delete_edge(cs.lcd, (u, v))
@@ -396,38 +454,46 @@ def _depart(inst, cs, deps):
 
 
 def _est4b(inst: SsspScaleInstance, lv: int) -> int:
-    """4b times the estimate at tree level lv, for eps = a/b: the scaled
-    estimate lv/4 + eps*D'/4 as one integer."""
+    """4b times the estimate at level lv (k times the tree level), for
+    eps = a/b: the scaled estimate lv/4 + eps*D'/4 as one integer."""
     return lv * inst.eps.denominator + inst.eps.numerator * inst.Dp
 
 
+def _level(inst: SsspScaleInstance, v):
+    """v's tree level if the scale commits to v, else None."""
+    lv = inst.tree.level_of(v)
+    return lv if lv is not None and lv <= inst.cap else None
+
+
 def sssp_dist_query(inst: SsspScaleInstance, v):
-    """One tree level plus the eps*D/4 pad, in scaled units.
+    """One level plus the eps*D/4 pad, in scaled units.
 
     Callers divide by inst.factor for original lengths.  The sentinel
     answer is only given when the true distance exceeds twice the scale.
     """
-    lv = inst.tree.level_of(int(v))
+    lv = _level(inst, int(v))
     if lv is None:
         return OVER_TWO_D
-    return Fraction(_est4b(inst, lv), 4 * inst.eps.denominator)
+    return Fraction(_est4b(inst, inst.k * lv), 4 * inst.eps.denominator)
 
 
-def sssp_path_query(inst: SsspScaleInstance, v):
+def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
     """Tree path with every supernode hop spliced back into class edges.
 
-    One walk along the tree path assembles the answer and audits it: a
-    splice must run between the hop's ends inside the class's heavy side,
-    no edge may repeat, and every edge must be live at this scale.  At
-    the formula's tau the summed length must also stay within the
+    lv is v's tree level when the caller has just read it within the
+    cap.  One walk along the tree path assembles the answer and audits
+    it: a splice must run between the hop's ends inside the class's heavy
+    side, no edge may repeat, and every edge must be live at this scale.
+    At the formula's tau the summed length must also stay within the
     estimate."""
     v = int(v)
-    lv = inst.tree.level_of(v)
     if lv is None:
-        return OVER_TWO_D
+        lv = _level(inst, v)
+        if lv is None:
+            return OVER_TWO_D
     if v == inst.s:
         return []
-    walk = inst.tree.es_path(v)
+    walk = inst.tree.es_walk(v)
     length = inst.length
     a = walk[0]
     out = [a]
@@ -465,7 +531,7 @@ def sssp_path_query(inst: SsspScaleInstance, v):
             out.append(y)
             a = y
     if not inst.tau_overridden and \
-            4 * inst.eps.denominator * total > _est4b(inst, lv):
+            4 * inst.eps.denominator * total > _est4b(inst, inst.k * lv):
         est = sssp_dist_query(inst, v)
         raise PathAuditFailed(f"path length {total} over estimate {est}")
     return out
@@ -502,11 +568,12 @@ def check_scale_invariants(inst: SsspScaleInstance):
     n = inst.n
     assert inst.lam == (4 * inst.Dp).bit_length() - 1
     assert inst.far_level == far_level(n, inst.eps)
-    # the tree stops where answers stop: _locate reads an absent vertex's
-    # level, far_level + 1, as too far
-    assert inst.tree.depth == inst.far_level
+    # the tree stops where the deepest member's answers stop: _locate
+    # reads an absent vertex's level, the depth + 1, as too far
+    k, cap = inst.k, inst.cap
+    assert inst.tree.depth >= cap == inst.far_level // k
     x, y, z = inst.dist_terms
-    assert Fraction(x, z) == Fraction(1, 4) / inst.factor
+    assert Fraction(x, z) == Fraction(k, 4) / inst.factor
     assert Fraction(y, z) == inst.eps * inst.Dp / 4 / inst.factor
     assert inst.length.keys().isdisjoint(inst.discarded)
     per: dict = {}
@@ -568,9 +635,9 @@ def check_scale_invariants(inst: SsspScaleInstance):
         lv = inst.tree.level_of(v)
         dv = dist.get(v)
         if dv is not None and dv <= inst.far_level:
-            assert lv == dv, f"tree level off at {v!r}"
+            assert lv is not None and lv * k == dv, f"tree level off at {v!r}"
         else:
-            assert lv is None, f"{v!r} should sit beyond the depth cap"
+            assert lv is None or lv > cap, f"{v!r} should sit past the cap"
     tree_deg = sum(len(inst.tree.incident(x)) for x in inst.tree.vertices())
     assert tree_deg == 2 * len(hat), "stray edges inside the tree"
     # dominance: contraction never stretches a scaled distance
@@ -588,7 +655,14 @@ class SsspState:
     """Scale family for one source: instances at D = 2^i, and scale_ptr,
     one int per vertex at or below the first scale that commits to it
     (imax + 1 once the vertex is cut off).  Levels only rise, so the
-    pointer only moves up; _locate moves it."""
+    pointer only moves up; _locate moves it.
+
+    The bare scales share trees by group: the scales over the same edges
+    whose tables are multiples of one base table.  Their trees would
+    differ only by that multiple in every level, so the group keeps the
+    tree of its smallest multiple, and each member scales its levels and
+    its cap.  Scales with class states keep their own trees, since their
+    supernode rays do not scale with the table."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, params=None):
         eps = _frac(eps)
@@ -602,11 +676,16 @@ class SsspState:
         self.imax = max(0, (top - 1).bit_length())
         self.poisoned = None  # the error that left a deletion half-applied
         lcds: dict = {}  # sorted class edge tuple -> shared decomposition
-        self.scales = {}
-        for i in range(self.imax + 1):
-            self.scales[i] = sssp_scale_build(g, s, eps, 2 ** i,
-                                              params=self.params,
-                                              edges=edges, lcds=lcds)
+        trees: dict = {}  # table size -> bare scales that own a tree
+        # top scale first: a group's tables only shrink as i grows, so the
+        # member with the smallest multiple, whose tree is shared, comes
+        # first
+        built = {}
+        for i in range(self.imax, -1, -1):
+            built[i] = sssp_scale_build(g, s, eps, 2 ** i,
+                                        params=self.params, edges=edges,
+                                        lcds=lcds, trees=trees)
+        self.scales = {i: built[i] for i in range(self.imax + 1)}
         self.scale_ptr = [0] * g.n
 
 
@@ -622,11 +701,12 @@ def _check_live(sp: SsspState):
 
 
 def sssp_delete(sp: SsspState, u: int, v: int) -> None:
-    """Delete (u, v) from every scale, feeding each shared decomposition
-    once.  An unknown edge changes nothing; an error once the deletion
-    has begun poisons the state and is re-raised.  The top scale keeps
-    every live edge (2^imax is at least n times the longest length), so
-    its table decides what is live."""
+    """Delete (u, v) from every scale, repairing each shared tree and
+    feeding each shared decomposition once.  An unknown edge changes
+    nothing; an error once the deletion has begun poisons the state and
+    is re-raised.  The top scale keeps every live edge (2^imax is at
+    least n times the longest length), so its table decides what is
+    live."""
     _check_live(sp)
     key = (u, v) if u < v else (v, u)
     if key not in sp.scales[sp.imax].length:
@@ -641,24 +721,27 @@ def sssp_delete(sp: SsspState, u: int, v: int) -> None:
 
 
 def _locate(sp, v):
-    """First scale that commits to an answer for v, or None.
+    """(first scale that commits to an answer for v, v's tree level
+    there), or (None, None).
 
-    Starts at v's scale pointer and steps up while the scale's level for
-    v is over its far_level (an absent vertex reads far_level + 1, the
-    tree's depth + 1), then stores where it stopped.  A scale passed over
-    stays too far, as tree levels only rise, so the stop is the first
-    committing scale; one probe per query plus one per step, and at most
-    imax + 1 steps per vertex over a run."""
+    Starts at v's scale pointer and steps up while v's tree level is over
+    the scale's cap (an absent vertex reads the tree's depth + 1, which
+    is over every cap), then stores where it stopped.  A scale passed
+    over stays too far, as tree levels only rise, so the stop is the
+    first committing scale; one probe per query plus one per step, and
+    at most imax + 1 steps per vertex over a run."""
     i = sp.scale_ptr[v]
     top = sp.imax
     scales = sp.scales
     while i <= top:
         inst = scales[i]
-        if inst.tree.level[v] <= inst.far_level:
-            break
+        lv = inst.tree.level[v]
+        if lv <= inst.cap:
+            sp.scale_ptr[v] = i
+            return i, lv
         i += 1
     sp.scale_ptr[v] = i
-    return i if i <= top else None
+    return None, None
 
 
 def _check_query(sp: SsspState, v: int):
@@ -672,12 +755,11 @@ def sssp_dist(sp: SsspState, v):
     _check_query(sp, v)
     if v == sp.s:
         return Fraction(0)
-    i = _locate(sp, v)
+    i, lv = _locate(sp, v)
     if i is None:
         return NOT_CONNECTED
-    inst = sp.scales[i]
-    x, y, z = inst.dist_terms
-    return Fraction(inst.tree.level[v] * x + y, z)
+    x, y, z = sp.scales[i].dist_terms
+    return Fraction(lv * x + y, z)
 
 
 def sssp_path(sp: SsspState, v):
@@ -685,10 +767,7 @@ def sssp_path(sp: SsspState, v):
     _check_query(sp, v)
     if v == sp.s:
         return []
-    i = _locate(sp, v)
+    i, lv = _locate(sp, v)
     if i is None:
         return NOT_CONNECTED
-    path = sssp_path_query(sp.scales[i], v)
-    if path is OVER_TWO_D:
-        raise PathAuditFailed(f"scale {i} gave a distance but no path to {v}")
-    return path
+    return sssp_path_query(sp.scales[i], v, lv)

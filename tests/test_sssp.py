@@ -46,12 +46,12 @@ def build(n, edges, params=None, eps=EPS):
 
 
 def first_committing_scale(sp, v):
-    """The lowest scale whose tree holds v within far_level, or None, by
+    """The lowest scale whose tree holds v within its cap, or None, by
     looking at every scale."""
     for i in range(sp.imax + 1):
         inst = sp.scales[i]
         lv = inst.tree.level_of(v)
-        if lv is not None and lv <= inst.far_level:
+        if lv is not None and lv <= inst.cap:
             return i
     return None
 
@@ -72,7 +72,7 @@ def audit(sp, n, live, eps=EPS, ptr=None):
             assert path == []
             continue
         # the integer answer is the located scale's estimate over factor
-        inst = sp.scales[sssp._locate(sp, v)]
+        inst = sp.scales[sssp._locate(sp, v)[0]]
         assert est == sssp_dist_query(inst, v) / inst.factor
         assert path[0] == S and path[-1] == v
         assert orc.path_length(live, path) <= est, (v, path, est)
@@ -81,7 +81,7 @@ def audit(sp, n, live, eps=EPS, ptr=None):
     for inst in sp.scales.values():
         check_scale_invariants(inst)
     for v in range(n):
-        assert sssp._locate(sp, v) == first_committing_scale(sp, v), v
+        assert sssp._locate(sp, v)[0] == first_committing_scale(sp, v), v
     now = list(sp.scale_ptr)
     if ptr is not None:
         assert all(a >= b for a, b in zip(now, ptr)), (ptr, now)
@@ -293,7 +293,7 @@ def path_guard_fires():
     sp = build(10, GNP_10)
     v = max(range(10), key=lambda x: len(sssp_path(sp, x)))
     path = sssp_path(sp, v)
-    inst = sp.scales[sssp._locate(sp, v)]
+    inst = sp.scales[sssp._locate(sp, v)[0]]
     key = (min(path[:2]), max(path[:2]))
     inst.length[key] += inst.far_level + inst.Dp
     try:
@@ -323,7 +323,7 @@ class TestPathGuard:
     def test_path_edge_missing_from_the_table_raises(self):
         sp = build(10, GNP_10)
         path = sssp_path(sp, 9)
-        inst = sp.scales[sssp._locate(sp, 9)]
+        inst = sp.scales[sssp._locate(sp, 9)[0]]
         del inst.length[(min(path[-2:]), max(path[-2:]))]
         with pytest.raises(PathAuditFailed, match="not live"):
             sssp_path(sp, 9)
@@ -397,7 +397,7 @@ class TestHeavyClass:
         supernode, so its path needs a splice."""
         sp = build(4, BRIDGED_TRIANGLE, HEAVY)
         sssp_delete(sp, 0, 1)
-        inst = sp.scales[sssp._locate(sp, 1)]
+        inst = sp.scales[sssp._locate(sp, 1)[0]]
         walk = inst.tree.es_path(1)
         assert any(isinstance(x, tuple) for x in walk)  # a supernode hop
         assert all(S not in cs.heavy for cs in inst.classes.values())
@@ -511,6 +511,85 @@ class TestSharedDecompositions:
             for inst in alone.values():
                 sssp_scale_delete(inst, (u, v))
             same_answers()
+
+
+# one edge in each length range (2^j, 2^(j+1)], so that no two scales
+# keep the same edges below the top key set
+SPREAD = (1, 3, 5, 9, 17, 33, 65, 129, 257, 513)
+UNIT_200 = gnm(200, 4000, 1, top=1)
+GNM_24 = gnm(24, 80, 1)
+SPREAD_24 = [(u, v, SPREAD[j] if j < len(SPREAD) else ln)
+             for j, (u, v, ln) in enumerate(gnm(24, 80, 1, top=1000))]
+QUARTER = Fraction(1, 4)
+
+
+def trees_of(sp):
+    return {id(inst.tree) for inst in sp.scales.values()}
+
+
+class TestSharedTrees:
+    """The bare scales of a family whose tables are multiples of one base
+    table share one tree, and each deletion repairs it once."""
+
+    @pytest.mark.parametrize("n,edges,order,counts", [
+        # every edge at the source, which finally cuts everything off
+        (200, UNIT_200, shuffled([e for e in UNIT_200 if S in e[:2]], 1),
+         (9, 1)),
+        (24, GNM_24, shuffled(GNM_24, 2), (8, 3)),
+        (24, SPREAD_24, shuffled(SPREAD_24, 3), (16, 16)),
+    ], ids=["unit", "lengths-1-5", "lengths-1-1000"])
+    def test_grouped_scales_equal_standalone_scales(self, n, edges, order,
+                                                    counts):
+        """Every scale, built alone over its own table, has the grouped
+        scale's tree levels times its multiple, and the same dist and path
+        answers, after every deletion."""
+        g = DynamicGraph.from_edges(n, edges)
+        sp = sssp_build_all(g, S, QUARTER)
+        alone = {i: sssp_scale_build(g, S, QUARTER, 2 ** i)
+                 for i in sp.scales}
+        assert (len(sp.scales), len(trees_of(sp))) == counts
+
+        def same_answers():
+            for i, inst in alone.items():
+                mine = sp.scales[i]
+                assert (inst.k, inst.cap) == (1, inst.far_level)
+                for v in range(n):
+                    want = inst.tree.level_of(v)
+                    lv = mine.tree.level_of(v)
+                    if want is None:
+                        assert lv is None or lv > mine.cap, (i, v)
+                    else:
+                        assert lv * mine.k == want, (i, v)
+                    assert sssp_dist_query(mine, v) == \
+                        sssp_dist_query(inst, v), (i, v)
+                    assert sssp_path_query(mine, v) == \
+                        sssp_path_query(inst, v), (i, v)
+
+        same_answers()
+        for u, v in order:
+            sssp_delete(sp, u, v)
+            for inst in alone.values():
+                sssp_scale_delete(inst, (u, v))
+            same_answers()
+
+    def test_a_deletion_repairs_each_tree_once(self, monkeypatch):
+        sp = build(24, GNM_24, eps=QUARTER)
+        calls = []
+        real = sssp.EsTree.es_delete
+
+        def counting(tree, u, v):
+            calls.append(id(tree))
+            return real(tree, u, v)
+
+        monkeypatch.setattr(sssp.EsTree, "es_delete", counting)
+        for u, v in shuffled(GNM_24, 2)[:20]:
+            key = (min(u, v), max(u, v))
+            holding = {id(inst.tree) for inst in sp.scales.values()
+                       if key in inst.length}
+            calls.clear()
+            sssp_delete(sp, u, v)
+            assert sorted(calls) == sorted(holding), (u, v)
+        assert len(trees_of(sp)) == 3
 
 
 class TestPoison:
