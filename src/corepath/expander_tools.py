@@ -653,12 +653,10 @@ def matching_or_cut(g: GraphView, a_set, b_set, ell: int):
     a_remaining = set(a_left)
     b_remaining = set(b_left)
     # harvest greedily past the count target; the target only classifies
-    # the outcome once the sets drift out of range
-    while a_remaining:
-        lv = tree.level_of(sink)
-        if lv is None or lv > ell + 2:
-            break
-        walk = tree.es_path(sink)
+    # the outcome once the sets drift out of range.  The tree stops at
+    # depth ell + 2, so it holds the sink exactly while they are in range
+    while a_remaining and tree.contains(sink):
+        walk = tree.es_walk(sink)
         inner = walk[1:-1]
         a_v, b_v = inner[0], inner[-1]
         for x, y in zip(walk, walk[1:]):

@@ -16,26 +16,28 @@ supernode hop back into real edges with a short-path query against the
 class decomposition.
 
 At the paper's formula for tau_i no vertex can go heavy (see
-SsspParams), so only classes whose tau is overridden keep a
-decomposition.  With no override every class is light and a scale is a
-bare tree over its length table: the family is a scaled Even-Shiloach
-structure.
+SsspParams), so only classes whose tau is overridden can keep a
+decomposition, and only those with a heavy vertex at the build do: layers
+only move deeper, so a class with no heavy vertex then never gains one.
+A scale with no such class is a bare tree over its length table, and
+with no override the family is a scaled Even-Shiloach structure.
 
-The bare scales of a family share trees.  Scale i's table is
-ceil(factor_i * len), and factor_i halves from one scale to the next, so
-where the factors are integral, scales that keep the same edges have
-tables that are integer multiples k_i of one base table (a table over
-its gcd).  A tree over k*base is the tree over base with every level
-times k: it has the same parents, since the parent rule only compares
-sums of lengths, and every deletion hurts the same vertices.  So the
-bare scales group by key set and base table, and a group keeps one tree
+The bare scales of a family share tables and trees.  Scale i's rounded
+table is ceil(factor_i * len), and factor_i halves from one scale to the
+next, so where the factors are integral, scales that keep the same edges
+have tables that are integer multiples k_i of one base table (a table
+over its gcd).  A tree over k*base is the tree over base with every
+level times k: it has the same parents, since the parent rule only
+compares sums of lengths, and every deletion hurts the same vertices.
+So the bare scales group by base table (keys and values), and a group
+keeps one table of base values, one set of discarded pairs and one tree
 over 4*base, as deep as its member with the smallest multiple needs
-(far_level // k_min); member i reads level lv as k_i * lv and commits to
-v while lv <= cap_i = far_level // k_i.  At unit lengths the whole
-family is one breadth-first tree.  Scales with a class state keep their
-own trees: their supernode rays weigh one at every multiple, and under
-an override a multiple other than a power of two would move edges
-between classes.
+(far_level // k_min).  Member i's rounded length of e is k_i * length[e];
+it reads level lv as k_i * lv and commits to v while lv <= cap_i =
+far_level // k_i.  At unit lengths the whole family is one breadth-first
+tree.  Scales with a class state keep their own table and tree (k = 1):
+their supernode rays weigh one at every multiple, and under an override
+a multiple other than a power of two would move edges between classes.
 
 The top level keeps an instance per power-of-two scale and answers v
 from the first scale that commits to it: the lowest one whose tree holds
@@ -51,12 +53,12 @@ far" is also monotone across scales: a path P of level at most
 F = far_level at scale i has level at most F/2 + 4|P| <= F at scale
 i+1, as |P| < n <= F/8, so the pointer stops where such a search would.
 
-Deletions are broadcast to every scale, and each distinct tree is
-repaired once.  A decomposition depends only on n and its class edge
-set, and a class set only ever loses the deleted edge, so the scales of
-one family share a single decomposition per distinct class edge set,
-and each deletion feeds it once; every scale holding it reads that one
-ChangeLog.
+A deletion goes to one scale per distinct tree, the lowest, which pops
+the edge from the table it holds and repairs the tree once.  A
+decomposition depends only on n and its class edge set, and a class set
+only ever loses the deleted edge, so the scales of one family share a
+single decomposition per distinct class edge set, and each deletion
+feeds it once; every scale holding it reads that one ChangeLog.
 """
 
 from __future__ import annotations
@@ -124,8 +126,9 @@ class SsspParams:
     is above the threshold h_j of every populated layer j: the quality
     is at least h_j there, and eps*D' < 4n + 1 with lam >= 2 gives
     tau_i > 3*alpha.  So a class at the formula has no heavy vertex, and
-    it carries no decomposition at all.  Tests and the benchmark set tau
-    to reach the heavy regime; while it is set the path-length check
+    it carries no decomposition at all; neither does an overridden class
+    whose heavy set is empty at the build.  Tests and the benchmark set
+    tau to reach the heavy regime; while it is set the path-length check
     against the estimate stands down.
     """
 
@@ -141,19 +144,23 @@ class SsspParams:
 
 class ClassState:
     """Heavy-side bookkeeping for one length class whose tau is
-    overridden; classes at the formula are all light and have none.
+    overridden and that has a heavy vertex at the build: the vertices of
+    layers 1..j_i of the decomposition of its edges, pairs.  Every other
+    class is light and has none.
 
     The decomposition is shared by every scale of a family whose class
     has the same edge set, and is fed once per deletion; tau, j_i, the
     heavy set, its connectivity and supernodes stay with each scale."""
 
-    def __init__(self, i: int, tau: Fraction, lcd):
+    def __init__(self, i: int, tau: Fraction, lcd, j_i: int, heavy: set,
+                 pairs):
         self.i = i
         self.tau = tau
         self.lcd = lcd  # layered decomposition of the unweighted class graph
-        self.j_i = 0  # deepest layer whose width clears tau
-        self.heavy: set = set()
-        self.conn: Optional[ConnSF] = None
+        self.j_i = j_i  # deepest layer whose width clears tau
+        self.heavy = heavy
+        self.conn = ConnSF(sorted(heavy), [p for p in pairs
+                                           if p[0] in heavy and p[1] in heavy])
         self.sn_of: dict = {}  # component label -> supernode id
         self.light_ever = 0
 
@@ -210,19 +217,20 @@ def far_level(n: int, eps) -> int:
 
 
 class SsspScaleInstance:
-    """One scale D: the rounded-length table of the live edges no longer
-    than 2D (length, keyed by (a, b) with a < b), the pairs it dropped as
-    longer (discarded), the class states of overridden classes, and the
-    bounded-depth tree over the contracted light graph.  Deletions pop
-    from the table; there is no per-scale graph.  The scale's level for
-    a vertex at tree level lv is k * lv, and it commits to the vertex
-    while lv <= cap = far_level // k.
+    """One scale D: the table of the live edges no longer than 2D
+    (length, keyed by (a, b) with a < b), the pairs it dropped as longer
+    (discarded), the class states of overridden classes with a heavy
+    vertex, and the bounded-depth tree over the contracted light graph.
+    length holds base values: the scale's rounded length of e is
+    k * length[e], and its level for a vertex at tree level lv is k * lv;
+    it commits to the vertex while lv <= cap = far_level // k.  Deletions
+    pop from the table; there is no per-scale graph.
 
     edges is g.edge_list() when the caller has listed it already.  lcds
-    maps a sorted class edge tuple to its decomposition, and trees maps a
-    table size to the bare scales that own a tree; the scales of one
-    SsspState share both.  A scale built alone keeps its own, and its
-    tree is over its own table (k = 1)."""
+    maps a sorted class edge tuple to its decomposition, and trees lists
+    the bare scales that own a table and a tree; the scales of one
+    SsspState share all three.  A scale built alone keeps its own, over
+    its own rounded table (k = 1)."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, D, params=None,
                  edges=None, lcds=None, trees=None):
@@ -257,9 +265,10 @@ class SsspScaleInstance:
     # -- construction ----------------------------------------------------
 
     def _build_classes(self, lcds: dict):
-        """A ClassState for every populated class whose tau is overridden,
-        holding the decomposition of its edge set from lcds (built there
-        on first need); every other class is light."""
+        """A ClassState for every populated class whose tau is overridden
+        and that has a heavy vertex, holding the decomposition of its edge
+        set from lcds (built there on first need); every other class is
+        light.  Reads the scale's own rounded table (k = 1)."""
         self.classes: dict = {}
         if not self.tau_overridden:
             return
@@ -281,53 +290,44 @@ class SsspScaleInstance:
                 st = lcds[pairs] = lcd_build(
                     DynamicGraph.from_edges(self.n, pairs),
                     LcdParams.make(self.n, q_for(self.n)))
-            self.classes[i] = cs = ClassState(i, tau, st)
-            for j in range(1, st.r + 1):
-                if Fraction(st.lay[j].h) >= cs.tau:
-                    cs.j_i = j
-            for j in range(1, cs.j_i + 1):
-                cs.heavy.update(st.layers.members_of(j))
-            if cs.heavy:
-                cs.conn = ConnSF(sorted(cs.heavy),
-                                 [p for p in pairs
-                                  if p[0] in cs.heavy and p[1] in cs.heavy])
+            j_i = max([j for j in range(1, st.r + 1) if st.lay[j].h >= tau],
+                      default=0)
+            heavy = {x for j in range(1, j_i + 1)
+                     for x in st.layers.members_of(j)}
+            if heavy:
+                self.classes[i] = ClassState(i, tau, st, j_i, heavy, pairs)
 
     def _build_tree(self, trees):
         """The tree, the multiple k and the cap.  A scale with class
         states builds its own tree over the contracted graph, with k = 1.
-        A bare scale of a family (trees given) joins the first tree there
-        whose owner has the same keys and a table its own is a multiple
-        of, with the owner's k at most its own; otherwise it builds a tree
-        over its table divided by the gcd and registers it."""
-        if self.classes:
-            self.k = 1
-            edges = self._contracted_edges()
-        else:
-            length = self.length
-            k = 1
-            if trees is not None:
-                k = gcd(*length.values()) or 1
-                # a family's key sets are nested (a scale keeps the edges
-                # up to 2D, in edges order), so equal sizes mean equal keys
-                peers = trees.setdefault(len(length), [])
-                for o in peers:
-                    ko = o.k
-                    if ko <= k and all(a * ko == b * k for a, b in zip(
-                            length.values(), o.length.values())):
-                        self.k, self.cap, self.tree = \
-                            k, self.far_level // k, o.tree
-                        return
-                peers.append(self)
-            self.k = k
-            edges = [(a, b, 4 * lp // k) for (a, b), lp in length.items()]
-        self.cap = self.far_level // self.k
+        A bare scale of a family (trees given) divides its table by its
+        gcd k and takes the table, the discarded set and the tree of the
+        first owner in trees with that base table and a k at most its
+        own; otherwise it builds a tree over its base table and joins
+        trees as an owner."""
+        self.k = k = 1
+        if trees is not None and not self.classes:
+            self.k = k = gcd(*self.length.values()) or 1
+            base = self.length if k == 1 else \
+                {key: lp // k for key, lp in self.length.items()}
+            for o in trees:
+                if o.k <= k and o.length == base:
+                    self.length, self.discarded = o.length, o.discarded
+                    self.cap, self.tree = self.far_level // k, o.tree
+                    return
+            self.length = base
+            trees.append(self)
+        self.cap = self.far_level // k
         # levels past the cap are never read, so the tree stops there
-        self.tree = EsTree(self.s, self.cap, edges, vertices=range(self.n))
+        self.tree = EsTree(self.s, self.cap, self._contracted_edges(),
+                           vertices=range(self.n))
 
     def _contracted_edges(self) -> list:
         """The light edges at four times their length, then every
         supernode's rays of weight one; new supernodes get fresh ids."""
         classes = self.classes
+        if not classes:
+            return [(a, b, 4 * lp) for (a, b), lp in self.length.items()]
         edges = []
         for (a, b), lp in self.length.items():
             cs = classes.get(edge_class(lp))
@@ -338,8 +338,6 @@ class SsspScaleInstance:
             edges.append((a, b, 4 * lp))
         for i in sorted(classes):
             cs = classes[i]
-            if cs.conn is None:
-                continue
             seen = set()
             for v in sorted(cs.heavy):
                 lab = cs.conn.component_label(v)
@@ -366,10 +364,12 @@ def sssp_scale_build(g: DynamicGraph, s: int, eps, D,
 
 
 def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
-    """Delete e from one scale.  fed maps each decomposition this
-    deletion has already reached to its ChangeLog, and each tree it has
-    already repaired to None, so that scales sharing one reach it once;
-    without it the scale repairs and feeds its own."""
+    """Delete e from one scale: pop it from the table (or the discarded
+    set) and repair the tree.  The scales of a group share both, so a
+    family sends each deletion to one scale per tree.  fed maps each
+    decomposition this deletion has already reached to its ChangeLog, so
+    that scales sharing one feed it once; without it the scale feeds its
+    own."""
     u, v = int(e[0]), int(e[1])
     key = (u, v) if u < v else (v, u)
     lp = inst.length.pop(key, None)
@@ -378,15 +378,12 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
             inst.discarded.remove(key)
             return
         raise UnknownEdge(f"({u},{v}) is not a live edge at this scale")
-    if fed is None:
-        fed = {}
     cs = inst.classes.get(edge_class(lp)) if inst.classes else None
     if cs is None:
-        tree = inst.tree
-        if tree not in fed:
-            fed[tree] = None
-            tree.es_delete(u, v)
+        inst.tree.es_delete(u, v)
         return
+    if fed is None:
+        fed = {}
     both_heavy = u in cs.heavy and v in cs.heavy
     clog = fed.get(cs.lcd)
     if clog is None:
@@ -454,9 +451,9 @@ def _depart(inst, cs, deps):
 
 
 def _est4b(inst: SsspScaleInstance, lv: int) -> int:
-    """4b times the estimate at level lv (k times the tree level), for
-    eps = a/b: the scaled estimate lv/4 + eps*D'/4 as one integer."""
-    return lv * inst.eps.denominator + inst.eps.numerator * inst.Dp
+    """4b times the estimate at tree level lv, for eps = a/b: the scaled
+    estimate k*lv/4 + eps*D'/4 as one integer."""
+    return inst.k * lv * inst.eps.denominator + inst.eps.numerator * inst.Dp
 
 
 def _level(inst: SsspScaleInstance, v):
@@ -474,7 +471,7 @@ def sssp_dist_query(inst: SsspScaleInstance, v):
     lv = _level(inst, int(v))
     if lv is None:
         return OVER_TWO_D
-    return Fraction(_est4b(inst, inst.k * lv), 4 * inst.eps.denominator)
+    return Fraction(_est4b(inst, lv), 4 * inst.eps.denominator)
 
 
 def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
@@ -484,8 +481,8 @@ def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
     cap.  One walk along the tree path assembles the answer and audits
     it: a splice must run between the hop's ends inside the class's heavy
     side, no edge may repeat, and every edge must be live at this scale.
-    At the formula's tau the summed length must also stay within the
-    estimate."""
+    At the formula's tau the summed length, k times the summed base
+    lengths, must also stay within the estimate."""
     v = int(v)
     if lv is None:
         lv = _level(inst, v)
@@ -531,9 +528,10 @@ def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
             out.append(y)
             a = y
     if not inst.tau_overridden and \
-            4 * inst.eps.denominator * total > _est4b(inst, inst.k * lv):
+            4 * inst.eps.denominator * inst.k * total > _est4b(inst, lv):
         est = sssp_dist_query(inst, v)
-        raise PathAuditFailed(f"path length {total} over estimate {est}")
+        raise PathAuditFailed(f"path length {inst.k * total} over estimate "
+                              f"{est}")
     return out
 
 
@@ -541,17 +539,17 @@ def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
 
 
 def _hat_edges(inst):
-    """The contracted light graph, rebuilt from first principles."""
+    """The contracted light graph at the scale's rounded lengths, rebuilt
+    from first principles."""
+    k = inst.k
     edges = []
     for (a, b), lp in inst.length.items():
-        cs = inst.classes.get(edge_class(lp))
+        cs = inst.classes.get(edge_class(k * lp))
         if cs is not None and a in cs.heavy and b in cs.heavy:
             continue
-        edges.append((a, b, 4 * lp))
+        edges.append((a, b, 4 * k * lp))
     for i in sorted(inst.classes):
         cs = inst.classes[i]
-        if cs.conn is None:
-            continue
         seen = set()
         for x in sorted(cs.heavy):
             lab = cs.conn.component_label(x)
@@ -579,51 +577,45 @@ def check_scale_invariants(inst: SsspScaleInstance):
     per: dict = {}
     for (a, b), lp in inst.length.items():
         assert a < b
-        assert 1 <= lp <= 2 * inst.Dp
-        i = edge_class(lp)
+        assert 1 <= k * lp <= 2 * inst.Dp
+        i = edge_class(k * lp)
         assert i < inst.lam
         per.setdefault(i, set()).add((a, b))
-    # a class state exactly for the overridden classes, populated at build
+    # class states only for overridden classes, and then at k = 1
     assert all(inst.params.override(i) is not None for i in inst.classes)
-    assert all(i in inst.classes for i in per
-               if inst.params.override(i) is not None)
+    assert k == 1 or not inst.classes
     for i, cs in inst.classes.items():
         mine = per.get(i, set())
         assert set(cs.lcd.alive_edges()) == mine, \
             f"class {i} decomposition lost sync"
-        want = set()
-        if cs.j_i:
-            for j in range(1, cs.j_i + 1):
-                want.update(cs.lcd.layers.members_of(j))
+        want = {x for j in range(1, cs.j_i + 1)
+                for x in cs.lcd.layers.members_of(j)}
         assert cs.heavy == want, f"class {i} heavy set drifted"
-        if cs.heavy:
-            # components of the heavy subgraph, by fresh union-find
-            root = {x: x for x in cs.heavy}
+        # components of the heavy subgraph, by fresh union-find
+        root = {x: x for x in cs.heavy}
 
-            def find(x):
-                while root[x] != x:
-                    root[x] = root[root[x]]
-                    x = root[x]
-                return x
+        def find(x):
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
 
-            for a, b in sorted(mine):
-                if a in cs.heavy and b in cs.heavy:
-                    root[find(a)] = find(b)
-            groups: dict = {}
-            for x in sorted(cs.heavy):
-                groups.setdefault(find(x), set()).add(x)
-            live = {}
-            for x in sorted(cs.heavy):
-                live.setdefault(cs.conn.component_label(x), set()).add(x)
-            assert sorted(map(sorted, groups.values())) == \
-                sorted(map(sorted, live.values()))
-            assert set(cs.sn_of) == set(live)
-            for lab, grp in sorted(live.items()):
-                rows = inst.tree.incident(cs.sn_of[lab])
-                assert {r[0] for r in rows} == grp
-                assert all(r[1] == 1 for r in rows)
-        else:
-            assert not cs.sn_of
+        for a, b in sorted(mine):
+            if a in cs.heavy and b in cs.heavy:
+                root[find(a)] = find(b)
+        groups: dict = {}
+        for x in sorted(cs.heavy):
+            groups.setdefault(find(x), set()).add(x)
+        live = {}
+        for x in sorted(cs.heavy):
+            live.setdefault(cs.conn.component_label(x), set()).add(x)
+        assert sorted(map(sorted, groups.values())) == \
+            sorted(map(sorted, live.values()))
+        assert set(cs.sn_of) == set(live)
+        for lab, grp in sorted(live.items()):
+            rows = inst.tree.incident(cs.sn_of[lab])
+            assert {r[0] for r in rows} == grp
+            assert all(r[1] == 1 for r in rows)
         assert cs.light_ever <= 4 * n * max(Fraction(1), cs.tau), \
             f"class {i} light volume overran its charge"
     # the tree is an exact bounded-depth tree of the contracted graph
@@ -641,7 +633,7 @@ def check_scale_invariants(inst: SsspScaleInstance):
     tree_deg = sum(len(inst.tree.incident(x)) for x in inst.tree.vertices())
     assert tree_deg == 2 * len(hat), "stray edges inside the tree"
     # dominance: contraction never stretches a scaled distance
-    gdist = dijkstra(inst.s, [(a, b, lp) for (a, b), lp
+    gdist = dijkstra(inst.s, [(a, b, k * lp) for (a, b), lp
                               in inst.length.items()])
     for v in range(n):
         if v in gdist:
@@ -657,12 +649,14 @@ class SsspState:
     (imax + 1 once the vertex is cut off).  Levels only rise, so the
     pointer only moves up; _locate moves it.
 
-    The bare scales share trees by group: the scales over the same edges
-    whose tables are multiples of one base table.  Their trees would
-    differ only by that multiple in every level, so the group keeps the
-    tree of its smallest multiple, and each member scales its levels and
-    its cap.  Scales with class states keep their own trees, since their
-    supernode rays do not scale with the table."""
+    The bare scales share tables and trees by group: the scales over the
+    same edges whose tables are multiples of one base table.  Their trees
+    would differ only by that multiple in every level, so the group keeps
+    the base table and the tree of its smallest multiple, and each member
+    scales its lengths, its levels and its cap.  Scales with class states
+    keep their own, since their supernode rays do not scale with the
+    table.  per_tree lists one scale per distinct tree, in scale order:
+    the scales a deletion goes to."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, params=None):
         eps = _frac(eps)
@@ -676,16 +670,20 @@ class SsspState:
         self.imax = max(0, (top - 1).bit_length())
         self.poisoned = None  # the error that left a deletion half-applied
         lcds: dict = {}  # sorted class edge tuple -> shared decomposition
-        trees: dict = {}  # table size -> bare scales that own a tree
-        # top scale first: a group's tables only shrink as i grows, so the
-        # member with the smallest multiple, whose tree is shared, comes
-        # first
+        trees: list = []  # the bare scales that own a table and a tree
+        # top scale first: a group's multiples only shrink as i grows, so
+        # the member with the smallest multiple, whose tree is shared,
+        # comes first
         built = {}
         for i in range(self.imax, -1, -1):
             built[i] = sssp_scale_build(g, s, eps, 2 ** i,
                                         params=self.params, edges=edges,
                                         lcds=lcds, trees=trees)
         self.scales = {i: built[i] for i in range(self.imax + 1)}
+        heads: dict = {}
+        for inst in self.scales.values():
+            heads.setdefault(id(inst.tree), inst)
+        self.per_tree = list(heads.values())
         self.scale_ptr = [0] * g.n
 
 
@@ -701,20 +699,20 @@ def _check_live(sp: SsspState):
 
 
 def sssp_delete(sp: SsspState, u: int, v: int) -> None:
-    """Delete (u, v) from every scale, repairing each shared tree and
-    feeding each shared decomposition once.  An unknown edge changes
-    nothing; an error once the deletion has begun poisons the state and
-    is re-raised.  The top scale keeps every live edge (2^imax is at
-    least n times the longest length), so its table decides what is
-    live."""
+    """Delete (u, v) from every scale through one scale per tree, which
+    pops the table and repairs the tree its group shares; each shared
+    decomposition is fed once.  An unknown edge changes nothing; an error
+    once the deletion has begun poisons the state and is re-raised.  The
+    top scale keeps every live edge (2^imax is at least n times the
+    longest length), so its table decides what is live."""
     _check_live(sp)
     key = (u, v) if u < v else (v, u)
     if key not in sp.scales[sp.imax].length:
         raise UnknownEdge(f"no live edge ({u},{v})")
     fed: dict = {}
     try:
-        for i in range(sp.imax + 1):
-            sssp_scale_delete(sp.scales[i], (u, v), fed)
+        for inst in sp.per_tree:
+            sssp_scale_delete(inst, (u, v), fed)
     except BaseException as exc:
         sp.poisoned = exc
         raise

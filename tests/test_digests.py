@@ -4,7 +4,8 @@ A behaviour-preserving refactor must leave every digest below unchanged.
 The LCD digests cover lcd_state_json after the build and after every
 deletion, plus every ChangeLog, over shuffled full teardowns; the SSSP
 digests cover every sssp_dist/sssp_path answer after the build and after
-every deletion.  The surviving-feed digests run dense graphs under a phi
+every deletion; the family digests do the same at eps 1/4 and under a
+flat tau override.  The surviving-feed digests run dense graphs under a phi
 large enough that in-core deletions survive, so the oracles get fed and
 queried, and cover every short_path answer as well.  A digest that
 changes on purpose is re-pinned in the same change that explains why.
@@ -46,9 +47,11 @@ from corepath.lcd import (
     lcd_state_json,
     short_path,
 )
-from corepath.sssp import sssp_build_all, sssp_delete, sssp_dist, sssp_path
+from corepath.sssp import (SsspParams, sssp_build_all, sssp_delete,
+                           sssp_dist, sssp_path)
 from test_lcd import coarse_params, gnp, wide_params
-from test_sssp import BRIDGED_TRIANGLE, EPS, HEAVY, S, adaptive_teardown
+from test_sssp import (BRIDGED_TRIANGLE, EPS, GNM_24, GNP_12, HEAVY, QUARTER,
+                       S, SPREAD_24, adaptive_teardown, shuffled)
 
 LCD_SEEDS = ((31, 9, 0.5), (11, 9, 0.4), (12, 10, 0.55))
 
@@ -112,6 +115,12 @@ SSSP_DIGESTS = {
         "99e2c667b8b7b73d982b50e28e4db47a8f234237821e53acb18e11b16e05333c",
     "bridged-triangle-heavy":
         "250c308766275322bd91543ae3396e538ae584d604e47e01f96ba68dcb36e354",
+    "gnm-24-quarter":
+        "50113b50e8f7ef5fac3c85520855db565560011e37b72f29738b36b6361688ea",
+    "spread-24-quarter":
+        "5a6d3f9b8cd77754527f66a32242f2df474c9637d3ef923b85d0a5f50a9d55e2",
+    "gnp-12-flat-tau-2":
+        "236ad108e3af7907cf9325e5a14698fa28583f154524cb960968ef989d8892da",
 }
 
 LAYER_MOVES_DIGEST = \
@@ -206,8 +215,8 @@ def feed_teardown_digest(n, edges, seed):
     return d.hexdigests()
 
 
-def sssp_teardown_digest(n, edges, order, params=None):
-    sp = sssp_build_all(DynamicGraph.from_edges(n, edges), S, EPS, params)
+def sssp_teardown_digest(n, edges, order, params=None, eps=EPS):
+    sp = sssp_build_all(DynamicGraph.from_edges(n, edges), S, eps, params)
     h = hashlib.sha256()
 
     def answers():
@@ -242,6 +251,25 @@ def test_sssp_default_teardown_digest():
     random.Random(3).shuffle(order)
     assert sssp_teardown_digest(10, edges, order) == \
         SSSP_DIGESTS["default-gnp-3-10"]
+
+
+# (name, n, edges, eps, params); each tears the whole graph down in the
+# order shuffled(edges, 5)
+FAMILY_CASES = (
+    # 8 scales in 3 tree groups
+    ("gnm-24-quarter", 24, GNM_24, QUARTER, None),
+    # one edge per length range, so the low scales discard edges
+    ("spread-24-quarter", 24, SPREAD_24, QUARTER, None),
+    # most of the overridden classes have no heavy vertex
+    ("gnp-12-flat-tau-2", 12, GNP_12, EPS, SsspParams(tau=2)),
+)
+
+
+@pytest.mark.parametrize("name,n,edges,eps,params", FAMILY_CASES,
+                         ids=[c[0] for c in FAMILY_CASES])
+def test_sssp_family_teardown_digest(name, n, edges, eps, params):
+    assert sssp_teardown_digest(n, edges, shuffled(edges, 5), params,
+                                eps) == SSSP_DIGESTS[name]
 
 
 def test_layer_move_digest():

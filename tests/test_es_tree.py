@@ -143,6 +143,16 @@ class TestDelete:
             want = clamp(orc.dijkstra(12, g.edge_list(), 0, cap=9), 9)
             got = [t.level_of(v) for v in range(12)]
             assert got == want
+            # es_walk is es_path without the range check, and walks a
+            # path of exactly the vertex's level
+            length = {frozenset(e[:2]): e[2] for e in g.edge_list()}
+            for v in range(12):
+                if got[v] is not None:
+                    walk = t.es_walk(v)
+                    assert walk == t.es_path(v)
+                    assert (walk[0], walk[-1]) == (0, v)
+                    assert sum(length[frozenset(hop)] for hop
+                               in zip(walk, walk[1:])) == got[v]
             for old, new in zip(prev, got):
                 if old is None:
                     assert new is None  # absent is absorbing

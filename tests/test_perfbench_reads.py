@@ -1,9 +1,11 @@
 """The benchmark reads SSSP state directly: SsspTarget.counters walks the
 class decompositions of every scale, and the span tracer's hooks read
-heavy sets and supernode serials.  Both run here on a default-tau state
-and on a tau={0: 2} state, so a change to sssp.py that breaks those reads
+heavy sets and supernode serials.  Both run here on a default-tau state,
+on a tau={0: 2} state and on a flat tau=10 state whose overridden classes
+have no heavy vertex, so a change to sssp.py that breaks those reads
 fails tier-1, not only a benchmark run."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,18 +21,37 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 1
 
 
+def counters_and_traced_metrics(make):
+    """SsspTarget.counters right after a build of make's pass-0 inputs,
+    and the metrics of run_traced, whose two passes must run cleanly."""
+    inp = make(SEED, 0)
+    target = bench.target_for(inp)
+    counters = target.counters(target.build(parse_graph(inp.graph_text)))
+    metrics, passes = bench.run_traced(make, SEED)
+    assert [p.errors for p in passes] == [[], []]
+    assert set(spans.TIMES) <= set(metrics)
+    return counters, metrics
+
+
 @pytest.mark.parametrize("workload,tau,has_lcd", [
     ("sssp-light", None, False),
     ("sssp-heavy", {0: 2}, True),
 ])
 def test_counters_and_one_traced_pass(workload, tau, has_lcd):
     make = WORKLOADS[workload]
-    inp = make(SEED, 0)
-    assert inp.tau == tau
-    target = bench.target_for(inp)
-    counters = target.counters(target.build(parse_graph(inp.graph_text)))
+    assert make(SEED, 0).tau == tau
+    counters, metrics = counters_and_traced_metrics(make)
     assert (counters["lcd.cores_built"] > 0) == has_lcd
-    metrics, passes = bench.run_traced(make, SEED)
-    assert [p.errors for p in passes] == [[], []]
-    assert set(spans.TIMES) <= set(metrics)
     assert (metrics["lcd.build_s"][0] > 0) == has_lcd
+
+
+def test_override_with_nothing_heavy():
+    """sssp-light's inputs under a flat tau=10: the build decomposes every
+    class to find its heavy set, finds none, and keeps no decomposition."""
+    def make(seed, k):
+        return dataclasses.replace(WORKLOADS["sssp-light"](seed, k), tau=10)
+
+    counters, metrics = counters_and_traced_metrics(make)
+    assert counters["lcd.cores_built"] == 0
+    assert metrics["lcd.build_s"][0] > 0
+    assert metrics["sssp.heavy_classes"][0] == 0

@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,13 +218,24 @@ class TestDefaultTauLemma:
 GNP_10 = orc.gen_gnp_connected(10, 0.3, seed=3, weights=(1, 5))
 
 
-def populated(inst):
-    return {edge_class(lp) for lp in inst.length.values()}
+def heavy_at_build(n, edges, params, i):
+    """The heavy set of every overridden, populated class of the scale-2^i
+    rounding of edges, each from a fresh decomposition: the vertices of
+    the layers whose threshold clears the class's tau."""
+    _, lcds = class_decompositions(n, edges, i)
+    out = {}
+    for c, st in lcds.items():
+        tau = params.override(c)
+        if tau is not None:
+            out[c] = {x for j in range(1, st.r + 1) if st.lay[j].h >= tau
+                      for x in st.layers.members_of(j)}
+    return out
 
 
 class TestWhichClassesExist:
-    """Only classes whose tau is overridden get a ClassState and with it
-    a decomposition; each case stays oracle-checked through audit."""
+    """Only classes whose tau is overridden and that have a heavy vertex
+    at the build get a ClassState and with it a decomposition; each case
+    stays oracle-checked through audit."""
 
     def test_default_tau_builds_no_decomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -232,17 +245,59 @@ class TestWhichClassesExist:
         sp = teardown(10, GNP_10, shuffled(GNP_10, 3))
         assert all(inst.classes == {} for inst in sp.scales.values())
 
-    @pytest.mark.parametrize("n,edges,tau,picked", [
-        (4, BRIDGED_TRIANGLE, {0: 2}, lambda cs: cs & {0}),
-        (10, GNP_10, 2, lambda cs: cs),
+    @pytest.mark.parametrize("n,edges,tau,counts", [
+        (4, BRIDGED_TRIANGLE, {0: 2}, (4, 4)),
+        (10, GNP_10, 2, (19, 2)),
     ], ids=["class-0", "flat"])
-    def test_overridden_classes_only(self, n, edges, tau, picked):
+    def test_overridden_classes_only(self, n, edges, tau, counts):
+        """A class state exactly for each overridden, populated class
+        whose heavy set is not empty, holding that set.  counts is
+        (overridden, populated classes; those with a heavy vertex) over
+        all scales."""
         params = SsspParams(tau=tau)
         sp = build(n, edges, params)
-        for inst in sp.scales.values():
-            assert set(inst.classes) == picked(populated(inst))
-        assert any(inst.classes for inst in sp.scales.values())
+        total = 0
+        for i, inst in sp.scales.items():
+            want = heavy_at_build(n, edges, params, i)
+            assert {c: cs.heavy for c, cs in inst.classes.items()} == \
+                {c: heavy for c, heavy in want.items() if heavy}, i
+            total += len(want)
+        assert (total, sum(map(len, (inst.classes for inst in
+                                     sp.scales.values())))) == counts
         teardown(n, edges, shuffled(edges, 3), params)
+
+    def test_override_with_nothing_heavy_builds_the_default_family(
+            self, monkeypatch):
+        """tau=10 makes no vertex of a unit-length G(40, 0.5) heavy, so no
+        scale keeps a class state, the decompositions built to find that
+        out are dropped, and the scales share the default family's trees
+        and give its answers over 40 seeded deletions."""
+        built = []
+        real = sssp.lcd_build
+
+        def recording(*args):
+            st = real(*args)
+            built.append(weakref.ref(st))
+            return st
+
+        monkeypatch.setattr(sssp, "lcd_build", recording)
+        edges = [(u, v, 1) for u, v in orc.gen_gnp_connected(40, 0.5, seed=1)]
+        sp = build(40, edges, SsspParams(tau=10))
+        assert all(inst.classes == {} for inst in sp.scales.values())
+        default = build(40, edges)
+        assert len(trees_of(sp)) == len(trees_of(default))
+        gc.collect()
+        assert built and all(ref() is None for ref in built)
+
+        def answers(state):
+            return [(sssp_dist(state, v), sssp_path(state, v))
+                    for v in range(40)]
+
+        assert answers(sp) == answers(default)
+        for u, v in shuffled(edges, 1)[:40]:
+            sssp_delete(sp, u, v)
+            sssp_delete(default, u, v)
+            assert answers(sp) == answers(default), (u, v)
 
 
 class TestRoundLengths:
@@ -481,7 +536,9 @@ class TestSharedDecompositions:
 
     @pytest.mark.parametrize("n,edges,params,counts", [
         (4, BRIDGED_TRIANGLE, HEAVY, (4, 1)),
-        (12, GNP_12, SsspParams(tau=2), (20, 6)),
+        # 7 of the 20 overridden, populated classes have a heavy vertex,
+        # in 3 of the 6 distinct class edge sets
+        (12, GNP_12, SsspParams(tau=2), (7, 3)),
     ], ids=["class-0", "flat"])
     def test_answers_equal_standalone_scales(self, n, edges, params, counts):
         """Every scale answers every vertex as a scale built alone, with
@@ -573,23 +630,42 @@ class TestSharedTrees:
             same_answers()
 
     def test_a_deletion_repairs_each_tree_once(self, monkeypatch):
+        """A deletion reaches one scale per tree, and repairs each tree
+        holding the edge once; the scales that share a tree share its
+        table and its discarded set."""
         sp = build(24, GNM_24, eps=QUARTER)
         calls = []
+        scales = []
         real = sssp.EsTree.es_delete
+        real_scale = sssp.sssp_scale_delete
 
         def counting(tree, u, v):
             calls.append(id(tree))
             return real(tree, u, v)
 
+        def counting_scale(inst, e, fed=None):
+            scales.append(id(inst.tree))
+            return real_scale(inst, e, fed)
+
         monkeypatch.setattr(sssp.EsTree, "es_delete", counting)
+        monkeypatch.setattr(sssp, "sssp_scale_delete", counting_scale)
         for u, v in shuffled(GNM_24, 2)[:20]:
             key = (min(u, v), max(u, v))
             holding = {id(inst.tree) for inst in sp.scales.values()
                        if key in inst.length}
             calls.clear()
+            scales.clear()
             sssp_delete(sp, u, v)
             assert sorted(calls) == sorted(holding), (u, v)
+            assert sorted(scales) == sorted(trees_of(sp)), (u, v)
         assert len(trees_of(sp)) == 3
+        by_tree = {}
+        for inst in sp.scales.values():
+            by_tree.setdefault(id(inst.tree), []).append(inst)
+        for group in by_tree.values():
+            assert len({id(inst.length) for inst in group}) == 1
+            assert len({id(inst.discarded) for inst in group}) == 1
+        assert len({id(inst.length) for inst in sp.scales.values()}) == 3
 
 
 class TestPoison:
