@@ -54,11 +54,13 @@ F = far_level at scale i has level at most F/2 + 4|P| <= F at scale
 i+1, as |P| < n <= F/8, so the pointer stops where such a search would.
 
 A deletion goes to one scale per distinct tree, the lowest, which pops
-the edge from the table it holds and repairs the tree once.  A
-decomposition depends only on n and its class edge set, and a class set
-only ever loses the deleted edge, so the scales of one family share a
-single decomposition per distinct class edge set, and each deletion
-feeds it once; every scale holding it reads that one ChangeLog.
+the edge from the table it holds and repairs the tree once.  A class's
+heavy side -- its decomposition, j_i, the heavy set and that set's
+connectivity -- depends only on n, the class edge set and tau, and a
+class set only ever loses the deleted edge, so the scales of one family
+share one heavy side per distinct (class edge set, tau).  Each deletion
+updates a side once and returns a record of what changed, which every
+scale holding the side replays on its own tree and supernode ids.
 """
 
 from __future__ import annotations
@@ -68,10 +70,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
+from .degree_layers import LayerState
 from .dynamic_forest import ConnSF
 from .es_tree import EsTree
-from .graph_core import (DynamicGraph, GraphError, UnknownEdge, dijkstra,
-                         edge_class)
+from .graph_core import (DynamicGraph, GraphError, GraphView, UnknownEdge,
+                         dijkstra, edge_class)
 from .lcd import (NOT_CONNECTED, LcdParams, lcd_build, lcd_delete_edge,
                   short_path)
 
@@ -119,20 +122,31 @@ def q_for(n: int) -> int:
 class SsspParams:
     """The one input beyond eps shared by every scale instance of a run.
 
-    tau overrides the heavy threshold, as one value for every class or as
-    a mapping from class index to value (classes it leaves out keep the
-    formula).  The formula tau_i = 8*n*lam*alpha*2^i / (eps*D'), with
-    alpha the largest short-path quality of the class decompositions,
-    is above the threshold h_j of every populated layer j: the quality
-    is at least h_j there, and eps*D' < 4n + 1 with lam >= 2 gives
-    tau_i > 3*alpha.  So a class at the formula has no heavy vertex, and
-    it carries no decomposition at all; neither does an overridden class
-    whose heavy set is empty at the build.  Tests and the benchmark set
-    tau to reach the heavy regime; while it is set the path-length check
-    against the estimate stands down.
+    tau overrides the heavy threshold, as one positive rational for every
+    class or as a mapping from class index to one (classes it leaves out
+    keep the formula); anything else raises ScaleMisuse.  The formula
+    tau_i = 8*n*lam*alpha*2^i / (eps*D'), with alpha the largest
+    short-path quality of the class decompositions, is above the
+    threshold h_j of every populated layer j: the quality is at least h_j
+    there, and eps*D' < 4n + 1 with lam >= 2 gives tau_i > 3*alpha.  So a
+    class at the formula has no heavy vertex, and it carries no
+    decomposition at all; neither does an overridden class whose degree
+    layers hold no heavy vertex at the build.  Tests and the benchmark
+    set tau to reach the heavy regime; while it is set the path-length
+    check against the estimate stands down.
     """
 
     tau: object = None
+
+    def __post_init__(self):
+        t = self.tau
+        for x in t.values() if isinstance(t, dict) else [t]:
+            try:
+                ok = x is None or not isinstance(x, bool) and Fraction(x) > 0
+            except (TypeError, ValueError, ArithmeticError):
+                ok = False
+            if not ok:
+                raise ScaleMisuse(f"tau {x!r} is not a positive rational")
 
     def override(self, i: int) -> Optional[Fraction]:
         """Class i's overridden tau, or None where the formula holds."""
@@ -142,25 +156,38 @@ class SsspParams:
         return None if t is None else _frac(t)
 
 
+def _heavy_side(n: int, pairs, tau: Fraction):
+    """(j_i, heavy, conn, lcd) of a class with edges pairs under tau, or
+    None when no vertex is heavy: the deepest layer whose width clears
+    tau, the vertices of layers 1..j_i, their connectivity and the
+    decomposition of the unweighted class graph, which starts from the
+    same layers (lcd_build moves none) and is built only when needed."""
+    g = DynamicGraph.from_edges(n, pairs)
+    layers = LayerState(GraphView(g))
+    j_i = max([j for j in range(1, layers.r + 1) if layers.h(j) >= tau],
+              default=0)
+    heavy = {x for j in range(1, j_i + 1) for x in layers.members_of(j)}
+    if not heavy:
+        return None
+    conn = ConnSF(sorted(heavy), [p for p in pairs
+                                  if p[0] in heavy and p[1] in heavy])
+    return j_i, heavy, conn, lcd_build(g, LcdParams.make(n, q_for(n)))
+
+
 class ClassState:
-    """Heavy-side bookkeeping for one length class whose tau is
-    overridden and that has a heavy vertex at the build: the vertices of
-    layers 1..j_i of the decomposition of its edges, pairs.  Every other
-    class is light and has none.
+    """One scale's view of a length class whose tau is overridden and
+    that has a heavy vertex at the build.  Every other class is light and
+    has none.
 
-    The decomposition is shared by every scale of a family whose class
-    has the same edge set, and is fed once per deletion; tau, j_i, the
-    heavy set, its connectivity and supernodes stay with each scale."""
+    j_i, heavy, conn and lcd are the class's heavy side (_heavy_side),
+    the same objects at every scale of a family whose class has the same
+    edge set and tau, and updated once per deletion; the class index,
+    the supernode ids and the light volume stay with each scale."""
 
-    def __init__(self, i: int, tau: Fraction, lcd, j_i: int, heavy: set,
-                 pairs):
+    def __init__(self, i: int, tau: Fraction, side):
         self.i = i
         self.tau = tau
-        self.lcd = lcd  # layered decomposition of the unweighted class graph
-        self.j_i = j_i  # deepest layer whose width clears tau
-        self.heavy = heavy
-        self.conn = ConnSF(sorted(heavy), [p for p in pairs
-                                           if p[0] in heavy and p[1] in heavy])
+        self.j_i, self.heavy, self.conn, self.lcd = side
         self.sn_of: dict = {}  # component label -> supernode id
         self.light_ever = 0
 
@@ -226,14 +253,14 @@ class SsspScaleInstance:
     it commits to the vertex while lv <= cap = far_level // k.  Deletions
     pop from the table; there is no per-scale graph.
 
-    edges is g.edge_list() when the caller has listed it already.  lcds
-    maps a sorted class edge tuple to its decomposition, and trees lists
-    the bare scales that own a table and a tree; the scales of one
-    SsspState share all three.  A scale built alone keeps its own, over
-    its own rounded table (k = 1)."""
+    edges is g.edge_list() when the caller has listed it already.  sides
+    maps (sorted class edge tuple, tau) to its heavy side, or to None
+    when nothing is heavy, and trees lists the bare scales that own a
+    table and a tree; the scales of one SsspState share both.  A scale
+    built alone keeps its own heavy sides, table and tree (k = 1)."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, D, params=None,
-                 edges=None, lcds=None, trees=None):
+                 edges=None, sides=None, trees=None):
         eps = _frac(eps)
         if params is None:
             params = SsspParams()
@@ -241,7 +268,6 @@ class SsspScaleInstance:
             raise ScaleMisuse(f"source {s} is not a vertex")
         self.s = int(s)
         self.eps = eps
-        self.D = _frac(D)
         self.params = params
         self.n = g.n
         if edges is None:
@@ -252,7 +278,7 @@ class SsspScaleInstance:
         self.far_level = far_level(self.n, eps)
         self.tau_overridden = params.tau is not None
         self.sn_serial = 0
-        self._build_classes({} if lcds is None else lcds)
+        self._build_classes({} if sides is None else sides)
         self._build_tree(trees)
         # the original-length estimate at tree level lv is
         # (lv*x + y) / z with (x, y, z) = dist_terms: the scaled estimate
@@ -264,11 +290,11 @@ class SsspScaleInstance:
 
     # -- construction ----------------------------------------------------
 
-    def _build_classes(self, lcds: dict):
+    def _build_classes(self, sides: dict):
         """A ClassState for every populated class whose tau is overridden
-        and that has a heavy vertex, holding the decomposition of its edge
-        set from lcds (built there on first need); every other class is
-        light.  Reads the scale's own rounded table (k = 1)."""
+        and that has a heavy vertex, holding the heavy side of its edge set
+        and tau from sides (built there on first need); every other class
+        is light.  Reads the scale's own rounded table (k = 1)."""
         self.classes: dict = {}
         if not self.tau_overridden:
             return
@@ -284,18 +310,11 @@ class SsspScaleInstance:
             tau = self.params.override(i)
             if tau is None:
                 continue
-            pairs = tuple(sorted(by_class[i]))
-            st = lcds.get(pairs)
-            if st is None:
-                st = lcds[pairs] = lcd_build(
-                    DynamicGraph.from_edges(self.n, pairs),
-                    LcdParams.make(self.n, q_for(self.n)))
-            j_i = max([j for j in range(1, st.r + 1) if st.lay[j].h >= tau],
-                      default=0)
-            heavy = {x for j in range(1, j_i + 1)
-                     for x in st.layers.members_of(j)}
-            if heavy:
-                self.classes[i] = ClassState(i, tau, st, j_i, heavy, pairs)
+            key = (tuple(sorted(by_class[i])), tau)
+            if key not in sides:
+                sides[key] = _heavy_side(self.n, *key)
+            if sides[key] is not None:
+                self.classes[i] = ClassState(i, tau, sides[key])
 
     def _build_tree(self, trees):
         """The tree, the multiple k and the cap.  A scale with class
@@ -358,18 +377,19 @@ class SsspScaleInstance:
 
 def sssp_scale_build(g: DynamicGraph, s: int, eps, D,
                      params: SsspParams = None, edges=None,
-                     lcds=None, trees=None) -> SsspScaleInstance:
+                     sides=None, trees=None) -> SsspScaleInstance:
     return SsspScaleInstance(g, s, eps, D, params=params, edges=edges,
-                             lcds=lcds, trees=trees)
+                             sides=sides, trees=trees)
 
 
 def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
     """Delete e from one scale: pop it from the table (or the discarded
     set) and repair the tree.  The scales of a group share both, so a
-    family sends each deletion to one scale per tree.  fed maps each
-    decomposition this deletion has already reached to its ChangeLog, so
-    that scales sharing one feed it once; without it the scale feeds its
-    own."""
+    family sends each deletion to one scale per tree through sssp_delete;
+    a direct call on a member of a family is internal.  fed maps each
+    heavy side (by its conn) this deletion has already updated to the
+    record of that update, which every scale holding the side replays on
+    its own tree; without fed the scale updates its own."""
     u, v = int(e[0]), int(e[1])
     key = (u, v) if u < v else (v, u)
     lp = inst.length.pop(key, None)
@@ -384,21 +404,60 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
         return
     if fed is None:
         fed = {}
-    both_heavy = u in cs.heavy and v in cs.heavy
-    clog = fed.get(cs.lcd)
-    if clog is None:
-        clog = fed[cs.lcd] = lcd_delete_edge(cs.lcd, (u, v))
-    if both_heavy:
-        ev = cs.conn.conn_delete(u, v)
-        if ev is not None:
-            # the moved side leaves its supernode for a fresh one
-            _rehome(inst, cs, ev.new_label, ev.moved, cs.sn_of[ev.old_label])
-    else:
+    rec = fed.get(cs.conn)
+    if rec is None:
+        rec = fed[cs.conn] = _side_delete(cs, u, v)
+    both_heavy, split, newly, gone = rec
+    if not both_heavy:
         inst.tree.es_delete(u, v)
+    elif split is not None:
+        # the moved side leaves its supernode for a fresh one
+        _rehome(inst, cs, split.new_label, split.moved,
+                cs.sn_of[split.old_label])
+    # edges toward a still-heavy or co-leaving vertex turn light first,
+    # while the supernode two-step detour still backs the no-drop promise
+    for a, b in newly:
+        inst.tree.es_insert(a, b, 4 * inst.length[(a, b)])
+    cs.light_ever += len(newly)
+    for d, lab, parts, kept in gone:
+        sn_old = cs.sn_of[lab]
+        inst.tree.es_delete(d, sn_old)
+        for label, group in parts.items():
+            _rehome(inst, cs, label, group, sn_old)
+        if not kept:
+            del cs.sn_of[lab]
+            inst.tree.es_remove_vertex(sn_old)
+
+
+def _side_delete(cs, u, v):
+    """Delete class edge (u, v) from the heavy side cs holds: feed the
+    decomposition, cut the edge from the heavy connectivity and retire
+    the vertices whose layer fell past j_i.  Returns (both ends were
+    heavy, the cut's split or None, the edges turned light, and per
+    retired vertex (d, its old label, {label: members} of each part split
+    off that label, whether the old label lives on))."""
+    heavy, conn = cs.heavy, cs.conn
+    both_heavy = u in heavy and v in heavy
+    clog = lcd_delete_edge(cs.lcd, (u, v))
+    split = conn.conn_delete(u, v) if both_heavy else None
     deps = sorted({w for (w, old, new) in clog.layer_moves
                    if old <= cs.j_i < new})
-    if deps:
-        _depart(inst, cs, deps)
+    newly = sorted({(min(d, w), max(d, w)) for d in deps
+                    for w, _ in cs.lcd.g.neighbors(d) if w in heavy})
+    gone = []
+    for d in deps:
+        lab = conn.component_label(d)
+        before = [x for x in conn.component_members(d) if x != d]
+        conn.conn_remove_vertex(d)
+        heavy.discard(d)
+        parts = {}
+        for x in before:
+            nl = conn.component_label(x)
+            if nl != lab and nl not in parts:
+                parts[nl] = conn.component_members(x)
+        kept = any(conn.component_label(x) == lab for x in before)
+        gone.append((d, lab, parts, kept))
+    return both_heavy, split, newly, gone
 
 
 def _rehome(inst, cs, label, group, sn_old):
@@ -410,41 +469,6 @@ def _rehome(inst, cs, label, group, sn_old):
     inst.tree.es_attach(snid, [(x, 1) for x in group])
     for x in group:
         inst.tree.es_delete(x, sn_old)
-
-
-def _depart(inst, cs, deps):
-    """Retire vertices whose layer fell past j_i from the heavy side."""
-    # edges toward a still-heavy or co-leaving vertex turn light first,
-    # while the supernode two-step detour still backs the no-drop promise
-    newly = set()
-    for d in deps:
-        for w, _ in sorted(cs.lcd.g.neighbors(d)):
-            if w in cs.heavy:
-                newly.add((min(d, w), max(d, w)))
-    for a, b in sorted(newly):
-        inst.tree.es_insert(a, b, 4 * inst.length[(a, b)])
-        cs.light_ever += 1
-    for d in deps:
-        lab = cs.conn.component_label(d)
-        sn_old = cs.sn_of[lab]
-        before = [x for x in cs.conn.component_members(d) if x != d]
-        inst.tree.es_delete(d, sn_old)
-        cs.conn.conn_remove_vertex(d)
-        cs.heavy.discard(d)
-        kept = False
-        done = set()
-        for x in before:
-            nl = cs.conn.component_label(x)
-            if nl == lab:
-                kept = True
-                continue
-            if nl in done:
-                continue
-            done.add(nl)
-            _rehome(inst, cs, nl, cs.conn.component_members(x), sn_old)
-        if not kept:
-            cs.sn_of.pop(lab, None)
-            inst.tree.es_remove_vertex(sn_old)
 
 
 # -- queries ---------------------------------------------------------------
@@ -669,7 +693,7 @@ class SsspState:
         top = max(1, g.n * lmax)  # above every finite distance
         self.imax = max(0, (top - 1).bit_length())
         self.poisoned = None  # the error that left a deletion half-applied
-        lcds: dict = {}  # sorted class edge tuple -> shared decomposition
+        sides: dict = {}  # (class edge tuple, tau) -> heavy side or None
         trees: list = []  # the bare scales that own a table and a tree
         # top scale first: a group's multiples only shrink as i grows, so
         # the member with the smallest multiple, whose tree is shared,
@@ -678,7 +702,7 @@ class SsspState:
         for i in range(self.imax, -1, -1):
             built[i] = sssp_scale_build(g, s, eps, 2 ** i,
                                         params=self.params, edges=edges,
-                                        lcds=lcds, trees=trees)
+                                        sides=sides, trees=trees)
         self.scales = {i: built[i] for i in range(self.imax + 1)}
         heads: dict = {}
         for inst in self.scales.values():
@@ -701,7 +725,7 @@ def _check_live(sp: SsspState):
 def sssp_delete(sp: SsspState, u: int, v: int) -> None:
     """Delete (u, v) from every scale through one scale per tree, which
     pops the table and repairs the tree its group shares; each shared
-    decomposition is fed once.  An unknown edge changes nothing; an error
+    heavy side is updated once.  An unknown edge changes nothing; an error
     once the deletion has begun poisons the state and is re-raised.  The
     top scale keeps every live edge (2^imax is at least n times the
     longest length), so its table decides what is live."""

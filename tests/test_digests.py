@@ -50,8 +50,8 @@ from corepath.lcd import (
 from corepath.sssp import (SsspParams, sssp_build_all, sssp_delete,
                            sssp_dist, sssp_path)
 from test_lcd import coarse_params, gnp, wide_params
-from test_sssp import (BRIDGED_TRIANGLE, EPS, GNM_24, GNP_12, HEAVY, QUARTER,
-                       S, SPREAD_24, adaptive_teardown, shuffled)
+from test_sssp import (BRIDGED_TRIANGLE, EPS, GNM_24, GNP_12, GNP_16, HEAVY,
+                       QUARTER, S, SPREAD_24, adaptive_teardown, shuffled)
 
 LCD_SEEDS = ((31, 9, 0.5), (11, 9, 0.4), (12, 10, 0.55))
 
@@ -121,6 +121,8 @@ SSSP_DIGESTS = {
         "5a6d3f9b8cd77754527f66a32242f2df474c9637d3ef923b85d0a5f50a9d55e2",
     "gnp-12-flat-tau-2":
         "236ad108e3af7907cf9325e5a14698fa28583f154524cb960968ef989d8892da",
+    "gnp-16-flat-tau-2":
+        "4b5baae4bd5f0c6d6186527fa9db01d86e78e18a10b01b3cc543390b697b37fe",
 }
 
 LAYER_MOVES_DIGEST = \
@@ -262,6 +264,9 @@ FAMILY_CASES = (
     ("spread-24-quarter", 24, SPREAD_24, QUARTER, None),
     # most of the overridden classes have no heavy vertex
     ("gnp-12-flat-tau-2", 12, GNP_12, EPS, SsspParams(tau=2)),
+    # 22 class states over 4 distinct (class edge set, tau) heavy sides,
+    # one of them held at 8 class indices
+    ("gnp-16-flat-tau-2", 16, GNP_16, EPS, SsspParams(tau=2)),
 )
 
 

@@ -45,13 +45,29 @@ def test_counters_and_one_traced_pass(workload, tau, has_lcd):
     assert (metrics["lcd.build_s"][0] > 0) == has_lcd
 
 
+def test_sssp_heavy_counts():
+    """What the benchmark reads on sssp-heavy, pinned: the build's tree
+    work and supernodes, and the traced pass's heavy classes, supernodes,
+    ES work and deletions, and short-path splices.  A change to how
+    scales share their heavy side must move none of them."""
+    counters, metrics = counters_and_traced_metrics(WORKLOADS["sssp-heavy"])
+    assert (counters["sssp.tree_work"], counters["sssp.supernodes"]) == \
+        (40, 4)
+    assert {name: metrics[name][0] for name in (
+        "sssp.heavy_classes", "sssp.supernodes", "es_tree.work",
+        "es_tree.delete_calls", "lcd.short_path_calls")} == {
+        "sssp.heavy_classes": 4, "sssp.supernodes": 8, "es_tree.work": 282,
+        "es_tree.delete_calls": 41, "lcd.short_path_calls": 8}
+
+
 def test_override_with_nothing_heavy():
-    """sssp-light's inputs under a flat tau=10: the build decomposes every
-    class to find its heavy set, finds none, and keeps no decomposition."""
+    """sssp-light's inputs under a flat tau=10: the build reads every
+    class's heavy set from its degree layers, finds none, and builds no
+    decomposition."""
     def make(seed, k):
         return dataclasses.replace(WORKLOADS["sssp-light"](seed, k), tau=10)
 
     counters, metrics = counters_and_traced_metrics(make)
     assert counters["lcd.cores_built"] == 0
-    assert metrics["lcd.build_s"][0] > 0
+    assert metrics["lcd.build_s"][0] == 0
     assert metrics["sssp.heavy_classes"][0] == 0

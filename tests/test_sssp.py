@@ -1,10 +1,9 @@
-import gc
 import math
 import os
 import random
 import subprocess
 import sys
-import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +11,7 @@ import pytest
 
 import oracles as orc
 from corepath import sssp
+from corepath.dynamic_forest import ConnSF
 from corepath.graph_core import DynamicGraph, UnknownEdge, edge_class
 from corepath.lcd import (NOT_CONNECTED, LcdError, LcdParams, lcd_build,
                           lcd_delete_edge, short_path_quality)
@@ -269,25 +269,18 @@ class TestWhichClassesExist:
     def test_override_with_nothing_heavy_builds_the_default_family(
             self, monkeypatch):
         """tau=10 makes no vertex of a unit-length G(40, 0.5) heavy, so no
-        scale keeps a class state, the decompositions built to find that
-        out are dropped, and the scales share the default family's trees
+        scale keeps a class state, the degree layers that show it build no
+        decomposition, and the scales share the default family's trees
         and give its answers over 40 seeded deletions."""
-        built = []
-        real = sssp.lcd_build
+        def refuse(*args, **kwargs):
+            raise AssertionError("lcd_build called with nothing heavy")
 
-        def recording(*args):
-            st = real(*args)
-            built.append(weakref.ref(st))
-            return st
-
-        monkeypatch.setattr(sssp, "lcd_build", recording)
+        monkeypatch.setattr(sssp, "lcd_build", refuse)
         edges = [(u, v, 1) for u, v in orc.gen_gnp_connected(40, 0.5, seed=1)]
         sp = build(40, edges, SsspParams(tau=10))
         assert all(inst.classes == {} for inst in sp.scales.values())
         default = build(40, edges)
         assert len(trees_of(sp)) == len(trees_of(default))
-        gc.collect()
-        assert built and all(ref() is None for ref in built)
 
         def answers(state):
             return [(sssp_dist(state, v), sssp_path(state, v))
@@ -298,6 +291,25 @@ class TestWhichClassesExist:
             sssp_delete(sp, u, v)
             sssp_delete(default, u, v)
             assert answers(sp) == answers(default), (u, v)
+
+
+class TestTauValidation:
+    @pytest.mark.parametrize("tau", [0, -1, Fraction(-1, 2), True, "x",
+                                     float("nan"), float("inf"), [2],
+                                     {0: 0}, {0: 2, 1: False}, {1: "x"}])
+    def test_bad_tau_raises(self, tau):
+        with pytest.raises(ScaleMisuse, match="not a positive rational"):
+            SsspParams(tau=tau)
+
+    @pytest.mark.parametrize("tau", [None, 2, Fraction(1, 2), 0.5,
+                                     {0: 2}, {0: Fraction(3, 2), 1: None}])
+    def test_good_tau_builds(self, tau):
+        """A tau below 2 may make long classes heavy, whose answers can
+        undercount, so only the invariants are checked here."""
+        sp = build(4, BRIDGED_TRIANGLE, SsspParams(tau=tau))
+        sssp_delete(sp, 1, 2)
+        for inst in sp.scales.values():
+            check_scale_invariants(inst)
 
 
 class TestRoundLengths:
@@ -500,6 +512,7 @@ class TestAdaptive:
 
 
 GNP_12 = orc.gen_gnp_connected(12, 0.5, seed=1, weights=(1, 5))
+GNP_16 = orc.gen_gnp_connected(16, 0.4, seed=2, weights=(1, 5))
 
 
 def decompositions(sp):
@@ -539,7 +552,8 @@ class TestSharedDecompositions:
         # 7 of the 20 overridden, populated classes have a heavy vertex,
         # in 3 of the 6 distinct class edge sets
         (12, GNP_12, SsspParams(tau=2), (7, 3)),
-    ], ids=["class-0", "flat"])
+        (16, GNP_16, SsspParams(tau=2), (22, 4)),
+    ], ids=["class-0", "flat", "flat-16"])
     def test_answers_equal_standalone_scales(self, n, edges, params, counts):
         """Every scale answers every vertex as a scale built alone, with
         its own decompositions, does, after every deletion."""
@@ -568,6 +582,71 @@ class TestSharedDecompositions:
             for inst in alone.values():
                 sssp_scale_delete(inst, (u, v))
             same_answers()
+
+
+def count_top_level_conn_calls(monkeypatch):
+    """A Counter of ConnSF.conn_delete and conn_remove_vertex calls, not
+    counting the deletions a vertex removal makes itself."""
+    calls = Counter()
+    depth = [0]
+
+    def wrap(name):
+        real = getattr(ConnSF, name)
+
+        def counting(conn, *args):
+            calls[name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return real(conn, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ConnSF, name, counting)
+
+    wrap("conn_delete")
+    wrap("conn_remove_vertex")
+    return calls
+
+
+class TestSharedHeavySides:
+    """Scales of one family whose class has the same edge set and tau hold
+    one heavy side (j_i, heavy set, connectivity, decomposition), which
+    each deletion updates once; supernode ids stay with each scale."""
+
+    @pytest.mark.parametrize("n,edges,params,counts", [
+        (4, BRIDGED_TRIANGLE, HEAVY, (4, 1, 1)),
+        (12, GNP_12, SsspParams(tau=2), (7, 3, 4)),
+        # one side at 8 class indices: a side keyed by its class index
+        # would split it
+        (16, GNP_16, SsspParams(tau=2), (22, 4, 8)),
+    ], ids=["class-0", "flat", "flat-16"])
+    def test_scales_share_the_side_not_its_supernodes(self, n, edges,
+                                                      params, counts):
+        """counts is (class states, distinct sides, most class indices
+        one side is held at)."""
+        sp = build(n, edges, params)
+        states = [cs for inst in sp.scales.values()
+                  for cs in inst.classes.values()]
+        sides = {}
+        for cs in states:
+            sides.setdefault(id(cs.conn), []).append(cs)
+        assert (len(states), len(sides),
+                max(len({cs.i for cs in held}) for held in sides.values())
+                ) == counts
+        for held in sides.values():
+            assert len({id(cs.heavy) for cs in held}) == 1
+            assert len({id(cs.lcd) for cs in held}) == 1
+            assert len({id(cs.sn_of) for cs in held}) == len(held)
+        assert len({id(cs.heavy) for cs in states}) == len(sides)
+
+    def test_a_deletion_updates_the_side_once(self, monkeypatch):
+        """Deleting (2, 3) cuts the heavy triangle once and retires its
+        three vertices once, not once per scale holding it (4 and 12)."""
+        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+        calls = count_top_level_conn_calls(monkeypatch)
+        sssp_delete(sp, 2, 3)
+        assert calls == {"conn_delete": 1, "conn_remove_vertex": 3}
+        audit(sp, 4, [e for e in BRIDGED_TRIANGLE if e[:2] != (2, 3)])
 
 
 # one edge in each length range (2^j, 2^(j+1)], so that no two scales
