@@ -11,7 +11,14 @@ Conventions shared by everything here:
 * exact cut enumeration is capped at EXACT_CAP vertices, everything larger
   falls back to a seeded sampled family (sweep cuts, balls, random subsets);
   both families land in the same cut tables, so every primitive selects
-  its cut the same way in either regime.
+  its cut the same way in either regime;
+* a decomposition or pruning piece whose positive-volume vertices are
+  connected, and whose host volume is at most 2/phi, is accepted by
+  counting (_count_certified) before any cut table is built: every cut
+  with volume on both sides crosses an edge, and that is already phi of
+  the smaller side.  At the LCD's phi = 1/(4(1+ceil(lg n))^3) the volume
+  bound is 8(1+ceil(lg n))^3, 2744 at n = 60, so every connected piece
+  of a graph with at most 4(1+ceil(lg n))^3 edges certifies.
 """
 
 from __future__ import annotations
@@ -27,8 +34,11 @@ from .es_tree import EsTree
 from .graph_core import GraphError, GraphView, UnknownEdge, cut_stats
 
 # numpy takes about 14 MB of resident memory, so each function imports
-# it where it is used: a process that never cuts or prunes (SSSP at the
-# formula's tau, a bare ES tree) never loads it
+# it where it is used, after the counting certificate: a process that
+# never builds a cut table never loads it.  That covers SSSP at the
+# formula's tau, a bare ES tree, and LCD builds and upkeep wherever every
+# piece certifies by counting; an oracle build still plays the
+# cut-matching game, which does load it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -384,6 +394,37 @@ def _candidate_cuts(verts, adj, rng, order):
         if c:
             out.append(c)
     return out
+
+
+def _count_certified(verts, triples, host_deg, phi: Fraction) -> bool:
+    """Whether counting alone proves that no cut of the piece falls below
+    phi: its vertices of positive host degree form one component over
+    the piece's own edges, and phi * vol <= 2 for its host volume vol.
+
+    A cut with host volume on both sides then has a positive-degree
+    vertex on each side, so it crosses at least one edge (a vertex of
+    host degree 0 has no edge at all), while its smaller side has volume
+    at most vol/2 <= 1/phi: boundary >= 1 >= phi * min-side volume.  So
+    the exact table would find no violating row, and neither would a
+    sampled one."""
+    vol = sum(host_deg[v] for v in verts)
+    if phi.numerator * vol > 2 * phi.denominator:
+        return False
+    root = {v: v for v in verts if host_deg[v] > 0}
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    parts = len(root)
+    for u, v, _k in triples:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            parts -= 1
+    return parts <= 1
 
 
 def _cut_tables(verts, triples, cap: int, rng, host_deg=None) -> _CutTables:
@@ -866,8 +907,12 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
     if params is None:
         params = _default_params(phi)
     verts = sorted(g.vertex_list(), key=repr)
-    host_deg = {v: g.degree(v) for v in verts}
-    all_triples = [(u, v, 1) for u, v, _ in g.edge_list()]
+    host_deg = dict.fromkeys(verts, 0)
+    all_triples = []
+    for u, v, _ in g.edge_list():
+        all_triples.append((u, v, 1))
+        host_deg[u] += 1
+        host_deg[v] += 1
     rng = random.Random(SEED) if len(verts) > params.exact_cap else None
 
     clusters = []
@@ -878,8 +923,11 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
         if len(pv) <= 1:
             clusters.append(piece)
             continue
-        tab = _cut_tables(pv, _sub_triples(all_triples, piece), params.exact_cap, rng,
-                          host_deg)
+        triples = _sub_triples(all_triples, piece)
+        if _count_certified(pv, triples, host_deg, phi):
+            clusters.append(piece)
+            continue
+        tab = _cut_tables(pv, triples, params.exact_cap, rng, host_deg)
         rows = _violation_rows(tab, phi)
         if rows.size == 0:
             clusters.append(piece)
@@ -894,7 +942,7 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
         for v in c:
             owner[v] = i
     boundary = sum(1 for u, v, _ in all_triples if owner[u] != owner[v])
-    budget = params.gamma * phi * g.m
+    budget = params.gamma * phi * len(all_triples)
     return DecompResult(tuple(clusters), boundary, budget, Fraction(boundary) <= budget)
 
 
@@ -941,7 +989,6 @@ class PrunedExpander:
 
     def _settle(self) -> list:
         """Prune violating sides until the remainder re-certifies."""
-        import numpy as np
         phi6 = self.phi / 6
         newly = []
         while True:
@@ -956,6 +1003,9 @@ class PrunedExpander:
             ]
             side = self._stray_components(rem) if len(rem) > self.params.exact_cap else None
             if side is None:
+                if _count_certified(rem, triples, self.deg0, phi6):
+                    break
+                import numpy as np
                 tab = _cut_tables(rem, triples, self.params.exact_cap, self._rng, self.deg0)
                 rows = _violation_rows(tab, phi6)
                 if rows.size == 0:

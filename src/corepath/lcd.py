@@ -415,6 +415,7 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
     for u, d in indeg.items():
         if TRIM_DIV * d > targets[u]:
             raise PhaseBroken(f"in-degree at {u} over its cap")
+    # deg < phi * target / TRIM_DIV, cross-multiplied to integers
     phi = params.expander.phi
     for piece, edges in cores:
         deg = {u: 0 for u in piece}
@@ -422,7 +423,8 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
             deg[a] += 1
             deg[b] += 1
         for u in piece:
-            if deg[u] < phi * Fraction(targets[u], TRIM_DIV):
+            if deg[u] * TRIM_DIV * phi.denominator < \
+                    phi.numerator * targets[u]:
                 raise PhaseBroken(
                     f"core degree at {u} below phi*target/{TRIM_DIV}")
     cores.sort(key=lambda ce: min(ce[0]))
@@ -521,9 +523,11 @@ def _start_phase(st: LcdState, j, lv):
     view = GraphView(st.g, vertices=members)
     hkeys = sorted((a, b) for a, b, _len in view.edge_list())
     cores_sets, dag = core_decompose(view, ph.targets, st.params)
-    # creation census: the sublayer cannot afford more cores than this
-    lhs = len(cores_sets) * (st.params.expander.phi ** 2) * sub.h
-    if lhs > CENSUS_COEFF * len(members):
+    # creation census: the sublayer cannot afford more cores than
+    # CENSUS_COEFF*|members|/(phi^2 h), in integers
+    phi = st.params.expander.phi
+    if len(cores_sets) * phi.numerator ** 2 * sub.h > \
+            CENSUS_COEFF * len(members) * phi.denominator ** 2:
         raise PhaseBroken("phase created too many cores")
     covered = set()
     for vs in cores_sets:
@@ -613,7 +617,8 @@ def _core_feed_local(st: LcdState, core: Core, a, b):
     if not core.top_graph().has_edge(a, b):
         return
     st._work(4)
-    if (core.fed + 1) * WEAR_DIV > st.params.expander.phi * core.e0:
+    phi = st.params.expander.phi
+    if (core.fed + 1) * WEAR_DIV * phi.denominator > phi.numerator * core.e0:
         core.fed += 1
         _core_destroy(st, core)
         return

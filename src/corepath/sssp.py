@@ -192,6 +192,19 @@ class ClassState:
         self.light_ever = 0
 
 
+def _family_terms(n: int, eps) -> tuple:
+    """(eps, D', far level) of a family over n vertices: eps as a
+    Fraction checked to lie in (0, 1), D' = ceil(4n/eps) and
+    far_level(n, eps).  They do not depend on the scale, so a family
+    computes them once and hands them to every scale it builds."""
+    eps = _frac(eps)
+    if not 0 < eps < 1:
+        raise ScaleMisuse(f"eps {eps} outside (0, 1)")
+    a, b = eps.numerator, eps.denominator
+    dp = -((-4 * n * b) // a)
+    return eps, dp, (32 * n * (a + b) * b // a - a * dp) // b
+
+
 def round_lengths(n: int, edges, eps, D):
     """The length table of the edges (u, v, len) of an n-vertex graph on
     the integer range for scale D.
@@ -202,17 +215,20 @@ def round_lengths(n: int, edges, eps, D):
     of the longer edges, and D' = ceil(4n/eps) is the rounded scale
     every kept length now lives under.  One pass, all in integers.
     """
-    eps = _frac(eps)
-    D = _frac(D)
-    if not 0 < eps < 1:
-        raise ScaleMisuse(f"eps {eps} outside (0, 1)")
+    eps, d_new, _far = _family_terms(n, eps)
+    return _round_table(n, edges, eps, d_new, D)
+
+
+def _round_table(n: int, edges, eps: Fraction, d_new: int, D):
+    """round_lengths for a checked eps and its D' (_family_terms)."""
+    if not isinstance(D, int):
+        D = _frac(D)
     if D <= 0:
         raise ScaleMisuse(f"scale {D} is not positive")
     a, b = eps.numerator, eps.denominator
     # factor = num/den
     num = 4 * n * b * D.denominator
     den = a * D.numerator
-    d_new = -((-4 * n * b) // a)
     limit = 2 * D.numerator  # len > 2D iff len * D.denominator > limit
     length: dict = {}
     discarded = set()
@@ -237,10 +253,7 @@ def far_level(n: int, eps) -> int:
     which leaves level <= 32n(1+eps)/eps - eps*D' with D' = ceil(4n/eps);
     for eps = a/b the right side floors to the integer returned here.
     """
-    eps = _frac(eps)
-    a, b = eps.numerator, eps.denominator
-    dp = -((-4 * n * b) // a)
-    return (32 * n * (a + b) * b // a - a * dp) // b
+    return _family_terms(n, eps)[2]
 
 
 class SsspScaleInstance:
@@ -257,11 +270,16 @@ class SsspScaleInstance:
     maps (sorted class edge tuple, tau) to its heavy side, or to None
     when nothing is heavy, and trees lists the bare scales that own a
     table and a tree; the scales of one SsspState share both.  A scale
-    built alone keeps its own heavy sides, table and tree (k = 1)."""
+    built alone keeps its own heavy sides, table and tree (k = 1).  terms
+    is the family's (eps, D', far level) from _family_terms, computed here
+    when not given.  dist_memo maps each tree level sssp_dist has answered
+    at to that answer."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, D, params=None,
-                 edges=None, sides=None, trees=None):
-        eps = _frac(eps)
+                 edges=None, sides=None, trees=None, terms=None):
+        if terms is None:
+            terms = _family_terms(g.n, eps)
+        eps, d_new, far = terms
         if params is None:
             params = SsspParams()
         if not 0 <= int(s) < g.n:
@@ -273,9 +291,9 @@ class SsspScaleInstance:
         if edges is None:
             edges = g.edge_list()
         self.length, self.discarded, self.Dp, self.factor = \
-            round_lengths(g.n, edges, eps, D)
+            _round_table(g.n, edges, eps, d_new, D)
         self.lam = (4 * self.Dp).bit_length() - 1
-        self.far_level = far_level(self.n, eps)
+        self.far_level = far
         self.tau_overridden = params.tau is not None
         self.sn_serial = 0
         self._build_classes({} if sides is None else sides)
@@ -287,6 +305,7 @@ class SsspScaleInstance:
         f = self.factor
         self.dist_terms = (self.k * b * f.denominator,
                            a * self.Dp * f.denominator, 4 * b * f.numerator)
+        self.dist_memo: dict = {}
 
     # -- construction ----------------------------------------------------
 
@@ -377,9 +396,9 @@ class SsspScaleInstance:
 
 def sssp_scale_build(g: DynamicGraph, s: int, eps, D,
                      params: SsspParams = None, edges=None,
-                     sides=None, trees=None) -> SsspScaleInstance:
+                     sides=None, trees=None, terms=None) -> SsspScaleInstance:
     return SsspScaleInstance(g, s, eps, D, params=params, edges=edges,
-                             sides=sides, trees=trees)
+                             sides=sides, trees=trees, terms=terms)
 
 
 def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
@@ -683,10 +702,11 @@ class SsspState:
     the scales a deletion goes to."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, params=None):
-        eps = _frac(eps)
+        # eps, D' and the far level are the same at every scale
+        terms = _family_terms(g.n, eps)
         self.n = g.n
         self.s = int(s)
-        self.eps = eps
+        self.eps = eps = terms[0]
         self.params = params if params is not None else SsspParams()
         edges = g.edge_list()
         lmax = max([ln for _, _, ln in edges] or [1])
@@ -702,7 +722,8 @@ class SsspState:
         for i in range(self.imax, -1, -1):
             built[i] = sssp_scale_build(g, s, eps, 2 ** i,
                                         params=self.params, edges=edges,
-                                        sides=sides, trees=trees)
+                                        sides=sides, trees=trees,
+                                        terms=terms)
         self.scales = {i: built[i] for i in range(self.imax + 1)}
         heads: dict = {}
         for inst in self.scales.values():
@@ -772,16 +793,26 @@ def _check_query(sp: SsspState, v: int):
         raise ScaleMisuse(f"vertex {v} out of range")
 
 
+_ZERO = Fraction(0)
+
+
 def sssp_dist(sp: SsspState, v):
+    """v's estimate: (lv*x + y)/z for its level lv at the first scale
+    that commits to v.  Fractions are immutable, so each scale hands out
+    one per level from its dist_memo instead of building it per query."""
     v = int(v)
     _check_query(sp, v)
     if v == sp.s:
-        return Fraction(0)
+        return _ZERO
     i, lv = _locate(sp, v)
     if i is None:
         return NOT_CONNECTED
-    x, y, z = sp.scales[i].dist_terms
-    return Fraction(lv * x + y, z)
+    inst = sp.scales[i]
+    ans = inst.dist_memo.get(lv)
+    if ans is None:
+        x, y, z = inst.dist_terms
+        ans = inst.dist_memo[lv] = Fraction(lv * x + y, z)
+    return ans
 
 
 def sssp_path(sp: SsspState, v):

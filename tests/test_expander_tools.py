@@ -527,3 +527,114 @@ class TestSparsityWithMatching:
             aug = edges + [(i, n + i) for i in range(n)]
             got, _ = orc.sparsity_exact(range(2 * n), aug)
             assert got >= base / 4
+
+
+def no_count_certificate(monkeypatch):
+    monkeypatch.setattr(xt, "_count_certified", lambda *args: False)
+
+
+def certificate_phis(vol):
+    """phi on both sides of phi * vol = 2, equality included, plus the
+    blunt 1/4 the other tests use."""
+    out = {Fraction(1, 4), Fraction(2, vol), Fraction(2, vol + 1)}
+    if vol > 2:
+        out.add(Fraction(2, vol - 1))
+    return sorted(p for p in out if p <= 1)
+
+
+def host_with_strays(seed, second_component=True):
+    """A seeded G(n, 0.45) draw plus an isolated vertex, and with
+    second_component a path on three more vertices, so that pieces hold
+    zero-degree vertices, vertices whose host edges all leave the piece,
+    and more than one component.  Even seeds draw a connected G(n, 0.45),
+    which certifies whole at phi * vol <= 2."""
+    n = 7 + seed % 4
+    if seed % 2:
+        rng = random.Random(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.45]
+    else:
+        edges = orc.gen_gnp_connected(n, 0.45, seed)
+    if not second_component:
+        return n + 1, edges  # n stays isolated
+    return n + 4, edges + [(n + 1, n + 2), (n + 2, n + 3)]
+
+
+class TestCountCertificate:
+    def test_certified_pieces_have_no_violating_row(self):
+        # the certificate against the exact table it stands in for, and
+        # its two conditions against a fresh component count
+        hits = Counter()
+        for seed in range(40):
+            n, edges = host_with_strays(seed)
+            g = view(n, edges)
+            host_deg = {v: g.degree(v) for v in range(n)}
+            rng = random.Random(100 + seed)
+            piece = sorted(rng.sample(range(n), rng.randint(2, min(n, 10))))
+            triples = [(u, v, 1) for u, v in induced(edges, set(piece))]
+            vol = sum(host_deg[v] for v in piece)
+            live = [v for v in piece if host_deg[v] > 0]
+            comps = [c for c in orc.connected_components(
+                n, [(u, v) for u, v, _ in triples]) if set(c) & set(live)]
+            for phi in certificate_phis(max(vol, 1)):
+                got = xt._count_certified(piece, triples, host_deg, phi)
+                assert got == (len(comps) <= 1 and phi * vol <= 2), \
+                    (seed, piece, phi)
+                hits[got, phi * vol == 2] += 1
+                if got:
+                    tab = xt._CutTables(piece, triples, host_deg)
+                    assert xt._violation_rows(tab, phi).size == 0
+        # certified at equality, and refused on both counts
+        assert hits[True, True] and hits[False, True] and hits[False, False]
+
+    def test_lone_positive_vertex_certifies(self):
+        # a piece whose only positive-degree vertex has all its host
+        # edges outside the piece, next to a zero-degree vertex
+        host_deg = {0: 3, 1: 0}
+        assert xt._count_certified([0, 1], [], host_deg, Fraction(2, 3))
+        assert not xt._count_certified([0, 1], [], host_deg, Fraction(3, 4))
+        assert not xt._count_certified([0, 1, 2], [], {0: 1, 1: 0, 2: 1},
+                                       Fraction(1, 100))
+
+    def test_decompose_matches_without_certificate(self, monkeypatch):
+        cases = []
+        for cap, seed, second in product(CAPS, range(10), (True, False)):
+            n, edges = host_with_strays(seed, second)
+            g = view(n, edges)
+            for phi in certificate_phis(2 * len(edges)):
+                params = xt.ExpanderParams(phi=phi, gamma=min(Fraction(4), 1 / phi),
+                                           exact_cap=cap)
+                cases.append((g, phi, params, xt.expander_decompose(g, phi, params)))
+        no_count_certificate(monkeypatch)
+        for g, phi, params, res in cases:
+            assert xt.expander_decompose(g, phi, params) == res
+
+    def test_pruning_teardown_matches_without_certificate(self, monkeypatch):
+        def teardown(edges, n, phi, cap, seed):
+            p = xt.prune_init(view(n, edges), phi, xt.ExpanderParams(
+                phi=phi, gamma=min(Fraction(2), 1 / phi), exact_cap=cap))
+            order = sorted(edges)
+            random.Random(seed).shuffle(order)
+            out = []
+            for e in order:
+                try:
+                    out.append(xt.prune_delete(p, e))
+                except xt.DeletionBudgetExhausted:
+                    out.append("exhausted")
+                    break
+            return out, p.pruned_set
+
+        runs = []
+        for cap, seed, second in product(CAPS, range(6), (True, False)):
+            n, edges = host_with_strays(seed, second)
+            vol0 = 2 * len(edges)
+            # pruning certifies at phi/6, so these put phi/6 * vol on
+            # both sides of 2
+            for phi in sorted({Fraction(1, 2)} | {
+                    Fraction(12, v) for v in (vol0 - 1, vol0, vol0 + 1)
+                    if Fraction(12, v) <= 1}):
+                runs.append(((edges, n, phi, cap, seed),
+                             teardown(edges, n, phi, cap, seed)))
+        no_count_certificate(monkeypatch)
+        for args, got in runs:
+            assert teardown(*args) == got, args

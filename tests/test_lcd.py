@@ -10,6 +10,7 @@ import pytest
 
 import oracles as orc
 from corepath import expander_oracle as xo
+from corepath import expander_tools as xt
 from corepath import lcd
 from corepath.graph_core import DynamicGraph, GraphView, UnknownEdge
 from corepath.expander_tools import ExpanderParams
@@ -654,3 +655,49 @@ class TestFuzzTeardown:
         check_invariants(st)
         moved = sum(sl.moves_total() for sl in st.lay.values())
         assert moved > 0
+
+
+def shipped_teardown():
+    """lcd_build at LcdParams.make(60) over G(60, 0.35) (m = 688), then
+    60 seeded shuffled deletions; returns the state.  Every core dies at
+    its first feed here, so each deletion that reaches one restarts its
+    phase and decomposes the sublayer again."""
+    edges = orc.gen_gnp_connected(60, 0.35, 7)
+    st = build(60, edges, LcdParams.make(60))
+    order = sorted(edges)
+    random.Random(1).shuffle(order)
+    for e in order[:60]:
+        lcd_delete_edge(st, e)
+    return st
+
+
+class TestCountCertifiedUpkeep:
+    """At the shipped phi, 2/phi is 2744 at n = 60, above the volume of
+    any piece the teardown decomposes, so every connected piece
+    certifies by counting and no cut table is built."""
+
+    def test_shipped_teardown_builds_no_cut_table(self, monkeypatch):
+        calls = []
+        real = xt._cut_tables
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(xt, "_cut_tables", spy)
+        st = shipped_teardown()
+        check_invariants(st)
+        assert sum(sl.cores_created for sl in st.lay.values()) == 58
+        assert st.micros == 38804
+        assert calls == []
+
+    def test_shipped_teardown_leaves_numpy_unloaded(self):
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]))
+        code = ("import sys, test_lcd\n"
+                "test_lcd.shipped_teardown()\n"
+                "sys.exit(1 if 'numpy' in sys.modules else 0)")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr or "numpy was imported"

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles as orc
+from corepath import expander_tools as xt
 from corepath import sssp
 from corepath.dynamic_forest import ConnSF
 from corepath.graph_core import DynamicGraph, UnknownEdge, edge_class
@@ -447,6 +448,27 @@ class TestHeavyClass:
                     for cs in inst.classes.values())
         assert heavy < heavy0  # vertices departed from the heavy side
         assert sssp_dist(sp, 3) is NOT_CONNECTED
+
+    def test_teardown_builds_no_cut_table(self, monkeypatch):
+        """The triangle's deletions restart phases of the class
+        decomposition, and at the shipped phi each piece certifies by
+        counting.  No query runs, so no core oracle is built either."""
+        calls = []
+        real = xt._cut_tables
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(xt, "_cut_tables", spy)
+        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+        lcds = {id(cs.lcd): cs.lcd for inst in sp.scales.values()
+                for cs in inst.classes.values()}
+        assert lcds
+        for u, v, _ in BRIDGED_TRIANGLE:
+            sssp_delete(sp, u, v)
+        assert sum(st.phase_serial for st in lcds.values()) > len(lcds)
+        assert calls == []
 
     def test_broken_splice_raises_named_error(self, monkeypatch):
         sp = build(4, BRIDGED_TRIANGLE, HEAVY)
