@@ -17,10 +17,10 @@ class decomposition.
 
 At the paper's formula for tau_i no vertex can go heavy (see
 SsspParams), so only classes whose tau is overridden can keep a
-decomposition, and only those with a heavy vertex at the build do: layers
-only move deeper, so a class with no heavy vertex then never gains one.
-A scale with no such class is a bare tree over its length table, and
-with no override the family is a scaled Even-Shiloach structure.
+decomposition, and only while they have a heavy vertex: layers only move
+deeper, so a class with no heavy vertex never gains one.  A scale with no
+such class is a bare tree over its length table, and with no override the
+family is a scaled Even-Shiloach structure.
 
 The bare scales of a family share tables and trees.  Scale i's rounded
 table is ceil(factor_i * len), and factor_i halves from one scale to the
@@ -60,7 +60,13 @@ connectivity -- depends only on n, the class edge set and tau, and a
 class set only ever loses the deleted edge, so the scales of one family
 share one heavy side per distinct (class edge set, tau).  Each deletion
 updates a side once and returns a record of what changed, which every
-scale holding the side replays on its own tree and supernode ids.
+scale holding the side replays on its own tree and supernode ids.  A
+deletion that leaves a side's heavy set empty retires the side: it has no
+supernode left and never gains a heavy vertex again, so every scale
+holding it drops its class state after the replay (the deleted edge lies
+in the side's edge set, so each of them receives the record), and the
+class's later deletions are plain tree deletions that feed no
+decomposition.
 """
 
 from __future__ import annotations
@@ -123,23 +129,29 @@ class SsspParams:
     """The one input beyond eps shared by every scale instance of a run.
 
     tau overrides the heavy threshold, as one positive rational for every
-    class or as a mapping from class index to one (classes it leaves out
-    keep the formula); anything else raises ScaleMisuse.  The formula
-    tau_i = 8*n*lam*alpha*2^i / (eps*D'), with alpha the largest
-    short-path quality of the class decompositions, is above the
-    threshold h_j of every populated layer j: the quality is at least h_j
-    there, and eps*D' < 4n + 1 with lam >= 2 gives tau_i > 3*alpha.  So a
-    class at the formula has no heavy vertex, and it carries no
-    decomposition at all; neither does an overridden class whose degree
-    layers hold no heavy vertex at the build.  Tests and the benchmark
-    set tau to reach the heavy regime; while it is set the path-length
-    check against the estimate stands down.
+    class or as a mapping from class index (a non-negative int) to one
+    (classes it leaves out keep the formula); anything else raises
+    ScaleMisuse.  The formula tau_i = 8*n*lam*alpha*2^i / (eps*D'), with
+    alpha the largest short-path quality of the class decompositions, is
+    above the threshold h_j of every populated layer j: the quality is at
+    least h_j there, and eps*D' < 4n + 1 with lam >= 2 gives
+    tau_i > 3*alpha.  So a class at the formula has no heavy vertex, and
+    it carries no decomposition at all.  Of the overridden classes only
+    those with a heavy vertex at the build do, and only until their heavy
+    set empties: layers only move deeper, so a class without a heavy
+    vertex never gains one.  Tests and the benchmark set tau to reach the
+    heavy regime; while it is set the path-length check against the
+    estimate stands down.
     """
 
     tau: object = None
 
     def __post_init__(self):
         t = self.tau
+        for i in t if isinstance(t, dict) else ():
+            if isinstance(i, bool) or not isinstance(i, int) or i < 0:
+                raise ScaleMisuse(f"tau key {i!r} is not a class index, "
+                                  "a non-negative int")
         for x in t.values() if isinstance(t, dict) else [t]:
             try:
                 ok = x is None or not isinstance(x, bool) and Fraction(x) > 0
@@ -176,8 +188,9 @@ def _heavy_side(n: int, pairs, tau: Fraction):
 
 class ClassState:
     """One scale's view of a length class whose tau is overridden and
-    that has a heavy vertex at the build.  Every other class is light and
-    has none.
+    that has a heavy vertex at the build, kept until its heavy set empties
+    (it never refills: layers only move deeper).  Every other class is
+    light and has none.
 
     j_i, heavy, conn and lcd are the class's heavy side (_heavy_side),
     the same objects at every scale of a family whose class has the same
@@ -408,7 +421,11 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
     a direct call on a member of a family is internal.  fed maps each
     heavy side (by its conn) this deletion has already updated to the
     record of that update, which every scale holding the side replays on
-    its own tree; without fed the scale updates its own."""
+    its own tree; without fed the scale updates its own.  A side whose
+    heavy set this deletion empties has no supernode left, and every
+    holding scale drops its class state after the replay: the class can
+    never go heavy again, so its later deletions are plain tree deletions
+    and its decomposition is no longer fed."""
     u, v = int(e[0]), int(e[1])
     key = (u, v) if u < v else (v, u)
     lp = inst.length.pop(key, None)
@@ -446,6 +463,8 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
         if not kept:
             del cs.sn_of[lab]
             inst.tree.es_remove_vertex(sn_old)
+    if not cs.heavy:
+        del inst.classes[cs.i]
 
 
 def _side_delete(cs, u, v):
@@ -628,6 +647,7 @@ def check_scale_invariants(inst: SsspScaleInstance):
     assert all(inst.params.override(i) is not None for i in inst.classes)
     assert k == 1 or not inst.classes
     for i, cs in inst.classes.items():
+        assert cs.heavy, f"class {i} kept with an empty heavy set"
         mine = per.get(i, set())
         assert set(cs.lcd.alive_edges()) == mine, \
             f"class {i} decomposition lost sync"

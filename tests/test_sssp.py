@@ -302,6 +302,15 @@ class TestTauValidation:
         with pytest.raises(ScaleMisuse, match="not a positive rational"):
             SsspParams(tau=tau)
 
+    @pytest.mark.parametrize("tau", [{"0": 2}, {-1: 2}, {True: 2},
+                                     {False: 2}, {0.0: 2}, {None: 2},
+                                     {0: 2, (1,): 2}])
+    def test_bad_class_index_raises(self, tau):
+        """A key that is not a class index used to be accepted and
+        override nothing, and True overrode class 1."""
+        with pytest.raises(ScaleMisuse, match="not a class index"):
+            SsspParams(tau=tau)
+
     @pytest.mark.parametrize("tau", [None, 2, Fraction(1, 2), 0.5,
                                      {0: 2}, {0: Fraction(3, 2), 1: None}])
     def test_good_tau_builds(self, tau):
@@ -796,3 +805,103 @@ class TestPoison:
                 sssp_delete(sp, u, v)
         assert sp.poisoned is None
         audit(sp, 4, BRIDGED_TRIANGLE)
+
+
+def held_sides(insts):
+    """The class states of insts, one per distinct heavy side."""
+    return {id(cs.lcd): cs for inst in insts for cs in inst.classes.values()}
+
+
+def retire_and_audit(monkeypatch, insts, delete, order):
+    """Delete order through delete(u, v).  After each deletion no scale of
+    insts keeps a class state with an empty heavy set, each passes
+    check_scale_invariants, a side that left every scale left with its
+    heavy set empty, and no decomposition of a side retired by an earlier
+    deletion was fed.  Returns (sides retired, deletions of their edges
+    after they retired)."""
+    fed = []
+    real = sssp.lcd_delete_edge
+
+    def spy(st, e):
+        fed.append(st)
+        return real(st, e)
+
+    monkeypatch.setattr(sssp, "lcd_delete_edge", spy)
+    retired = []  # (decomposition, its class edges when it retired)
+    later = 0
+    held = held_sides(insts)
+    for u, v in order:
+        key = (min(u, v), max(u, v))
+        later += any(key in edges for _, edges in retired)
+        fed.clear()
+        delete(u, v)
+        assert not any(st is lcd for st in fed for lcd, _ in retired), (u, v)
+        now = held_sides(insts)
+        for sid, cs in held.items():
+            if sid not in now:
+                assert not cs.heavy, (u, v)
+                retired.append((cs.lcd, set(cs.lcd.alive_edges())))
+        held = now
+        for inst in insts:
+            assert all(cs.heavy for cs in inst.classes.values()), (u, v)
+            check_scale_invariants(inst)
+    return len(retired), later
+
+
+class TestRetiredSides:
+    """A heavy side whose heavy set empties leaves every scale holding it
+    in that deletion; the class's later deletions reach the scales as
+    light edges and never feed its decomposition again.  counts is (sides
+    retired, later deletions of a retired side's edges), for the family
+    and for its scales built alone, each with sides of its own."""
+
+    CASES = [
+        (4, BRIDGED_TRIANGLE, HEAVY, [(0, 1), (2, 3), (1, 3)],
+         {"family": (1, 1), "alone": (4, 1)}),
+        (12, GNP_12, SsspParams(tau=2), shuffled(GNP_12, 5),
+         {"family": (3, 15), "alone": (7, 15)}),
+        (16, GNP_16, SsspParams(tau=2), shuffled(GNP_16, 5),
+         {"family": (4, 39), "alone": (22, 39)}),
+    ]
+    IDS = ["bridged-triangle", "gnp-12-flat-tau-2", "gnp-16-flat-tau-2"]
+
+    @pytest.mark.parametrize("n,edges,params,order,counts", CASES, ids=IDS)
+    def test_family(self, monkeypatch, n, edges, params, order, counts):
+        sp = build(n, edges, params)
+
+        def delete(u, v):
+            sssp_delete(sp, u, v)
+
+        assert retire_and_audit(monkeypatch, list(sp.scales.values()),
+                                delete, order) == counts["family"]
+
+    @pytest.mark.parametrize("n,edges,params,order,counts", CASES, ids=IDS)
+    def test_scales_built_alone(self, monkeypatch, n, edges, params, order,
+                                counts):
+        """Each scale built alone holds its own sides and retires them on
+        its own."""
+        g = DynamicGraph.from_edges(n, edges)
+        insts = [sssp_scale_build(g, S, EPS, 2 ** i, params)
+                 for i in build(n, edges, params).scales]
+
+        def delete(u, v):
+            for inst in insts:
+                sssp_scale_delete(inst, (u, v))
+
+        assert retire_and_audit(monkeypatch, insts, delete, order) == \
+            counts["alone"]
+
+    def test_adaptive(self, monkeypatch):
+        """The adversary's order under a flat tau=2, replayed.  (On GNP_12
+        and GNP_16 a flat tau=2 makes long classes heavy, whose answers
+        undercount, so only GNP_10 keeps the audit adaptive_teardown runs
+        after every deletion.)"""
+        params = SsspParams(tau=2)
+        order = adaptive_teardown(10, GNP_10, params, seed=3)
+        sp = build(10, GNP_10, params)
+
+        def delete(u, v):
+            sssp_delete(sp, u, v)
+
+        assert retire_and_audit(monkeypatch, list(sp.scales.values()),
+                                delete, order) == (1, 2)
