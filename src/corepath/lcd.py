@@ -204,11 +204,12 @@ class Core:
 
     def pruned(self) -> frozenset:
         """Local ids outside the expander.  Before the oracle exists that
-        is the snapshot's degree-0 vertices: a fresh oracle prunes nothing
-        else."""
+        is nothing: a fresh oracle prunes only degree-0 vertices, and
+        core_decompose takes positive targets only and raises PhaseBroken
+        unless every core degree is at least phi * target / TRIM_DIV, so
+        every member has a snapshot edge."""
         if self.h is None:
-            return frozenset(v for v in range(self.cg.n)
-                             if self.cg.degree(v) == 0)
+            return frozenset()
         return oracle_pruned(self.h)
 
     def len_cap(self) -> int:
@@ -434,19 +435,10 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
 # -- buffers and phases ---------------------------------------------------
 
 
-def _assign_uplink(st: LcdState, x, j):
-    """Best-effort up-link; _repair_links enforces existence later."""
-    sub = st.lay[j]
-    cands = st.upward(x, j, sub.L)
-    if cands:
-        sub.buf_up[x] = min(cands)
-    else:
-        sub.buf_up.pop(x, None)
-
-
 def _buffer_insert(st: LcdState, x, j, kind):
-    """Complete a move of x into layer j's buffer.  Containers, position
-    and up-link are all final on return; the I1 check is the caller's
+    """Complete a move of x into layer j's buffer.  Containers and
+    position are final on return; the up-link is set by _repair_links
+    once the deletion has settled, and the I1 check is the caller's
     batch-boundary duty."""
     sub = st.lay[j]
     st.pos[x] = sub.L
@@ -454,7 +446,6 @@ def _buffer_insert(st: LcdState, x, j, kind):
     sub.bufkind[x] = kind
     sub.moves[kind] += 1
     st.clog.buffer_moves.append((x, j, kind))
-    _assign_uplink(st, x, j)
     st._touched_verts.add(x)
     st._pending.add(x)
     for y, _e in st.g.neighbors(x):
@@ -563,19 +554,13 @@ def _start_phase(st: LcdState, j, lv):
 # -- core feeding and moves -----------------------------------------------
 
 
-def _pull_to_buffer(st: LcdState, core: Core, y, kind):
-    """Move a live core member to its layer's buffer, no feeding."""
-    j, l = core.j, core.ell
-    sub = st.lay[j]
-    core.live.discard(y)
-    st.cores_by_vertex.pop(y, None)
-    sub.subs[l].discard(y)
+def _pull_to_buffer(st: LcdState, y, j, l, kind):
+    """Move y from non-buffer sublayer l of layer j to the buffer, no
+    feeding.  Returns _leave_nonbuffer's (core, local id)."""
+    left = _leave_nonbuffer(st, y, j, l)
     st.pos.pop(y, None)
-    ph = sub.phases.get(l)
-    if ph is not None and ph.tree is not None and ph.tree.contains(y):
-        ph.tree.es_remove_vertex(y)
-    st._touched_subs.add((j, l))
     _buffer_insert(st, y, j, kind)
+    return left
 
 
 def _core_destroy(st: LcdState, core: Core):
@@ -584,7 +569,7 @@ def _core_destroy(st: LcdState, core: Core):
     core.destroyed = True
     st.clog.destructions.append(core.cid)
     for y in sorted(core.live):
-        _pull_to_buffer(st, core, y, "K")
+        _pull_to_buffer(st, y, core.j, core.ell, "K")
     core.live.clear()
     _i1_restarts(st, core.j)
 
@@ -602,7 +587,7 @@ def _core_prune_moves(st: LcdState, core: Core):
         if y not in core.live:
             continue
         st.clog.prunings.append((core.cid, y))
-        _pull_to_buffer(st, core, y, "K")
+        _pull_to_buffer(st, y, core.j, core.ell, "K")
         moved = True
     if moved:
         _i1_restarts(st, core.j)
@@ -727,9 +712,7 @@ def _settle(st: LcdState):
         pi = sum(1 for w, _e in st.g.neighbors(x)
                  if st.layer_of(w) == j and st.pos[w] > l)
         kind = "U1" if pi < NEAR_FACTOR * deg else "U2"
-        core, lx = _leave_nonbuffer(st, x, j, l)
-        st.pos.pop(x, None)
-        _buffer_insert(st, x, j, kind)
+        core, lx = _pull_to_buffer(st, x, j, l, kind)
         if core is not None and not core.destroyed:
             _detach_feed(st, core, lx)
         _i1_restarts(st, j)

@@ -160,18 +160,28 @@ def path_edge_simple(path):
 
 
 def _bitmask_setup(verts, edges):
+    """Sorted vertices, their index, adjacency bitmasks and degrees.
+
+    A repeated edge is a parallel copy: adjmask[c][i] holds the
+    neighbours joined to vertex i by more than c copies."""
     vs = sorted(verts)
     idx = {v: i for i, v in enumerate(vs)}
     k = len(vs)
-    adjmask = [0] * k
+    adjmask = []
     deg = [0] * k
     for e in edges:
         u, v = e[0], e[1]
         if u in idx and v in idx and u != v:
-            adjmask[idx[u]] |= 1 << idx[v]
-            adjmask[idx[v]] |= 1 << idx[u]
-            deg[idx[u]] += 1
-            deg[idx[v]] += 1
+            ui, vi = idx[u], idx[v]
+            c = 0
+            while c < len(adjmask) and adjmask[c][ui] >> vi & 1:
+                c += 1
+            if c == len(adjmask):
+                adjmask.append([0] * k)
+            adjmask[c][ui] |= 1 << vi
+            adjmask[c][vi] |= 1 << ui
+            deg[ui] += 1
+            deg[vi] += 1
     return vs, idx, adjmask, deg
 
 
@@ -207,11 +217,11 @@ def enumerate_cuts(verts, edges, vol=None):
         x = bit + 1  # vertices 1..k-1 toggle
         if mask >> x & 1:
             mask ^= 1 << x
-            cnt = (adjmask[x] & mask).bit_count()
+            cnt = sum((layer[x] & mask).bit_count() for layer in adjmask)
             boundary -= deg[x] - 2 * cnt
             vol_s -= volv[x]
         else:
-            cnt = (adjmask[x] & mask).bit_count()
+            cnt = sum((layer[x] & mask).bit_count() for layer in adjmask)
             boundary += deg[x] - 2 * cnt
             vol_s += volv[x]
             mask ^= 1 << x

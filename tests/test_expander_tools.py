@@ -8,7 +8,7 @@ import pytest
 
 import oracles as orc
 from corepath import expander_tools as xt
-from corepath.graph_core import DynamicGraph, GraphView, cut_stats
+from corepath.graph_core import DynamicGraph, GraphView, UnknownEdge, cut_stats
 
 
 def view(n, edges):
@@ -28,6 +28,17 @@ def remainder_edges(p):
     """Live edges between unpruned vertices."""
     rem = set(p.remainder())
     return [(u, v) for u in rem for v in p.adj[u] if v in rem and u < v]
+
+
+def cross_edges(edges, clusters):
+    """Edges whose endpoints sit in different clusters."""
+    cidx = {v: i for i, cl in enumerate(clusters) for v in cl}
+    return sum(1 for u, v in edges if cidx[u] != cidx[v])
+
+
+def witness_conductance(w):
+    """Exact conductance of a witness multigraph, parallel copies counted."""
+    return orc.conductance_exact(w.vertex_list(), w.edge_list())[0]
 
 
 def embedding_caps(emb):
@@ -62,8 +73,8 @@ class TestCutOrCertify:
         res = xt.cut_or_certify(view(8, orc.gen_complete(8)))
         assert isinstance(res, xt.Certified)
         assert res.s == frozenset(range(8))
-        assert res.psi_star == Fraction(4)  # |S|=4 cut: 16 crossing / 4
-        assert res.psi_star >= 2
+        got, _ = orc.sparsity_exact(sorted(res.s), orc.gen_complete(8))
+        assert got == Fraction(4)  # |S|=4 cut: 16 crossing / 4
 
     def test_two_cliques_split_along_bridge(self):
         res = xt.cut_or_certify(view(10, orc.gen_two_cliques_bridge(5)))
@@ -96,11 +107,11 @@ class TestCutOrCertify:
                 )
             else:
                 assert 2 * len(res.s) >= n
-                sub = induced(edges, res.s)
-                got, _ = orc.sparsity_exact(sorted(res.s), sub)
-                assert res.sampled == (n > cap)
-                # a sampled family only sees some cuts, so it can overestimate
-                assert got <= res.psi_star if res.sampled else got == res.psi_star
+                if n > cap:
+                    continue  # a sampled family can misjudge the peel
+                # the peel starts at the whole graph and keeps its best set
+                got, _ = orc.sparsity_exact(sorted(res.s), induced(edges, res.s))
+                assert got >= orc.sparsity_exact(range(n), edges)[0]
 
 
 class TestCutPlayerRound:
@@ -115,7 +126,7 @@ class TestCutPlayerRound:
             w.add_edge(u, v)
         move = xt.cut_player_round(w)
         assert move.terminal
-        assert move.certificate == Fraction(4)
+        assert move.a == frozenset() and move.b == frozenset(range(8))
 
     def test_game_terminates_under_adversarial_matchings(self):
         # random pairing adversary; witness quality checked exactly
@@ -137,19 +148,52 @@ class TestCutPlayerRound:
                     for av, bv in zip(sorted(move.a), bs):
                         w.add_edge(av, bv)
                 assert played is not None
-                cond, exact = xt.multigraph_conductance(w)
-                assert exact and cond >= Fraction(1) / params.gamma
+                assert witness_conductance(w) >= Fraction(1) / params.gamma
 
     def test_witness_conductance_agrees_with_oracle(self):
         w = xt.MultiGraph(range(6))
         for u, v in [(0, 3), (1, 4), (2, 5), (0, 4), (1, 5), (2, 3)]:
             w.add_edge(u, v)
-        vol = {v: w.degree(v) for v in range(6)}
-        want, _ = orc.conductance_exact(range(6), w.edge_list(), vol=vol)
+        want = witness_conductance(w)
+        assert want == Fraction(1, 3)
+        for cap, target in product(CAPS, (want - Fraction(1, 12), want,
+                                          want + Fraction(1, 12))):
+            ok = xt._witness_ok(w, target, cap)
+            if cap >= 6:
+                assert ok == (want >= target)
+            else:  # a sampled family only sees some cuts: it may overaccept
+                assert ok or want < target
+
+    def test_witness_check_matches_exact_conductance(self):
+        # unions of random matchings with parallel copies, a lone vertex
+        # of degree 0, and an edgeless witness
+        checked = Counter()
+        for cap, seed in product(CAPS, range(12)):
+            rng = random.Random(400 + seed)
+            n = 4 + seed % 5
+            w = xt.MultiGraph(range(n))
+            for _ in range(1 + seed % 3):
+                order = list(range(n))
+                rng.shuffle(order)
+                for a, b in zip(order[::2], order[1::2]):
+                    w.add_edge(a, b)
+            if seed % 4 == 3:
+                w.add_vertex(n)  # degree 0
+            want = witness_conductance(w)
+            for target in {Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), want}:
+                if target <= 0:
+                    continue
+                ok = xt._witness_ok(w, target, cap)
+                if w.n <= cap:
+                    assert ok == (want >= target), (cap, seed, target)
+                    checked[ok] += 1
+                else:
+                    assert ok or want < target, (cap, seed, target)
+            if seed % 4 == 3:
+                assert not xt._witness_ok(w, Fraction(1, 100), cap)
+        assert checked[True] and checked[False]
         for cap in CAPS:
-            cond, exact = xt.multigraph_conductance(w, cap=cap)
-            assert exact == (cap >= 6)
-            assert cond == want if exact else cond >= want
+            assert not xt._witness_ok(xt.MultiGraph(range(5)), Fraction(1, 100), cap)
 
 
 class TestMatchingOrCut:
@@ -267,14 +311,14 @@ class TestTerminalMatching:
         g = view(6, orc.gen_complete(6))
         pairs, emb = xt.terminal_matching(g, {0, 1}, {2, 3}, Fraction(1, 2))
         assert pairs == [(0, 2), (1, 3)]
-        assert emb.length == 1 and emb.congestion == 1
         assert embedding_caps(emb) == (1, 1)
 
     def test_caps_hold(self):
         g = view(6, orc.gen_complete(6))
         _, emb = xt.terminal_matching(g, {0, 1, 2}, {3, 4, 5}, Fraction(1, 2))
         ell = -(-32 * 4 // 1) * 2  # generous: ceil(32 lg(15)/ phi)
-        assert emb.length <= ell and emb.congestion <= ell * ell
+        length, congestion = embedding_caps(emb)
+        assert length <= ell and congestion <= ell * ell
 
     def test_false_expander_claim_surfaces_cut(self):
         edges = orc.gen_complete(3) + [(u + 3, v + 3) for u, v in orc.gen_complete(3)]
@@ -302,11 +346,11 @@ class TestEmbedExpander:
     def test_all_of_k8(self):
         res = xt.embed_expander(view(8, orc.gen_complete(8)), set(range(8)), Fraction(1, 2))
         assert res.rounds == 4
-        assert res.exact and res.conductance == Fraction(1, 3)
-        assert res.conductance >= Fraction(1) / xt.gamma_value(8)
         w = res.witness
+        cond = witness_conductance(w)
+        assert cond == Fraction(1, 3) and cond >= Fraction(1) / xt.gamma_value(8)
         assert max(w.degree(u) for u in w.vertex_list()) <= res.rounds
-        assert (res.embedding.length, res.embedding.congestion) == embedding_caps(res.embedding)
+        assert embedding_caps(res.embedding) == (1, 1)
 
     def test_single_terminal(self):
         res = xt.embed_expander(view(8, orc.gen_complete(8)), {3}, Fraction(1, 2))
@@ -325,26 +369,26 @@ class TestEmbedExpander:
             edges = orc.gen_random_regular(n, 4, seed)
             g = view(n, edges)
             res = xt.embed_expander(g, set(range(n)), Fraction(1, 4))
-            assert res.conductance >= Fraction(1) / xt.gamma_value(n)
+            assert witness_conductance(res.witness) >= Fraction(1) / xt.gamma_value(n)
             params = xt.ExpanderParams.for_size(n)
-            assert res.embedding.length <= math.ceil(
-                xt.C_L * math.log2(g.m) / float(params.phi))
-            assert res.embedding.congestion <= params.congestion_cap(g.m)
+            length, congestion = embedding_caps(res.embedding)
+            assert length <= math.ceil(xt.C_L * math.log2(g.m) / float(params.phi))
+            assert congestion <= params.congestion_cap(g.m)
 
 
 class TestDecompose:
     def test_k6_single_cluster(self):
         res = xt.expander_decompose(view(6, orc.gen_complete(6)), Fraction(1, 4))
         assert res.clusters == (frozenset(range(6)),)
-        assert res.boundary_edges == 0 and res.quality_ok
+        assert res.quality_ok
 
     def test_bridged_cliques_split(self):
         for cap in CAPS:
             params = xt.ExpanderParams(phi=Fraction(1, 4), gamma=Fraction(4), exact_cap=cap)
-            g = view(10, orc.gen_two_cliques_bridge(5))
-            res = xt.expander_decompose(g, Fraction(1, 4), params)
+            edges = orc.gen_two_cliques_bridge(5)
+            res = xt.expander_decompose(view(10, edges), Fraction(1, 4), params)
             assert set(res.clusters) == {frozenset(range(5)), frozenset(range(5, 10))}
-            assert res.boundary_edges == 1
+            assert cross_edges(edges, res.clusters) == 1
             assert res.quality_ok
 
     def test_star_contract_post_hoc(self):
@@ -355,7 +399,8 @@ class TestDecompose:
         for cl in res.clusters:
             ok, _ = orc.is_strong_expander_exact(sorted(cl), induced(edges, cl), vol, Fraction(1, 2))
             assert ok
-        assert res.boundary_edges <= res.budget
+        # default params: gamma = 1/phi, so the budget is m
+        assert res.quality_ok and cross_edges(edges, res.clusters) <= len(edges)
 
     def test_contract_on_random_graphs(self):
         # the sparse draws have cuts below phi, the dense ones do not
@@ -379,10 +424,8 @@ class TestDecompose:
                     continue  # certified by the sampled family only
                 ok, _ = orc.is_strong_expander_exact(sorted(cl), induced(edges, cl), vol, phi)
                 assert ok
-            cidx = {v: i for i, cl in enumerate(res.clusters) for v in cl}
-            cross = len([e for e in edges if cidx[e[0]] != cidx[e[1]]])
-            assert res.boundary_edges == cross
-            assert res.quality_ok == (cross <= res.budget)
+            budget = params.gamma * phi * len(edges)
+            assert res.quality_ok == (cross_edges(edges, res.clusters) <= budget)
         assert all(splits.values()), splits
 
 
@@ -402,6 +445,18 @@ class TestPruning:
     def test_budget_exhaustion_destroys(self):
         p = xt.prune_init(view(5, orc.gen_complete(5)), Fraction(1, 2))
         xt.prune_delete(p, (0, 1))
+        with pytest.raises(xt.DeletionBudgetExhausted):
+            xt.prune_delete(p, (2, 3))
+        assert p.pruned_set == frozenset(range(5))
+
+    def test_unknown_edge_at_budget_limit_changes_nothing(self):
+        p = xt.prune_init(view(5, orc.gen_complete(5)), Fraction(1, 2))
+        xt.prune_delete(p, (0, 1))
+        pruned, adj = p.pruned_set, {u: set(vs) for u, vs in p.adj.items()}
+        for e in ((0, 1), (1, 0), (0, 9)):
+            with pytest.raises(UnknownEdge):
+                xt.prune_delete(p, e)
+            assert (p.pruned_set, p.adj, p.t) == (pruned, adj, 1)
         with pytest.raises(xt.DeletionBudgetExhausted):
             xt.prune_delete(p, (2, 3))
         assert p.pruned_set == frozenset(range(5))
@@ -446,7 +501,7 @@ class TestPruning:
 
         def spy(tab, phi):
             rows = rows_of(tab, phi)
-            if not tab.exact and rows.size:
+            if tab.nv > 4 and rows.size:  # above exact_cap: sampled
                 sampled_hits.append(rows.size)
             return rows
 
@@ -474,7 +529,7 @@ class TestPruning:
 
         def spy(*args, **kwargs):
             tab = real(*args, **kwargs)
-            if not tab.exact:
+            if tab.nv > 4:  # above exact_cap: sampled
                 tables.append(tab)
             return tab
 

@@ -35,6 +35,17 @@ def test_enumerate_cuts_matches_naive():
         assert len(seen) == 2 ** 6 - 1
 
 
+def test_enumerate_cuts_counts_parallel_copies():
+    # a 4-cycle with the edge 0-1 tripled and 2-3 doubled
+    edges = [(0, 1)] * 3 + [(1, 2)] + [(2, 3)] * 2 + [(3, 0)]
+    deg = orc.degrees(4, edges)
+    for S, b, vs_, vr in orc.enumerate_cuts(range(4), edges):
+        assert b == sum(1 for u, v in edges if (u in S) != (v in S))
+        assert vs_ == sum(deg[u] for u in S)
+    phi, S = orc.conductance_exact(range(4), edges)
+    assert phi == Fraction(1, 3) and S == {0, 1}  # 2 crossing / volume 6
+
+
 def test_conductance_hand_values():
     phi, _ = orc.conductance_exact(range(4), orc.gen_complete(4))
     assert phi == Fraction(2, 3)
