@@ -167,12 +167,29 @@ class EsTree:
             self._repair(u)
 
     def es_remove_vertex(self, v):
-        """Delete every edge at v, then forget it."""
-        for u in list(self._adj.get(v, {})):
-            self.es_delete(v, u)
-        self._adj.pop(v, None)
-        self.level.pop(v, None)
-        self.parent.pop(v, None)
+        """Delete every edge at v, then forget it.
+
+        The whole row goes at once and one repair runs for all of v's
+        tree children: with only them left in v's row nothing supports v,
+        so phase 1 from v finds it hurt and walks every child and its
+        subtree by old level, from the lowest.  Levels and parents follow
+        from the rows alone, so this leaves the tree that deleting the
+        edges one at a time does."""
+        adj, level, parent = self._adj, self.level, self.parent
+        kids = {}
+        for u, w in adj.get(v, {}).items():
+            del adj[u][v]
+            if parent[u] == v:
+                kids[u] = w
+        if kids:
+            adj[v] = kids
+            hurt = self._find_hurt(v)
+            del hurt[v]
+            if hurt:
+                self._relevel(hurt)
+        adj.pop(v, None)
+        level.pop(v, None)
+        parent.pop(v, None)
 
     def es_insert(self, u, v, w):
         """Single-edge insert.  Needs one endpoint fresh/absent-singleton,

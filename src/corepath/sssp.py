@@ -60,13 +60,15 @@ connectivity -- depends only on n, the class edge set and tau, and a
 class set only ever loses the deleted edge, so the scales of one family
 share one heavy side per distinct (class edge set, tau).  Each deletion
 updates a side once and returns a record of what changed, which every
-scale holding the side replays on its own tree and supernode ids.  A
-deletion that leaves a side's heavy set empty retires the side: it has no
-supernode left and never gains a heavy vertex again, so every scale
-holding it drops its class state after the replay (the deleted edge lies
-in the side's edge set, so each of them receives the record), and the
-class's later deletions are plain tree deletions that feed no
-decomposition.
+scale holding the side replays on its own tree and supernode ids.  A side
+keeps the degree layers of its class graph and reads the vertices that
+leave its heavy set from them before any other upkeep.  A deletion after
+which none is left retires the side: it never gains a heavy vertex again,
+so the deletion feeds neither its decomposition nor its connectivity, and
+every scale holding it (the deleted edge lies in the side's edge set, so
+each of them receives the record) takes the class's edges within the old
+heavy set in as light edges, removes its supernodes and drops its class
+state.  The class's later deletions are plain tree deletions.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ from .lcd import (NOT_CONNECTED, LcdParams, lcd_build, lcd_delete_edge,
 
 class ScaleMisuse(GraphError):
     pass
+
+
+class SideOutOfSync(ScaleMisuse):
+    """A heavy side's own degree layers and its decomposition's disagreed
+    on which vertices a deletion moved past j_i."""
 
 
 class PathAuditFailed(ScaleMisuse):
@@ -169,13 +176,14 @@ class SsspParams:
 
 
 def _heavy_side(n: int, pairs, tau: Fraction):
-    """(j_i, heavy, conn, lcd) of a class with edges pairs under tau, or
-    None when no vertex is heavy: the deepest layer whose width clears
-    tau, the vertices of layers 1..j_i, their connectivity and the
-    decomposition of the unweighted class graph, which starts from the
-    same layers (lcd_build moves none) and is built only when needed."""
-    g = DynamicGraph.from_edges(n, pairs)
-    layers = LayerState(GraphView(g))
+    """(j_i, heavy, conn, lcd, layers) of a class with edges pairs under
+    tau, or None when no vertex is heavy: the deepest layer whose width
+    clears tau, the vertices of layers 1..j_i, their connectivity, the
+    decomposition of the unweighted class graph, built only when needed,
+    and the degree layers of that graph, which the side keeps to read its
+    departures.  The decomposition owns a copy of the graph and starts
+    from the same layers (lcd_build moves none)."""
+    layers = LayerState(GraphView(DynamicGraph.from_edges(n, pairs)))
     j_i = max([j for j in range(1, layers.r + 1) if layers.h(j) >= tau],
               default=0)
     heavy = {x for j in range(1, j_i + 1) for x in layers.members_of(j)}
@@ -183,7 +191,9 @@ def _heavy_side(n: int, pairs, tau: Fraction):
         return None
     conn = ConnSF(sorted(heavy), [p for p in pairs
                                   if p[0] in heavy and p[1] in heavy])
-    return j_i, heavy, conn, lcd_build(g, LcdParams.make(n, q_for(n)))
+    lcd = lcd_build(DynamicGraph.from_edges(n, pairs),
+                    LcdParams.make(n, q_for(n)))
+    return j_i, heavy, conn, lcd, layers
 
 
 class ClassState:
@@ -192,15 +202,18 @@ class ClassState:
     (it never refills: layers only move deeper).  Every other class is
     light and has none.
 
-    j_i, heavy, conn and lcd are the class's heavy side (_heavy_side),
-    the same objects at every scale of a family whose class has the same
-    edge set and tau, and updated once per deletion; the class index,
-    the supernode ids and the light volume stay with each scale."""
+    j_i, heavy, conn, lcd and layers are the class's heavy side
+    (_heavy_side), the same objects at every scale of a family whose class
+    has the same edge set and tau, and updated once per deletion; the
+    class index, the supernode ids and the light volume stay with each
+    scale.  The heavy set follows layers, the side's own degree layers;
+    lcd answers the short-path splices and is fed only while the side
+    lives."""
 
     def __init__(self, i: int, tau: Fraction, side):
         self.i = i
         self.tau = tau
-        self.j_i, self.heavy, self.conn, self.lcd = side
+        self.j_i, self.heavy, self.conn, self.lcd, self.layers = side
         self.sn_of: dict = {}  # component label -> supernode id
         self.light_ever = 0
 
@@ -422,10 +435,12 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
     heavy side (by its conn) this deletion has already updated to the
     record of that update, which every scale holding the side replays on
     its own tree; without fed the scale updates its own.  A side whose
-    heavy set this deletion empties has no supernode left, and every
-    holding scale drops its class state after the replay: the class can
-    never go heavy again, so its later deletions are plain tree deletions
-    and its decomposition is no longer fed."""
+    heavy set this deletion empties retires without feeding its
+    decomposition: each holding scale inserts the edges turned light, in
+    record order, while its supernodes still back the no-drop promise,
+    then removes its supernodes and drops its class state.  The class can
+    never go heavy again, so its later deletions are plain tree
+    deletions."""
     u, v = int(e[0]), int(e[1])
     key = (u, v) if u < v else (v, u)
     lp = inst.length.pop(key, None)
@@ -443,7 +458,7 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
     rec = fed.get(cs.conn)
     if rec is None:
         rec = fed[cs.conn] = _side_delete(cs, u, v)
-    both_heavy, split, newly, gone = rec
+    both_heavy, split, newly, gone = rec  # gone is None: the side retired
     if not both_heavy:
         inst.tree.es_delete(u, v)
     elif split is not None:
@@ -454,6 +469,11 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
     # while the supernode two-step detour still backs the no-drop promise
     for a, b in newly:
         inst.tree.es_insert(a, b, 4 * inst.length[(a, b)])
+    if gone is None:
+        for snid in cs.sn_of.values():
+            inst.tree.es_remove_vertex(snid)
+        del inst.classes[cs.i]
+        return
     cs.light_ever += len(newly)
     for d, lab, parts, kept in gone:
         sn_old = cs.sn_of[lab]
@@ -463,25 +483,43 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
         if not kept:
             del cs.sn_of[lab]
             inst.tree.es_remove_vertex(sn_old)
-    if not cs.heavy:
-        del inst.classes[cs.i]
+
+
+def _departures(moves, j_i: int) -> list:
+    """The vertices that (vertex, old, new) layer moves carry past j_i."""
+    return sorted({w for (w, old, new) in moves if old <= j_i < new})
 
 
 def _side_delete(cs, u, v):
-    """Delete class edge (u, v) from the heavy side cs holds: feed the
-    decomposition, cut the edge from the heavy connectivity and retire
-    the vertices whose layer fell past j_i.  Returns (both ends were
-    heavy, the cut's split or None, the edges turned light, and per
-    retired vertex (d, its old label, {label: members} of each part split
-    off that label, whether the old label lives on))."""
-    heavy, conn = cs.heavy, cs.conn
+    """Delete class edge (u, v) from the heavy side cs holds.  The side's
+    own degree layers give the departures, the vertices whose layer fell
+    past j_i, and its graph the edges they turn light.  When they are the
+    whole heavy set the side retires: the heavy set empties and nothing
+    else is updated, as no scale reads the side again.  Otherwise the
+    decomposition is fed (short_path still reads it) and must report the
+    same departures, or SideOutOfSync is raised; then the edge is cut from
+    the heavy connectivity and the departed vertices leave it.  Returns
+    (both ends were heavy, the cut's split or None, the edges turned
+    light, and per departed vertex (d, its old label, {label: members} of
+    each part split off that label, whether the old label lives on)), with
+    None for the last item when the side retired."""
+    heavy, layers = cs.heavy, cs.layers
+    g = layers.view.graph
     both_heavy = u in heavy and v in heavy
-    clog = lcd_delete_edge(cs.lcd, (u, v))
-    split = conn.conn_delete(u, v) if both_heavy else None
-    deps = sorted({w for (w, old, new) in clog.layer_moves
-                   if old <= cs.j_i < new})
+    g.delete_between(u, v)
+    deps = _departures(layers.on_delete(u, v), cs.j_i)
     newly = sorted({(min(d, w), max(d, w)) for d in deps
-                    for w, _ in cs.lcd.g.neighbors(d) if w in heavy})
+                    for w, _ in g.neighbors(d) if w in heavy})
+    if len(deps) == len(heavy):
+        heavy.clear()
+        return both_heavy, None, newly, None
+    fed = _departures(lcd_delete_edge(cs.lcd, (u, v)).layer_moves, cs.j_i)
+    if fed != deps:
+        raise SideOutOfSync(f"deleting ({u},{v}): the decomposition moved "
+                            f"{fed} past j_i = {cs.j_i}, the side's layers "
+                            f"{deps}")
+    conn = cs.conn
+    split = conn.conn_delete(u, v) if both_heavy else None
     gone = []
     for d in deps:
         lab = conn.component_label(d)
@@ -651,8 +689,12 @@ def check_scale_invariants(inst: SsspScaleInstance):
         mine = per.get(i, set())
         assert set(cs.lcd.alive_edges()) == mine, \
             f"class {i} decomposition lost sync"
+        assert {(a, b) for a, b, _ in cs.layers.view.edge_list()} == mine, \
+            f"class {i} side graph lost sync"
+        assert all(cs.layers.layer_of(x) == cs.lcd.layers.layer_of(x)
+                   for x in range(n)), f"class {i} layers lost sync"
         want = {x for j in range(1, cs.j_i + 1)
-                for x in cs.lcd.layers.members_of(j)}
+                for x in cs.layers.members_of(j)}
         assert cs.heavy == want, f"class {i} heavy set drifted"
         # components of the heavy subgraph, by fresh union-find
         root = {x: x for x in cs.heavy}

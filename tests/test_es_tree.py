@@ -180,6 +180,70 @@ class TestDelete:
             t.es_delete(0, 2)
 
 
+def remove_edge_by_edge(t, v):
+    """es_remove_vertex as it once was: one es_delete per edge at v."""
+    for u in list(t._adj.get(v, {})):
+        t.es_delete(v, u)
+    for table in (t._adj, t.level, t.parent):
+        table.pop(v, None)
+
+
+def snapshot(t):
+    """Levels, parents and every row in row order."""
+    return ({v: list(row.items()) for v, row in t._adj.items()},
+            dict(t.level), dict(t.parent))
+
+
+class TestBatchedRemoval:
+    """es_remove_vertex drops the whole row and repairs once, seeded with
+    every tree child of the vertex; the tree it leaves is the one that
+    deleting the vertex's edges one at a time leaves."""
+
+    def test_equals_edge_by_edge_removal(self):
+        seen = {"orphan levels": 0, "source neighbour": False,
+                "absent": False, "isolated": False, "unknown": False}
+        for seed in range(16):
+            rng = random.Random(seed)
+            n = 14
+            edges = orc.gen_gnp_connected(n, 0.3, seed=seed, weights=(1, 4))
+            depth = rng.randint(3, 14)
+            # vertices n and n + 1 have no edge
+            a = tree_from(n + 2, edges, 0, depth)
+            b = tree_from(n + 2, edges, 0, depth)
+            first = rng.choice([y for y, _ in a.incident(0)])
+            rest = [x for x in range(1, n + 2) if x != first]
+            rng.shuffle(rest)
+            for x in [first] + rest + [n + 7]:
+                kids = {a.level[u] for u, _ in a.incident(x)
+                        if a.parent[u] == x}
+                seen["orphan levels"] = max(seen["orphan levels"], len(kids))
+                seen["source neighbour"] |= a.has_edge(0, x) and bool(kids)
+                seen["absent"] |= x in a.vertices() and not a.contains(x) \
+                    and bool(a.incident(x))
+                seen["isolated"] |= x in a.vertices() and not a.incident(x)
+                seen["unknown"] |= x not in a.vertices()
+                a.es_remove_vertex(x)
+                remove_edge_by_edge(b, x)
+                assert snapshot(a) == snapshot(b), (seed, x)
+                a.check()
+        assert seen.pop("orphan levels") >= 3
+        assert all(seen.values()), seen
+
+    def test_removing_a_hub_repairs_once(self):
+        """A star's centre orphans every leaf at once; the leaves of a
+        second hub keep their levels and only re-point."""
+        edges = [(0, 1, 1), (0, 2, 1)] + \
+            [(1, x, 1) for x in range(3, 9)] + \
+            [(2, x, 1) for x in range(3, 6)]
+        t = EsTree(0, 10, edges)
+        assert all(t.parent[x] == 1 for x in range(3, 9))
+        t.es_remove_vertex(1)
+        t.check()
+        assert [t.level_of(x) for x in range(3, 9)] == [2, 2, 2, None,
+                                                        None, None]
+        assert all(t.parent[x] == 2 for x in range(3, 6))
+
+
 class TestInsert:
     def test_attach_fresh_vertex(self):
         t = tree_from(3, orc.gen_path(3), 0, 10)

@@ -50,17 +50,19 @@ def test_sssp_heavy_counts():
     work and supernodes, and the traced pass's heavy classes, supernodes,
     ES work and deletions, and short-path splices.  The pins guard how
     much repair and splicing each deletion does: the ES counts include the
-    trees inside the class decomposition, which the third deletion no
-    longer feeds, as the second one leaves the heavy set empty and
-    retires the class's heavy side."""
+    trees inside the class decomposition, which no deletion feeds.  The
+    second deletion empties the heavy set and so retires the class's
+    heavy side on its own degree layers: each holding scale removes its
+    supernode in one batched repair and makes no fresh one."""
     counters, metrics = counters_and_traced_metrics(WORKLOADS["sssp-heavy"])
     assert (counters["sssp.tree_work"], counters["sssp.supernodes"]) == \
         (40, 4)
     assert {name: metrics[name][0] for name in (
         "sssp.heavy_classes", "sssp.supernodes", "es_tree.work",
-        "es_tree.delete_calls", "lcd.short_path_calls")} == {
-        "sssp.heavy_classes": 4, "sssp.supernodes": 8, "es_tree.work": 276,
-        "es_tree.delete_calls": 36, "lcd.short_path_calls": 8}
+        "es_tree.delete_calls", "lcd.short_path_calls", "lcd.delete_s")} == {
+        "sssp.heavy_classes": 4, "sssp.supernodes": 4, "es_tree.work": 242,
+        "es_tree.delete_calls": 14, "lcd.short_path_calls": 8,
+        "lcd.delete_s": 0}
 
 
 def test_override_with_nothing_heavy():

@@ -19,6 +19,7 @@ from corepath.lcd import (NOT_CONNECTED, LcdError, LcdParams, lcd_build,
 from corepath.sssp import (
     PathAuditFailed,
     ScaleMisuse,
+    SideOutOfSync,
     SsspParams,
     SsspPoisoned,
     check_scale_invariants,
@@ -42,6 +43,13 @@ EPS = Fraction(1, 2)
 # class 0 allowed to go heavy, the triangle hides behind a supernode
 BRIDGED_TRIANGLE = [(0, 1, 50), (0, 2, 53), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
 HEAVY = SsspParams(tau={0: 2})
+# the same bridges into a unit K4 on 1..4 with a unit detour 1-5-2: all
+# five corners are heavy.  Deleting (1, 5) moves 5 alone out of the heavy
+# set, and (1, 2) and (3, 4) leave a heavy 4-cycle, so each of the three
+# feeds a live side; a fourth class edge empties the heavy set
+BRIDGED_K4 = [(0, 1, 50), (0, 2, 53), (1, 2, 1), (1, 3, 1), (1, 4, 1),
+              (2, 3, 1), (2, 4, 1), (3, 4, 1), (1, 5, 1), (2, 5, 1)]
+K4_LIVE_FEEDS = [(1, 5), (1, 2), (3, 4)]
 
 
 def build(n, edges, params=None, eps=EPS):
@@ -459,9 +467,10 @@ class TestHeavyClass:
         assert sssp_dist(sp, 3) is NOT_CONNECTED
 
     def test_teardown_builds_no_cut_table(self, monkeypatch):
-        """The triangle's deletions restart phases of the class
-        decomposition, and at the shipped phi each piece certifies by
-        counting.  No query runs, so no core oracle is built either."""
+        """The bridged K4's deletions feed a live heavy side and restart
+        phases of its class decomposition, and at the shipped phi each
+        piece certifies by counting.  No query runs, so no core oracle is
+        built either."""
         calls = []
         real = xt._cut_tables
 
@@ -470,13 +479,17 @@ class TestHeavyClass:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(xt, "_cut_tables", spy)
-        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+        sp = build(6, BRIDGED_K4, HEAVY)
         lcds = {id(cs.lcd): cs.lcd for inst in sp.scales.values()
                 for cs in inst.classes.values()}
         assert lcds
-        for u, v, _ in BRIDGED_TRIANGLE:
+        before = sum(st.phase_serial for st in lcds.values())
+        for u, v in K4_LIVE_FEEDS:
             sssp_delete(sp, u, v)
-        assert sum(st.phase_serial for st in lcds.values()) > len(lcds)
+        assert sum(st.phase_serial for st in lcds.values()) > before
+        for u, v, _ in BRIDGED_K4:
+            if (u, v) not in K4_LIVE_FEEDS:
+                sssp_delete(sp, u, v)
         assert calls == []
 
     def test_broken_splice_raises_named_error(self, monkeypatch):
@@ -565,7 +578,9 @@ class TestSharedDecompositions:
         assert len({id(cs.lcd) for cs in zero}) == 1
 
     def test_a_deletion_feeds_it_once(self, monkeypatch):
-        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+        """A deletion that leaves the side alive feeds its decomposition
+        once, not once per scale holding it; one that retires the side,
+        as every triangle edge does, feeds it nothing."""
         fed = []
         real = sssp.lcd_delete_edge
 
@@ -574,8 +589,16 @@ class TestSharedDecompositions:
             return real(st, e)
 
         monkeypatch.setattr(sssp, "lcd_delete_edge", counting)
+        sp = build(6, BRIDGED_K4, HEAVY)
+        assert len(decompositions(sp)[0]) == 4
+        sssp_delete(sp, 1, 5)
+        assert fed == [(1, 5)]
+        audit(sp, 6, [e for e in BRIDGED_K4 if e[:2] != (1, 5)])
+        fed.clear()
+        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
         sssp_delete(sp, 1, 2)
-        assert fed == [(1, 2)]
+        assert fed == []
+        assert decompositions(sp)[0] == []
         audit(sp, 4, [e for e in BRIDGED_TRIANGLE if e[:2] != (1, 2)])
 
     @pytest.mark.parametrize("n,edges,params,counts", [
@@ -671,12 +694,19 @@ class TestSharedHeavySides:
         assert len({id(cs.heavy) for cs in states}) == len(sides)
 
     def test_a_deletion_updates_the_side_once(self, monkeypatch):
-        """Deleting (2, 3) cuts the heavy triangle once and retires its
-        three vertices once, not once per scale holding it (4 and 12)."""
-        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+        """Deleting (1, 5) cuts the heavy K4-and-detour once and moves 5
+        out of its connectivity once, not once per scale holding it (4 and
+        4).  Deleting (2, 3) empties the heavy triangle, which retires its
+        side without touching the connectivity at all."""
+        sp = build(6, BRIDGED_K4, HEAVY)
         calls = count_top_level_conn_calls(monkeypatch)
+        sssp_delete(sp, 1, 5)
+        assert calls == {"conn_delete": 1, "conn_remove_vertex": 1}
+        audit(sp, 6, [e for e in BRIDGED_K4 if e[:2] != (1, 5)])
+        calls.clear()
+        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
         sssp_delete(sp, 2, 3)
-        assert calls == {"conn_delete": 1, "conn_remove_vertex": 3}
+        assert calls == {}
         audit(sp, 4, [e for e in BRIDGED_TRIANGLE if e[:2] != (2, 3)])
 
 
@@ -815,10 +845,11 @@ def held_sides(insts):
 def retire_and_audit(monkeypatch, insts, delete, order):
     """Delete order through delete(u, v).  After each deletion no scale of
     insts keeps a class state with an empty heavy set, each passes
-    check_scale_invariants, a side that left every scale left with its
-    heavy set empty, and no decomposition of a side retired by an earlier
-    deletion was fed.  Returns (sides retired, deletions of their edges
-    after they retired)."""
+    check_scale_invariants and its tree's own check, and its tree holds
+    exactly the supernodes of its class states; a side that left every
+    scale left with its heavy set empty, and no decomposition of a side
+    retired by this deletion or an earlier one was fed.  Returns (sides
+    retired, deletions of their edges after they retired)."""
     fed = []
     real = sssp.lcd_delete_edge
 
@@ -835,16 +866,22 @@ def retire_and_audit(monkeypatch, insts, delete, order):
         later += any(key in edges for _, edges in retired)
         fed.clear()
         delete(u, v)
-        assert not any(st is lcd for st in fed for lcd, _ in retired), (u, v)
         now = held_sides(insts)
         for sid, cs in held.items():
             if sid not in now:
                 assert not cs.heavy, (u, v)
-                retired.append((cs.lcd, set(cs.lcd.alive_edges())))
+                edges = {(a, b) for a, b, _ in cs.layers.view.edge_list()}
+                retired.append((cs.lcd, edges))
         held = now
+        assert not any(st is lcd for st in fed for lcd, _ in retired), (u, v)
         for inst in insts:
             assert all(cs.heavy for cs in inst.classes.values()), (u, v)
             check_scale_invariants(inst)
+            inst.tree.check()
+            assert {x for x in inst.tree.vertices()
+                    if isinstance(x, tuple)} == \
+                {snid for cs in inst.classes.values()
+                 for snid in cs.sn_of.values()}, (u, v)
     return len(retired), later
 
 
@@ -905,3 +942,64 @@ class TestRetiredSides:
 
         assert retire_and_audit(monkeypatch, list(sp.scales.values()),
                                 delete, order) == (1, 2)
+
+    @pytest.mark.parametrize("n,edges,before,retiring", [
+        (4, BRIDGED_TRIANGLE, [(0, 1)], (2, 3)),
+        (6, BRIDGED_K4, K4_LIVE_FEEDS, (1, 3)),
+    ], ids=["bridged-triangle", "bridged-k4"])
+    def test_retiring_deletion_feeds_nothing(self, monkeypatch, n, edges,
+                                             before, retiring):
+        """The deletion that empties a heavy set reads its departures from
+        the side's own layers: it feeds no decomposition, touches no
+        connectivity and makes no supernode, and every scale that held
+        the side ends with no supernode in its tree."""
+        sp = build(n, edges, HEAVY)
+        for u, v in before:
+            sssp_delete(sp, u, v)
+        holders = [inst for inst in sp.scales.values() if inst.classes]
+        assert holders
+        calls = []
+
+        def spy(name, real):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return record
+
+        monkeypatch.setattr(sssp, "lcd_delete_edge",
+                            spy("lcd_delete_edge", sssp.lcd_delete_edge))
+        monkeypatch.setattr(sssp.SsspScaleInstance, "_fresh_sn", spy(
+            "_fresh_sn", sssp.SsspScaleInstance._fresh_sn))
+        for name in dir(ConnSF):
+            if not name.startswith("__") and \
+                    callable(getattr(ConnSF, name)):
+                monkeypatch.setattr(ConnSF, name,
+                                    spy(name, getattr(ConnSF, name)))
+        sssp_delete(sp, *retiring)
+        assert calls == []
+        for inst in holders:
+            assert not inst.classes
+            assert not any(isinstance(x, tuple)
+                           for x in inst.tree.vertices())
+            inst.tree.check()
+        audit(sp, n, [e for e in edges
+                      if e[:2] not in before and e[:2] != retiring])
+
+    def test_out_of_sync_departures_poison_the_state(self, monkeypatch):
+        """A live side's decomposition must move the same vertices past
+        j_i as the side's own layers; a mismatch raises a named error,
+        which poisons the state."""
+        real = sssp.lcd_delete_edge
+
+        def lose_moves(st, e):
+            clog = real(st, e)
+            clog.layer_moves.clear()
+            return clog
+
+        monkeypatch.setattr(sssp, "lcd_delete_edge", lose_moves)
+        sp = build(6, BRIDGED_K4, HEAVY)
+        with pytest.raises(SideOutOfSync, match=r"\[5\]"):
+            sssp_delete(sp, 1, 5)
+        assert isinstance(sp.poisoned, SideOutOfSync)
+        with pytest.raises(SsspPoisoned):
+            sssp_dist(sp, 3)
