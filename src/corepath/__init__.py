@@ -14,6 +14,7 @@ __all__ = [
     "expander_oracle",
     "lcd",
     "sssp",
+    "heavy_side",
 ]
 
 __version__ = "0.1.0"

@@ -119,10 +119,6 @@ def _x_count(m: int, i: int, q: int) -> int:
     return s
 
 
-def _alive(g: DynamicGraph, u: int, v: int) -> bool:
-    return g.has_edge(u, v)
-
-
 def _len_cap(depth: int, q: int) -> int:
     cap = 2 * depth
     for _ in range(q - 1):
@@ -297,7 +293,7 @@ def _untree_edge(h: ExpanderHierarchy, i: int, a: int, b: int) -> None:
 def _delete(h: ExpanderHierarchy, i: int, le: tuple) -> None:
     lv = h.levels[i]
     a, b = le
-    if not _alive(lv.graph, a, b):
+    if not lv.graph.has_edge(a, b):
         return  # stale cascade entry
     if lv.d + 1 > lv.budget:
         if i == h.q:
@@ -353,7 +349,7 @@ def oracle_delete(h: ExpanderHierarchy, e) -> None:
         raise TopLevelBudgetExhausted("structure already destroyed")
     u, v = int(e[0]), int(e[1])
     top = h.levels[h.q]
-    if not _alive(top.graph, u, v):
+    if not top.graph.has_edge(u, v):
         raise UnknownEdge(f"({u},{v}) not alive at the top level")
     _delete(h, h.q, (u, v))
 
@@ -428,7 +424,7 @@ def oracle_query(h: ExpanderHierarchy, u: int, v: int) -> list:
     if len(set(path)) != len(path):
         raise QueryAuditFailed(f"path {path!r} repeats a vertex")
     for a, b in zip(path, path[1:]):
-        if not _alive(top, a, b):
+        if not top.has_edge(a, b):
             raise QueryAuditFailed(f"edge ({a},{b}) not alive")
     if len(path) - 1 > _len_cap(h.depth, h.q):
         raise QueryAuditFailed(f"path of {len(path) - 1} edges over the length cap")

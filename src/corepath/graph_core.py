@@ -46,6 +46,16 @@ class TraceParse(GraphError):
     pass
 
 
+class _NotConnectedType:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "NOT_CONNECTED"
+
+
+NOT_CONNECTED = _NotConnectedType()
+
+
 @dataclass(frozen=True)
 class DeletionReceipt:
     eid: int

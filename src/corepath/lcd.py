@@ -41,7 +41,8 @@ from .expander_oracle import (
     oracle_query,
 )
 from .expander_tools import ExpanderParams, expander_decompose
-from .graph_core import DynamicGraph, GraphError, GraphView, UnknownEdge
+from .graph_core import (NOT_CONNECTED, DynamicGraph, GraphError, GraphView,
+                         UnknownEdge)
 
 # trimming threshold: a vertex leaves the working graph once its current
 # degree falls below target/TRIM_DIV
@@ -89,16 +90,6 @@ class PhaseBroken(LcdError):
 class LcdPoisoned(LcdError):
     """An earlier deletion failed after it had changed the structure,
     which can no longer answer honestly; every later call raises this."""
-
-
-class _NotConnectedType:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NOT_CONNECTED"
-
-
-NOT_CONNECTED = _NotConnectedType()
 
 
 def _ilg(n: int) -> int:
@@ -161,14 +152,15 @@ class ChangeLog:
 class Core:
     """One expander core: a snapshot subgraph with a short-path oracle.
 
-    The oracle h is built from the snapshot cg on first use (oracle()): a
-    query inside the core, or a fed deletion the core survives.  cg is
-    dropped then.  Until then h is None and cg stands in for the oracle's
-    top level; no deletion reaches cg, since a surviving feed builds the
-    oracle first.
+    The snapshot is the set of local pairs (a, b), a < b, of the core's
+    edges at creation.  The oracle h is built over it on first use
+    (oracle()): a query inside the core, or a fed deletion the core
+    survives.  snap is dropped then.  Until then h is None and snap
+    stands in for the oracle's top level; no deletion reaches snap, since
+    a surviving feed builds the oracle first.
     """
 
-    __slots__ = ("cid", "j", "ell", "live", "fwd", "back", "h", "cg",
+    __slots__ = ("cid", "j", "ell", "live", "fwd", "back", "h", "snap",
                  "params", "e0", "fed", "seen", "destroyed")
 
     def __init__(self, cid, j, ell, members, keys, params: LcdParams):
@@ -176,31 +168,46 @@ class Core:
         self.j = j
         self.ell = ell
         self.back = sorted(members)
-        self.fwd = {v: i for i, v in enumerate(self.back)}
+        self.fwd = fwd = {v: i for i, v in enumerate(self.back)}
         self.live = set(members)
         self.e0 = len(keys)
         self.fed = 0
         self.seen: set = set()
         self.destroyed = False
         self.params = params
-        self.cg = DynamicGraph(len(self.back))
-        for a, b in sorted(keys):
-            self.cg.add_edge(self.fwd[a], self.fwd[b])
+        self.snap = {(fwd[a], fwd[b]) for a, b in keys}
         self.h = None
 
     def oracle(self):
-        """The core's oracle, built from the snapshot on the first call."""
+        """The core's oracle, built from the sorted snapshot on first call."""
         if self.h is None:
             p = self.params
-            self.h = oracle_init(GraphView(self.cg), p.q, p.expander.phi,
+            g = DynamicGraph.from_edges(len(self.back), sorted(self.snap))
+            self.h = oracle_init(GraphView(g), p.q, p.expander.phi,
                                  p.expander)
-            self.cg = None
+            self.snap = None
         return self.h
 
-    def top_graph(self):
+    def has_local(self, a, b) -> bool:
+        """Whether local ids a and b share a live core edge."""
         if self.h is None:
-            return self.cg
-        return self.h.levels[self.h.q].graph
+            return (a, b) in self.snap or (b, a) in self.snap
+        return self.h.levels[self.h.q].graph.has_edge(a, b)
+
+    def local_neighbors(self, x) -> list:
+        """The local ids sharing a live core edge with local id x, sorted."""
+        if self.h is None:
+            return sorted(b if a == x else a for a, b in self.snap
+                          if x in (a, b))
+        top = self.h.levels[self.h.q].graph
+        return sorted(w for w, _e in top.neighbors(x))
+
+    def local_edges(self):
+        """The live core edges as local pairs (a, b), a < b."""
+        if self.h is None:
+            return self.snap
+        return [(a, b) for a, b, _len
+                in self.h.levels[self.h.q].graph.edge_list()]
 
     def pruned(self) -> frozenset:
         """Local ids outside the expander.  Before the oracle exists that
@@ -220,7 +227,7 @@ class Core:
     def edge_alive(self, a, b) -> bool:
         if a not in self.fwd or b not in self.fwd:
             return False
-        return self.top_graph().has_edge(self.fwd[a], self.fwd[b])
+        return self.has_local(self.fwd[a], self.fwd[b])
 
 
 class PhaseState:
@@ -599,7 +606,7 @@ def _core_feed_local(st: LcdState, core: Core, a, b):
     would wear the core out destroys it without touching the oracle."""
     if core.destroyed:
         return
-    if not core.top_graph().has_edge(a, b):
+    if not core.has_local(a, b):
         return
     st._work(4)
     phi = st.params.expander.phi
@@ -619,7 +626,7 @@ def _core_feed_local(st: LcdState, core: Core, a, b):
 def _detach_feed(st: LcdState, core: Core, lx):
     """Feed away the remaining oracle edges of a departed member."""
     while not core.destroyed:
-        nbs = sorted(w for w, _e in core.top_graph().neighbors(lx))
+        nbs = core.local_neighbors(lx)
         if not nbs:
             return
         _core_feed_local(st, core, lx, nbs[0])
@@ -1138,7 +1145,7 @@ def check_invariants(st: LcdState):
                 pruned_orig = {core.back[p] for p in core.pruned()}
                 assert not (pruned_orig & core.live), \
                     f"core {core.cid} keeps pruned members"
-                for (a, b, _w) in core.top_graph().edge_list():
+                for a, b in core.local_edges():
                     oa, ob = core.back[a], core.back[b]
                     if oa in core.live and ob in core.live:
                         assert _ekey(oa, ob) in st.eid_of, \

@@ -4,23 +4,16 @@ One scale instance covers true distances near a target D.  Lengths are
 rescaled so that D maps onto the integer range [1, 2*ceil(4n/eps)] and
 an exact bounded-depth tree becomes affordable there; a scale keeps the
 rounded lengths as a table keyed by vertex pair, not as a copy of the
-graph, and edges longer than 2D leave it at the build.  Edges split into
-length classes by leading bit.  Vertices whose virtual degree in a
-layered decomposition of the class subgraph reaches the class threshold
-tau_i are heavy; every connected component of the heavy class subgraph
-hides behind a supernode.  The tree runs over the light remainder plus
-the supernodes, with light lengths scaled by four and supernode rays of
-weight one, so crossing a component costs a flat two.  Distance answers
-read one tree level and pad by eps*D/4; path answers splice each
-supernode hop back into real edges with a short-path query against the
-class decomposition.
+graph, and edges longer than 2D leave it at the build.  The tree runs
+over the table with every length scaled by four.  Distance answers read
+one tree level and pad by eps*D/4; path answers walk the tree path.
 
-At the paper's formula for tau_i no vertex can go heavy (see
-SsspParams), so only classes whose tau is overridden can keep a
-decomposition, and only while they have a heavy vertex: layers only move
-deeper, so a class with no heavy vertex never gains one.  A scale with no
-such class is a bare tree over its length table, and with no override the
-family is a scaled Even-Shiloach structure.
+At the paper's formula for the heavy threshold no vertex can go heavy
+(see SsspParams), and the family is a scaled Even-Shiloach structure.
+Only a scale built with tau overridden imports heavy_side, whose class
+states hide heavy components behind supernodes in its tree; it then
+reaches heavy_side only through them (class-edge deletions, supernode
+splices, the audit).
 
 The bare scales of a family share tables and trees.  Scale i's rounded
 table is ceil(factor_i * len), and factor_i halves from one scale to the
@@ -54,21 +47,9 @@ F = far_level at scale i has level at most F/2 + 4|P| <= F at scale
 i+1, as |P| < n <= F/8, so the pointer stops where such a search would.
 
 A deletion goes to one scale per distinct tree, the lowest, which pops
-the edge from the table it holds and repairs the tree once.  A class's
-heavy side -- its decomposition, j_i, the heavy set and that set's
-connectivity -- depends only on n, the class edge set and tau, and a
-class set only ever loses the deleted edge, so the scales of one family
-share one heavy side per distinct (class edge set, tau).  Each deletion
-updates a side once and returns a record of what changed, which every
-scale holding the side replays on its own tree and supernode ids.  A side
-keeps the degree layers of its class graph and reads the vertices that
-leave its heavy set from them before any other upkeep.  A deletion after
-which none is left retires the side: it never gains a heavy vertex again,
-so the deletion feeds neither its decomposition nor its connectivity, and
-every scale holding it (the deleted edge lies in the side's edge set, so
-each of them receives the record) takes the class's edges within the old
-heavy set in as light edges, removes its supernodes and drops its class
-state.  The class's later deletions are plain tree deletions.
+the edge from the table it holds and repairs the tree once; a class
+state's heavy side is updated once per deletion, whichever scales hold
+it (see heavy_side).
 """
 
 from __future__ import annotations
@@ -78,22 +59,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .degree_layers import LayerState
-from .dynamic_forest import ConnSF
 from .es_tree import EsTree
-from .graph_core import (DynamicGraph, GraphError, GraphView, UnknownEdge,
-                         dijkstra, edge_class)
-from .lcd import (NOT_CONNECTED, LcdParams, lcd_build, lcd_delete_edge,
-                  short_path)
+from .graph_core import (NOT_CONNECTED, DynamicGraph, GraphError,
+                         UnknownEdge, dijkstra, edge_class)
 
 
 class ScaleMisuse(GraphError):
     pass
-
-
-class SideOutOfSync(ScaleMisuse):
-    """A heavy side's own degree layers and its decomposition's disagreed
-    on which vertices a deletion moved past j_i."""
 
 
 class PathAuditFailed(ScaleMisuse):
@@ -121,16 +93,6 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def q_for(n: int) -> int:
-    """Oracle depth of the class decompositions: the smallest k with
-    k^8 >= ceil(lg n)."""
-    lg = max(1, (max(1, n) - 1).bit_length())
-    k = 1
-    while k ** 8 < lg:
-        k += 1
-    return k
-
-
 @dataclass(frozen=True)
 class SsspParams:
     """The one input beyond eps shared by every scale instance of a run.
@@ -147,8 +109,8 @@ class SsspParams:
     those with a heavy vertex at the build do, and only until their heavy
     set empties: layers only move deeper, so a class without a heavy
     vertex never gains one.  Tests and the benchmark set tau to reach the
-    heavy regime; while it is set the path-length check against the
-    estimate stands down.
+    heavy regime; on a scale with class states the path-length check
+    stands down.
     """
 
     tau: object = None
@@ -173,49 +135,6 @@ class SsspParams:
         if isinstance(t, dict):
             t = t.get(i)
         return None if t is None else _frac(t)
-
-
-def _heavy_side(n: int, pairs, tau: Fraction):
-    """(j_i, heavy, conn, lcd, layers) of a class with edges pairs under
-    tau, or None when no vertex is heavy: the deepest layer whose width
-    clears tau, the vertices of layers 1..j_i, their connectivity, the
-    decomposition of the unweighted class graph, built only when needed,
-    and the degree layers of that graph, which the side keeps to read its
-    departures.  The decomposition owns a copy of the graph and starts
-    from the same layers (lcd_build moves none)."""
-    layers = LayerState(GraphView(DynamicGraph.from_edges(n, pairs)))
-    j_i = max([j for j in range(1, layers.r + 1) if layers.h(j) >= tau],
-              default=0)
-    heavy = {x for j in range(1, j_i + 1) for x in layers.members_of(j)}
-    if not heavy:
-        return None
-    conn = ConnSF(sorted(heavy), [p for p in pairs
-                                  if p[0] in heavy and p[1] in heavy])
-    lcd = lcd_build(DynamicGraph.from_edges(n, pairs),
-                    LcdParams.make(n, q_for(n)))
-    return j_i, heavy, conn, lcd, layers
-
-
-class ClassState:
-    """One scale's view of a length class whose tau is overridden and
-    that has a heavy vertex at the build, kept until its heavy set empties
-    (it never refills: layers only move deeper).  Every other class is
-    light and has none.
-
-    j_i, heavy, conn, lcd and layers are the class's heavy side
-    (_heavy_side), the same objects at every scale of a family whose class
-    has the same edge set and tau, and updated once per deletion; the
-    class index, the supernode ids and the light volume stay with each
-    scale.  The heavy set follows layers, the side's own degree layers;
-    lcd answers the short-path splices and is fed only while the side
-    lives."""
-
-    def __init__(self, i: int, tau: Fraction, side):
-        self.i = i
-        self.tau = tau
-        self.j_i, self.heavy, self.conn, self.lcd, self.layers = side
-        self.sn_of: dict = {}  # component label -> supernode id
-        self.light_ever = 0
 
 
 def _family_terms(n: int, eps) -> tuple:
@@ -286,11 +205,12 @@ class SsspScaleInstance:
     """One scale D: the table of the live edges no longer than 2D
     (length, keyed by (a, b) with a < b), the pairs it dropped as longer
     (discarded), the class states of overridden classes with a heavy
-    vertex, and the bounded-depth tree over the contracted light graph.
-    length holds base values: the scale's rounded length of e is
-    k * length[e], and its level for a vertex at tree level lv is k * lv;
-    it commits to the vertex while lv <= cap = far_level // k.  Deletions
-    pop from the table; there is no per-scale graph.
+    vertex (heavy_side.ClassState, by class index; none unless tau is
+    set), and the bounded-depth tree over the table, contracted by the
+    class states.  length holds base values: the scale's rounded length
+    of e is k * length[e], and its level for a vertex at tree level lv is
+    k * lv; it commits to the vertex while lv <= cap = far_level // k.
+    Deletions pop from the table; there is no per-scale graph.
 
     edges is g.edge_list() when the caller has listed it already.  sides
     maps (sorted class edge tuple, tau) to its heavy side, or to None
@@ -320,46 +240,16 @@ class SsspScaleInstance:
             _round_table(g.n, edges, eps, d_new, D)
         self.lam = (4 * self.Dp).bit_length() - 1
         self.far_level = far
-        self.tau_overridden = params.tau is not None
         self.sn_serial = 0
-        self._build_classes({} if sides is None else sides)
+        self.classes: dict = {}
+        if params.tau is not None:
+            from . import heavy_side
+            self.classes = heavy_side._build_classes(
+                self, {} if sides is None else sides)
         self._build_tree(trees)
-        # the original-length estimate at tree level lv is
-        # (lv*x + y) / z with (x, y, z) = dist_terms: the scaled estimate
-        # (k*lv*b + a*D') / 4b over factor, for eps = a/b
-        a, b = eps.numerator, eps.denominator
-        f = self.factor
-        self.dist_terms = (self.k * b * f.denominator,
-                           a * self.Dp * f.denominator, 4 * b * f.numerator)
         self.dist_memo: dict = {}
 
     # -- construction ----------------------------------------------------
-
-    def _build_classes(self, sides: dict):
-        """A ClassState for every populated class whose tau is overridden
-        and that has a heavy vertex, holding the heavy side of its edge set
-        and tau from sides (built there on first need); every other class
-        is light.  Reads the scale's own rounded table (k = 1)."""
-        self.classes: dict = {}
-        if not self.tau_overridden:
-            return
-        by_class: dict = {}
-        for key, lp in self.length.items():
-            i = edge_class(lp)
-            # the top nominal class sits above the 2D' length cap
-            if i >= self.lam:
-                raise ScaleMisuse(f"class {i} of {key} is not below "
-                                  f"lambda = {self.lam}")
-            by_class.setdefault(i, []).append(key)
-        for i in sorted(by_class):
-            tau = self.params.override(i)
-            if tau is None:
-                continue
-            key = (tuple(sorted(by_class[i])), tau)
-            if key not in sides:
-                sides[key] = _heavy_side(self.n, *key)
-            if sides[key] is not None:
-                self.classes[i] = ClassState(i, tau, sides[key])
 
     def _build_tree(self, trees):
         """The tree, the multiple k and the cap.  A scale with class
@@ -382,42 +272,12 @@ class SsspScaleInstance:
             self.length = base
             trees.append(self)
         self.cap = self.far_level // k
+        # the table at four times its lengths, contracted by class states
+        edges = [(a, b, 4 * lp) for (a, b), lp in self.length.items()]
+        for i in sorted(self.classes):
+            edges = self.classes[i].contract(edges, self)
         # levels past the cap are never read, so the tree stops there
-        self.tree = EsTree(self.s, self.cap, self._contracted_edges(),
-                           vertices=range(self.n))
-
-    def _contracted_edges(self) -> list:
-        """The light edges at four times their length, then every
-        supernode's rays of weight one; new supernodes get fresh ids."""
-        classes = self.classes
-        if not classes:
-            return [(a, b, 4 * lp) for (a, b), lp in self.length.items()]
-        edges = []
-        for (a, b), lp in self.length.items():
-            cs = classes.get(edge_class(lp))
-            if cs is not None:
-                if a in cs.heavy and b in cs.heavy:
-                    continue
-                cs.light_ever += 1
-            edges.append((a, b, 4 * lp))
-        for i in sorted(classes):
-            cs = classes[i]
-            seen = set()
-            for v in sorted(cs.heavy):
-                lab = cs.conn.component_label(v)
-                if lab in seen:
-                    continue
-                seen.add(lab)
-                snid = self._fresh_sn(i)
-                cs.sn_of[lab] = snid
-                for u in cs.conn.component_members(v):
-                    edges.append((u, snid, 1))
-        return edges
-
-    def _fresh_sn(self, i: int):
-        snid = ("sn", i, self.sn_serial)
-        self.sn_serial += 1
-        return snid
+        self.tree = EsTree(self.s, self.cap, edges, vertices=range(self.n))
 
 
 def sssp_scale_build(g: DynamicGraph, s: int, eps, D,
@@ -431,16 +291,12 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
     """Delete e from one scale: pop it from the table (or the discarded
     set) and repair the tree.  The scales of a group share both, so a
     family sends each deletion to one scale per tree through sssp_delete;
-    a direct call on a member of a family is internal.  fed maps each
-    heavy side (by its conn) this deletion has already updated to the
-    record of that update, which every scale holding the side replays on
-    its own tree; without fed the scale updates its own.  A side whose
-    heavy set this deletion empties retires without feeding its
-    decomposition: each holding scale inserts the edges turned light, in
-    record order, while its supernodes still back the no-drop promise,
-    then removes its supernodes and drops its class state.  The class can
-    never go heavy again, so its later deletions are plain tree
-    deletions."""
+    a direct call on a member of a family is internal.  An edge of a
+    class with a class state goes to that state (ClassState.scale_delete).
+    fed maps each heavy side (by its conn) this deletion has already
+    updated to the record of that update, which every scale holding the
+    side replays on its own tree; without fed the scale updates its
+    own."""
     u, v = int(e[0]), int(e[1])
     key = (u, v) if u < v else (v, u)
     lp = inst.length.pop(key, None)
@@ -452,99 +308,8 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
     cs = inst.classes.get(edge_class(lp)) if inst.classes else None
     if cs is None:
         inst.tree.es_delete(u, v)
-        return
-    if fed is None:
-        fed = {}
-    rec = fed.get(cs.conn)
-    if rec is None:
-        rec = fed[cs.conn] = _side_delete(cs, u, v)
-    both_heavy, split, newly, gone = rec  # gone is None: the side retired
-    if not both_heavy:
-        inst.tree.es_delete(u, v)
-    elif split is not None:
-        # the moved side leaves its supernode for a fresh one
-        _rehome(inst, cs, split.new_label, split.moved,
-                cs.sn_of[split.old_label])
-    # edges toward a still-heavy or co-leaving vertex turn light first,
-    # while the supernode two-step detour still backs the no-drop promise
-    for a, b in newly:
-        inst.tree.es_insert(a, b, 4 * inst.length[(a, b)])
-    if gone is None:
-        for snid in cs.sn_of.values():
-            inst.tree.es_remove_vertex(snid)
-        del inst.classes[cs.i]
-        return
-    cs.light_ever += len(newly)
-    for d, lab, parts, kept in gone:
-        sn_old = cs.sn_of[lab]
-        inst.tree.es_delete(d, sn_old)
-        for label, group in parts.items():
-            _rehome(inst, cs, label, group, sn_old)
-        if not kept:
-            del cs.sn_of[lab]
-            inst.tree.es_remove_vertex(sn_old)
-
-
-def _departures(moves, j_i: int) -> list:
-    """The vertices that (vertex, old, new) layer moves carry past j_i."""
-    return sorted({w for (w, old, new) in moves if old <= j_i < new})
-
-
-def _side_delete(cs, u, v):
-    """Delete class edge (u, v) from the heavy side cs holds.  The side's
-    own degree layers give the departures, the vertices whose layer fell
-    past j_i, and its graph the edges they turn light.  When they are the
-    whole heavy set the side retires: the heavy set empties and nothing
-    else is updated, as no scale reads the side again.  Otherwise the
-    decomposition is fed (short_path still reads it) and must report the
-    same departures, or SideOutOfSync is raised; then the edge is cut from
-    the heavy connectivity and the departed vertices leave it.  Returns
-    (both ends were heavy, the cut's split or None, the edges turned
-    light, and per departed vertex (d, its old label, {label: members} of
-    each part split off that label, whether the old label lives on)), with
-    None for the last item when the side retired."""
-    heavy, layers = cs.heavy, cs.layers
-    g = layers.view.graph
-    both_heavy = u in heavy and v in heavy
-    g.delete_between(u, v)
-    deps = _departures(layers.on_delete(u, v), cs.j_i)
-    newly = sorted({(min(d, w), max(d, w)) for d in deps
-                    for w, _ in g.neighbors(d) if w in heavy})
-    if len(deps) == len(heavy):
-        heavy.clear()
-        return both_heavy, None, newly, None
-    fed = _departures(lcd_delete_edge(cs.lcd, (u, v)).layer_moves, cs.j_i)
-    if fed != deps:
-        raise SideOutOfSync(f"deleting ({u},{v}): the decomposition moved "
-                            f"{fed} past j_i = {cs.j_i}, the side's layers "
-                            f"{deps}")
-    conn = cs.conn
-    split = conn.conn_delete(u, v) if both_heavy else None
-    gone = []
-    for d in deps:
-        lab = conn.component_label(d)
-        before = [x for x in conn.component_members(d) if x != d]
-        conn.conn_remove_vertex(d)
-        heavy.discard(d)
-        parts = {}
-        for x in before:
-            nl = conn.component_label(x)
-            if nl != lab and nl not in parts:
-                parts[nl] = conn.component_members(x)
-        kept = any(conn.component_label(x) == lab for x in before)
-        gone.append((d, lab, parts, kept))
-    return both_heavy, split, newly, gone
-
-
-def _rehome(inst, cs, label, group, sn_old):
-    """Give heavy component `label`, with members `group`, a fresh
-    supernode in place of sn_old.  The new rays go in while the old ones
-    still pin every level in place."""
-    snid = inst._fresh_sn(cs.i)
-    cs.sn_of[label] = snid
-    inst.tree.es_attach(snid, [(x, 1) for x in group])
-    for x in group:
-        inst.tree.es_delete(x, sn_old)
+    else:
+        cs.scale_delete(inst, u, v, {} if fed is None else fed)
 
 
 # -- queries ---------------------------------------------------------------
@@ -579,10 +344,11 @@ def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
 
     lv is v's tree level when the caller has just read it within the
     cap.  One walk along the tree path assembles the answer and audits
-    it: a splice must run between the hop's ends inside the class's heavy
-    side, no edge may repeat, and every edge must be live at this scale.
-    At the formula's tau the summed length, k times the summed base
-    lengths, must also stay within the estimate."""
+    it: the class state splices a supernode hop and audits the splice
+    (ClassState.splice), no edge may repeat, and every edge must be live
+    at this scale.  On a scale without class states the summed length, k
+    times the summed base lengths, must also stay within the tree's
+    length to v, k*lv/4, and so within the estimate."""
     v = int(v)
     if lv is None:
         lv = _level(inst, v)
@@ -604,16 +370,8 @@ def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
         if sn is None:
             hop = (x,)
         else:
-            cs = inst.classes[sn[1]]
+            hop = inst.classes[sn[1]].splice(a, x)
             sn = None
-            seg = short_path(cs.lcd, cs.j_i, a, x)
-            if seg is NOT_CONNECTED or seg[0] != a or seg[-1] != x:
-                raise PathAuditFailed(f"short_path({a!r}, {x!r}) gave "
-                                      f"{seg!r}")
-            if not all(y in cs.heavy for y in seg):
-                raise PathAuditFailed(f"splice {seg!r} leaves class "
-                                      f"{cs.i}'s heavy side")
-            hop = seg[1:]
         for y in hop:
             key = (a, y) if a < y else (y, a)
             if key in seen:
@@ -627,39 +385,14 @@ def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
             total += lp
             out.append(y)
             a = y
-    if not inst.tau_overridden and \
-            4 * inst.eps.denominator * inst.k * total > _est4b(inst, lv):
-        est = sssp_dist_query(inst, v)
-        raise PathAuditFailed(f"path length {inst.k * total} over estimate "
-                              f"{est}")
+    # a bare tree's path sums to its level, four times its base lengths
+    if not inst.classes and 4 * total > lv:
+        raise PathAuditFailed(f"path length {inst.k * total} over its tree "
+                              f"level {Fraction(inst.k * lv, 4)}")
     return out
 
 
 # -- audits ----------------------------------------------------------------
-
-
-def _hat_edges(inst):
-    """The contracted light graph at the scale's rounded lengths, rebuilt
-    from first principles."""
-    k = inst.k
-    edges = []
-    for (a, b), lp in inst.length.items():
-        cs = inst.classes.get(edge_class(k * lp))
-        if cs is not None and a in cs.heavy and b in cs.heavy:
-            continue
-        edges.append((a, b, 4 * k * lp))
-    for i in sorted(inst.classes):
-        cs = inst.classes[i]
-        seen = set()
-        for x in sorted(cs.heavy):
-            lab = cs.conn.component_label(x)
-            if lab in seen:
-                continue
-            seen.add(lab)
-            snid = cs.sn_of[lab]
-            for y in cs.conn.component_members(x):
-                edges.append((y, snid, 1))
-    return edges
 
 
 def check_scale_invariants(inst: SsspScaleInstance):
@@ -670,9 +403,6 @@ def check_scale_invariants(inst: SsspScaleInstance):
     # reads an absent vertex's level, the depth + 1, as too far
     k, cap = inst.k, inst.cap
     assert inst.tree.depth >= cap == inst.far_level // k
-    x, y, z = inst.dist_terms
-    assert Fraction(x, z) == Fraction(k, 4) / inst.factor
-    assert Fraction(y, z) == inst.eps * inst.Dp / 4 / inst.factor
     assert inst.length.keys().isdisjoint(inst.discarded)
     per: dict = {}
     for (a, b), lp in inst.length.items():
@@ -681,54 +411,15 @@ def check_scale_invariants(inst: SsspScaleInstance):
         i = edge_class(k * lp)
         assert i < inst.lam
         per.setdefault(i, set()).add((a, b))
-    # class states only for overridden classes, and then at k = 1
-    assert all(inst.params.override(i) is not None for i in inst.classes)
-    assert k == 1 or not inst.classes
     for i, cs in inst.classes.items():
-        assert cs.heavy, f"class {i} kept with an empty heavy set"
-        mine = per.get(i, set())
-        assert set(cs.lcd.alive_edges()) == mine, \
-            f"class {i} decomposition lost sync"
-        assert {(a, b) for a, b, _ in cs.layers.view.edge_list()} == mine, \
-            f"class {i} side graph lost sync"
-        assert all(cs.layers.layer_of(x) == cs.lcd.layers.layer_of(x)
-                   for x in range(n)), f"class {i} layers lost sync"
-        want = {x for j in range(1, cs.j_i + 1)
-                for x in cs.layers.members_of(j)}
-        assert cs.heavy == want, f"class {i} heavy set drifted"
-        # components of the heavy subgraph, by fresh union-find
-        root = {x: x for x in cs.heavy}
-
-        def find(x):
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        for a, b in sorted(mine):
-            if a in cs.heavy and b in cs.heavy:
-                root[find(a)] = find(b)
-        groups: dict = {}
-        for x in sorted(cs.heavy):
-            groups.setdefault(find(x), set()).add(x)
-        live = {}
-        for x in sorted(cs.heavy):
-            live.setdefault(cs.conn.component_label(x), set()).add(x)
-        assert sorted(map(sorted, groups.values())) == \
-            sorted(map(sorted, live.values()))
-        assert set(cs.sn_of) == set(live)
-        for lab, grp in sorted(live.items()):
-            rows = inst.tree.incident(cs.sn_of[lab])
-            assert {r[0] for r in rows} == grp
-            assert all(r[1] == 1 for r in rows)
-        assert cs.light_ever <= 4 * n * max(Fraction(1), cs.tau), \
-            f"class {i} light volume overran its charge"
-    # the tree is an exact bounded-depth tree of the contracted graph
-    hat = _hat_edges(inst)
+        cs.check_scale(inst, per.get(i, set()))
+    # the tree is an exact bounded-depth tree of the contracted graph,
+    # rebuilt from the table
+    hat = [(a, b, 4 * k * lp) for (a, b), lp in inst.length.items()]
+    for i in sorted(inst.classes):
+        hat = inst.classes[i].contract(hat)
     dist = dijkstra(inst.s, hat)
-    sn_ids = [snid for cs in inst.classes.values()
-              for snid in cs.sn_of.values()]
-    for v in list(range(n)) + sn_ids:
+    for v in set(range(n)).union(*(e[:2] for e in hat)):
         lv = inst.tree.level_of(v)
         dv = dist.get(v)
         if dv is not None and dv <= inst.far_level:
@@ -859,9 +550,10 @@ _ZERO = Fraction(0)
 
 
 def sssp_dist(sp: SsspState, v):
-    """v's estimate: (lv*x + y)/z for its level lv at the first scale
-    that commits to v.  Fractions are immutable, so each scale hands out
-    one per level from its dist_memo instead of building it per query."""
+    """v's estimate: the scaled estimate at its level lv over the factor
+    of the first scale that commits to v.  Fractions are immutable, so
+    each scale hands out one per level from its dist_memo instead of
+    building it per query."""
     v = int(v)
     _check_query(sp, v)
     if v == sp.s:
@@ -872,8 +564,10 @@ def sssp_dist(sp: SsspState, v):
     inst = sp.scales[i]
     ans = inst.dist_memo.get(lv)
     if ans is None:
-        x, y, z = inst.dist_terms
-        ans = inst.dist_memo[lv] = Fraction(lv * x + y, z)
+        f = inst.factor
+        ans = inst.dist_memo[lv] = Fraction(
+            _est4b(inst, lv) * f.denominator,
+            4 * inst.eps.denominator * f.numerator)
     return ans
 
 

@@ -457,7 +457,7 @@ class TestLazyOracle:
             before = core.pruned()
             core.oracle()
             assert xo.oracle_pruned(core.h) == before
-            assert core.cg is None
+            assert core.snap is None
 
 
 BRIDGED_K6 = (orc.gen_complete(6)

@@ -39,3 +39,21 @@ def test_guards_raise_named_errors():
     for path in sorted(src.glob("*.py")):
         found += _bare_asserts(ast.parse(path.read_text()), path.name)
     assert found == []
+
+
+def test_sssp_imports_only_the_es_family():
+    """At module level sssp.py imports no corepath module besides
+    graph_core and es_tree; heavy_side is imported in the scale build,
+    and only when tau is set."""
+    src = Path(corepath.__file__).parent / "sssp.py"
+    found = set()
+    for node in ast.parse(src.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else
+                         [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # an absolute import of the package counts whatever it names
+            mods = [node.module] if isinstance(node, ast.ImportFrom) else \
+                [alias.name for alias in node.names]
+            found.update(m for m in mods if m.split(".")[0] == "corepath")
+    assert found <= {"graph_core", "es_tree"}, found

@@ -11,20 +11,19 @@ import pytest
 
 import oracles as orc
 from corepath import expander_tools as xt
-from corepath import sssp
+from corepath import heavy_side, lcd, sssp
 from corepath.dynamic_forest import ConnSF
 from corepath.graph_core import DynamicGraph, UnknownEdge, edge_class
+from corepath.heavy_side import SideOutOfSync, q_for
 from corepath.lcd import (NOT_CONNECTED, LcdError, LcdParams, lcd_build,
                           lcd_delete_edge, short_path_quality)
 from corepath.sssp import (
     PathAuditFailed,
     ScaleMisuse,
-    SideOutOfSync,
     SsspParams,
     SsspPoisoned,
     check_scale_invariants,
     far_level,
-    q_for,
     round_lengths,
     sssp_build_all,
     sssp_delete,
@@ -250,7 +249,7 @@ class TestWhichClassesExist:
         def refuse(*args, **kwargs):
             raise AssertionError("lcd_build called at the formula's tau")
 
-        monkeypatch.setattr(sssp, "lcd_build", refuse)
+        monkeypatch.setattr(lcd, "lcd_build", refuse)
         sp = teardown(10, GNP_10, shuffled(GNP_10, 3))
         assert all(inst.classes == {} for inst in sp.scales.values())
 
@@ -284,7 +283,7 @@ class TestWhichClassesExist:
         def refuse(*args, **kwargs):
             raise AssertionError("lcd_build called with nothing heavy")
 
-        monkeypatch.setattr(sssp, "lcd_build", refuse)
+        monkeypatch.setattr(lcd, "lcd_build", refuse)
         edges = [(u, v, 1) for u, v in orc.gen_gnp_connected(40, 0.5, seed=1)]
         sp = build(40, edges, SsspParams(tau=10))
         assert all(inst.classes == {} for inst in sp.scales.values())
@@ -368,14 +367,18 @@ class TestRoundLengths:
         inst = sssp_scale_build(g, S, EPS, 1, HEAVY)
         inst.length[(1, 2)] = 4 * inst.Dp
         with pytest.raises(ScaleMisuse, match="lambda"):
-            inst._build_classes({})
+            heavy_side._build_classes(inst, {})
 
 
-def path_guard_fires():
+# a flat override under which no class of GNP_10 goes heavy
+BARE_TAU = SsspParams(tau=10)
+
+
+def path_guard_fires(params=None):
     """Whether sssp_path refuses a path once the length table entry of one
     of its edges is raised past the estimate.  Raises and returns, never
     asserts, so that it also tells under python -O."""
-    sp = build(10, GNP_10)
+    sp = build(10, GNP_10, params)
     v = max(range(10), key=lambda x: len(sssp_path(sp, x)))
     path = sssp_path(sp, v)
     inst = sp.scales[sssp._locate(sp, v)[0]]
@@ -389,10 +392,17 @@ def path_guard_fires():
 
 
 class TestPathGuard:
-    """The integer total > estimate guard of sssp_path_query."""
+    """The path-length guard of sssp_path_query."""
 
     def test_overlong_path_raises(self):
         assert path_guard_fires()
+
+    def test_overlong_path_raises_under_an_override_with_bare_scales(self):
+        """The guard stands down only on a scale with class states, not
+        wherever tau is set."""
+        sp = build(10, GNP_10, BARE_TAU)
+        assert not any(inst.classes for inst in sp.scales.values())
+        assert path_guard_fires(BARE_TAU)
 
     def test_overlong_path_raises_under_python_O(self):
         tests = Path(__file__).resolve().parent
@@ -412,6 +422,43 @@ class TestPathGuard:
         del inst.length[(min(path[-2:]), max(path[-2:]))]
         with pytest.raises(PathAuditFailed, match="not live"):
             sssp_path(sp, 9)
+
+
+def loaded_modules(params_src: str) -> list:
+    """The corepath modules a fresh process has loaded after building a
+    family over BRIDGED_TRIANGLE with the params that params_src evaluates
+    to, one deletion, and a distance and a path query."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from corepath.graph_core import DynamicGraph\n"
+        "from corepath.sssp import (SsspParams, sssp_build_all, "
+        "sssp_delete, sssp_dist, sssp_path)\n"
+        f"edges = {BRIDGED_TRIANGLE!r}\n"
+        "sp = sssp_build_all(DynamicGraph.from_edges(4, edges), 0, "
+        f"Fraction(1, 2), {params_src})\n"
+        "sssp_delete(sp, 0, 1)\n"
+        "sssp_dist(sp, 3), sssp_path(sp, 3)\n"
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'corepath')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+class TestModulesLoaded:
+    def test_default_tau_loads_only_the_es_family(self):
+        assert loaded_modules("None") == [
+            "corepath", "corepath.es_tree", "corepath.graph_core",
+            "corepath.sssp"]
+
+    def test_override_loads_the_heavy_side(self):
+        loaded = loaded_modules("SsspParams(tau={0: 2})")
+        assert {"corepath.heavy_side", "corepath.lcd"} <= set(loaded)
 
 
 class TestScaleDelete:
@@ -495,7 +542,7 @@ class TestHeavyClass:
     def test_broken_splice_raises_named_error(self, monkeypatch):
         sp = build(4, BRIDGED_TRIANGLE, HEAVY)
         sssp_delete(sp, 0, 1)
-        monkeypatch.setattr(sssp, "short_path", lambda *a: NOT_CONNECTED)
+        monkeypatch.setattr(lcd, "short_path", lambda *a: NOT_CONNECTED)
         with pytest.raises(PathAuditFailed):
             sssp_path(sp, 1)
 
@@ -512,7 +559,7 @@ class TestHeavyClass:
         walk = inst.tree.es_path(1)
         assert any(isinstance(x, tuple) for x in walk)  # a supernode hop
         assert all(S not in cs.heavy for cs in inst.classes.values())
-        monkeypatch.setattr(sssp, "short_path",
+        monkeypatch.setattr(lcd, "short_path",
                             lambda st, j, a, x: splice(a, x))
         with pytest.raises(PathAuditFailed, match=match):
             sssp_path(sp, 1)
@@ -582,13 +629,13 @@ class TestSharedDecompositions:
         once, not once per scale holding it; one that retires the side,
         as every triangle edge does, feeds it nothing."""
         fed = []
-        real = sssp.lcd_delete_edge
+        real = lcd.lcd_delete_edge
 
         def counting(st, e):
             fed.append(e)
             return real(st, e)
 
-        monkeypatch.setattr(sssp, "lcd_delete_edge", counting)
+        monkeypatch.setattr(lcd, "lcd_delete_edge", counting)
         sp = build(6, BRIDGED_K4, HEAVY)
         assert len(decompositions(sp)[0]) == 4
         sssp_delete(sp, 1, 5)
@@ -851,13 +898,13 @@ def retire_and_audit(monkeypatch, insts, delete, order):
     retired by this deletion or an earlier one was fed.  Returns (sides
     retired, deletions of their edges after they retired)."""
     fed = []
-    real = sssp.lcd_delete_edge
+    real = lcd.lcd_delete_edge
 
     def spy(st, e):
         fed.append(st)
         return real(st, e)
 
-    monkeypatch.setattr(sssp, "lcd_delete_edge", spy)
+    monkeypatch.setattr(lcd, "lcd_delete_edge", spy)
     retired = []  # (decomposition, its class edges when it retired)
     later = 0
     held = held_sides(insts)
@@ -966,10 +1013,10 @@ class TestRetiredSides:
                 return real(*args, **kwargs)
             return record
 
-        monkeypatch.setattr(sssp, "lcd_delete_edge",
-                            spy("lcd_delete_edge", sssp.lcd_delete_edge))
-        monkeypatch.setattr(sssp.SsspScaleInstance, "_fresh_sn", spy(
-            "_fresh_sn", sssp.SsspScaleInstance._fresh_sn))
+        monkeypatch.setattr(lcd, "lcd_delete_edge",
+                            spy("lcd_delete_edge", lcd.lcd_delete_edge))
+        monkeypatch.setattr(heavy_side, "_fresh_sn", spy(
+            "_fresh_sn", heavy_side._fresh_sn))
         for name in dir(ConnSF):
             if not name.startswith("__") and \
                     callable(getattr(ConnSF, name)):
@@ -989,14 +1036,14 @@ class TestRetiredSides:
         """A live side's decomposition must move the same vertices past
         j_i as the side's own layers; a mismatch raises a named error,
         which poisons the state."""
-        real = sssp.lcd_delete_edge
+        real = lcd.lcd_delete_edge
 
         def lose_moves(st, e):
             clog = real(st, e)
             clog.layer_moves.clear()
             return clog
 
-        monkeypatch.setattr(sssp, "lcd_delete_edge", lose_moves)
+        monkeypatch.setattr(lcd, "lcd_delete_edge", lose_moves)
         sp = build(6, BRIDGED_K4, HEAVY)
         with pytest.raises(SideOutOfSync, match=r"\[5\]"):
             sssp_delete(sp, 1, 5)
