@@ -185,13 +185,20 @@ class MsfState(_ForestBase):
     """Minimum spanning forest under the total order (weight, edge-id)."""
 
     def __init__(self, vertices: Iterable = (), edges: Iterable[tuple] = ()):
-        """edges: (u, v, eid, weight)."""
+        """edges: (u, v, eid, weight), built by Kruskal: in (weight, eid)
+        order an edge whose ends are already connected is the heaviest on
+        its cycle, so it joins the pool without a path-maximum search."""
         super().__init__()
         self._edge: dict[int, tuple] = {}  # eid -> (u, v, weight)
         for v in vertices:
             self.add_vertex(v)
         for u, v, eid, w in sorted(edges, key=lambda e: (e[3], e[2])):
-            self.msf_insert(u, v, eid, w)
+            self.add_vertex(u)
+            self.add_vertex(v)
+            if self.connected(u, v):
+                self._pool(u, v, eid, w)
+            else:
+                self.msf_insert(u, v, eid, w)
 
     # -- bookkeeping helpers --------------------------------------------
 
@@ -219,9 +226,8 @@ class MsfState(_ForestBase):
                 best = key
         return best
 
-    # -- operations ------------------------------------------------------
-
-    def msf_insert(self, u, v, eid, w):
+    def _pool(self, u, v, eid, w):
+        """Validate an edge and add it to the pool, outside the forest."""
         self.add_vertex(u)
         self.add_vertex(v)
         if eid in self._edge:
@@ -231,6 +237,11 @@ class MsfState(_ForestBase):
         self._edge[eid] = (u, v, w)
         self._adj[u][v] = eid
         self._adj[v][u] = eid
+
+    # -- operations ------------------------------------------------------
+
+    def msf_insert(self, u, v, eid, w):
+        self._pool(u, v, eid, w)
         if self._comp[u] != self._comp[v]:
             self._link(eid)
             self._merge(u, v)

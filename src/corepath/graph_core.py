@@ -238,7 +238,7 @@ class GraphView:
     def m(self) -> int:
         if self.vertices is None:
             return self.graph.m
-        return sum(self.degree(u) for u in self.vertex_list()) // 2
+        return len(self.edge_list())
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         """Live (u, v, len) edges inside the view with u < v, by u and

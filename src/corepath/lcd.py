@@ -6,9 +6,11 @@ non-buffer sublayer into expander cores plus a trimmed residue ordered by
 a low-in-degree DAG.  Each core keeps its creation-time snapshot and builds
 a short-path oracle over it on first use: the first query inside the core,
 or the first fed deletion the core survives.  A core that dies at its
-first feed, or is never queried, never builds one.  Weighted spanning
-forests over the layer prefixes let ``short_path`` stitch core-internal
-paths together with tree edges.
+first feed, or is never queried, never builds one.  ``short_path``
+stitches core-internal paths together along the minimum spanning forest
+of a layer prefix, whose edges weigh 0 inside a core, 1 on a to-core
+tree and 2 otherwise; the forest is built when a query first asks for
+it and dropped at the next deletion.
 
 Everything is maintained under edge deletions only.  Vertices move
 downward (deeper sublayer, buffer, lower layer), cores only shrink, and
@@ -288,17 +290,14 @@ class LcdState:
         self.lay: dict = {}
         self.pos: dict = {}
         self.cores_by_vertex: dict = {}
-        self.msf: list = []
-        self.eid_of: dict = {}
-        self.jmax: dict = {}
+        self.eid_of: dict = {}  # alive edge -> its rank in the build
+        self.forests: dict = {}  # j -> MsfState, memoised by short_path
         self.core_serial = 0
         self.phase_serial = 0
         self.micros = 0
         self.poisoned = None  # the error that left a deletion half-applied
         self.clog = ChangeLog()
         self._pending: set = set()
-        self._touched_verts: set = set()
-        self._touched_subs: set = set()
 
     def _work(self, k: int = 1):
         self.micros += k
@@ -453,11 +452,9 @@ def _buffer_insert(st: LcdState, x, j, kind):
     sub.bufkind[x] = kind
     sub.moves[kind] += 1
     st.clog.buffer_moves.append((x, j, kind))
-    st._touched_verts.add(x)
     st._pending.add(x)
     for y, _e in st.g.neighbors(x):
         st._pending.add(y)
-        st._touched_verts.add(y)
 
 
 def _i1_restarts(st: LcdState, j):
@@ -505,7 +502,6 @@ def _restart(st: LcdState, j, lv):
     sub.subs[lv] = set(members)
     for x in members:
         st.pos[x] = lv
-    st._touched_verts |= members
     st._pending |= members
     _start_phase(st, j, lv)
 
@@ -554,7 +550,6 @@ def _start_phase(st: LcdState, j, lv):
     ph.tree = EsTree(ROOT, depth, tedges, vertices=members + [ROOT])
     sub.phases[lv] = ph
     sub.starts[lv] = sub.starts.get(lv, 0) + 1
-    st._touched_subs.add((j, lv))
     st._work(len(members) + len(hkeys))
 
 
@@ -648,7 +643,6 @@ def _leave_nonbuffer(st: LcdState, x, j, l):
         ph.assoc.pop(x, None)
     if ph is not None and ph.tree is not None and ph.tree.contains(x):
         ph.tree.es_remove_vertex(x)
-    st._touched_subs.add((j, l))
     return core, lx
 
 
@@ -656,11 +650,9 @@ def _layer_drop(st: LcdState, x, jo, jn):
     """Container-only move of x from layer jo to jn.  Feeding and the I1
     check stay with the caller so the whole batch completes first."""
     st.clog.layer_moves.append((x, jo, jn))
-    st._touched_verts.add(x)
     st._pending.add(x)
     for y, _e in st.g.neighbors(x):
         st._pending.add(y)
-        st._touched_verts.add(y)
     core = lx = None
     if jo <= st.r:
         sub = st.lay[jo]
@@ -671,16 +663,6 @@ def _layer_drop(st: LcdState, x, jo, jn):
             sub.buf_up.pop(x, None)
         else:
             core, lx = _leave_nonbuffer(st, x, jo, l)
-    # layer growth trims the edge out of the lower spanning forests
-    for w in sorted(y for y, _e in st.g.neighbors(x)):
-        key = _ekey(x, w)
-        nj = max(st.layer_of(x), st.layer_of(w))
-        old = st.jmax[key]
-        if nj > old:
-            eid = st.eid_of[key]
-            for t in range(old, nj):
-                st.msf[t - 1].msf_delete(eid)
-            st.jmax[key] = nj
     if jn <= st.r:
         _buffer_insert(st, x, jn, "D")
     elif st.g.degree(x):
@@ -735,10 +717,7 @@ def _repair_links(st: LcdState):
             if not cands:
                 raise PhaseBroken(
                     f"buffer vertex {x} in layer {j} lost all upward edges")
-            best = min(cands)
-            if sub.buf_up.get(x) != best:
-                sub.buf_up[x] = best
-                st._touched_verts.add(x)
+            sub.buf_up[x] = min(cands)
         for l, ph in sorted(sub.phases.items()):
             for u in sorted(ph.uset):
                 cands = st.upward(u, j, l)
@@ -747,16 +726,11 @@ def _repair_links(st: LcdState):
                         ph.assoc.pop(u)
                         if ph.tree is not None and ph.tree.has_edge(ROOT, u):
                             ph.tree.es_delete(ROOT, u)
-                        st._touched_subs.add((j, l))
-                        st._touched_verts.add(u)
                     continue
-                best = min(cands)
                 if u not in ph.assoc:
                     # candidates only shrink; a fresh link cannot appear
                     raise PhaseBroken(f"residue vertex {u} regrew an edge")
-                if ph.assoc[u] != best:
-                    ph.assoc[u] = best
-                    st._touched_verts.add(u)
+                ph.assoc[u] = min(cands)
 
 
 # -- edge weights and forests ---------------------------------------------
@@ -793,24 +767,24 @@ def _edge_weight(st: LcdState, a, b) -> int:
     return 2
 
 
-def _sync_weights(st: LcdState):
-    verts = set(st._touched_verts)
-    for (j, l) in st._touched_subs:
-        sub = st.lay.get(j)
-        if sub is not None and l in sub.subs:
-            verts |= sub.subs[l]
-    for x in sorted(verts):
-        for y, _e in st.g.neighbors(x):
-            key = _ekey(x, y)
-            eid = st.eid_of.get(key)
-            if eid is None:
-                continue
-            w = _edge_weight(st, key[0], key[1])
-            for t in range(st.jmax[key], st.r + 1):
-                f = st.msf[t - 1]
-                if f.edge_info(eid)[2] != w:
-                    f.msf_reweight(eid, w)
-                    st._work()
+def _prefix_edges(st: LcdState, j) -> dict:
+    """The alive edges with both ends in layers <= j, key -> build rank."""
+    return {key: eid for key, eid in st.eid_of.items()
+            if st.layer_of(key[0]) <= j and st.layer_of(key[1]) <= j}
+
+
+def _forest(st: LcdState, j) -> MsfState:
+    """The layer-j prefix's minimum spanning forest under (_edge_weight,
+    build rank), built on first use after a deletion.  The order is total,
+    so the forest is unique; a query changes no weight, since an oracle it
+    builds holds its core's snapshot edges."""
+    f = st.forests.get(j)
+    if f is None:
+        edges = [(a, b, eid, _edge_weight(st, a, b))
+                 for (a, b), eid in _prefix_edges(st, j).items()]
+        f = st.forests[j] = MsfState(range(st.n), edges)
+        st._work(len(edges))
+    return f
 
 
 # -- build ----------------------------------------------------------------
@@ -839,20 +813,8 @@ def lcd_build(g: DynamicGraph, params: LcdParams = None) -> LcdState:
     for j in range(1, st.r + 1):
         if st.lay[j].subs.get(1):
             _start_phase(st, j, 1)
-    # spanning forests of the layer prefixes, weighted by structural role
     keys = sorted(_ekey(u, v) for (u, v, _l) in g.edge_list())
-    for i, key in enumerate(keys):
-        st.eid_of[key] = i
-        st.jmax[key] = max(st.layer_of(key[0]), st.layer_of(key[1]))
-    for _j in range(1, st.r + 1):
-        st.msf.append(MsfState(vertices=range(st.n)))
-    for key in keys:
-        w = _edge_weight(st, key[0], key[1])
-        for t in range(st.jmax[key], st.r + 1):
-            st.msf[t - 1].msf_insert(key[0], key[1], st.eid_of[key], w)
-    st._pending = set()
-    st._touched_verts = set()
-    st._touched_subs = set()
+    st.eid_of = {key: i for i, key in enumerate(keys)}
     return st
 
 
@@ -866,7 +828,7 @@ def _check_live(st: LcdState):
 
 
 def lcd_delete_edge(st: LcdState, e) -> ChangeLog:
-    """Delete e and repair every layer, phase, core and forest.
+    """Delete e and repair every layer, phase and core.
 
     An unknown edge changes nothing; an error once the deletion has begun
     poisons the structure and is re-raised."""
@@ -883,15 +845,12 @@ def lcd_delete_edge(st: LcdState, e) -> ChangeLog:
 
 
 def _delete_edge(st: LcdState, u, v, key) -> ChangeLog:
+    st.forests = {}
     st.clog = ChangeLog()
     st._pending = set()
-    st._touched_verts = {u, v}
-    st._touched_subs = set()
     ju, jv = st.layer_of(u), st.layer_of(v)
     pu, pv = st.pos.get(u), st.pos.get(v)
-    eid = st.eid_of.pop(key)
-    for t in range(st.jmax.pop(key), st.r + 1):
-        st.msf[t - 1].msf_delete(eid)
+    del st.eid_of[key]
     st.g.delete_between(u, v)
     st._pending.update((u, v))
     if ju == jv and ju <= st.r and pu is not None and pu == pv \
@@ -899,7 +858,6 @@ def _delete_edge(st: LcdState, u, v, key) -> ChangeLog:
         ph = st.lay[ju].phases.get(pu)
         if ph is not None and ph.tree is not None and ph.tree.has_edge(u, v):
             ph.tree.es_delete(u, v)
-            st._touched_subs.add((ju, pu))
     # run the whole layer cascade through the containers first, then the
     # count checks, and only then feed the oracles; an endpoint that left
     # its core hands the dead edge to its own detach feed below
@@ -918,7 +876,6 @@ def _delete_edge(st: LcdState, u, v, key) -> ChangeLog:
             _detach_feed(st, core, lx)
     _settle(st)
     _repair_links(st)
-    _sync_weights(st)
     st._work(4)
     return st.clog
 
@@ -959,7 +916,7 @@ def short_path(st: LcdState, j, u, v):
         raise LayerViolation(f"vertex {v} sits below layer {j}")
     if u == v:
         return []
-    f = st.msf[j - 1]
+    f = _forest(st, j)
     if not tt_connect(f, u, v):
         return NOT_CONNECTED
     tpath = f.tree_path(u, v)
@@ -1169,17 +1126,15 @@ def check_invariants(st: LcdState):
                             f"association of {x} does not point upward"
                     else:
                         assert not cands, f"vertex {x} missing an association"
-    # forests: pool membership and weights re-derived from scratch
-    for t in range(1, st.r + 1):
-        f = st.msf[t - 1]
-        want = {st.eid_of[k] for k in st.eid_of if st.jmax[k] <= t}
-        assert set(f._edge) == want, f"forest {t} pool drifted"
-        for key, eid in st.eid_of.items():
-            if st.jmax[key] <= t:
-                uu, vv, w = f.edge_info(eid)
-                assert _ekey(uu, vv) == key
-                assert w == _edge_weight(st, key[0], key[1]), \
-                    f"weight of {key} stale in forest {t}"
+    # memoised forests: pool membership and weights re-derived from scratch
+    for t, f in st.forests.items():
+        pool = _prefix_edges(st, t)
+        assert set(f._edge) == set(pool.values()), f"forest {t} pool drifted"
+        for key, eid in pool.items():
+            uu, vv, w = f.edge_info(eid)
+            assert _ekey(uu, vv) == key
+            assert w == _edge_weight(st, key[0], key[1]), \
+                f"weight of {key} stale in forest {t}"
 
 
 # -- serialization --------------------------------------------------------

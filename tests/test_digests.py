@@ -57,17 +57,17 @@ LCD_SEEDS = ((31, 9, 0.5), (11, 9, 0.4), (12, 10, 0.55))
 
 LCD_DIGESTS = {
     ("coarse", 31):
-        "a8d4e99ae7da1cdb8dca09e13aa077309a872cf11e6272ec30883c2bb026f6c1",
+        "2ca5924c847df0c34fefc3f78d74f672fb336a725655d57cc61de1ffd5a68cf3",
     ("coarse", 11):
-        "832d37f333dde53267e41e8b6fcbc568f67fa28b9c26070438167d51fbe6c015",
+        "841e338fa495975a570c6a9db2f9f1d76bee1c03e5daa4f39a14de42aa581d9e",
     ("coarse", 12):
-        "34c411be9e113e306b6d2b81048a2173169591181876b28e425d85587ae7949d",
+        "1a6f2738547efb4b965e76d518a7817e976a43902caf596b80f4619b64d8499b",
     ("default", 31):
-        "adf889cff5d7d8534c88fb06992ea49bb4d83f39c5562301369e3a5f0c9a35b6",
+        "d9ec2d0d3baa8750edda505f997a7d9b941c95865833413a45c16824bc85ee62",
     ("default", 11):
-        "0bc637df193bb4f4e2d971df9ce5728e6a5af1bfa334c035d82a42e3b4f5f91e",
+        "f16c5b1db77b469c6cde75a0447091a23b1d3289f6d0c57c1c7170e226206a73",
     ("default", 12):
-        "7414fa7bebcafae7c08fdb2bb5b151b44945054d15423ab2bd768cc431033e83",
+        "52714692bffe5114ab7244676e297a656b9bfcddbfb7c921c802455b502be494",
 }
 
 LCD_DIGESTS_NO_MICROS = {
@@ -94,11 +94,11 @@ FEED_CASES = (
 
 FEED_DIGESTS = {
     "k8":
-        "1809acb8c9ca6c015ecdf9f47861892b600c7818f07eb3a4c18a46b807e1b2a3",
+        "47e938dd8d80f2b1c70ce41b58696d6457454e41c1c66bc9434f69a9c4ce341b",
     "gnp-10-0.95":
-        "9bf475091ae551408f6ecbf205f5c52d9c2a60f344ad7ea9d8c7ccd2f6cf49c2",
+        "6fe0e0433c45ec413c16559547da2f51a9f1a2b6d9e5e7a813059a96a0b94408",
     "gnp-12-0.9":
-        "953a75ed4450d6929785c0cfa78826bc2c863325251db6297789fed5382c11e8",
+        "a0ec01fe3846e065471add1a72ce85a1705e56f4d57d61cef97c8a4c4d648eef",
 }
 
 FEED_DIGESTS_NO_MICROS = {

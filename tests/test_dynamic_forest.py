@@ -118,6 +118,38 @@ class TestMsf:
         assert orc.forest_ids(msf) == {3, 5}
 
 
+class TestKruskalBuild:
+    """MsfState(vertices, edges) builds by Kruskal; it must give the forest
+    that incremental inserts give, under heavy weight ties."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_incremental_and_oracle(self, seed):
+        rng = random.Random(seed)
+        n = 14
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.4]
+        ids = rng.sample(range(3 * len(pairs)), len(pairs))
+        edges = [(u, v, eid, rng.choice([0, 1, 2]))
+                 for (u, v), eid in zip(pairs, ids)]
+        built = df.MsfState(range(n), edges)
+        inc = df.MsfState(range(n))
+        for u, v, eid, w in rng.sample(edges, len(edges)):
+            inc.msf_insert(u, v, eid, w)
+        want = orc.kruskal_msf(range(n),
+                               [(w, eid, u, v) for u, v, eid, w in edges])
+        assert orc.forest_ids(built) == orc.forest_ids(inc) == want
+        assert set(built._edge) == set(ids)
+        assert forest_partition(built, range(n)) == \
+            comp_partition(n, pairs)
+
+    def test_cycle_branch_rejects_repeats(self):
+        with pytest.raises(ValueError, match="exists"):
+            df.MsfState(range(3), [(0, 1, 0, 1), (1, 0, 1, 2)])
+        with pytest.raises(ValueError, match="in use"):
+            df.MsfState(range(3), [(0, 1, 0, 1), (1, 2, 1, 1),
+                                   (0, 2, 1, 2)])
+
+
 class TestPathQueries:
     def build_weighted_path(self):
         # 0 -2- 1 -0- 2 -1- 3 -2- 4 with eids 10..13

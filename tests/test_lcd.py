@@ -564,6 +564,27 @@ class TestShortPath:
         check_invariants(st)
 
 
+class TestLazyForests:
+    """short_path builds a prefix's forest on first use and keeps it until
+    the next deletion; the queries themselves change no forest weight."""
+
+    def test_queries_leave_forests_current(self):
+        st = build(10, gnp(10, 0.55, 12), coarse_params())
+        order = sorted(st.eid_of)
+        random.Random(13).shuffle(order)
+        for key in order:
+            if key not in st.eid_of:
+                continue
+            lcd_delete_edge(st, key)
+            assert st.forests == {}
+            for j in range(1, st.r + 1):
+                inside = [x for x in range(st.n) if st.layer_of(x) <= j]
+                for u, v in combinations(inside, 2):
+                    short_path(st, j, u, v)
+            check_invariants(st)
+        assert st.alive_edges() == []
+
+
 class TestDeterminism:
     def test_rebuild_and_replay_are_stable(self):
         edges = gnp(9, 0.5, 31)
@@ -615,7 +636,8 @@ class TestAuditCatchesDrift:
             check_invariants(st)
 
     def test_reweighted_forest_edge(self, st):
-        f = st.msf[st.r - 1]
+        assert short_path(st, st.r, 12, st.lay[4].buf_up[12]) != NOT_CONNECTED
+        f = st.forests[st.r]
         eid = min(orc.forest_ids(f))
         f.msf_reweight(eid, f.edge_info(eid)[2] + 1)
         with pytest.raises(AssertionError, match="stale in forest"):
@@ -688,7 +710,7 @@ class TestCountCertifiedUpkeep:
         st = shipped_teardown()
         check_invariants(st)
         assert sum(sl.cores_created for sl in st.lay.values()) == 58
-        assert st.micros == 38804
+        assert st.micros == 38376
         assert calls == []
 
     def test_shipped_teardown_leaves_numpy_unloaded(self):
