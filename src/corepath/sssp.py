@@ -1,12 +1,14 @@
 """Decremental (1+eps)-approximate single-source distances and paths.
 
 One scale instance covers true distances near a target D.  Lengths are
-rescaled so that D maps onto the integer range [1, 2*ceil(4n/eps)] and
-an exact bounded-depth tree becomes affordable there; a scale keeps the
-rounded lengths as a table keyed by vertex pair, not as a copy of the
-graph, and edges longer than 2D leave it at the build.  The tree runs
-over the table with every length scaled by four.  Distance answers read
-one tree level and pad by eps*D/4; path answers walk the tree path.
+rescaled by F/D, with F the least power of two at least 4n/eps, so that
+D maps onto the integer range [1, 2F] and an exact bounded-depth tree
+becomes affordable there; rounding up adds at most D/F <= eps*D/(4n) to
+an edge.  A scale keeps the rounded lengths as a table keyed by vertex
+pair, not as a copy of the graph, and edges longer than 2D leave it at
+the build.  The tree runs over the table with every length scaled by
+four.  Distance answers read one tree level and pad by eps*D/4; path
+answers walk the tree path.
 
 At the paper's formula for the heavy threshold no vertex can go heavy
 (see SsspParams), and the family is a scaled Even-Shiloach structure.
@@ -16,21 +18,23 @@ reaches heavy_side only through them (class-edge deletions, supernode
 splices, the audit).
 
 The bare scales of a family share tables and trees.  Scale i's rounded
-table is ceil(factor_i * len), and factor_i halves from one scale to the
-next, so where the factors are integral, scales that keep the same edges
-have tables that are integer multiples k_i of one base table (a table
-over its gcd).  A tree over k*base is the tree over base with every
-level times k: it has the same parents, since the parent rule only
-compares sums of lengths, and every deletion hurts the same vertices.
-So the bare scales group by base table (keys and values), and a group
-keeps one table of base values, one set of discarded pairs and one tree
-over 4*base, as deep as its member with the smallest multiple needs
-(far_level // k_min).  Member i's rounded length of e is k_i * length[e];
-it reads level lv as k_i * lv and commits to v while lv <= cap_i =
-far_level // k_i.  At unit lengths the whole family is one breadth-first
-tree.  Scales with a class state keep their own table and tree (k = 1):
-their supernode rays weigh one at every multiple, and under an override
-a multiple other than a power of two would move edges between classes.
+table is ceil(factor_i * len) with factor_i = F/2^i, a power of two at
+every scale with 2^i <= F, so those scales that keep the same edges have
+tables that are integer multiples k_i of one base table (a table over
+its gcd).  Scales above F round by ceil(len / 2^j) and seldom share.  A
+tree over k*base is the tree over base with every level times k: it has
+the same parents, since the parent rule only compares sums of lengths,
+and every deletion hurts the same vertices.  So the bare scales group by
+base table (keys and values), and a group keeps one table of base
+values, one set of discarded pairs and one tree over 4*base, as deep as
+its member with the smallest multiple needs (far_level // k_min).
+Member i's rounded length of e is k_i * length[e]; it reads level lv as
+k_i * lv and commits to v while lv <= cap_i = far_level // k_i.  At unit
+lengths the whole family is one breadth-first tree.  Scales with a class
+state keep their own table and tree (k = 1): their supernode rays weigh
+one at every multiple, and under an override a multiple other than a
+power of two (an odd part in the gcd of the lengths, or a scale above F)
+would move edges between classes.
 
 The top level keeps an instance per power-of-two scale and answers v
 from the first scale that commits to it: the lowest one whose tree holds
@@ -43,8 +47,9 @@ means v is cut off, which also lasts.  Q queries over a run cost at most
 Q + n(imax+1) scale probes, O(1) amortized, where a binary search over
 the scales costs about Q(1 + lg(imax+1)).  With every class light, "too
 far" is also monotone across scales: a path P of level at most
-F = far_level at scale i has level at most F/2 + 4|P| <= F at scale
-i+1, as |P| < n <= F/8, so the pointer stops where such a search would.
+L = far_level at scale i has level at most L/2 + 4|P| <= L at scale
+i+1, as |P| < n <= L/8 (L >= 8F), so the pointer stops where such a
+search would.
 
 A deletion goes to one scale per distinct tree, the lowest, which pops
 the edge from the table it holds and repairs the tree once; a class
@@ -103,8 +108,9 @@ class SsspParams:
     ScaleMisuse.  The formula tau_i = 8*n*lam*alpha*2^i / (eps*D'), with
     alpha the largest short-path quality of the class decompositions, is
     above the threshold h_j of every populated layer j: the quality is at
-    least h_j there, and eps*D' < 4n + 1 with lam >= 2 gives
-    tau_i > 3*alpha.  So a class at the formula has no heavy vertex, and
+    least h_j there, and D' = F < 8n/eps gives eps*D' < 8n, so with
+    lam = lg F + 2 >= 5 (F >= 8, as 4n/eps > 4) tau_i > lam*alpha >
+    3*alpha.  So a class at the formula has no heavy vertex, and
     it carries no decomposition at all.  Of the overridden classes only
     those with a heavy vertex at the build do, and only until their heavy
     set empties: layers only move deeper, so a class without a heavy
@@ -139,41 +145,43 @@ class SsspParams:
 
 def _family_terms(n: int, eps) -> tuple:
     """(eps, D', far level) of a family over n vertices: eps as a
-    Fraction checked to lie in (0, 1), D' = ceil(4n/eps) and
-    far_level(n, eps).  They do not depend on the scale, so a family
-    computes them once and hands them to every scale it builds."""
+    Fraction checked to lie in (0, 1), D' = F, the least power of two at
+    least 4n/eps, and far_level(n, eps).  They do not depend on the
+    scale, so a family computes them once and hands them to every scale
+    it builds."""
     eps = _frac(eps)
     if not 0 < eps < 1:
         raise ScaleMisuse(f"eps {eps} outside (0, 1)")
     a, b = eps.numerator, eps.denominator
-    dp = -((-4 * n * b) // a)
-    return eps, dp, (32 * n * (a + b) * b // a - a * dp) // b
+    c = -((-4 * n * b) // a)  # ceil(4n/eps)
+    dp = 1 << (c - 1).bit_length()  # the least power of two >= c
+    return eps, dp, dp * (8 * b + 7 * a) // b
 
 
 def round_lengths(n: int, edges, eps, D):
     """The length table of the edges (u, v, len) of an n-vertex graph on
     the integer range for scale D.
 
-    Returns (length, discarded, D', factor) with factor = 4n/(eps*D).
-    length maps each pair (a, b), a < b, of an edge no longer than 2D to
-    ceil(factor * len), in the order of edges; discarded holds the pairs
-    of the longer edges, and D' = ceil(4n/eps) is the rounded scale
-    every kept length now lives under.  One pass, all in integers.
+    Returns (length, discarded, D', factor) with D' = F, the least power
+    of two at least 4n/eps, and factor = F/D.  length maps each pair
+    (a, b), a < b, of an edge no longer than 2D to ceil(factor * len),
+    in the order of edges; discarded holds the pairs of the longer
+    edges, and every kept length lies in [1, 2F].  Rounding adds at most
+    D/F <= eps*D/(4n) to an edge.  One pass, all in integers.
     """
-    eps, d_new, _far = _family_terms(n, eps)
-    return _round_table(n, edges, eps, d_new, D)
+    _eps, d_new, _far = _family_terms(n, eps)
+    return _round_table(edges, d_new, D)
 
 
-def _round_table(n: int, edges, eps: Fraction, d_new: int, D):
-    """round_lengths for a checked eps and its D' (_family_terms)."""
+def _round_table(edges, d_new: int, D):
+    """round_lengths for the family's D' (_family_terms)."""
     if not isinstance(D, int):
         D = _frac(D)
     if D <= 0:
         raise ScaleMisuse(f"scale {D} is not positive")
-    a, b = eps.numerator, eps.denominator
     # factor = num/den
-    num = 4 * n * b * D.denominator
-    den = a * D.numerator
+    num = d_new * D.denominator
+    den = D.numerator
     limit = 2 * D.numerator  # len > 2D iff len * D.denominator > limit
     length: dict = {}
     discarded = set()
@@ -194,9 +202,9 @@ def far_level(n: int, eps) -> int:
     """Deepest tree level whose answer a scale commits to.
 
     A scale with target D answers v when its estimate over factor,
-    (level/4 + eps*D'/4) * eps*D/(4n), is at most 2D(1+eps).  D cancels,
-    which leaves level <= 32n(1+eps)/eps - eps*D' with D' = ceil(4n/eps);
-    for eps = a/b the right side floors to the integer returned here.
+    (level/4 + eps*D'/4) * D/D', is at most 2D(1+eps).  D cancels, which
+    leaves level <= D'(8 + 7eps) with D' = F, the least power of two at
+    least 4n/eps; for eps = a/b that floors to D'(8b + 7a) // b.
     """
     return _family_terms(n, eps)[2]
 
@@ -237,7 +245,7 @@ class SsspScaleInstance:
         if edges is None:
             edges = g.edge_list()
         self.length, self.discarded, self.Dp, self.factor = \
-            _round_table(g.n, edges, eps, d_new, D)
+            _round_table(edges, d_new, D)
         self.lam = (4 * self.Dp).bit_length() - 1
         self.far_level = far
         self.sn_serial = 0

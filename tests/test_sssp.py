@@ -224,6 +224,13 @@ class TestDefaultTauLemma:
 
 
 GNP_10 = orc.gen_gnp_connected(10, 0.3, seed=3, weights=(1, 5))
+# no length class of GNP_10 holds a cycle at any scale, so no tau makes a
+# vertex of it heavy; this draw's classes do.  Overriding classes 0..3
+# only, at tau 2, builds class states on it that keep every answer within
+# [d, (1+eps)d]; a flat tau=2 also makes longer classes heavy, whose
+# answers can undercount
+GNP_10_CYCLIC = orc.gen_gnp_connected(10, 0.3, seed=4, weights=(1, 5))
+LOW_TAU = SsspParams(tau={i: 2 for i in range(4)})
 
 
 def heavy_at_build(n, edges, params, i):
@@ -255,8 +262,8 @@ class TestWhichClassesExist:
 
     @pytest.mark.parametrize("n,edges,tau,counts", [
         (4, BRIDGED_TRIANGLE, {0: 2}, (4, 4)),
-        (10, GNP_10, 2, (19, 2)),
-    ], ids=["class-0", "flat"])
+        (10, GNP_10_CYCLIC, LOW_TAU.tau, (6, 3)),
+    ], ids=["class-0", "classes-0-3"])
     def test_overridden_classes_only(self, n, edges, tau, counts):
         """A class state exactly for each overridden, populated class
         whose heavy set is not empty, holding that set.  counts is
@@ -333,9 +340,15 @@ class TestRoundLengths:
     @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 2),
                                      Fraction(2, 5), Fraction(9, 10)])
     def test_matches_the_fraction_reference(self, eps):
-        """Lengths 1..1000 on 46 vertices against ceil(4n/(eps*D) * len),
-        at scales that are powers of two, other integers and a fraction."""
+        """Lengths 1..1000 on 46 vertices against ceil(F/D * len), F the
+        least power of two at least 4n/eps, at scales that are powers of
+        two, other integers and a fraction.  Rounding adds at most
+        eps*D/(4n) to a length."""
         n = 46
+        F = 1
+        while F < 4 * n / eps:
+            F *= 2
+        assert F < 2 * 4 * n / eps
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         random.Random(7).shuffle(pairs)
         # both orientations reach round_lengths
@@ -345,16 +358,28 @@ class TestRoundLengths:
         for D in (1, 2, 8, 64, 512, 3, 5, 100, 999, Fraction(3, 2)):
             length, discarded, dp, factor = round_lengths(n, g.edge_list(),
                                                           eps, D)
-            assert dp == math.ceil(4 * n / eps)
-            assert factor == Fraction(4 * n) / (eps * D)
+            assert dp == F
+            assert factor == Fraction(F) / D
             kept = [((min(u, v), max(u, v)), ln) for u, v, ln in edges
                     if ln <= 2 * D]
             assert list(length) == [key for key, _ in kept]
             for key, ln in kept:
-                assert length[key] == math.ceil(Fraction(4 * n) / (eps * D)
-                                                * ln), (eps, D, ln)
+                assert length[key] == math.ceil(Fraction(F) / D * ln), \
+                    (eps, D, ln)
+                assert length[key] / factor - ln <= eps * D / (4 * n)
             assert discarded == {(min(u, v), max(u, v))
                                  for u, v, ln in edges if ln > 2 * D}
+
+    def test_power_of_two_range_keeps_the_exact_terms(self):
+        """Where 4n/eps is already a power of two (n = 4, eps = 1/2), D',
+        the factors and the far level are those of the range
+        [1, 2*ceil(4n/eps)] with factor 4n/(eps*D)."""
+        n = 4
+        assert far_level(n, EPS) == 368
+        for D in (1, 2, 8, 64, 3, Fraction(3, 2)):
+            _, _, dp, factor = round_lengths(n, [], EPS, D)
+            assert dp == math.ceil(4 * n / EPS) == 32
+            assert factor == Fraction(4 * n) / (EPS * D) == Fraction(32) / D
 
     @pytest.mark.parametrize("ln", [0, -3])
     def test_length_below_one_raises(self, ln):
@@ -565,14 +590,14 @@ class TestHeavyClass:
             sssp_path(sp, 1)
 
 
-def adaptive_teardown(n, edges, params, seed):
+def adaptive_teardown(n, edges, params, seed, eps=EPS):
     """Delete, each step, an edge of the path sssp_path just gave for a
     seeded target, auditing after each, until the source reaches nothing;
     returns the deletions in order."""
     rng = random.Random(seed)
-    sp = build(n, edges, params)
+    sp = build(n, edges, params, eps)
     live = list(edges)
-    ptr = audit(sp, n, live)
+    ptr = audit(sp, n, live, eps)
     order = []
     while True:
         reach = [v for v in range(n)
@@ -585,7 +610,7 @@ def adaptive_teardown(n, edges, params, seed):
         sssp_delete(sp, u, v)
         order.append((u, v))
         live = [e for e in live if {e[0], e[1]} != {u, v}]
-        ptr = audit(sp, n, live, ptr=ptr)
+        ptr = audit(sp, n, live, eps, ptr)
 
 
 class TestAdaptive:
@@ -650,9 +675,9 @@ class TestSharedDecompositions:
 
     @pytest.mark.parametrize("n,edges,params,counts", [
         (4, BRIDGED_TRIANGLE, HEAVY, (4, 1)),
-        # 7 of the 20 overridden, populated classes have a heavy vertex,
-        # in 3 of the 6 distinct class edge sets
-        (12, GNP_12, SsspParams(tau=2), (7, 3)),
+        # 11 of the 20 overridden, populated classes have a heavy vertex,
+        # in 2 of the 5 distinct class edge sets
+        (12, GNP_12, SsspParams(tau=2), (11, 2)),
         (16, GNP_16, SsspParams(tau=2), (22, 4)),
     ], ids=["class-0", "flat", "flat-16"])
     def test_answers_equal_standalone_scales(self, n, edges, params, counts):
@@ -716,7 +741,7 @@ class TestSharedHeavySides:
 
     @pytest.mark.parametrize("n,edges,params,counts", [
         (4, BRIDGED_TRIANGLE, HEAVY, (4, 1, 1)),
-        (12, GNP_12, SsspParams(tau=2), (7, 3, 4)),
+        (12, GNP_12, SsspParams(tau=2), (11, 2, 6)),
         # one side at 8 class indices: a side keyed by its class index
         # would split it
         (16, GNP_16, SsspParams(tau=2), (22, 4, 8)),
@@ -855,6 +880,45 @@ class TestSharedTrees:
         assert len({id(inst.length) for inst in sp.scales.values()}) == 3
 
 
+TWO_THIRDS = Fraction(2, 3)
+
+
+class TestPowerOfTwoRange:
+    """Every scale rounds onto [1, 2F], F the least power of two at least
+    4n/eps, so a scale D <= F has the power-of-two factor F/D, and the
+    bare scales among those that keep the same edges share one tree."""
+
+    # seeded G(n, m) families whose 4n/eps has an odd part (6n at eps
+    # 2/3), with their number of distinct trees
+    @pytest.mark.parametrize("n,m,top,eps,trees", [
+        (300, 1500, 100, EPS, 10),
+        (1000, 4000, 5, EPS, 3),
+        (1000, 4000, 5, TWO_THIRDS, 3),
+    ], ids=["300-lengths-1-100", "1000-lengths-1-5",
+            "1000-lengths-1-5-eps-2/3"])
+    def test_scales_up_to_F_share_trees(self, n, m, top, eps, trees):
+        sp = build(n, gnm(n, m, 1, top=top), eps=eps)
+        assert len(trees_of(sp)) == trees
+        F = sp.scales[0].Dp
+        held = {}  # kept edges -> the trees of the scales up to F keeping them
+        for i, inst in sp.scales.items():
+            if 2 ** i > F:
+                continue
+            f = inst.factor
+            assert f.denominator == 1 and f.numerator == F >> i, (i, f)
+            held.setdefault(frozenset(inst.length), set()).add(id(inst.tree))
+        assert all(len(ids) == 1 for ids in held.values())
+
+    @pytest.mark.parametrize("seed,n,m,top", [(1, 12, 26, 5),
+                                              (2, 15, 30, 100)])
+    def test_teardowns_at_eps_two_thirds(self, seed, n, m, top):
+        """Every answer within [d, (1+eps)d] and every scale's invariants,
+        after each deletion of a random and of an adaptive order."""
+        edges = gnm(n, m, seed, top=top)
+        teardown(n, edges, shuffled(edges, seed), eps=TWO_THIRDS)
+        assert adaptive_teardown(n, edges, None, seed, TWO_THIRDS)
+
+
 class TestPoison:
     def test_failed_deletion_poisons_the_state(self, monkeypatch):
         sp = build(4, BRIDGED_TRIANGLE, HEAVY)
@@ -943,7 +1007,7 @@ class TestRetiredSides:
         (4, BRIDGED_TRIANGLE, HEAVY, [(0, 1), (2, 3), (1, 3)],
          {"family": (1, 1), "alone": (4, 1)}),
         (12, GNP_12, SsspParams(tau=2), shuffled(GNP_12, 5),
-         {"family": (3, 15), "alone": (7, 15)}),
+         {"family": (2, 12), "alone": (11, 12)}),
         (16, GNP_16, SsspParams(tau=2), shuffled(GNP_16, 5),
          {"family": (4, 39), "alone": (22, 39)}),
     ]
@@ -976,19 +1040,18 @@ class TestRetiredSides:
             counts["alone"]
 
     def test_adaptive(self, monkeypatch):
-        """The adversary's order under a flat tau=2, replayed.  (On GNP_12
-        and GNP_16 a flat tau=2 makes long classes heavy, whose answers
-        undercount, so only GNP_10 keeps the audit adaptive_teardown runs
-        after every deletion.)"""
-        params = SsspParams(tau=2)
-        order = adaptive_teardown(10, GNP_10, params, seed=3)
-        sp = build(10, GNP_10, params)
+        """The adversary's order with classes 0..3 overridden, replayed.
+        (On GNP_12 and GNP_16 a flat tau=2 makes long classes heavy, whose
+        answers undercount, so they cannot keep the audit
+        adaptive_teardown runs after every deletion.)"""
+        order = adaptive_teardown(10, GNP_10_CYCLIC, LOW_TAU, seed=3)
+        sp = build(10, GNP_10_CYCLIC, LOW_TAU)
 
         def delete(u, v):
             sssp_delete(sp, u, v)
 
         assert retire_and_audit(monkeypatch, list(sp.scales.values()),
-                                delete, order) == (1, 2)
+                                delete, order) == (2, 5)
 
     @pytest.mark.parametrize("n,edges,before,retiring", [
         (4, BRIDGED_TRIANGLE, [(0, 1)], (2, 3)),
