@@ -9,9 +9,10 @@ Conventions shared by everything here:
 * logs are base 2 and floored at 1 so thresholds stay meaningful on tiny
   instances;
 * exact cut enumeration is capped at EXACT_CAP vertices, everything larger
-  falls back to a seeded sampled family (sweep cuts, balls, random subsets);
-  both families land in the same cut tables, so every primitive selects
-  its cut the same way in either regime;
+  falls back to a sampled family (singletons, balls, spectral sweep cuts)
+  that is a function of the piece alone, so nothing here draws a random
+  number; both families land in the same cut tables, so every primitive
+  selects its cut the same way in either regime;
 * callers ask only whether a piece or witness is a phi-expander and, if
   not, which cut violates it: _violations answers both for decomposition
   and pruning pieces, and the cut-matching game checks its witness yes
@@ -30,7 +31,6 @@ Conventions shared by everything here:
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,7 +103,6 @@ C_L = 32        # path length cap coefficient: C_L * lg m / phi
 C_ETA = 1024    # congestion cap coefficient: C_ETA * lg^2 m / phi^2
 C_PHI = 4       # for_size picks phi = 1 / (C_PHI * gamma)
 C_ROUNDS = 8    # cut-matching game rounds per lg of the terminal count
-SEED = 0x5EED   # seed of the sampled cut family above the exact cap
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,9 @@ class ExpanderParams:
     """The inputs of the whole toolbox: the expansion phi, the quality
     factor gamma, and exact_cap, the vertex count up to which every cut is
     enumerated (tests lower it to drive small inputs through the sampled
-    cut family).  phi and gamma are exact rationals; the caps derived from
-    them use the floored base-2 log of the edge count and the C_*
-    constants above.
+    cut family, which the piece alone determines).  phi and gamma are
+    exact rationals; the caps derived from them use the floored base-2
+    log of the edge count and the C_* constants above.
     """
 
     phi: Fraction
@@ -323,8 +322,15 @@ def _small_side(tab: _CutTables, row: int) -> frozenset:
 # -- sampled cut family --------------------------------------------------
 
 
-def _spectral_order(verts, triples, rng) -> list:
-    """Vertex order from a power-iteration sweep vector."""
+def _spectral_order(verts, triples) -> list:
+    """Vertex order from a power-iteration sweep vector.
+
+    The iteration starts from a fixed generic vector over the repr-sorted
+    verts, the golden-ratio sequence frac((i+1)*0.618...) - 1/2.  Both
+    simpler starts were measured to break oracle builds: from the exact
+    second eigenvector (numpy eigh) the first build raised
+    EmbeddingQualityError on 10 of 10 LCD runs, and from the ramp
+    i - (n-1)/2 a level-1 repair did not converge on a G(80, 0.3)."""
     import numpy as np
     n = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
@@ -342,7 +348,7 @@ def _spectral_order(verts, triples, rng) -> list:
     nrm = np.linalg.norm(top)
     if nrm > 0:
         top = top / nrm
-    x = np.array([rng.uniform(-1, 1) for _ in range(n)])
+    x = (np.arange(1, n + 1) * 0.6180339887498949) % 1.0 - 0.5
     for _ in range(160):
         x = x - top * float(top @ x)
         y = 0.5 * x + 0.5 * (m_norm @ x)
@@ -354,9 +360,10 @@ def _spectral_order(verts, triples, rng) -> list:
     return [verts[i] for i in keyed]
 
 
-def _candidate_cuts(verts, adj, rng, order):
-    """A deterministic (seeded) family of candidate cut sides, one side
-    per cut: a side whose complement came earlier is dropped."""
+def _candidate_cuts(verts, adj, order):
+    """Candidate cut sides, one side per cut (a side whose complement
+    came earlier is dropped): every singleton, every radius-1 and
+    radius-2 ball, and every prefix of the sweep order."""
     n = len(verts)
     whole = frozenset(verts)
     seen = set()
@@ -387,15 +394,6 @@ def _candidate_cuts(verts, adj, rng, order):
             out.append(c)
     for i in range(1, n):
         c = emit(order[:i])
-        if c:
-            out.append(c)
-    for _ in range(64):
-        size = rng.randrange(1, n)
-        c = emit(rng.sample(verts, size))
-        if c:
-            out.append(c)
-    for _ in range(32):
-        c = emit(rng.sample(verts, n // 2))
         if c:
             out.append(c)
     return out
@@ -432,14 +430,14 @@ def _count_certified(verts, triples, host_deg, phi: Fraction) -> bool:
     return parts <= 1
 
 
-def _cut_tables(verts, triples, cap: int, rng, host_deg=None) -> _CutTables:
+def _cut_tables(verts, triples, cap: int, host_deg=None) -> _CutTables:
     """Cut tables over every bipartition up to cap vertices, over the
-    seeded sampled family above it (rng is only read there)."""
+    sampled family of _candidate_cuts above it."""
     import numpy as np
     if len(verts) <= cap:
         return _CutTables(verts, triples, host_deg)
-    order = _spectral_order(verts, triples, rng)
-    cands = _candidate_cuts(verts, _adjacency(verts, triples), rng, order)
+    order = _spectral_order(verts, triples)
+    cands = _candidate_cuts(verts, _adjacency(verts, triples), order)
     idx = {v: i for i, v in enumerate(verts)}
     mem = np.zeros((len(cands), len(verts)), dtype=bool)
     for row, cand in enumerate(cands):
@@ -447,13 +445,13 @@ def _cut_tables(verts, triples, cap: int, rng, host_deg=None) -> _CutTables:
     return _CutTables(verts, triples, host_deg, mem=mem)
 
 
-def _violations(verts, triples, host_deg, phi: Fraction, cap: int, rng):
+def _violations(verts, triples, host_deg, phi: Fraction, cap: int):
     """(cut table, its rows below phi) of a piece, or None when the piece
     is a strong phi-expander against host_deg: counting certifies it, or
     its table has no violating row."""
     if _count_certified(verts, triples, host_deg, phi):
         return None
-    tab = _cut_tables(verts, triples, cap, rng, host_deg)
+    tab = _cut_tables(verts, triples, cap, host_deg)
     rows = _violation_rows(tab, phi)
     return (tab, rows) if rows.size else None
 
@@ -473,7 +471,7 @@ class Certified:
     s: frozenset
 
 
-def _sparsity(verts, triples, cap: int, rng):
+def _sparsity(verts, triples, cap: int):
     """(min over the family's proper cuts of boundary/min-side-size, that
     side).
 
@@ -481,7 +479,7 @@ def _sparsity(verts, triples, cap: int, rng):
     import numpy as np
     if len(verts) < 2:
         return None, None
-    tab = _cut_tables(verts, triples, cap, rng)
+    tab = _cut_tables(verts, triples, cap)
     rows = np.nonzero(tab.proper)[0]
     msize = tab.min_size()[rows]
     ratios = tab.boundary[rows] / msize
@@ -513,8 +511,7 @@ def cut_or_certify(g, params: Optional[ExpanderParams] = None):
     sparse_cap = max(1, math.floor(CUT_SPARSITY * n))
     half = math.ceil(Fraction(n, 2))
 
-    rng = random.Random(SEED) if n > params.exact_cap else None
-    tab = _cut_tables(verts, triples, params.exact_cap, rng)
+    tab = _cut_tables(verts, triples, params.exact_cap)
     msize = tab.min_size()
     rows = np.nonzero(tab.proper & (msize >= balance_floor) & (tab.boundary <= sparse_cap))[0]
     if rows.size:
@@ -529,7 +526,7 @@ def cut_or_certify(g, params: Optional[ExpanderParams] = None):
     best_psi, best_set = None, cand
     while True:
         psi, small = _sparsity(sorted(cand, key=repr), _sub_triples(triples, cand),
-                               params.exact_cap, rng)
+                               params.exact_cap)
         if psi is not None and (best_psi is None or psi > best_psi):
             best_psi, best_set = psi, cand
         if psi is None or small is None:
@@ -799,9 +796,9 @@ def terminal_matching(g: GraphView, a_set, b_set, phi, params=None):
 
 def _witness_ok(w: MultiGraph, target: Fraction, cap: int) -> bool:
     """Whether the witness has no cut of conductance below target in its
-    cut table (every cut up to cap vertices, the seeded sampled family
-    above).  An edgeless witness fails, and so does one with a vertex of
-    degree 0: its zero-volume side would slip past the table.
+    cut table (every cut up to cap vertices, the sampled family above).
+    An edgeless witness fails, and so does one with a vertex of degree 0:
+    its zero-volume side would slip past the table.
 
     The table is built even where _count_certified would accept the
     witness: counting first would keep numpy out of processes whose every
@@ -810,8 +807,7 @@ def _witness_ok(w: MultiGraph, target: Fraction, cap: int) -> bool:
     verts = w.vertex_list()
     if w.m == 0 or any(w.degree(v) == 0 for v in verts):
         return False
-    rng = random.Random(SEED) if len(verts) > cap else None
-    tab = _cut_tables(verts, w.distinct_edges(), cap, rng)
+    tab = _cut_tables(verts, w.distinct_edges(), cap)
     return _violation_rows(tab, target).size == 0
 
 
@@ -903,7 +899,6 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
         all_triples.append((u, v, 1))
         host_deg[u] += 1
         host_deg[v] += 1
-    rng = random.Random(SEED) if len(verts) > params.exact_cap else None
 
     clusters = []
     stack = [frozenset(verts)]
@@ -914,7 +909,7 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
             clusters.append(piece)
             continue
         found = _violations(pv, _sub_triples(all_triples, piece), host_deg,
-                            phi, params.exact_cap, rng)
+                            phi, params.exact_cap)
         if found is None:
             clusters.append(piece)
             continue
@@ -961,8 +956,6 @@ class PrunedExpander:
         self.pruned: set = set()
         self.t = 0
         self.budget = max(1, int(self.phi * self.m0 / 10))
-        self._rng = (random.Random(SEED)
-                     if len(self.verts) > self.params.exact_cap else None)
 
     @property
     def pruned_set(self) -> frozenset:
@@ -991,7 +984,7 @@ class PrunedExpander:
             side = self._stray_components(rem) if len(rem) > self.params.exact_cap else None
             if side is None:
                 found = _violations(rem, triples, self.deg0, phi6,
-                                    self.params.exact_cap, self._rng)
+                                    self.params.exact_cap)
                 if found is None:
                     break
                 import numpy as np
@@ -1005,8 +998,9 @@ class PrunedExpander:
         return sorted(newly, key=repr)
 
     def _stray_components(self, rem) -> Optional[set]:
-        """Everything outside the heaviest component; cut sampling can miss
-        a zero-boundary split, so components are checked directly."""
+        """Everything outside the heaviest component; the sampled family
+        need not hold a zero-boundary split, so components are checked
+        directly."""
         seen: set = set()
         comps = []
         for s in rem:

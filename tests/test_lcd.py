@@ -465,6 +465,33 @@ BRIDGED_K6 = (orc.gen_complete(6)
               + [(5, 6), (6, 7), (7, 8)])
 
 
+def check_short_paths(st, j, pairs):
+    """short_path(st, j, u, v) for each pair, against the components of
+    the alive edges inside layer prefix j: an edge-simple path over those
+    edges joining u to v, or NOT_CONNECTED exactly when u and v lie in
+    different components.  Returns the number of queries."""
+    keep = {v for v in range(st.n) if st.layer_of(v) <= j}
+    comp = {}
+    prefix = [(a, b) for a, b in st.alive_edges() if a in keep and b in keep]
+    for c in orc.connected_components(st.n, prefix):
+        for v in c:
+            comp[v] = c[0]
+    queries = 0
+    for u, v in pairs:
+        got = short_path(st, j, u, v)
+        queries += 1
+        if comp[u] != comp[v]:
+            assert got is NOT_CONNECTED, (j, u, v)
+            continue
+        assert got is not NOT_CONNECTED, (j, u, v)
+        assert got[0] == u and got[-1] == v
+        assert orc.path_edge_simple(got)
+        assert all(x in keep for x in got)
+        for a, b in zip(got, got[1:]):
+            assert (min(a, b), max(a, b)) in st.eid_of
+    return queries
+
+
 class TestShortPath:
     def test_disconnected_pair(self):
         edges = orc.gen_complete(4) + [(u + 4, v + 4) for u, v in orc.gen_complete(4)]
@@ -502,30 +529,12 @@ class TestShortPath:
 
     @staticmethod
     def check_prefix_queries(st):
-        """short_path on every pair inside every layer prefix, against the
-        components of the alive edges inside that prefix.  Returns the
-        number of queries."""
+        """short_path on every pair inside every layer prefix.  Returns
+        the number of queries."""
         queries = 0
         for j in range(1, st.r + 1):
             inside = [v for v in range(st.n) if st.layer_of(v) <= j]
-            keep = set(inside)
-            comp = {}
-            prefix = [(a, b) for a, b in st.alive_edges() if a in keep and b in keep]
-            for c in orc.connected_components(st.n, prefix):
-                for v in c:
-                    comp[v] = c[0]
-            for u, v in combinations(inside, 2):
-                got = short_path(st, j, u, v)
-                queries += 1
-                if comp[u] != comp[v]:
-                    assert got is NOT_CONNECTED, (j, u, v)
-                    continue
-                assert got is not NOT_CONNECTED, (j, u, v)
-                assert got[0] == u and got[-1] == v
-                assert orc.path_edge_simple(got)
-                assert all(x in keep for x in got)
-                for a, b in zip(got, got[1:]):
-                    assert (min(a, b), max(a, b)) in st.eid_of
+            queries += check_short_paths(st, j, combinations(inside, 2))
         return queries
 
     def test_queries_agree_with_reachability_while_deleting(self):
@@ -723,3 +732,30 @@ class TestCountCertifiedUpkeep:
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr or "numpy was imported"
+
+
+class TestSampledOracleBuilds:
+    """At the shipped constants, a query into a core of more than
+    EXACT_CAP terminals builds an oracle whose cut-matching witness is
+    checked on the sampled cut family; every such build must succeed."""
+
+    def test_queries_through_sampled_witness_checks(self, monkeypatch):
+        sampled = []
+        real = xt._cut_tables
+
+        def spy(verts, triples, cap, *args, **kwargs):
+            if len(verts) > cap:
+                sampled.append(len(verts))
+            return real(verts, triples, cap, *args, **kwargs)
+
+        monkeypatch.setattr(xt, "_cut_tables", spy)
+        st = build(60, gnp(60, 0.35, 1), LcdParams.make(60))
+        rng = random.Random(101)
+        order = sorted(st.eid_of)
+        rng.shuffle(order)
+        for key in order[:10]:
+            lcd_delete_edge(st, key)
+            pairs = [rng.sample(range(st.n), 2) for _ in range(3)]
+            assert check_short_paths(st, st.r, pairs) == 3
+        check_invariants(st)
+        assert sampled

@@ -57,3 +57,27 @@ def test_sssp_imports_only_the_es_family():
                 [alias.name for alias in node.names]
             found.update(m for m in mods if m.split(".")[0] == "corepath")
     assert found <= {"graph_core", "es_tree"}, found
+
+
+def test_no_module_draws_random_numbers():
+    """No corepath module imports random, and no expander_tools function
+    takes an rng: the sampled cut family is a function of the piece."""
+    src = Path(corepath.__file__).parent
+    imports = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                mods = [node.module]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno}" for m in mods
+                        if m.split(".")[0] == "random"]
+    assert imports == []
+    tree = ast.parse((src / "expander_tools.py").read_text())
+    takes_rng = [node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and any(isinstance(a, ast.arg) and a.arg == "rng"
+                         for a in ast.walk(node.args))]
+    assert takes_rng == []
