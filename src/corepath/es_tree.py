@@ -11,12 +11,25 @@ and finds the hurt vertices: those that no unhurt neighbour supports at
 their old level any more.  A vertex with such a supporter keeps its level
 and re-points its parent there, and its subtree is left alone.  Phase 2
 runs one depth-capped Dijkstra inside the hurt set, seeded from its
-unhurt boundary; hurt vertices it does not reach become absent.  So the
-cost of a deletion does not depend on the depth cap, only on the rows
-scanned: each hurt vertex's row three times, and each kept child of a
-hurt vertex up to its first supporter.  The build is one bulk pass that
-fills and checks the adjacency rows, then the same Dijkstra (`_settle`)
-with every vertex absent and the source as the only seed.
+unhurt boundary; hurt vertices it does not reach become absent.  The
+build is one bulk pass that fills and checks the adjacency rows, then
+the same Dijkstra (`_settle`) with every vertex absent and the source as
+the only seed.
+
+Both phases drain one queue shape, Dial's buckets keyed by level: a dict
+from level to a list of vertices, and a heap of the distinct levels in
+use.  Pop the least level and drain its list.  Whatever a drained vertex
+queues sits strictly higher (a tree child at its parent's level plus w,
+a relaxation at the vertex's level plus w, and w >= 1), so a list never
+grows while it drains.  Order within a level changes no level, parent or
+unit of work: a parent or a supporter sits strictly lower, so its level
+and whether it is hurt are final before the level's turn; a phase-1 scan
+stops at the first supporter in row order, and a settled vertex scans
+its whole row.  Vertex names are never compared.  The heap holds only the levels in use, not an
+array over 0..depth, because caps run far above m and lengths can be
+large: the cost of a deletion does not depend on the depth cap, only on
+the rows scanned, each hurt vertex's row three times and each kept child
+of a hurt vertex up to its first supporter.
 
 With one edge deleted, every hurt vertex's level strictly rises (its old
 supporters are all hurt, and by induction on level they all rose), so
@@ -38,8 +51,7 @@ map each endpoint to that length.
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
+from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, Optional
 
 from .graph_core import GraphError, GraphView, dijkstra
@@ -92,7 +104,7 @@ class EsTree:
         self._absent = self.depth + 1
         self.level: dict = dict.fromkeys(self._adj, self._absent)
         self.parent: dict = dict.fromkeys(self._adj)  # vertex or None
-        self._settle([(0, 0, source)])
+        self._settle({source: 0})
 
     @classmethod
     def es_build(cls, view: GraphView, source: int, depth: int) -> "EsTree":
@@ -282,39 +294,53 @@ class EsTree:
     def _find_hurt(self, x) -> dict:
         """Phase 1: the vertices that lose their level, with old levels.
 
-        Visits x, then the dirty vertices by old level.  A vertex keeps its
-        level if a neighbour outside the hurt set still supports it
-        (level[y] + w == level[x]) and re-points its parent there;
-        otherwise it is hurt and its tree children turn dirty.  Supporters
-        sit strictly lower and are visited first, so whether they are hurt
-        is settled by then."""
+        Visits x, then the dirty vertices one old level at a time, lowest
+        first.  A vertex keeps its level if a neighbour outside the hurt
+        set still supports it (level[y] + w == level[x]) and re-points its
+        parent there; otherwise it is hurt and its tree children turn
+        dirty.  A supporter sits strictly lower, so whether it is hurt is
+        known before x's level comes up, and order within a level changes
+        no decision and no row scanned.  A child sits strictly above its
+        parent, so the bucket being drained never grows.  The buckets are
+        made only when the first hurt vertex has children: an orphan that
+        finds a supporter allocates nothing."""
         level, parent, adj = self.level, self.parent, self._adj
         work = 0
         hurt: dict = {}
-        heap = []
-        tick = count()
+        buckets = keys = None
+        todo = (x,)
         lv = level[x]
         while True:
-            sup = None
-            kids = []
-            for y, w in adj[x].items():
-                work += 1
-                if y in hurt:
+            for x in todo:
+                sup = None
+                kids = []
+                for y, w in adj[x].items():
+                    work += 1
+                    if y in hurt:
+                        continue
+                    if level[y] + w <= lv:
+                        sup = y
+                        break
+                    if parent[y] == x:
+                        kids.append(y)
+                if sup is not None:
+                    parent[x] = sup
                     continue
-                if level[y] + w <= lv:
-                    sup = y
-                    break
-                if parent[y] == x:
-                    kids.append(y)
-            if sup is not None:
-                parent[x] = sup
-            else:
                 hurt[x] = lv
+                if kids and buckets is None:
+                    buckets, keys = {}, []
                 for y in kids:
-                    heapq.heappush(heap, (level[y], next(tick), y))
-            if not heap:
+                    ly = level[y]
+                    bucket = buckets.get(ly)
+                    if bucket is None:
+                        buckets[ly] = [y]
+                        heappush(keys, ly)
+                    else:
+                        bucket.append(y)
+            if not keys:
                 break
-            lv, _, x = heapq.heappop(heap)
+            lv = heappop(keys)
+            todo = buckets.pop(lv)
         self.work += work
         return hurt
 
@@ -331,7 +357,7 @@ class EsTree:
         for x in hurt:
             level[x] = absent
             parent[x] = None
-        heap = []
+        seeds = {}
         for x in hurt:
             d = absent
             for y, w in adj[x].items():
@@ -339,46 +365,61 @@ class EsTree:
                 if level[y] + w < d:
                     d = level[y] + w
             if d <= depth:
-                heap.append((d, len(heap), x))
+                seeds[x] = d
         self.work += work
-        self._settle(heap)
+        self._settle(seeds)
 
-    def _settle(self, heap: list):
+    def _settle(self, best: dict):
         """Depth-capped Dijkstra over the vertices whose level is absent.
 
-        heap holds (level, tie, vertex) seeds, one per vertex.  A vertex
-        takes its level when popped, and as parent the first neighbour in
-        adjacency order that realises it; every such neighbour sits
-        strictly lower, so it is settled by then.  Only absent neighbours
-        are relaxed: the others are settled or, after a deletion, unhurt,
-        and an unhurt vertex that was absent stays beyond the cap, since
-        distances only grow."""
+        best maps each seed to its tentative level and takes every later
+        improvement.  The levels in best key the buckets; a relaxation
+        lands strictly higher (w >= 1), so the bucket being drained never
+        grows, and an entry whose vertex settled lower is stale and
+        skipped.  A vertex takes its level when drained, and as parent the
+        first neighbour in adjacency order that realises it; every such
+        neighbour sits strictly lower, so it is settled by then, whatever
+        the order within a level.  Only absent neighbours are relaxed: the
+        others are settled or, after a deletion, unhurt, and an unhurt
+        vertex that was absent stays beyond the cap, since distances only
+        grow."""
         level, parent, adj = self.level, self.parent, self._adj
         absent = self._absent
-        push, pop = heapq.heappush, heapq.heappop
-        best = {x: d for d, _, x in heap}
-        tick = len(heap)
-        heapq.heapify(heap)
+        push, pop = heappush, heappop
+        buckets: dict = {}
+        for x, d in best.items():
+            bucket = buckets.get(d)
+            if bucket is None:
+                buckets[d] = [x]
+            else:
+                bucket.append(x)
+        keys = list(buckets)
+        heapify(keys)
         work = 0
-        while heap:
-            d, _, x = pop(heap)
-            if level[x] != absent:
-                continue
-            level[x] = d
-            row = adj[x]
-            work += len(row)
-            par = None
-            for y, w in row.items():
-                ly = level[y]
-                if ly == absent:
-                    nd = d + w
-                    if nd < best.get(y, absent):
-                        best[y] = nd
-                        push(heap, (nd, tick, y))
-                        tick += 1
-                elif par is None and ly + w == d:
-                    par = y
-            parent[x] = par
+        while keys:
+            d = pop(keys)
+            for x in buckets.pop(d):
+                if level[x] != absent:
+                    continue
+                level[x] = d
+                row = adj[x]
+                work += len(row)
+                par = None
+                for y, w in row.items():
+                    ly = level[y]
+                    if ly == absent:
+                        nd = d + w
+                        if nd < best.get(y, absent):
+                            best[y] = nd
+                            bucket = buckets.get(nd)
+                            if bucket is None:
+                                buckets[nd] = [y]
+                                push(keys, nd)
+                            else:
+                                bucket.append(y)
+                    elif par is None and ly + w == d:
+                        par = y
+                parent[x] = par
         self.work += work
 
     # -- audit -----------------------------------------------------------

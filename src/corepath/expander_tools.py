@@ -495,10 +495,73 @@ def _sub_triples(triples, keep: frozenset):
     return [(u, v, k) for u, v, k in triples if u in keep and v in keep]
 
 
+def _components(verts, triples) -> list:
+    """The vertex sets of the components of (verts, triples), in order of
+    their first vertex in verts; triples must stay inside verts."""
+    adj = _adjacency(verts, triples)
+    seen: set = set()
+    out = []
+    for s in verts:
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def _peel(cand: frozenset, triples, half: int, cap: int) -> frozenset:
+    """The set of highest measured induced sparsity (the first on ties)
+    along a peel from cand, which drops the small side of the sparsest
+    family cut while at least half vertices remain."""
+    best_psi, best_set = None, cand
+    while True:
+        psi, small = _sparsity(sorted(cand, key=repr), _sub_triples(triples, cand), cap)
+        if psi is not None and (best_psi is None or psi > best_psi):
+            best_psi, best_set = psi, cand
+        if psi is None or small is None:
+            break
+        nxt = cand - small
+        if len(nxt) < half or len(nxt) == len(cand):
+            break
+        cand = nxt
+    return best_set
+
+
+def _component_split(parts, whole: frozenset, floor: int) -> Optional[BalancedCut]:
+    """A zero-crossing cut made of whole components, both sides at least
+    floor, or None.  Largest components first: the first prefix that
+    reaches floor leaves floor for the other side whenever any grouping
+    does."""
+    a: frozenset = frozenset()
+    for c in sorted(parts, key=len, reverse=True):
+        if len(a) >= floor:
+            break
+        a |= c
+    if len(whole) - len(a) < floor:
+        return None
+    if 2 * len(a) > len(whole):
+        a = whole - a
+    return BalancedCut(a, whole - a, 0)
+
+
 def cut_or_certify(g, params: Optional[ExpanderParams] = None):
     """Either a balanced sparse cut (min side >= max(2, ceil(n/4)),
-    crossing <= max(1, floor(n/100))) or a certified half-or-larger subset:
-    the one of highest measured induced sparsity along a peel."""
+    crossing <= max(1, floor(n/100))) or a certified connected subset:
+    the one of highest measured induced sparsity along a peel, half or
+    more of the graph unless no connected half exists.
+
+    A sampled family need not hold a zero-boundary split, so a peel can
+    keep a disconnected set; its components are checked directly.  Then
+    whole components of the graph make a zero-crossing balanced cut if
+    they can, and otherwise the peel reruns inside the largest component
+    of the set until the set is connected."""
     import numpy as np
     verts, triples = _graph_data(g)
     n = len(verts)
@@ -522,20 +585,17 @@ def cut_or_certify(g, params: Optional[ExpanderParams] = None):
         b = frozenset(verts) - a
         return BalancedCut(a, b, int(tab.boundary[row]))
     # no qualifying cut: peel toward the best certified half
-    cand = frozenset(verts)
-    best_psi, best_set = None, cand
-    while True:
-        psi, small = _sparsity(sorted(cand, key=repr), _sub_triples(triples, cand),
-                               params.exact_cap)
-        if psi is not None and (best_psi is None or psi > best_psi):
-            best_psi, best_set = psi, cand
-        if psi is None or small is None:
-            break
-        nxt = cand - small
-        if len(nxt) < half or len(nxt) == len(cand):
-            break
-        cand = nxt
-    return Certified(best_set)
+    whole = frozenset(verts)
+    best = _peel(whole, triples, half, params.exact_cap)
+    parts = _components(sorted(best, key=repr), _sub_triples(triples, best))
+    if len(parts) > 1:
+        split = _component_split(_components(verts, triples), whole, balance_floor)
+        if split is not None:
+            return split
+    while len(parts) > 1:
+        best = _peel(max(parts, key=len), triples, half, params.exact_cap)
+        parts = _components(sorted(best, key=repr), _sub_triples(triples, best))
+    return Certified(best)
 
 
 # -- cut player ----------------------------------------------------------
@@ -981,7 +1041,8 @@ class PrunedExpander:
                 for v in self.adj[u]
                 if v not in self.pruned and repr(u) < repr(v)
             ]
-            side = self._stray_components(rem) if len(rem) > self.params.exact_cap else None
+            side = (self._stray_components(rem, triples)
+                    if len(rem) > self.params.exact_cap else None)
             if side is None:
                 found = _violations(rem, triples, self.deg0, phi6,
                                     self.params.exact_cap)
@@ -997,25 +1058,11 @@ class PrunedExpander:
             newly.extend(side)
         return sorted(newly, key=repr)
 
-    def _stray_components(self, rem) -> Optional[set]:
+    def _stray_components(self, rem, triples) -> Optional[set]:
         """Everything outside the heaviest component; the sampled family
         need not hold a zero-boundary split, so components are checked
         directly."""
-        seen: set = set()
-        comps = []
-        for s in rem:
-            if s in seen:
-                continue
-            comp = {s}
-            queue = [s]
-            while queue:
-                u = queue.pop()
-                for v in self.adj[u]:
-                    if v not in self.pruned and v not in comp:
-                        comp.add(v)
-                        queue.append(v)
-            seen |= comp
-            comps.append(comp)
+        comps = _components(rem, triples)
         if len(comps) <= 1:
             return None
         comps.sort(key=lambda c: (self.vol_initial(c), min(repr(v) for v in c)))

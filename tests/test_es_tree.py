@@ -380,3 +380,137 @@ class TestDeepCap:
                 alive = set(live)
                 left = [e for e in edges if (e[0], e[1]) in alive]
                 self._levels_match(n, left, t)
+
+
+class Opaque:
+    """A vertex name that defines no ordering, so a queue that compares
+    names raises on it."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __repr__(self):
+        return f"Opaque({self.k})"
+
+
+def mixed_names(n):
+    """n vertex names cycling through ints, tuples and Opaque; 0 stays 0."""
+    return [i if i % 3 == 0 else ("t", i) if i % 3 == 1 else Opaque(i)
+            for i in range(n)]
+
+
+def repair_work(before, rows, level, depth, edge=None, vertex=None):
+    """The rows one repair scans, from definitions.
+
+    The update deleted edge (u, v) or removed vertex; before holds the
+    levels and parents before the update, rows and level the reference
+    tree after it.  The hurt vertices are those whose level rose.  Phase 1
+    visits the orphan (or the removed vertex, scanning its tree children)
+    and every tree child of a hurt vertex: a hurt one scans its whole row,
+    a kept one its row up to its first unhurt supporter at the old level.
+    Phase 2 scans each hurt row once for its seed, and again when the
+    vertex settles in range."""
+    old_level, old_parent = before
+    if vertex is None:
+        u, v = edge
+        if old_parent.get(v) == u:
+            roots, work = {v}, 0
+        elif old_parent.get(u) == v:
+            roots, work = {u}, 0
+        else:
+            return 0
+        parents = set()
+    else:
+        kids = [y for y in rows if old_parent[y] == vertex]
+        if not kids:
+            return 0
+        roots, work, parents = set(), len(kids), {vertex}
+    hurt = {y for y in rows if level[y] > old_level[y]}
+    visited = roots | {y for y in rows if old_parent[y] in hurt | parents}
+    assert hurt <= visited
+    for y in visited - hurt:
+        work += 1 + next(i for i, (z, w) in enumerate(rows[y].items())
+                         if z not in hurt and old_level[z] + w == old_level[y])
+    for y in hurt:
+        work += len(rows[y]) * (3 if level[y] <= depth else 2)
+    return work
+
+
+def live_case(kind, seed):
+    """A weighted grid (lengths 1..5) or a unit G(n, p), with mixed vertex
+    names, shuffled mixed-orientation edges, and a depth cap."""
+    rng = random.Random(seed)
+    if kind == "grid":
+        r, c = rng.randint(4, 7), rng.randint(4, 7)
+        n = r * c
+        edges = [(u, v, rng.randint(1, 5)) for u, v in orc.gen_grid(r, c)]
+        depth = rng.randint(8, 30)
+    else:
+        n = rng.randint(14, 30)
+        edges = [(u, v, 1) for u, v in orc.gen_gnp_connected(n, 0.12, seed)]
+        depth = rng.randint(3, 8)
+    names = mixed_names(n)
+    edges = [(names[v], names[u], w) if rng.random() < 0.5
+             else (names[u], names[v], w) for u, v, w in edges]
+    rng.shuffle(edges)
+    return rng, names, edges, depth
+
+
+class TestLevelBuckets:
+    """Repair drains one level at a time, and order within a level
+    changes no level, parent or unit of work."""
+
+    @pytest.mark.parametrize("kind,seed", [(k, s) for k in ("grid", "gnp")
+                                           for s in range(6)])
+    def test_every_update_matches_the_reference(self, kind, seed):
+        rng, names, edges, depth = live_case(kind, seed)
+        source = names[0]
+        t = EsTree(source, depth, edges, vertices=names)
+        verts = list(names)
+        kept = dict.fromkeys(edges)
+        order = list(edges)
+        rng.shuffle(order)
+        doomed = rng.sample(names[1:], 3)
+        spans = 0
+        while order:
+            before = (dict(t.level), dict(t.parent))
+            work = t.work
+            if doomed and rng.random() < 0.2:
+                edge, vertex = None, doomed.pop()
+                t.es_remove_vertex(vertex)
+                verts.remove(vertex)
+                kept = {e: None for e in kept if vertex not in e[:2]}
+            else:
+                e = order.pop()
+                if e not in kept:
+                    continue
+                edge, vertex = e[:2], None
+                t.es_delete(*edge)
+                del kept[e]
+            rows, level, parent, _ = reference(source, depth, kept, verts)
+            assert t.level == level and t.parent == parent
+            assert t.work - work == repair_work(before, rows, level, depth,
+                                                edge, vertex)
+            spans = max(spans, len({before[0][y] for y in rows
+                                    if level[y] > before[0][y]}))
+        t.check()
+        assert spans >= 3  # some hurt set spans three old levels
+        assert not doomed
+
+    def test_cost_does_not_depend_on_the_cap(self):
+        # lengths up to 10**6 under a cap of 10**12: a queue with one slot
+        # per level up to the cap would never finish
+        rng = random.Random(11)
+        n = 40
+        edges = orc.gen_gnp_connected(n, 0.15, seed=11, weights=(1, 10 ** 6))
+        t = EsTree(0, 10 ** 12, edges, vertices=range(n))
+        assert max(t.level.values()) > 10 ** 5
+        order = list(edges)
+        rng.shuffle(order)
+        for u, v, _ in order:
+            work = t.work
+            t.es_delete(u, v)
+            # three scans of each hurt row and one of each kept child's
+            assert t.work - work <= 8 * len(edges)
+        t.check()
+        assert all(t.level_of(x) is None for x in range(1, n))

@@ -107,11 +107,55 @@ class TestCutOrCertify:
                 )
             else:
                 assert 2 * len(res.s) >= n
+                assert len(xt._components(sorted(res.s), [
+                    (u, v, 1) for u, v in induced(edges, res.s)])) == 1
                 if n > cap:
                     continue  # a sampled family can misjudge the peel
                 # the peel starts at the whole graph and keeps its best set
                 got, _ = orc.sparsity_exact(sorted(res.s), induced(edges, res.s))
                 assert got >= orc.sparsity_exact(range(n), edges)[0]
+
+
+def no_sweep_cuts(monkeypatch):
+    """The sampled family without its sweep prefixes: singletons and
+    radius-1/2 balls only."""
+    family = xt._candidate_cuts
+    monkeypatch.setattr(xt, "_candidate_cuts",
+                        lambda verts, adj, order: family(verts, adj, []))
+
+
+class TestDisconnectedCertificate:
+    """A family without a zero-boundary split can leave the peel with a
+    disconnected set; cut_or_certify checks components itself."""
+
+    @pytest.mark.parametrize("n,edges,parts", [
+        (25, [(2 * i, 2 * i + 1) for i in range(12)], 13),
+        (24, [(6 * k + i, 6 * k + (i + 1) % 6)
+              for k in range(4) for i in range(6)], 4),
+    ], ids=["12-edges-and-a-lone-vertex", "four-6-cycles"])
+    def test_whole_components_make_a_balanced_cut(self, monkeypatch, n,
+                                                  edges, parts):
+        no_sweep_cuts(monkeypatch)
+        verts = list(range(n))
+        triples = [(u, v, 1) for u, v in edges]
+        comps = xt._components(verts, triples)
+        assert len(comps) == parts
+        # the peel alone keeps the whole graph
+        half = math.ceil(n / 2)
+        assert xt._peel(frozenset(verts), triples, half,
+                        xt.EXACT_CAP) == frozenset(verts)
+        res = xt.cut_or_certify(view(n, edges))
+        assert isinstance(res, xt.BalancedCut)
+        assert res.crossing == 0 and not (res.a & res.b)
+        assert res.a | res.b == frozenset(verts)
+        assert len(res.b) >= len(res.a) >= max(2, math.ceil(n / 4))
+        assert all(c <= res.a or c <= res.b for c in comps)
+
+    def test_unbalanced_components_peel_inside_the_largest(self):
+        # three lone vertices: no split leaves two on each side, and no
+        # connected set holds half of them
+        res = xt.cut_or_certify(xt.MultiGraph(range(3)))
+        assert res == xt.Certified(frozenset({0}))
 
 
 class TestCutPlayerRound:
@@ -727,3 +771,16 @@ class TestSampledFamily:
                       for b, d in zip(tab.boundary, den) if d > 0)
             exact = orc.conductance_exact(list(range(n)), edges)[0]
             assert got ** 2 <= 4 * exact, (seed, got, exact)
+
+    def test_sweep_cuts_find_the_bridge_between_two_cubes(self):
+        # two 4-cubes joined by the edge (15, 16): each cube has diameter
+        # 4, so no ball of radius 2 covers one, and only a sweep prefix
+        # holds the bridge cut; without the sweeps the least boundary is 4
+        cube = [(v, v ^ (1 << k)) for v in range(16) for k in range(4)
+                if v < v ^ (1 << k)]
+        edges = cube + [(u + 16, v + 16) for u, v in cube] + [(15, 16)]
+        tab = xt._cut_tables(list(range(32)), [(u, v, 1) for u, v in edges],
+                             xt.EXACT_CAP)
+        assert tab.nv > xt.EXACT_CAP  # sampled
+        assert any(int(b) == 1 and int(k) == 16
+                   for b, k in zip(tab.boundary, tab.size))
