@@ -613,7 +613,10 @@ def cut_player_round(w, params: Optional[ExpanderParams] = None) -> CutPlayerMov
 
     A balanced sparse cut is equalized (the small side padded up to
     floor(n/2) with the smallest vertices of the other side); a certified
-    subset S yields the terminal move (V minus S, S)."""
+    subset S yields the terminal move (V minus S, S).  S holds at least
+    half of V except on graphs with fewer than 4 vertices (three lone
+    vertices certify one), and embed_expander plays this move only on 4
+    or more terminals."""
     verts, _triples = _graph_data(w)
     n = len(verts)
     if params is None:

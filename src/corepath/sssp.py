@@ -1,14 +1,25 @@
 """Decremental (1+eps)-approximate single-source distances and paths.
 
 One scale instance covers true distances near a target D.  Lengths are
-rescaled by F/D, with F the least power of two at least 4n/eps, so that
-D maps onto the integer range [1, 2F] and an exact bounded-depth tree
-becomes affordable there; rounding up adds at most D/F <= eps*D/(4n) to
-an edge.  A scale keeps the rounded lengths as a table keyed by vertex
-pair, not as a copy of the graph, and edges longer than 2D leave it at
-the build.  The tree runs over the table with every length scaled by
+rescaled by F/D, with F the least power of two at least 4n/eps, and
+rounded up, which adds at most D/F <= eps*D/(4n) to an edge.  A scale
+keeps the rounded lengths as a table keyed by vertex pair, not as a copy
+of the graph.  The tree runs over the table with every length scaled by
 four.  Distance answers read one tree level and pad by eps*D/4; path
 answers walk the tree path.
+
+Which edges a scale keeps depends on tau.  The paper drops the edges
+longer than 2D at scale D, so that every rounded length lies in [1, 2F]
+and the length classes of the heavy/light split stay below lam; a scale
+built with tau overridden keeps that rule.  At the default tau no class
+is built (see SsspParams), so the bound buys nothing there, and a scale
+keeps every live edge.  At D <= F its table is then exactly (F/D) times
+the input lengths, and its tree is exact: it commits to v iff
+4(F/D)d(v) <= far_level and answers d(v) + eps*D/4, along a shortest
+path.  The scale below did not commit (at scale 1, d(v) >= 1 anyway), so
+d(v) > D there, and every answer from a scale up to F lies in
+[d, (1 + eps/4)d].  Scales above F round, and answer within (1+eps)d by
+the paper's argument, which never used the dropped edges.
 
 At the paper's formula for the heavy threshold no vertex can go heavy
 (see SsspParams), and the family is a scaled Even-Shiloach structure.
@@ -21,13 +32,15 @@ The bare scales of a family share tables and trees.  Scale i's rounded
 table is ceil(factor_i * len) with factor_i = F/2^i, a power of two at
 every scale with 2^i <= F, so those scales that keep the same edges have
 tables that are integer multiples k_i of one base table (a table over
-its gcd).  Scales above F round by ceil(len / 2^j) and seldom share.  A
-tree over k*base is the tree over base with every level times k: it has
-the same parents, since the parent rule only compares sums of lengths,
-and every deletion hurts the same vertices.  So the bare scales group by
-base table (keys and values), and a group keeps one table of base
-values, one set of discarded pairs and one tree over 4*base, as deep as
-its member with the smallest multiple needs (far_level // k_min).
+its gcd).  At the default tau every scale keeps every edge, so all the
+scales up to F share one tree; under an override only those that drop
+the same edges do.  Scales above F round by ceil(len / 2^j) and seldom
+share.  A tree over k*base is the tree over base with every level times
+k: it has the same parents, since the parent rule only compares sums of
+lengths, and every deletion hurts the same vertices.  So the bare scales
+group by base table (keys and values), and a group keeps one table of
+base values, one set of discarded pairs and one tree over 4*base, as
+deep as its member with the smallest multiple needs (far_level // k_min).
 Member i's rounded length of e is k_i * length[e]; it reads level lv as
 k_i * lv and commits to v while lv <= cap_i = far_level // k_i.  At unit
 lengths the whole family is one breadth-first tree.  Scales with a class
@@ -61,7 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Optional
 
 from .es_tree import EsTree
@@ -160,7 +173,8 @@ def _family_terms(n: int, eps) -> tuple:
 
 def round_lengths(n: int, edges, eps, D):
     """The length table of the edges (u, v, len) of an n-vertex graph on
-    the integer range for scale D.
+    the integer range for scale D, under the paper's rule, which an
+    overridden tau keeps.
 
     Returns (length, discarded, D', factor) with D' = F, the least power
     of two at least 4n/eps, and factor = F/D.  length maps each pair
@@ -173,8 +187,10 @@ def round_lengths(n: int, edges, eps, D):
     return _round_table(edges, d_new, D)
 
 
-def _round_table(edges, d_new: int, D):
-    """round_lengths for the family's D' (_family_terms)."""
+def _round_table(edges, d_new: int, D, bounded=True):
+    """round_lengths for the family's D' (_family_terms).  A default-tau
+    scale passes bounded=False: it keeps every edge, with no upper bound
+    on its rounded length, and discards nothing."""
     if not isinstance(D, int):
         D = _frac(D)
     if D <= 0:
@@ -183,17 +199,18 @@ def _round_table(edges, d_new: int, D):
     num = d_new * D.denominator
     den = D.numerator
     limit = 2 * D.numerator  # len > 2D iff len * D.denominator > limit
+    top = 2 * d_new if bounded else inf
     length: dict = {}
     discarded = set()
     for u, v, ln in edges:
         key = (u, v) if u < v else (v, u)
-        if ln * D.denominator > limit:
+        if bounded and ln * D.denominator > limit:
             discarded.add(key)
             continue
         lp = -((-num * ln) // den)
-        if not 1 <= lp <= 2 * d_new:
+        if not 1 <= lp <= top:
             raise ScaleMisuse(f"length {ln} of {key} rounds to {lp}, "
-                              f"outside [1, {2 * d_new}]")
+                              f"outside [1, {top}]")
         length[key] = lp
     return length, discarded, d_new, Fraction(num, den)
 
@@ -210,15 +227,17 @@ def far_level(n: int, eps) -> int:
 
 
 class SsspScaleInstance:
-    """One scale D: the table of the live edges no longer than 2D
-    (length, keyed by (a, b) with a < b), the pairs it dropped as longer
-    (discarded), the class states of overridden classes with a heavy
-    vertex (heavy_side.ClassState, by class index; none unless tau is
-    set), and the bounded-depth tree over the table, contracted by the
-    class states.  length holds base values: the scale's rounded length
-    of e is k * length[e], and its level for a vertex at tree level lv is
-    k * lv; it commits to the vertex while lv <= cap = far_level // k.
-    Deletions pop from the table; there is no per-scale graph.
+    """One scale D: the table of the live edges it keeps (length, keyed
+    by (a, b) with a < b), which are every live edge at the default tau
+    and those no longer than 2D under an override, the pairs it dropped
+    as longer (discarded, empty at the default tau), the class states of
+    overridden classes with a heavy vertex (heavy_side.ClassState, by
+    class index; none unless tau is set), and the bounded-depth tree over
+    the table, contracted by the class states.  length holds base
+    values: the scale's rounded length of e is k * length[e], and its
+    level for a vertex at tree level lv is k * lv; it commits to the
+    vertex while lv <= cap = far_level // k.  Deletions pop from the
+    table; there is no per-scale graph.
 
     edges is g.edge_list() when the caller has listed it already.  sides
     maps (sorted class edge tuple, tau) to its heavy side, or to None
@@ -245,7 +264,7 @@ class SsspScaleInstance:
         if edges is None:
             edges = g.edge_list()
         self.length, self.discarded, self.Dp, self.factor = \
-            _round_table(edges, d_new, D)
+            _round_table(edges, d_new, D, params.tau is not None)
         self.lam = (4 * self.Dp).bit_length() - 1
         self.far_level = far
         self.sn_serial = 0
@@ -296,15 +315,15 @@ def sssp_scale_build(g: DynamicGraph, s: int, eps, D,
 
 
 def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
-    """Delete e from one scale: pop it from the table (or the discarded
-    set) and repair the tree.  The scales of a group share both, so a
-    family sends each deletion to one scale per tree through sssp_delete;
-    a direct call on a member of a family is internal.  An edge of a
-    class with a class state goes to that state (ClassState.scale_delete).
-    fed maps each heavy side (by its conn) this deletion has already
-    updated to the record of that update, which every scale holding the
-    side replays on its own tree; without fed the scale updates its
-    own."""
+    """Delete e from one scale: pop it from the table (or, under an
+    override, the discarded set) and repair the tree.  The scales of a
+    group share both, so a family sends each deletion to one scale per
+    tree through sssp_delete; a direct call on a member of a family is
+    internal.  An edge of a class with a class state goes to that state
+    (ClassState.scale_delete).  fed maps each heavy side (by its conn)
+    this deletion has already updated to the record of that update, which
+    every scale holding the side replays on its own tree; without fed the
+    scale updates its own."""
     u, v = int(e[0]), int(e[1])
     key = (u, v) if u < v else (v, u)
     lp = inst.length.pop(key, None)
@@ -403,7 +422,10 @@ def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
 # -- audits ----------------------------------------------------------------
 
 
-def check_scale_invariants(inst: SsspScaleInstance):
+def check_scale_invariants(inst: SsspScaleInstance, top=None):
+    """Assert inst's invariants.  top is its family's top scale, if any:
+    a default-tau scale keeps every live edge, so its table's keys equal
+    top's, and it discards nothing."""
     n = inst.n
     assert inst.lam == (4 * inst.Dp).bit_length() - 1
     assert inst.far_level == far_level(n, inst.eps)
@@ -412,13 +434,19 @@ def check_scale_invariants(inst: SsspScaleInstance):
     k, cap = inst.k, inst.cap
     assert inst.tree.depth >= cap == inst.far_level // k
     assert inst.length.keys().isdisjoint(inst.discarded)
+    bounded = inst.params.tau is not None
+    if not bounded:
+        assert not inst.discarded
+        assert top is None or inst.length.keys() == top.length.keys()
     per: dict = {}
     for (a, b), lp in inst.length.items():
-        assert a < b
-        assert 1 <= k * lp <= 2 * inst.Dp
-        i = edge_class(k * lp)
-        assert i < inst.lam
-        per.setdefault(i, set()).add((a, b))
+        assert a < b and lp >= 1
+        if bounded:
+            # the paper's range, which bounds the length classes
+            assert k * lp <= 2 * inst.Dp
+            i = edge_class(k * lp)
+            assert i < inst.lam
+            per.setdefault(i, set()).add((a, b))
     for i, cs in inst.classes.items():
         cs.check_scale(inst, per.get(i, set()))
     # the tree is an exact bounded-depth tree of the contracted graph,
@@ -457,10 +485,12 @@ class SsspState:
     same edges whose tables are multiples of one base table.  Their trees
     would differ only by that multiple in every level, so the group keeps
     the base table and the tree of its smallest multiple, and each member
-    scales its lengths, its levels and its cap.  Scales with class states
-    keep their own, since their supernode rays do not scale with the
-    table.  per_tree lists one scale per distinct tree, in scale order:
-    the scales a deletion goes to."""
+    scales its lengths, its levels and its cap.  At the default tau every
+    scale keeps every edge, so the scales up to F form one group, whose
+    exact tree answers each of them within (1 + eps/4)d.  Scales with
+    class states keep their own, since their supernode rays do not scale
+    with the table.  per_tree lists one scale per distinct tree, in scale
+    order: the scales a deletion goes to."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, params=None):
         # eps, D' and the far level are the same at every scale
@@ -509,8 +539,9 @@ def sssp_delete(sp: SsspState, u: int, v: int) -> None:
     pops the table and repairs the tree its group shares; each shared
     heavy side is updated once.  An unknown edge changes nothing; an error
     once the deletion has begun poisons the state and is re-raised.  The
-    top scale keeps every live edge (2^imax is at least n times the
-    longest length), so its table decides what is live."""
+    top scale keeps every live edge (at the default tau every scale does;
+    under an override 2^imax is at least n times the longest length), so
+    its table decides what is live."""
     _check_live(sp)
     key = (u, v) if u < v else (v, u)
     if key not in sp.scales[sp.imax].length:

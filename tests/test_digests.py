@@ -112,13 +112,13 @@ FEED_DIGESTS_NO_MICROS = {
 
 SSSP_DIGESTS = {
     "default-gnp-3-10":
-        "99e2c667b8b7b73d982b50e28e4db47a8f234237821e53acb18e11b16e05333c",
+        "70376a43d3438cf527b9b6ee0c568689adfe38274b2ac4f7e7da40f8f47687cb",
     "bridged-triangle-heavy":
         "250c308766275322bd91543ae3396e538ae584d604e47e01f96ba68dcb36e354",
     "gnm-24-quarter":
         "50113b50e8f7ef5fac3c85520855db565560011e37b72f29738b36b6361688ea",
     "spread-24-quarter":
-        "d691382e3b077ecbd0721011efd8df2c921d86f9e56498f522046656c93e7782",
+        "b50f79ec1b6f02a68f05b7c32e9e05785a9baf8e9cec77ad9deb0e09c96f1a6a",
     "gnp-12-flat-tau-2":
         "5afc6a163f2658b45a92fb4890289166d1faf150f9d3bcfc746bf1b0b1910e9b",
     "gnp-16-flat-tau-2":
@@ -131,7 +131,7 @@ LAYER_MOVES_DIGEST = \
 # EsTree.work after the build and after the whole teardown
 WORK_PINS = {
     "weighted-grid-6x7": (142, 838),
-    "sssp-adaptive-gnp-12": (128, 733),
+    "sssp-adaptive-gnp-12": (52, 421),
 }
 
 
@@ -258,9 +258,9 @@ def test_sssp_default_teardown_digest():
 # (name, n, edges, eps, params); each tears the whole graph down in the
 # order shuffled(edges, 5)
 FAMILY_CASES = (
-    # 8 scales in 3 tree groups
+    # 8 scales, all sharing one tree
     ("gnm-24-quarter", 24, GNM_24, QUARTER, None),
-    # one edge per length range, so the low scales discard edges
+    # one edge per length range: 16 scales in 7 tree groups
     ("spread-24-quarter", 24, SPREAD_24, QUARTER, None),
     # 11 of its 20 overridden, populated classes have a heavy vertex
     ("gnp-12-flat-tau-2", 12, GNP_12, EPS, SsspParams(tau=2)),

@@ -2,7 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -193,6 +193,45 @@ class TestCutPlayerRound:
                         w.add_edge(av, bv)
                 assert played is not None
                 assert witness_conductance(w) >= Fraction(1) / params.gamma
+
+    def test_certified_sets_are_connected_halves(self):
+        """embed_expander plays the cut player on 4 or more terminals.
+        Over every simple graph on 4 and 5 vertices, and over seeded
+        G(n, 0.3) draws and unions of random matchings on 7 to 30
+        vertices, a certified set is connected and holds at least half
+        the vertices; three lone vertices certify one (above)."""
+        graphs = [xt.MultiGraph(range(n), [e for j, e in enumerate(pairs)
+                                           if mask >> j & 1])
+                  for n in (4, 5)
+                  for pairs in [list(combinations(range(n), 2))]
+                  for mask in range(1 << len(pairs))]
+        for seed in range(30):
+            rng = random.Random(900 + seed)
+            n = rng.randint(7, 30)
+            w = xt.MultiGraph(range(n))
+            if seed % 2:
+                for u, v in combinations(range(n), 2):
+                    if rng.random() < 0.3:
+                        w.add_edge(u, v)
+            else:
+                for _ in range(1 + seed % 5):
+                    order = list(range(n))
+                    rng.shuffle(order)
+                    for a, b in zip(order[::2], order[1::2]):
+                        w.add_edge(a, b)
+            graphs.append(w)
+        certified = Counter()
+        for w in graphs:
+            res = xt.cut_or_certify(w)
+            if isinstance(res, xt.Certified):
+                edges = w.edge_list()
+                idx = {v: i for i, v in enumerate(sorted(res.s))}
+                inside = [(idx[u], idx[v]) for u, v in edges
+                          if u in idx and v in idx]
+                assert 2 * len(idx) >= w.n, (edges, res)
+                assert orc.is_connected(len(idx), inside), (edges, res)
+                certified[w.n > 5] += 1
+        assert certified[False] and certified[True]
 
     def test_witness_conductance_agrees_with_oracle(self):
         w = xt.MultiGraph(range(6))

@@ -87,9 +87,10 @@ def audit(sp, n, live, eps=EPS, ptr=None):
         assert path[0] == S and path[-1] == v
         assert orc.path_length(live, path) <= est, (v, path, est)
     # the top scale keeps every live edge, so sssp_delete validates there
-    assert not sp.scales[sp.imax].discarded
+    top = sp.scales[sp.imax]
+    assert not top.discarded
     for inst in sp.scales.values():
-        check_scale_invariants(inst)
+        check_scale_invariants(inst, top)
     for v in range(n):
         assert sssp._locate(sp, v)[0] == first_committing_scale(sp, v), v
     now = list(sp.scale_ptr)
@@ -143,18 +144,28 @@ def gnm(n, m, seed, top=5):
     return [(u, v, rng.randint(1, top)) for u, v in pairs]
 
 
+OTHER_EPS = [Fraction(1, 3), Fraction(2, 5), Fraction(9, 10)]
+OTHER_EPS_GNM = [(1, 10, 18), (2, 14, 30)]
+
+
 class TestOtherEps:
     """Oracle-backed teardowns away from eps = 1/2, with lengths up to
-    1000 so that the low scales discard most edges."""
+    1000: the default family keeps every edge at every scale, and under
+    an override with nothing heavy the low scales discard most edges."""
 
-    @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(2, 5),
-                                     Fraction(9, 10)])
-    @pytest.mark.parametrize("seed,n,m", [(1, 10, 18), (2, 14, 30)])
+    @pytest.mark.parametrize("eps", OTHER_EPS)
+    @pytest.mark.parametrize("seed,n,m", OTHER_EPS_GNM)
     def test_gnm_teardown(self, eps, seed, n, m):
         edges = gnm(n, m, seed, top=1000)
-        sp = build(n, edges, eps=eps)
-        assert sum(1 for inst in sp.scales.values() if inst.discarded) > 3
         teardown(n, edges, shuffled(edges, seed), eps=eps)
+
+    @pytest.mark.parametrize("eps", OTHER_EPS)
+    @pytest.mark.parametrize("seed,n,m", OTHER_EPS_GNM)
+    def test_gnm_teardown_with_discards(self, eps, seed, n, m):
+        edges = gnm(n, m, seed, top=1000)
+        sp = build(n, edges, BARE_TAU, eps=eps)
+        assert sum(1 for inst in sp.scales.values() if inst.discarded) > 3
+        teardown(n, edges, shuffled(edges, seed), BARE_TAU, eps=eps)
 
 
 def shuffled(edges, seed):
@@ -487,10 +498,11 @@ class TestModulesLoaded:
 
 
 class TestScaleDelete:
-    # at D = 1 the scale keeps (0, 1) and discards (1, 2), longer than 2D
+    # under an override, the scale D = 1 keeps (0, 1) and discards (1, 2),
+    # longer than 2D
     def test_second_deletion_of_a_pair_raises(self):
         g = DynamicGraph.from_edges(3, [(0, 1, 1), (1, 2, 9)])
-        inst = sssp_scale_build(g, 0, EPS, 1)
+        inst = sssp_scale_build(g, 0, EPS, 1, BARE_TAU)
         assert list(inst.length) == [(0, 1)]
         assert inst.discarded == {(1, 2)}
         for e in [(0, 1), (2, 1)]:
@@ -782,8 +794,8 @@ class TestSharedHeavySides:
         audit(sp, 4, [e for e in BRIDGED_TRIANGLE if e[:2] != (2, 3)])
 
 
-# one edge in each length range (2^j, 2^(j+1)], so that no two scales
-# keep the same edges below the top key set
+# one edge in each length range (2^j, 2^(j+1)], so that under an
+# override no two scales keep the same edges below the top key set
 SPREAD = (1, 3, 5, 9, 17, 33, 65, 129, 257, 513)
 UNIT_200 = gnm(200, 4000, 1, top=1)
 GNM_24 = gnm(24, 80, 1)
@@ -798,23 +810,28 @@ def trees_of(sp):
 
 class TestSharedTrees:
     """The bare scales of a family whose tables are multiples of one base
-    table share one tree, and each deletion repairs it once."""
+    table share one tree, and each deletion repairs it once.  At the
+    default tau every scale keeps every edge; BARE_TAU keeps the paper's
+    discards with no class state, so its scales group by kept edges."""
 
-    @pytest.mark.parametrize("n,edges,order,counts", [
+    @pytest.mark.parametrize("n,edges,order,params,counts", [
         # every edge at the source, which finally cuts everything off
         (200, UNIT_200, shuffled([e for e in UNIT_200 if S in e[:2]], 1),
-         (9, 1)),
-        (24, GNM_24, shuffled(GNM_24, 2), (8, 3)),
-        (24, SPREAD_24, shuffled(SPREAD_24, 3), (16, 16)),
-    ], ids=["unit", "lengths-1-5", "lengths-1-1000"])
+         None, (9, 1)),
+        (24, GNM_24, shuffled(GNM_24, 2), None, (8, 1)),
+        (24, SPREAD_24, shuffled(SPREAD_24, 3), None, (16, 7)),
+        (24, GNM_24, shuffled(GNM_24, 2), BARE_TAU, (8, 3)),
+        (24, SPREAD_24, shuffled(SPREAD_24, 3), BARE_TAU, (16, 16)),
+    ], ids=["unit", "lengths-1-5", "lengths-1-1000",
+            "lengths-1-5-with-discards", "lengths-1-1000-with-discards"])
     def test_grouped_scales_equal_standalone_scales(self, n, edges, order,
-                                                    counts):
+                                                    params, counts):
         """Every scale, built alone over its own table, has the grouped
         scale's tree levels times its multiple, and the same dist and path
         answers, after every deletion."""
         g = DynamicGraph.from_edges(n, edges)
-        sp = sssp_build_all(g, S, QUARTER)
-        alone = {i: sssp_scale_build(g, S, QUARTER, 2 ** i)
+        sp = sssp_build_all(g, S, QUARTER, params)
+        alone = {i: sssp_scale_build(g, S, QUARTER, 2 ** i, params)
                  for i in sp.scales}
         assert (len(sp.scales), len(trees_of(sp))) == counts
 
@@ -845,7 +862,15 @@ class TestSharedTrees:
         """A deletion reaches one scale per tree, and repairs each tree
         holding the edge once; the scales that share a tree share its
         table and its discarded set."""
-        sp = build(24, GNM_24, eps=QUARTER)
+        self.repairs_each_tree_once(monkeypatch, None, 1)
+
+    def test_a_deletion_repairs_each_tree_once_with_discards(self,
+                                                              monkeypatch):
+        self.repairs_each_tree_once(monkeypatch, BARE_TAU, 3)
+
+    @staticmethod
+    def repairs_each_tree_once(monkeypatch, params, trees):
+        sp = build(24, GNM_24, params, eps=QUARTER)
         calls = []
         scales = []
         real = sssp.EsTree.es_delete
@@ -870,30 +895,32 @@ class TestSharedTrees:
             sssp_delete(sp, u, v)
             assert sorted(calls) == sorted(holding), (u, v)
             assert sorted(scales) == sorted(trees_of(sp)), (u, v)
-        assert len(trees_of(sp)) == 3
+        assert len(trees_of(sp)) == trees
         by_tree = {}
         for inst in sp.scales.values():
             by_tree.setdefault(id(inst.tree), []).append(inst)
         for group in by_tree.values():
             assert len({id(inst.length) for inst in group}) == 1
             assert len({id(inst.discarded) for inst in group}) == 1
-        assert len({id(inst.length) for inst in sp.scales.values()}) == 3
+        assert len({id(inst.length) for inst in sp.scales.values()}) == \
+            trees
 
 
 TWO_THIRDS = Fraction(2, 3)
 
 
 class TestPowerOfTwoRange:
-    """Every scale rounds onto [1, 2F], F the least power of two at least
-    4n/eps, so a scale D <= F has the power-of-two factor F/D, and the
-    bare scales among those that keep the same edges share one tree."""
+    """Every scale rounds by F/D, F the least power of two at least
+    4n/eps, so a scale D <= F has a power-of-two factor, and the bare
+    scales among those that keep the same edges share one tree: at the
+    default tau, which keeps every edge at every scale, all of them."""
 
     # seeded G(n, m) families whose 4n/eps has an odd part (6n at eps
     # 2/3), with their number of distinct trees
     @pytest.mark.parametrize("n,m,top,eps,trees", [
-        (300, 1500, 100, EPS, 10),
-        (1000, 4000, 5, EPS, 3),
-        (1000, 4000, 5, TWO_THIRDS, 3),
+        (300, 1500, 100, EPS, 4),
+        (1000, 4000, 5, EPS, 1),
+        (1000, 4000, 5, TWO_THIRDS, 1),
     ], ids=["300-lengths-1-100", "1000-lengths-1-5",
             "1000-lengths-1-5-eps-2/3"])
     def test_scales_up_to_F_share_trees(self, n, m, top, eps, trees):
@@ -907,7 +934,7 @@ class TestPowerOfTwoRange:
             f = inst.factor
             assert f.denominator == 1 and f.numerator == F >> i, (i, f)
             held.setdefault(frozenset(inst.length), set()).add(id(inst.tree))
-        assert all(len(ids) == 1 for ids in held.values())
+        assert len(held) == 1 and all(len(ids) == 1 for ids in held.values())
 
     @pytest.mark.parametrize("seed,n,m,top", [(1, 12, 26, 5),
                                               (2, 15, 30, 100)])
@@ -917,6 +944,52 @@ class TestPowerOfTwoRange:
         edges = gnm(n, m, seed, top=top)
         teardown(n, edges, shuffled(edges, seed), eps=TWO_THIRDS)
         assert adaptive_teardown(n, edges, None, seed, TWO_THIRDS)
+
+
+class TestEveryEdgeAtEveryScale:
+    """At the default tau every scale keeps every live edge, so a scale
+    D <= F holds an exact tree over (F/D) times the lengths: its answers
+    lie in [d, (1 + eps/4)d], as the scale below did not commit, and its
+    paths are shortest paths.  Checked after every deletion of random and
+    adaptive teardowns, with each tree head's invariants."""
+
+    @staticmethod
+    def check(sp, n, live, eps):
+        """The number of answers that came from a scale up to F."""
+        top = sp.scales[sp.imax]
+        assert not any(inst.discarded for inst in sp.scales.values())
+        for inst in sp.per_tree:
+            check_scale_invariants(inst, top)
+        dist = orc.dijkstra(n, live, S)
+        F = top.Dp
+        exact = 0
+        for v in range(n):
+            i = sssp._locate(sp, v)[0]
+            if v == S or i is None or 2 ** i > F:
+                continue
+            d = dist[v]
+            assert d <= sssp_dist(sp, v) <= (1 + eps / 4) * d, (v, d)
+            assert orc.path_length(live, sssp_path(sp, v)) == d, (v, d)
+            exact += 1
+        return exact
+
+    @pytest.mark.parametrize("eps", [QUARTER, EPS, TWO_THIRDS])
+    @pytest.mark.parametrize("top", [5, 100, 1000])
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["random", "adaptive"])
+    def test_low_scales_are_exact(self, eps, top, adaptive):
+        n = 16
+        edges = gnm(n, 40, top, top=top)
+        order = adaptive_teardown(n, edges, None, top, eps) if adaptive \
+            else shuffled(edges, top)
+        sp = build(n, edges, eps=eps)
+        live = list(edges)
+        exact = self.check(sp, n, live, eps)
+        for u, v in order:
+            sssp_delete(sp, u, v)
+            live = [e for e in live if {e[0], e[1]} != {u, v}]
+            exact += self.check(sp, n, live, eps)
+        assert exact > 0
 
 
 class TestPoison:
