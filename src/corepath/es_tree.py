@@ -25,11 +25,12 @@ grows while it drains.  Order within a level changes no level, parent or
 unit of work: a parent or a supporter sits strictly lower, so its level
 and whether it is hurt are final before the level's turn; a phase-1 scan
 stops at the first supporter in row order, and a settled vertex scans
-its whole row.  Vertex names are never compared.  The heap holds only the levels in use, not an
-array over 0..depth, because caps run far above m and lengths can be
-large: the cost of a deletion does not depend on the depth cap, only on
-the rows scanned, each hurt vertex's row three times and each kept child
-of a hurt vertex up to its first supporter.
+its whole row.  Vertex names are never compared.  The heap holds only
+the levels in use, not an array over 0..depth, because caps run far
+above m and lengths can be large: the cost of a deletion does not
+depend on the depth cap, only on the rows scanned, each hurt vertex's
+row three times and each kept child of a hurt vertex up to its first
+supporter.
 
 With one edge deleted, every hurt vertex's level strictly rises (its old
 supporters are all hurt, and by induction on level they all rose), so
@@ -219,8 +220,8 @@ class EsTree:
                 del self._adj[u][v]
                 del self._adj[v][u]
                 raise PreconditionViolated(
-                    f"edge ({u!r},{v!r},{w}) would lower a level ({lu} vs {lv})"
-                )
+                    f"edge ({u!r},{v!r},{w}) would lower a level "
+                    f"({lu} vs {lv})")
             return
         if not pu and not pv:
             return

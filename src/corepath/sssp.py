@@ -34,7 +34,11 @@ every scale with 2^i <= F, so those scales that keep the same edges have
 tables that are integer multiples k_i of one base table (a table over
 its gcd).  At the default tau every scale keeps every edge, so all the
 scales up to F share one tree; under an override only those that drop
-the same edges do.  Scales above F round by ceil(len / 2^j) and seldom
+the same edges do.  A family builds top-down, and at the default tau
+only the highest scale up to F rounds its table among them: each scale
+D <= F/2 holds exactly twice the table of scale 2D, so it takes that
+scale's base table, discarded set and tree with the multiple doubled,
+and rounds nothing.  Scales above F round by ceil(len / 2^j) and seldom
 share.  A tree over k*base is the tree over base with every level times
 k: it has the same parents, since the parent rule only compares sums of
 lengths, and every deletion hurts the same vertices.  So the bare scales
@@ -245,11 +249,13 @@ class SsspScaleInstance:
     table and a tree; the scales of one SsspState share both.  A scale
     built alone keeps its own heavy sides, table and tree (k = 1).  terms
     is the family's (eps, D', far level) from _family_terms, computed here
-    when not given.  dist_memo maps each tree level sssp_dist has answered
-    at to that answer."""
+    when not given.  above is the scale 2D of a default-tau family with
+    2D <= F, whose table and tree this scale takes (_build_tree).
+    dist_memo maps each tree level sssp_dist has answered at to that
+    answer."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, D, params=None,
-                 edges=None, sides=None, trees=None, terms=None):
+                 edges=None, sides=None, trees=None, terms=None, above=None):
         if terms is None:
             terms = _family_terms(g.n, eps)
         eps, d_new, far = terms
@@ -261,10 +267,16 @@ class SsspScaleInstance:
         self.eps = eps
         self.params = params
         self.n = g.n
-        if edges is None:
-            edges = g.edge_list()
-        self.length, self.discarded, self.Dp, self.factor = \
-            _round_table(edges, d_new, D, params.tau is not None)
+        if above is not None:
+            # D <= F/2 at the default tau: the table of the scale above,
+            # twice over (_build_tree)
+            self.length, self.discarded = above.length, above.discarded
+            self.Dp, self.factor = d_new, Fraction(d_new // D)
+        else:
+            if edges is None:
+                edges = g.edge_list()
+            self.length, self.discarded, self.Dp, self.factor = \
+                _round_table(edges, d_new, D, params.tau is not None)
         self.lam = (4 * self.Dp).bit_length() - 1
         self.far_level = far
         self.sn_serial = 0
@@ -273,19 +285,28 @@ class SsspScaleInstance:
             from . import heavy_side
             self.classes = heavy_side._build_classes(
                 self, {} if sides is None else sides)
-        self._build_tree(trees)
+        self._build_tree(trees, above)
         self.dist_memo: dict = {}
 
     # -- construction ----------------------------------------------------
 
-    def _build_tree(self, trees):
+    def _build_tree(self, trees, above=None):
         """The tree, the multiple k and the cap.  A scale with class
         states builds its own tree over the contracted graph, with k = 1.
-        A bare scale of a family (trees given) divides its table by its
-        gcd k and takes the table, the discarded set and the tree of the
-        first owner in trees with that base table and a k at most its
-        own; otherwise it builds a tree over its base table and joins
-        trees as an owner."""
+        A default-tau scale D <= F/2 of a family (above given, the scale
+        2D) holds exactly twice the table of the scale above: it takes
+        that scale's base table, discarded set and tree, with k doubled,
+        and rounds nothing.  Any other bare scale of a family (trees
+        given) divides its table by its gcd k and takes the table, the
+        discarded set and the tree of the first owner in trees with that
+        base table and a k at most its own; otherwise it builds a tree
+        over its base table and joins trees as an owner.  An edgeless
+        table has gcd 1, so at the default tau its first scale up to F
+        has k = 1 and each scale below it doubles that."""
+        if above is not None:
+            self.k = k = 2 * above.k
+            self.cap, self.tree = self.far_level // k, above.tree
+            return
         self.k = k = 1
         if trees is not None and not self.classes:
             self.k = k = gcd(*self.length.values()) or 1
@@ -487,10 +508,13 @@ class SsspState:
     the base table and the tree of its smallest multiple, and each member
     scales its lengths, its levels and its cap.  At the default tau every
     scale keeps every edge, so the scales up to F form one group, whose
-    exact tree answers each of them within (1 + eps/4)d.  Scales with
-    class states keep their own, since their supernode rays do not scale
-    with the table.  per_tree lists one scale per distinct tree, in scale
-    order: the scales a deletion goes to."""
+    exact tree answers each of them within (1 + eps/4)d.  The highest of
+    them rounds its table and looks for its group (it may join one above
+    F); each scale below it takes the table and tree of the scale above
+    with k doubled, and rounds nothing.  Scales with class states keep
+    their own, since their supernode rays do not scale with the table.
+    per_tree lists one scale per distinct tree, in scale order: the
+    scales a deletion goes to."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, params=None):
         # eps, D' and the far level are the same at every scale
@@ -509,8 +533,16 @@ class SsspState:
         # top scale first: a group's multiples only shrink as i grows, so
         # the member with the smallest multiple, whose tree is shared,
         # comes first
+        exact = self.params.tau is None
         built = {}
         for i in range(self.imax, -1, -1):
+            if exact and i < self.imax and 2 ** (i + 1) <= terms[1]:
+                # scale 2^(i+1) <= F keeps every edge at exactly
+                # (F >> (i+1)) times its length: half of this scale's
+                built[i] = SsspScaleInstance(g, s, eps, 2 ** i,
+                                             params=self.params, terms=terms,
+                                             above=built[i + 1])
+                continue
             built[i] = sssp_scale_build(g, s, eps, 2 ** i,
                                         params=self.params, edges=edges,
                                         sides=sides, trees=trees,

@@ -946,6 +946,101 @@ class TestPowerOfTwoRange:
         assert adaptive_teardown(n, edges, None, seed, TWO_THIRDS)
 
 
+# GNM_24 with every length times 6: scale F's table, 6F/F times the
+# lengths, is twice scale 2F's 3 * len, so it joins that tree above F
+GNM_24_SIX = [(u, v, 6 * ln) for u, v, ln in GNM_24]
+
+
+class TestDerivedScales:
+    """At the default tau a family rounds a table at each scale above F
+    and at the highest scale up to F, which may still join a tree above
+    F; each scale D <= F/2 takes scale 2D's table, discarded set and tree
+    with k doubled."""
+
+    @pytest.mark.parametrize("n,edges", [(200, UNIT_200), (24, GNM_24),
+                                         (24, SPREAD_24), (24, GNM_24_SIX)],
+                             ids=["unit", "lengths-1-5", "lengths-1-1000",
+                                  "lengths-6-30"])
+    def test_scales_up_to_F_derive_from_the_scale_above(self, monkeypatch,
+                                                        n, edges):
+        calls = []
+        real = sssp._round_table
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sssp, "_round_table", counting)
+        sp = build(n, edges, eps=QUARTER)
+        F = sp.scales[0].Dp
+        up_to_F = [i for i in sp.scales if 2 ** i <= F]
+        first = max(up_to_F)
+        assert sorted(calls) == [2 ** i for i in sp.scales if i >= first]
+        g = math.gcd(*(ln for _, _, ln in edges))
+        for i in up_to_F:
+            inst = sp.scales[i]
+            assert inst.k == (F >> i) * g, i
+            assert inst.factor == F >> i and inst.factor.denominator == 1
+            if i < first:
+                up = sp.scales[i + 1]
+                for name in ("length", "discarded", "tree"):
+                    assert id(getattr(inst, name)) == id(getattr(up, name))
+        if edges is GNM_24_SIX:
+            assert sp.scales[first].tree is sp.scales[first + 1].tree
+
+    @pytest.mark.parametrize("params", [None, HEAVY, BARE_TAU],
+                             ids=["default", "heavy", "bare-tau"])
+    def test_every_scale_has_the_attributes_of_a_scale_built_alone(
+            self, params):
+        """Derived, grouped and standalone scales set the same attributes
+        in the same order, so the query path's attribute lookups see one
+        instance layout."""
+        g = DynamicGraph.from_edges(4, BRIDGED_TRIANGLE)
+        sp = sssp_build_all(g, S, EPS, params)
+        assert 2 ** sp.imax > 2 * sp.scales[0].Dp  # every kind of scale
+        for i, inst in sp.scales.items():
+            alone = sssp_scale_build(g, S, EPS, 2 ** i, params)
+            assert list(vars(inst)) == list(vars(alone)), i
+
+    @pytest.mark.parametrize("params", [None, BARE_TAU],
+                             ids=["default", "bare-tau"])
+    @pytest.mark.parametrize("n,edges", [(1, []), (3, []), (3, [(1, 2, 4)])],
+                             ids=["one-vertex", "three-vertices",
+                                  "source-without-edges"])
+    def test_source_without_edges(self, n, edges, params):
+        """The source answers 0 and [] and every other vertex is not
+        connected, before and after deletions.  An edgeless table has gcd
+        1: at the default tau its highest scale up to F has k = 1 and the
+        scales below double it."""
+        sp = build(n, edges, params)
+        F = sp.scales[0].Dp
+
+        def check():
+            assert sssp_dist(sp, S) == 0 and sssp_path(sp, S) == []
+            for v in range(1, n):
+                assert sssp_dist(sp, v) is NOT_CONNECTED
+                assert sssp_path(sp, v) is NOT_CONNECTED
+            top = sp.scales[sp.imax]
+            for inst in sp.scales.values():
+                check_scale_invariants(inst, top)
+
+        check()
+        first = max(i for i in sp.scales if 2 ** i <= F)
+        ks = [sp.scales[i].k for i in sorted(sp.scales)]
+        if not edges:
+            assert ks == [1 if params else 2 ** (first - i)
+                          for i in sorted(sp.scales)]
+        elif params is None:
+            assert ks == [(F >> i) * 4 for i in sorted(sp.scales)]
+        for u, v, _ in edges:
+            sssp_delete(sp, u, v)
+            check()
+        with pytest.raises(UnknownEdge):
+            sssp_delete(sp, 0, n - 1)
+        assert sp.poisoned is None
+        check()
+
+
 class TestEveryEdgeAtEveryScale:
     """At the default tau every scale keeps every live edge, so a scale
     D <= F holds an exact tree over (F/D) times the lengths: its answers
