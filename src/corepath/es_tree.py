@@ -3,7 +3,7 @@
 Levels equal true distances from the source up to a depth cap; vertices
 past the cap are absent.  Levels never decrease while edges are deleted.
 A vertex's parent is always the first neighbour in adjacency order that
-realises its level; `check()` asserts this rule.
+realises its level; `check()` audits this rule.
 
 Deleting a tree edge repairs in two phases (the Ramalingam-Reps split of
 a deletion).  Phase 1 walks the orphaned subtree in order of old level
@@ -55,7 +55,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, Optional
 
-from .graph_core import GraphError, GraphView, dijkstra
+from .graph_core import GraphError, GraphView, dijkstra, require
 
 
 class SourceMissing(GraphError):
@@ -426,15 +426,17 @@ class EsTree:
     # -- audit -----------------------------------------------------------
 
     def check(self):
-        """Assert levels are exactly capped distances, and each parent is
-        the first neighbour in adjacency order that realises the level."""
+        """Raise InvariantBroken unless levels are exactly capped
+        distances and each parent is the first neighbour in adjacency
+        order that realises the level."""
         edges = [(u, v, w) for u, row in self._adj.items()
                  for v, w in row.items()]
         dist = dijkstra(self.source, edges, cap=self.depth)
         for v, row in self._adj.items():
-            assert self.level[v] == dist.get(v, self._absent), \
-                (v, self.level[v], dist.get(v))
+            require(self.level[v] == dist.get(v, self._absent),
+                    f"level of {v!r} is {self.level[v]}, not {dist.get(v)}")
             if v != self.source and self.contains(v):
                 first = next(u for u, w in row.items()
                              if self.level[u] + w == self.level[v])
-                assert self.parent[v] == first, (v, self.parent[v], first)
+                require(self.parent[v] == first, f"parent of {v!r} is "
+                        f"{self.parent[v]!r}, not {first!r}")

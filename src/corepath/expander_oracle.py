@@ -26,7 +26,8 @@ from .expander_tools import (
     prune_delete,
     prune_init,
 )
-from .graph_core import DynamicGraph, GraphView, GraphError, UnknownEdge
+from .graph_core import (DynamicGraph, GraphView, GraphError, UnknownEdge,
+                         require)
 
 VR = -1  # virtual root shared by all multi-source trees
 C_DEPTH = 8  # tree depth cap coefficient: C_DEPTH * lg n / phi
@@ -440,9 +441,9 @@ def oracle_pruned(h: ExpanderHierarchy) -> frozenset:
 def check_invariants(h: ExpanderHierarchy) -> None:
     eta = h.params.congestion_cap(max(2, h.m))
     for i, lv in h.levels.items():
-        assert lv.d <= lv.budget, f"level {i} over budget"
+        require(lv.d <= lv.budget, f"level {i} over budget")
         for key, guests in lv.jlists.items():
-            assert len(guests) <= eta, f"J list at {key!r} too long"
+            require(len(guests) <= eta, f"J list at {key!r} too long")
         if lv.tree is None:
             continue
         pruned = lv.prune.pruned_set if lv.prune is not None else frozenset()
@@ -451,4 +452,4 @@ def check_invariants(h: ExpanderHierarchy) -> None:
         for v in range(lv.graph.n):
             if v in pruned:
                 continue
-            assert lv.tree.level_of(v) is not None, f"level {i} lost {v}"
+            require(lv.tree.level_of(v) is not None, f"level {i} lost {v}")

@@ -46,6 +46,17 @@ class TraceParse(GraphError):
     pass
 
 
+class InvariantBroken(GraphError):
+    """An audit found a structure's invariant broken.  Audits raise this
+    rather than assert, so python -O keeps them."""
+
+
+def require(ok, msg: str) -> None:
+    """An audit's check: raise InvariantBroken(msg) unless ok."""
+    if not ok:
+        raise InvariantBroken(msg)
+
+
 class _NotConnectedType:
     __slots__ = ()
 

@@ -38,7 +38,8 @@ from fractions import Fraction
 from . import lcd  # called through the module, where patches land
 from .degree_layers import LayerState
 from .dynamic_forest import ConnSF
-from .graph_core import NOT_CONNECTED, DynamicGraph, GraphView, edge_class
+from .graph_core import (NOT_CONNECTED, DynamicGraph, GraphView, edge_class,
+                         require)
 from .sssp import PathAuditFailed, ScaleMisuse
 
 
@@ -210,17 +211,18 @@ class ClassState:
         its heavy set and components rebuilt from scratch, and one
         supernode per component with exactly its rays in the tree."""
         i, n, heavy = self.i, inst.n, self.heavy
-        assert inst.params.override(i) is not None and inst.k == 1
-        assert heavy, f"class {i} kept with an empty heavy set"
-        assert set(self.lcd.alive_edges()) == mine, \
-            f"class {i} decomposition lost sync"
-        assert {(a, b) for a, b, _ in self.layers.view.edge_list()} == \
-            mine, f"class {i} side graph lost sync"
-        assert all(self.layers.layer_of(x) == self.lcd.layers.layer_of(x)
-                   for x in range(n)), f"class {i} layers lost sync"
+        require(inst.params.override(i) is not None and inst.k == 1,
+                f"class {i} state on a scale it does not fit")
+        require(heavy, f"class {i} kept with an empty heavy set")
+        require(set(self.lcd.alive_edges()) == mine,
+                f"class {i} decomposition lost sync")
+        require({(a, b) for a, b, _ in self.layers.view.edge_list()} == mine,
+                f"class {i} side graph lost sync")
+        require(all(self.layers.layer_of(x) == self.lcd.layers.layer_of(x)
+                    for x in range(n)), f"class {i} layers lost sync")
         want = {x for j in range(1, self.j_i + 1)
                 for x in self.layers.members_of(j)}
-        assert heavy == want, f"class {i} heavy set drifted"
+        require(heavy == want, f"class {i} heavy set drifted")
         # components of the heavy subgraph, by fresh union-find
         root = {x: x for x in heavy}
 
@@ -238,15 +240,18 @@ class ClassState:
         for x in sorted(heavy):
             groups.setdefault(find(x), set()).add(x)
             live.setdefault(self.conn.component_label(x), set()).add(x)
-        assert sorted(map(sorted, groups.values())) == \
-            sorted(map(sorted, live.values()))
-        assert set(self.sn_of) == set(live)
+        require(sorted(map(sorted, groups.values()))
+                == sorted(map(sorted, live.values())),
+                f"class {i} heavy components drifted")
+        require(set(self.sn_of) == set(live), f"class {i} supernodes drifted")
         for lab, grp in sorted(live.items()):
             rows = inst.tree.incident(self.sn_of[lab])
-            assert {r[0] for r in rows} == grp
-            assert all(r[1] == 1 for r in rows)
-        assert self.light_ever <= 4 * n * max(Fraction(1), self.tau), \
-            f"class {i} light volume overran its charge"
+            require({r[0] for r in rows} == grp,
+                    f"supernode {lab} rays drifted")
+            require(all(r[1] == 1 for r in rows),
+                    f"supernode {lab} ray off weight one")
+        require(self.light_ever <= 4 * n * max(Fraction(1), self.tau),
+                f"class {i} light volume overran its charge")
 
 
 def _departures(moves, j_i: int) -> list:

@@ -44,7 +44,7 @@ from .expander_oracle import (
 )
 from .expander_tools import ExpanderParams, expander_decompose
 from .graph_core import (NOT_CONNECTED, DynamicGraph, GraphError, GraphView,
-                         UnknownEdge)
+                         UnknownEdge, require)
 
 # trimming threshold: a vertex leaves the working graph once its current
 # degree falls below target/TRIM_DIV
@@ -1035,106 +1035,111 @@ def check_invariants(st: LcdState):
     for u in range(st.n):
         j = st.layer_of(u)
         if j > st.r:
-            assert u not in st.pos, f"isolated vertex {u} holds a position"
-            assert not st.g.degree(u), f"isolated vertex {u} keeps edges"
+            require(u not in st.pos, f"isolated vertex {u} holds a position")
+            require(not st.g.degree(u), f"isolated vertex {u} keeps edges")
             continue
         l = st.pos.get(u)
-        assert l is not None, f"vertex {u} has no sublayer position"
+        require(l is not None, f"vertex {u} has no sublayer position")
         sub = st.lay[j]
         homes = [ll for ll in sub.subs if u in sub.subs[ll]]
-        assert homes == [l], f"vertex {u} containers disagree: {homes} vs {l}"
+        require(homes == [l],
+                f"vertex {u} containers disagree: {homes} vs {l}")
     polylog = (1 + _ilg(st.n)) ** 3
     phi = st.params.expander.phi
     for j in range(1, st.r + 1):
         sub = st.lay[j]
         for l in range(2, sub.L + 1):
             tail = sum(len(sub.subs[i]) for i in range(l, sub.L + 1))
-            assert tail * (2 ** (l - 1)) <= sub.nleq0, \
-                f"I1 fails at layer {j} sublayer {l}"
+            require(tail * (2 ** (l - 1)) <= sub.nleq0,
+                    f"I1 fails at layer {j} sublayer {l}")
         buf = sub.subs[sub.L]
-        assert set(sub.bufkind) == buf, f"buffer kinds drifted in layer {j}"
-        assert set(sub.buf_up) == buf, f"buffer links drifted in layer {j}"
+        require(set(sub.bufkind) == buf, f"buffer kinds drifted in layer {j}")
+        require(set(sub.buf_up) == buf, f"buffer links drifted in layer {j}")
         for x in buf:
             w = sub.buf_up[x]
             key = _ekey(x, w)
-            assert key in st.eid_of, f"up-link ({x},{w}) is dead"
+            require(key in st.eid_of, f"up-link ({x},{w}) is dead")
             jw = st.layer_of(w)
-            assert jw < j or (jw == j and st.pos[w] < sub.L), \
-                f"up-link of {x} does not point upward"
-            assert w == min(st.upward(x, j, sub.L)), \
-                f"up-link of {x} is not the smallest neighbor"
+            require(jw < j or (jw == j and st.pos[w] < sub.L),
+                    f"up-link of {x} does not point upward")
+            require(w == min(st.upward(x, j, sub.L)),
+                    f"up-link of {x} is not the smallest neighbor")
         # lifetime counters against the configured budgets
         mv = sub.moves_total()
-        assert mv * (phi ** 3) <= LIFETIME_COEFF * sub.nleq0 * DELTA, \
-            f"too many buffer moves in layer {j}"
+        require(mv * (phi ** 3) <= LIFETIME_COEFF * sub.nleq0 * DELTA,
+                f"too many buffer moves in layer {j}")
         for l, cnt in sub.starts.items():
-            assert cnt <= LIFETIME_COEFF * (2 ** l) * DELTA * polylog, \
-                f"too many phases at ({j},{l})"
-        assert sub.cores_created * sub.h <= \
-            LIFETIME_COEFF * sub.nleq0 * DELTA * polylog, \
-            f"too many cores created in layer {j}"
+            require(cnt <= LIFETIME_COEFF * (2 ** l) * DELTA * polylog,
+                    f"too many phases at ({j},{l})")
+        require(sub.cores_created * sub.h
+                <= LIFETIME_COEFF * sub.nleq0 * DELTA * polylog,
+                f"too many cores created in layer {j}")
         # restarts must be funded by moves: the pivot at l only fires
         # once more than nleq0/2^l vertices sank below it
         for l, cnt in sub.ends.items():
-            assert cnt * sub.nleq0 <= mv * (2 ** l), \
-                f"unfunded restarts at ({j},{l})"
+            require(cnt * sub.nleq0 <= mv * (2 ** l),
+                    f"unfunded restarts at ({j},{l})")
         for l, ph in sub.phases.items():
             members = sub.subs[l]
-            assert l < sub.L, "buffer sublayer cannot hold a phase"
-            assert set(ph.targets) >= members, \
-                f"phase ({j},{l}) lost degree targets"
+            require(l < sub.L, "buffer sublayer cannot hold a phase")
+            require(set(ph.targets) >= members,
+                    f"phase ({j},{l}) lost degree targets")
             live_cores = ph.alive_cores()
-            assert len(live_cores) * (phi ** 2) * sub.h <= \
-                CENSUS_COEFF * max(1, len(members)), \
-                f"core census violated at ({j},{l})"
+            require(len(live_cores) * (phi ** 2) * sub.h
+                    <= CENSUS_COEFF * max(1, len(members)),
+                    f"core census violated at ({j},{l})")
             seen_members = set()
             for core in live_cores:
-                assert core.live, f"empty core {core.cid} still alive"
-                assert core.live <= members, \
-                    f"core {core.cid} members left the sublayer"
-                assert not (core.live & seen_members), "cores overlap"
+                require(core.live, f"empty core {core.cid} still alive")
+                require(core.live <= members,
+                        f"core {core.cid} members left the sublayer")
+                require(not (core.live & seen_members), "cores overlap")
                 seen_members |= core.live
-                assert len(core.live) * CORE_SIZE_DIV >= (phi ** 2) * sub.h, \
-                    f"core {core.cid} got too small"
-                assert core.fed * WEAR_DIV <= phi * core.e0 \
-                    or core.fed <= 1, \
-                    f"core {core.cid} outlived its wear budget"
+                require(len(core.live) * CORE_SIZE_DIV >= (phi ** 2) * sub.h,
+                        f"core {core.cid} got too small")
+                require(core.fed * WEAR_DIV <= phi * core.e0 or core.fed <= 1,
+                        f"core {core.cid} outlived its wear budget")
                 pruned_orig = {core.back[p] for p in core.pruned()}
-                assert not (pruned_orig & core.live), \
-                    f"core {core.cid} keeps pruned members"
+                require(not (pruned_orig & core.live),
+                        f"core {core.cid} keeps pruned members")
                 for a, b in core.local_edges():
                     oa, ob = core.back[a], core.back[b]
                     if oa in core.live and ob in core.live:
-                        assert _ekey(oa, ob) in st.eid_of, \
-                            f"core {core.cid} holds a dead edge"
+                        require(_ekey(oa, ob) in st.eid_of,
+                                f"core {core.cid} holds a dead edge")
             for x in members:
                 deg = st.deg_below(x, j, l)
-                assert KEEP_DIV * deg >= ph.targets[x], \
-                    f"I2 fails for vertex {x} at ({j},{l})"
+                require(KEEP_DIV * deg >= ph.targets[x],
+                        f"I2 fails for vertex {x} at ({j},{l})")
                 if x in ph.uset:
-                    assert st.cores_by_vertex.get(x) is None
-                    assert ph.tree.level_of(x) is not None, \
-                        f"residue vertex {x} unreachable in its tree"
+                    require(st.cores_by_vertex.get(x) is None,
+                            f"residue vertex {x} sits in a core")
+                    require(ph.tree.level_of(x) is not None,
+                            f"residue vertex {x} unreachable in its tree")
                     cands = st.upward(x, j, l)
                     if x in ph.assoc:
-                        assert cands, f"association of {x} has no backing"
+                        require(cands, f"association of {x} has no backing")
                         w = ph.assoc[x]
-                        assert w == min(cands)
-                        assert _ekey(x, w) in st.eid_of
+                        require(w == min(cands), f"association of {x} is "
+                                "not the smallest neighbor")
+                        require(_ekey(x, w) in st.eid_of,
+                                f"association of {x} is dead")
                         jw = st.layer_of(w)
-                        assert jw < j or (jw == j and st.pos[w] < l), \
-                            f"association of {x} does not point upward"
+                        require(jw < j or (jw == j and st.pos[w] < l),
+                                f"association of {x} does not point upward")
                     else:
-                        assert not cands, f"vertex {x} missing an association"
+                        require(not cands,
+                                f"vertex {x} missing an association")
     # memoised forests: pool membership and weights re-derived from scratch
     for t, f in st.forests.items():
         pool = _prefix_edges(st, t)
-        assert set(f._edge) == set(pool.values()), f"forest {t} pool drifted"
+        require(set(f._edge) == set(pool.values()), f"forest {t} pool drifted")
         for key, eid in pool.items():
             uu, vv, w = f.edge_info(eid)
-            assert _ekey(uu, vv) == key
-            assert w == _edge_weight(st, key[0], key[1]), \
-                f"weight of {key} stale in forest {t}"
+            require(_ekey(uu, vv) == key,
+                    f"forest {t} holds {key} under another edge")
+            require(w == _edge_weight(st, key[0], key[1]),
+                    f"weight of {key} stale in forest {t}")
 
 
 # -- serialization --------------------------------------------------------

@@ -28,45 +28,50 @@ states hide heavy components behind supernodes in its tree; it then
 reaches heavy_side only through them (class-edge deletions, supernode
 splices, the audit).
 
-The bare scales of a family share tables and trees.  Scale i's rounded
-table is ceil(factor_i * len) with factor_i = F/2^i, a power of two at
-every scale with 2^i <= F, so those scales that keep the same edges have
-tables that are integer multiples k_i of one base table (a table over
-its gcd).  At the default tau every scale keeps every edge, so all the
-scales up to F share one tree; under an override only those that drop
-the same edges do.  A family builds top-down, and at the default tau
-only the highest scale up to F rounds its table among them: each scale
-D <= F/2 holds exactly twice the table of scale 2D, so it takes that
-scale's base table, discarded set and tree with the multiple doubled,
-and rounds nothing.  Scales above F round by ceil(len / 2^j) and seldom
-share.  A tree over k*base is the tree over base with every level times
-k: it has the same parents, since the parent rule only compares sums of
-lengths, and every deletion hurts the same vertices.  So the bare scales
-group by base table (keys and values), and a group keeps one table of
-base values, one set of discarded pairs and one tree over 4*base, as
-deep as its member with the smallest multiple needs (far_level // k_min).
-Member i's rounded length of e is k_i * length[e]; it reads level lv as
-k_i * lv and commits to v while lv <= cap_i = far_level // k_i.  At unit
-lengths the whole family is one breadth-first tree.  Scales with a class
-state keep their own table and tree (k = 1): their supernode rays weigh
-one at every multiple, and under an override a multiple other than a
-power of two (an odd part in the gcd of the lengths, or a scale above F)
-would move edges between classes.
+A tree over k*base is the tree over base with every level times k: it
+has the same parents, since the parent rule only compares sums of
+lengths, and every deletion hurts the same vertices.  So a bare scale
+keeps a base table, its table over its gcd k: its rounded length of e is
+k * length[e], it reads tree level lv as k * lv, and it commits to v
+while lv <= cap = far_level // k.  At unit lengths a tree is a
+breadth-first tree.
 
-The top level keeps an instance per power-of-two scale and answers v
-from the first scale that commits to it: the lowest one whose tree holds
-v within its cap.  Every scale tree's levels only rise (deletions
-raise them; inserts and attaches refuse to lower one), so a scale that
-is too far for v stays too far, and the first committing scale only
-moves up.  Each vertex keeps a scale pointer that starts at scale 0 and
-steps up past the scales that turned too far; one past the top scale it
-means v is cut off, which also lasts.  Q queries over a run cost at most
-Q + n(imax+1) scale probes, O(1) amortized, where a binary search over
-the scales costs about Q(1 + lg(imax+1)).  With every class light, "too
-far" is also monotone across scales: a path P of level at most
-L = far_level at scale i has level at most L/2 + 4|P| <= L at scale
-i+1, as |P| < n <= L/8 (L >= 8F), so the pointer stops where such a
-search would.
+At the default tau one tree answers every scale up to F: the near tree.
+Let h be the highest scale up to F (2^h <= F, h <= imax).  Scale i <= h
+would hold exactly 2^(h-i) times scale h's table, so its tree would be
+scale h's with multiple k_h * 2^(h-i).  A family builds scale h alone
+and reads the others off its tree: at level lv, scale i commits iff
+k_h * 2^(h-i) * lv <= far_level, so the first committing scale is
+i = h - s with s = min(h, lg(far_level // (k_h * lv))), and none does
+when k_h * lv > far_level.  The answer is scale i's estimate over its
+factor F >> i, and the path is the near tree's walk, the same at every
+one of those scales.
+
+The other scales, those above F and every scale under an override, are
+built one per power of two.  Their bare scales group by base table (keys
+and values): a group keeps one table of base values, one set of
+discarded pairs and one tree over 4*base, as deep as its member with the
+smallest multiple needs (far_level // k_min).  Scales above F round by
+ceil(len / 2^j) and seldom share; the near tree may join a group above F.
+Scales with a class state keep their own table and tree (k = 1): their
+supernode rays weigh one at every multiple, and under an override a
+multiple other than a power of two (an odd part in the gcd of the
+lengths, or a scale above F) would move edges between classes.
+
+A vertex the near tree does not answer (under an override, take h = -1:
+every vertex) is answered by the first scale above h that commits to it:
+the lowest one whose tree holds v within its cap.  Every scale tree's
+levels only rise (deletions raise them; inserts and attaches refuse to
+lower one), so a scale that is too far for v stays too far, and the
+first committing scale only moves up.  Each vertex keeps a scale pointer
+that starts at scale h + 1 and steps up past the scales that turned too
+far; one past the top scale it means v is cut off, which also lasts.  Q
+queries over a run cost at most Q + n(imax - h) scale probes, O(1)
+amortized, where a binary search over the scales costs about
+Q(1 + lg(imax - h)).  With every class light, "too far" is also monotone
+across scales: a path P of level at most L = far_level at scale i has
+level at most L/2 + 4|P| <= L at scale i+1, as |P| < n <= L/8
+(L >= 8F), so the pointer stops where such a search would.
 
 A deletion goes to one scale per distinct tree, the lowest, which pops
 the edge from the table it holds and repairs the tree once; a class
@@ -83,7 +88,7 @@ from typing import Optional
 
 from .es_tree import EsTree
 from .graph_core import (NOT_CONNECTED, DynamicGraph, GraphError,
-                         UnknownEdge, dijkstra, edge_class)
+                         UnknownEdge, dijkstra, edge_class, require)
 
 
 class ScaleMisuse(GraphError):
@@ -99,16 +104,6 @@ class PathAuditFailed(ScaleMisuse):
 class SsspPoisoned(ScaleMisuse):
     """An earlier deletion failed after it had changed the state, which
     can no longer answer honestly; every later call raises this."""
-
-
-class _OverTwoDType:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "OVER_TWO_D"
-
-
-OVER_TWO_D = _OverTwoDType()
 
 
 def _frac(x) -> Fraction:
@@ -249,13 +244,11 @@ class SsspScaleInstance:
     table and a tree; the scales of one SsspState share both.  A scale
     built alone keeps its own heavy sides, table and tree (k = 1).  terms
     is the family's (eps, D', far level) from _family_terms, computed here
-    when not given.  above is the scale 2D of a default-tau family with
-    2D <= F, whose table and tree this scale takes (_build_tree).
-    dist_memo maps each tree level sssp_dist has answered at to that
-    answer."""
+    when not given.  dist_memo maps each tree level sssp_dist has
+    answered at to that answer."""
 
     def __init__(self, g: DynamicGraph, s: int, eps, D, params=None,
-                 edges=None, sides=None, trees=None, terms=None, above=None):
+                 edges=None, sides=None, trees=None, terms=None):
         if terms is None:
             terms = _family_terms(g.n, eps)
         eps, d_new, far = terms
@@ -267,16 +260,10 @@ class SsspScaleInstance:
         self.eps = eps
         self.params = params
         self.n = g.n
-        if above is not None:
-            # D <= F/2 at the default tau: the table of the scale above,
-            # twice over (_build_tree)
-            self.length, self.discarded = above.length, above.discarded
-            self.Dp, self.factor = d_new, Fraction(d_new // D)
-        else:
-            if edges is None:
-                edges = g.edge_list()
-            self.length, self.discarded, self.Dp, self.factor = \
-                _round_table(edges, d_new, D, params.tau is not None)
+        if edges is None:
+            edges = g.edge_list()
+        self.length, self.discarded, self.Dp, self.factor = \
+            _round_table(edges, d_new, D, params.tau is not None)
         self.lam = (4 * self.Dp).bit_length() - 1
         self.far_level = far
         self.sn_serial = 0
@@ -285,28 +272,19 @@ class SsspScaleInstance:
             from . import heavy_side
             self.classes = heavy_side._build_classes(
                 self, {} if sides is None else sides)
-        self._build_tree(trees, above)
+        self._build_tree(trees)
         self.dist_memo: dict = {}
 
     # -- construction ----------------------------------------------------
 
-    def _build_tree(self, trees, above=None):
+    def _build_tree(self, trees):
         """The tree, the multiple k and the cap.  A scale with class
         states builds its own tree over the contracted graph, with k = 1.
-        A default-tau scale D <= F/2 of a family (above given, the scale
-        2D) holds exactly twice the table of the scale above: it takes
-        that scale's base table, discarded set and tree, with k doubled,
-        and rounds nothing.  Any other bare scale of a family (trees
-        given) divides its table by its gcd k and takes the table, the
-        discarded set and the tree of the first owner in trees with that
-        base table and a k at most its own; otherwise it builds a tree
-        over its base table and joins trees as an owner.  An edgeless
-        table has gcd 1, so at the default tau its first scale up to F
-        has k = 1 and each scale below it doubles that."""
-        if above is not None:
-            self.k = k = 2 * above.k
-            self.cap, self.tree = self.far_level // k, above.tree
-            return
+        A bare scale of a family (trees given) divides its table by its
+        gcd k and takes the table, the discarded set and the tree of the
+        first owner in trees with that base table and a k at most its
+        own; otherwise it builds a tree over its base table and joins
+        trees as an owner.  An edgeless table has gcd 1."""
         self.k = k = 1
         if trees is not None and not self.classes:
             self.k = k = gcd(*self.length.values()) or 1
@@ -363,48 +341,33 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
 # -- queries ---------------------------------------------------------------
 
 
-def _est4b(inst: SsspScaleInstance, lv: int) -> int:
-    """4b times the estimate at tree level lv, for eps = a/b: the scaled
-    estimate k*lv/4 + eps*D'/4 as one integer."""
-    return inst.k * lv * inst.eps.denominator + inst.eps.numerator * inst.Dp
+def _estimate(inst: SsspScaleInstance, klv: int, factor: Fraction):
+    """The estimate at scaled level klv = k*lv over factor: for eps = a/b,
+    (klv*b + a*D') / 4b, the scaled estimate klv/4 + eps*D'/4, over
+    factor."""
+    b = inst.eps.denominator
+    return Fraction((klv * b + inst.eps.numerator * inst.Dp)
+                    * factor.denominator, 4 * b * factor.numerator)
 
 
-def _level(inst: SsspScaleInstance, v):
-    """v's tree level if the scale commits to v, else None."""
-    lv = inst.tree.level_of(v)
-    return lv if lv is not None and lv <= inst.cap else None
+def _near_scale(near: SsspScaleInstance, h: int, lv: int) -> int:
+    """The first scale to commit to a vertex at level lv <= near.cap of
+    the near tree, scale h: scale i <= h commits iff
+    k_h * 2^(h-i) * lv <= far_level."""
+    return h - min(h, (near.far_level // (near.k * lv)).bit_length() - 1)
 
 
-def sssp_dist_query(inst: SsspScaleInstance, v):
-    """One level plus the eps*D/4 pad, in scaled units.
-
-    Callers divide by inst.factor for original lengths.  The sentinel
-    answer is only given when the true distance exceeds twice the scale.
-    """
-    lv = _level(inst, int(v))
-    if lv is None:
-        return OVER_TWO_D
-    return Fraction(_est4b(inst, lv), 4 * inst.eps.denominator)
-
-
-def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
+def sssp_path_query(inst: SsspScaleInstance, v, lv):
     """Tree path with every supernode hop spliced back into class edges.
 
-    lv is v's tree level when the caller has just read it within the
-    cap.  One walk along the tree path assembles the answer and audits
-    it: the class state splices a supernode hop and audits the splice
-    (ClassState.splice), no edge may repeat, and every edge must be live
-    at this scale.  On a scale without class states the summed length, k
-    times the summed base lengths, must also stay within the tree's
-    length to v, k*lv/4, and so within the estimate."""
-    v = int(v)
-    if lv is None:
-        lv = _level(inst, v)
-        if lv is None:
-            return OVER_TWO_D
-    if v == inst.s:
-        return []
-    walk = inst.tree.es_walk(v)
+    lv is v's tree level, which the caller has just read within the cap,
+    and v is not the source.  One walk along the tree path assembles the
+    answer and audits it: the class state splices a supernode hop and
+    audits the splice (ClassState.splice), no edge may repeat, and every
+    edge must be live at this scale.  On a scale without class states the
+    summed length, k times the summed base lengths, must also stay within
+    the tree's length to v, k*lv/4, and so within the estimate."""
+    walk = inst.tree.es_walk(int(v))
     length = inst.length
     a = walk[0]
     out = [a]
@@ -443,30 +406,37 @@ def sssp_path_query(inst: SsspScaleInstance, v, lv=None):
 # -- audits ----------------------------------------------------------------
 
 
-def check_scale_invariants(inst: SsspScaleInstance, top=None):
-    """Assert inst's invariants.  top is its family's top scale, if any:
-    a default-tau scale keeps every live edge, so its table's keys equal
-    top's, and it discards nothing."""
+def check_scale_invariants(inst: SsspScaleInstance, top=None, h=None):
+    """Raise InvariantBroken where inst breaks an invariant.  top is its
+    family's top scale, if any: a default-tau scale keeps every live
+    edge, so its table's keys equal top's, and it discards nothing.  h is
+    given when inst is its family's near tree, scale h: its factor is then
+    the integer F >> h, so scale i <= h holds k_h * 2^(h-i) times its
+    table, and for each vertex within the cap _near_scale names the least
+    such scale that commits."""
     n = inst.n
-    assert inst.lam == (4 * inst.Dp).bit_length() - 1
-    assert inst.far_level == far_level(n, inst.eps)
+    require(inst.lam == (4 * inst.Dp).bit_length() - 1, "lam drifted")
+    require(inst.far_level == far_level(n, inst.eps), "far level drifted")
     # the tree stops where the deepest member's answers stop: _locate
     # reads an absent vertex's level, the depth + 1, as too far
-    k, cap = inst.k, inst.cap
-    assert inst.tree.depth >= cap == inst.far_level // k
-    assert inst.length.keys().isdisjoint(inst.discarded)
+    k, cap, far = inst.k, inst.cap, inst.far_level
+    require(inst.tree.depth >= cap == far // k,
+            f"cap {cap} is not far_level // {k} or is past the tree")
+    require(inst.length.keys().isdisjoint(inst.discarded),
+            "a pair both kept and discarded")
     bounded = inst.params.tau is not None
     if not bounded:
-        assert not inst.discarded
-        assert top is None or inst.length.keys() == top.length.keys()
+        require(not inst.discarded, "a default-tau scale discarded a pair")
+        require(top is None or inst.length.keys() == top.length.keys(),
+                "a default-tau scale lost a live edge")
     per: dict = {}
     for (a, b), lp in inst.length.items():
-        assert a < b and lp >= 1
+        require(a < b and lp >= 1, f"bad table entry {(a, b)}: {lp}")
         if bounded:
             # the paper's range, which bounds the length classes
-            assert k * lp <= 2 * inst.Dp
+            require(k * lp <= 2 * inst.Dp, f"{(a, b)} over 2D'")
             i = edge_class(k * lp)
-            assert i < inst.lam
+            require(i < inst.lam, f"{(a, b)} in class {i} >= lam")
             per.setdefault(i, set()).add((a, b))
     for i, cs in inst.classes.items():
         cs.check_scale(inst, per.get(i, set()))
@@ -479,39 +449,52 @@ def check_scale_invariants(inst: SsspScaleInstance, top=None):
     for v in set(range(n)).union(*(e[:2] for e in hat)):
         lv = inst.tree.level_of(v)
         dv = dist.get(v)
-        if dv is not None and dv <= inst.far_level:
-            assert lv is not None and lv * k == dv, f"tree level off at {v!r}"
+        if dv is not None and dv <= far:
+            require(lv is not None and lv * k == dv,
+                    f"tree level off at {v!r}")
         else:
-            assert lv is None or lv > cap, f"{v!r} should sit past the cap"
+            require(lv is None or lv > cap, f"{v!r} should sit past the cap")
     tree_deg = sum(len(inst.tree.incident(x)) for x in inst.tree.vertices())
-    assert tree_deg == 2 * len(hat), "stray edges inside the tree"
+    require(tree_deg == 2 * len(hat), "stray edges inside the tree")
     # dominance: contraction never stretches a scaled distance
     gdist = dijkstra(inst.s, [(a, b, k * lp) for (a, b), lp
                               in inst.length.items()])
     for v in range(n):
         if v in gdist:
-            assert Fraction(dist[v], 4) <= gdist[v], f"dominance lost at {v}"
+            require(Fraction(dist[v], 4) <= gdist[v],
+                    f"dominance lost at {v}")
+    if h is None:
+        return
+    require(1 << h <= inst.Dp and inst.factor == inst.Dp >> h,
+            f"near tree at scale {h} is not exact")
+    for v in range(n):
+        lv = inst.tree.level_of(v)
+        if v != inst.s and lv is not None and lv <= cap:
+            i = _near_scale(inst, h, lv)
+            require(0 <= i <= h and (k << (h - i)) * lv <= far
+                    and (i == 0 or (k << (h - i + 1)) * lv > far),
+                    f"scale {i} is not the first to commit to {v}")
 
 
-# -- one instance per scale ------------------------------------------------
+# -- the family --------------------------------------------------------------
 
 
 class SsspState:
-    """Scale family for one source: instances at D = 2^i, and scale_ptr,
-    one int per vertex at or below the first scale that commits to it
-    (imax + 1 once the vertex is cut off).  Levels only rise, so the
-    pointer only moves up; _locate moves it.
+    """Scale family for one source: near, the near tree that answers
+    every scale up to F at the default tau (None under an override), h,
+    its scale (-1 under an override), scales, the instances at D = 2^i
+    for h <= i <= imax (every i under an override), and scale_ptr, one
+    int per vertex at or below the first scale above h that commits to
+    it (imax + 1 once the vertex is cut off).  Levels only rise, so the
+    pointer only moves up; _locate moves it.  The near tree answers the
+    vertices within its cap, and the pointer matters only for the rest.
 
     The bare scales share tables and trees by group: the scales over the
     same edges whose tables are multiples of one base table.  Their trees
     would differ only by that multiple in every level, so the group keeps
     the base table and the tree of its smallest multiple, and each member
-    scales its lengths, its levels and its cap.  At the default tau every
-    scale keeps every edge, so the scales up to F form one group, whose
-    exact tree answers each of them within (1 + eps/4)d.  The highest of
-    them rounds its table and looks for its group (it may join one above
-    F); each scale below it takes the table and tree of the scale above
-    with k doubled, and rounds nothing.  Scales with class states keep
+    scales its lengths, its levels and its cap.  The scales are built top
+    down, so that member comes first.  Scales with class states keep
     their own, since their supernode rays do not scale with the table.
     per_tree lists one scale per distinct tree, in scale order: the
     scales a deletion goes to."""
@@ -528,31 +511,22 @@ class SsspState:
         top = max(1, g.n * lmax)  # above every finite distance
         self.imax = max(0, (top - 1).bit_length())
         self.poisoned = None  # the error that left a deletion half-applied
+        exact = self.params.tau is None
+        self.h = h = min(terms[1].bit_length() - 1, self.imax) if exact \
+            else -1
         sides: dict = {}  # (class edge tuple, tau) -> heavy side or None
         trees: list = []  # the bare scales that own a table and a tree
-        # top scale first: a group's multiples only shrink as i grows, so
-        # the member with the smallest multiple, whose tree is shared,
-        # comes first
-        exact = self.params.tau is None
-        built = {}
-        for i in range(self.imax, -1, -1):
-            if exact and i < self.imax and 2 ** (i + 1) <= terms[1]:
-                # scale 2^(i+1) <= F keeps every edge at exactly
-                # (F >> (i+1)) times its length: half of this scale's
-                built[i] = SsspScaleInstance(g, s, eps, 2 ** i,
-                                             params=self.params, terms=terms,
-                                             above=built[i + 1])
-                continue
-            built[i] = sssp_scale_build(g, s, eps, 2 ** i,
-                                        params=self.params, edges=edges,
-                                        sides=sides, trees=trees,
-                                        terms=terms)
-        self.scales = {i: built[i] for i in range(self.imax + 1)}
+        built = {i: sssp_scale_build(g, s, eps, 2 ** i, params=self.params,
+                                     edges=edges, sides=sides, trees=trees,
+                                     terms=terms)
+                 for i in range(self.imax, max(h, 0) - 1, -1)}
+        self.scales = dict(reversed(built.items()))
+        self.near = built[h] if exact else None
         heads: dict = {}
         for inst in self.scales.values():
             heads.setdefault(id(inst.tree), inst)
         self.per_tree = list(heads.values())
-        self.scale_ptr = [0] * g.n
+        self.scale_ptr = [h + 1] * g.n
 
 
 def sssp_build_all(g: DynamicGraph, s: int, eps,
@@ -588,15 +562,15 @@ def sssp_delete(sp: SsspState, u: int, v: int) -> None:
 
 
 def _locate(sp, v):
-    """(first scale that commits to an answer for v, v's tree level
-    there), or (None, None).
+    """(first scale above h that commits to an answer for v, v's tree
+    level there), or (None, None).
 
     Starts at v's scale pointer and steps up while v's tree level is over
     the scale's cap (an absent vertex reads the tree's depth + 1, which
     is over every cap), then stores where it stopped.  A scale passed
     over stays too far, as tree levels only rise, so the stop is the
     first committing scale; one probe per query plus one per step, and
-    at most imax + 1 steps per vertex over a run."""
+    at most imax - h steps per vertex over a run."""
     i = sp.scale_ptr[v]
     top = sp.imax
     scales = sp.scales
@@ -623,30 +597,47 @@ _ZERO = Fraction(0)
 def sssp_dist(sp: SsspState, v):
     """v's estimate: the scaled estimate at its level lv over the factor
     of the first scale that commits to v.  Fractions are immutable, so
-    each scale hands out one per level from its dist_memo instead of
-    building it per query."""
+    the near tree and each scale above it hand out one per level from a
+    dist_memo instead of building it per query.  The near tree's memo
+    holds only levels within its cap."""
     v = int(v)
     _check_query(sp, v)
     if v == sp.s:
         return _ZERO
+    near = sp.near
+    if near is not None:
+        lv = near.tree.level[v]
+        ans = near.dist_memo.get(lv)
+        if ans is not None:
+            return ans
+        if lv <= near.cap:
+            # scale h - s holds 2^s times the near table, factor 2^s times
+            s = sp.h - _near_scale(near, sp.h, lv)
+            ans = near.dist_memo[lv] = _estimate(
+                near, near.k * lv << s, near.factor * (1 << s))
+            return ans
     i, lv = _locate(sp, v)
     if i is None:
         return NOT_CONNECTED
     inst = sp.scales[i]
     ans = inst.dist_memo.get(lv)
     if ans is None:
-        f = inst.factor
-        ans = inst.dist_memo[lv] = Fraction(
-            _est4b(inst, lv) * f.denominator,
-            4 * inst.eps.denominator * f.numerator)
+        ans = inst.dist_memo[lv] = _estimate(inst, inst.k * lv, inst.factor)
     return ans
 
 
 def sssp_path(sp: SsspState, v):
+    """v's path: the tree path of the first scale that commits to v.
+    Every scale up to F walks the near tree."""
     v = int(v)
     _check_query(sp, v)
     if v == sp.s:
         return []
+    near = sp.near
+    if near is not None:
+        lv = near.tree.level[v]
+        if lv <= near.cap:
+            return sssp_path_query(near, v, lv)
     i, lv = _locate(sp, v)
     if i is None:
         return NOT_CONNECTED

@@ -22,7 +22,8 @@ so the move order is pinned on an input far larger than the LCD
 teardowns.
 
 The probe guard counts how often the queries read the scale table, so a
-per-query search over the scales fails without a timer.
+per-query search over the scales fails without a timer, and so does a
+query the near tree answers that reads the table at all.
 
 The work pins count EsTree.work, the rows an ES tree scans, over a build
 and a full teardown.  They hold the repair cost still without a timer: a
@@ -308,36 +309,54 @@ class CountingScales(dict):
         return super().__getitem__(key)
 
 
-def test_sssp_queries_probe_amortized_o1():
-    """The digest teardown's queries read the scale table at most twice
-    per non-source query (one probe and one fetch) plus one pointer step
-    per vertex and scale over the whole run.  The bound is checked after
-    every round of queries, so a search that pays per query fails by the
-    second round, long before the cut-off vertices would hide its cost."""
-    n = 10
-    edges = orc.gen_gnp_connected(n, 0.3, seed=3, weights=(1, 5))
-    order = [(u, v) for u, v, _ in edges]
-    random.Random(3).shuffle(order)
-    sp = sssp_build_all(DynamicGraph.from_edges(n, edges), S, EPS)
+def probe_rounds(n, edges, order, params=None):
+    """Yield (scale table reads, queries, queries the near tree did not
+    answer, sp) so far, after a round of sssp_dist and sssp_path over
+    every vertex following the build and each deletion in order."""
+    sp = sssp_build_all(DynamicGraph.from_edges(n, edges), S, EPS, params)
     sp.scales = scales = CountingScales(sp.scales)
-    steps = n * (sp.imax + 1)
-    queries = 0
-
-    def answers():
-        nonlocal queries
+    queries = far = 0
+    for step in [None] + order:
+        if step is not None:
+            sssp_delete(sp, *step)
+        near = sp.near
         scales.on = True
         for v in range(n):
             sssp_dist(sp, v)
             sssp_path(sp, v)
         scales.on = False
-        queries += 2 * (n - 1)
-        return scales.reads <= 2 * queries + steps
+        for v in range(n):
+            if v != S:
+                queries += 2
+                lv = None if near is None else near.tree.level_of(v)
+                far += 2 * (lv is None or lv > near.cap)
+        yield scales.reads, queries, far, sp
 
-    assert answers()
-    for u, v in order:
-        sssp_delete(sp, u, v)
-        assert answers(), (u, v, scales.reads, 2 * queries + steps)
-    assert queries == 288 and steps == 70
+
+def test_sssp_queries_probe_amortized_o1():
+    """The digest teardown's queries, every one answered by the near tree
+    or cut off with no scale above it, read the scale table 0 times.
+    With scales above F (lengths 1..1000) and under tau={0: 2}, where
+    every scale answers through the pointers, the queries read it at most
+    twice per non-source query (one probe and one fetch) plus one pointer
+    step per vertex and scale over the whole run; the near tree's queries
+    do not count against that.  The bound is checked after every round of
+    queries, so a search that pays per query fails by the second round,
+    long before the cut-off vertices would hide its cost."""
+    edges = orc.gen_gnp_connected(10, 0.3, seed=3, weights=(1, 5))
+    order = [(u, v) for u, v, _ in edges]
+    random.Random(3).shuffle(order)
+    for reads, queries, far, sp in probe_rounds(10, edges, order):
+        assert sp.h == sp.imax and reads == 0, (reads, far)
+    assert queries == 288
+    wide = orc.gen_gnp_connected(12, 0.4, seed=2, weights=(1, 1000))
+    for n, edges, params in [(12, wide, None), (12, GNP_12, HEAVY)]:
+        for reads, queries, far, sp in probe_rounds(
+                n, edges, shuffled(edges, 2), params):
+            steps = n * (sp.imax - sp.h)
+            assert reads <= 2 * far + steps, (reads, 2 * far + steps)
+        assert far < queries if params is None else far == queries
+        assert (sp.h, steps) == ((7, 84) if params is None else (-1, 84))
 
 
 def test_sssp_heavy_class_digest():

@@ -12,7 +12,8 @@ import oracles as orc
 from corepath import expander_oracle as xo
 from corepath import expander_tools as xt
 from corepath import lcd
-from corepath.graph_core import DynamicGraph, GraphView, UnknownEdge
+from corepath.graph_core import (DynamicGraph, GraphView, InvariantBroken,
+                                 UnknownEdge)
 from corepath.expander_tools import ExpanderParams
 from corepath.lcd import (
     NOT_CONNECTED,
@@ -632,7 +633,7 @@ class TestAuditCatchesDrift:
 
     def test_bumped_position(self, st):
         st.pos[0] += 1
-        with pytest.raises(AssertionError, match="containers disagree"):
+        with pytest.raises(InvariantBroken, match="containers disagree"):
             check_invariants(st)
 
     def test_uplink_to_another_neighbour(self, st):
@@ -641,7 +642,7 @@ class TestAuditCatchesDrift:
                         if w != sub.buf_up[12])
         assert others
         sub.buf_up[12] = others[0]
-        with pytest.raises(AssertionError, match="not the smallest"):
+        with pytest.raises(InvariantBroken, match="not the smallest"):
             check_invariants(st)
 
     def test_reweighted_forest_edge(self, st):
@@ -649,7 +650,7 @@ class TestAuditCatchesDrift:
         f = st.forests[st.r]
         eid = min(orc.forest_ids(f))
         f.msf_reweight(eid, f.edge_info(eid)[2] + 1)
-        with pytest.raises(AssertionError, match="stale in forest"):
+        with pytest.raises(InvariantBroken, match="stale in forest"):
             check_invariants(st)
 
 

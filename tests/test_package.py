@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import corepath
@@ -11,29 +14,22 @@ def test_star_import_binds_every_listed_module():
 
 
 def _bare_asserts(tree: ast.AST, where: str) -> list:
-    """assert statements and raised AssertionErrors outside check* functions."""
+    """assert statements and raised AssertionErrors."""
     out = []
-
-    def visit(node, in_check):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            in_check = in_check or node.name.startswith("check")
-        if not in_check:
-            if isinstance(node, ast.Assert):
-                out.append(f"{where}:{node.lineno} assert")
-            elif isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
-                    out.append(f"{where}:{node.lineno} raise AssertionError")
-        for child in ast.iter_child_nodes(node):
-            visit(child, in_check)
-
-    visit(tree, False)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            out.append(f"{where}:{node.lineno} assert")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                out.append(f"{where}:{node.lineno} raise AssertionError")
     return out
 
 
 def test_guards_raise_named_errors():
     # python -O strips assert statements, so a guard that protects an
-    # answer raises a named error; only the check* audits may assert
+    # answer raises a named error, and so do the check* audits
+    # (graph_core.require raises InvariantBroken)
     src = Path(corepath.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -81,3 +77,20 @@ def test_no_module_draws_random_numbers():
                  and any(isinstance(a, ast.arg) and a.arg == "rng"
                          for a in ast.walk(node.args))]
     assert takes_rng == []
+
+
+def test_audits_raise_under_python_O():
+    """The drift tests of the LCD and near-tree audits pass under python
+    -O, which strips assert statements: the audits raise InvariantBroken
+    through graph_core.require instead."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_lcd.py") + "::TestAuditCatchesDrift",
+         str(tests / "test_sssp.py") + "::TestNearTreeDrift"],
+        env=env, cwd=tests.parent, capture_output=True, text=True,
+        timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "6 passed" in run.stdout, run.stdout

@@ -13,7 +13,8 @@ import oracles as orc
 from corepath import expander_tools as xt
 from corepath import heavy_side, lcd, sssp
 from corepath.dynamic_forest import ConnSF
-from corepath.graph_core import DynamicGraph, UnknownEdge, edge_class
+from corepath.graph_core import (DynamicGraph, InvariantBroken, UnknownEdge,
+                                 edge_class)
 from corepath.heavy_side import SideOutOfSync, q_for
 from corepath.lcd import (NOT_CONNECTED, LcdError, LcdParams, lcd_build,
                           lcd_delete_edge, short_path_quality)
@@ -28,7 +29,6 @@ from corepath.sssp import (
     sssp_build_all,
     sssp_delete,
     sssp_dist,
-    sssp_dist_query,
     sssp_path,
     sssp_path_query,
     sssp_scale_build,
@@ -55,22 +55,76 @@ def build(n, edges, params=None, eps=EPS):
     return sssp_build_all(DynamicGraph.from_edges(n, edges), S, eps, params)
 
 
+def scale_view(sp, i):
+    """Scale i of sp as (the instance whose table and tree it reads, its
+    multiple, its cap).  A default-tau scale below the near tree, scale
+    h, reads the near tree with its multiple doubled per scale down."""
+    if i in sp.scales:
+        inst = sp.scales[i]
+        return inst, inst.k, inst.cap
+    k = sp.near.k << (sp.h - i)
+    return sp.near, k, sp.near.far_level // k
+
+
 def first_committing_scale(sp, v):
     """The lowest scale whose tree holds v within its cap, or None, by
     looking at every scale."""
     for i in range(sp.imax + 1):
-        inst = sp.scales[i]
+        inst, _, cap = scale_view(sp, i)
         lv = inst.tree.level_of(v)
-        if lv is not None and lv <= inst.cap:
+        if lv is not None and lv <= cap:
             return i
     return None
 
 
+def scale_answer(view, i, v):
+    """Scale i's own answer for v, read through view = (instance, its
+    multiple, its cap) as scale_view gives it: (its estimate over its
+    factor F/2^i, its tree path), or None where it does not commit."""
+    inst, k, cap = view
+    lv = inst.tree.level_of(v)
+    if lv is None or lv > cap:
+        return None
+    est = (Fraction(k * lv, 4) + inst.eps * inst.Dp / 4) * 2 ** i / inst.Dp
+    return est, [] if v == inst.s else sssp_path_query(inst, v, lv)
+
+
+def own_view(inst):
+    return inst, inst.k, inst.cap
+
+
+def answering_scale(sp, v):
+    """The scale sssp_dist and sssp_path answer a vertex other than the
+    source from: the near tree's formula within its cap, else the scale
+    pointer's walk over the scales above it."""
+    near = sp.near
+    if near is not None:
+        lv = near.tree.level_of(v)
+        if lv is not None and lv <= near.cap:
+            return sssp._near_scale(near, sp.h, lv)
+    return sssp._locate(sp, v)[0]
+
+
+def answering_instance(sp, v):
+    """The instance whose tree answers v: the near tree for every scale
+    up to F."""
+    return scale_view(sp, answering_scale(sp, v))[0]
+
+
+def check_family(sp):
+    """Every scale's invariants, the near tree's in its near form.  The
+    top scale keeps every live edge, so sssp_delete validates there."""
+    top = sp.scales[sp.imax]
+    assert not top.discarded
+    for inst in sp.scales.values():
+        check_scale_invariants(inst, top, sp.h if inst is sp.near else None)
+
+
 def audit(sp, n, live, eps=EPS, ptr=None):
-    """Every answer against exact Dijkstra, then the scale located for
-    every vertex against a scan of all scales and every scale's
-    invariants.  ptr is the scale pointers after the previous audit of sp,
-    which none may have passed; returns them as they are now."""
+    """Every answer against exact Dijkstra, then every scale's invariants
+    and the scale answering every vertex against a scan of all scales.
+    ptr is the scale pointers after the previous audit of sp, which none
+    may have passed; returns them as they are now."""
     dist = orc.dijkstra(n, live, S)
     for v in range(n):
         est, path = sssp_dist(sp, v), sssp_path(sp, v)
@@ -81,22 +135,42 @@ def audit(sp, n, live, eps=EPS, ptr=None):
         if v == S:
             assert path == []
             continue
-        # the integer answer is the located scale's estimate over factor
-        inst = sp.scales[sssp._locate(sp, v)[0]]
-        assert est == sssp_dist_query(inst, v) / inst.factor
         assert path[0] == S and path[-1] == v
         assert orc.path_length(live, path) <= est, (v, path, est)
-    # the top scale keeps every live edge, so sssp_delete validates there
-    top = sp.scales[sp.imax]
-    assert not top.discarded
-    for inst in sp.scales.values():
-        check_scale_invariants(inst, top)
+    check_family(sp)
     for v in range(n):
-        assert sssp._locate(sp, v)[0] == first_committing_scale(sp, v), v
+        if v != S:
+            assert answering_scale(sp, v) == first_committing_scale(sp, v), v
     now = list(sp.scale_ptr)
     if ptr is not None:
         assert all(a >= b for a, b in zip(now, ptr)), (ptr, now)
     return now
+
+
+class ReferenceFamily:
+    """The per-scale family the near tree replaced: every scale 0..imax
+    built alone over its own table and tree (k = 1), answering v from the
+    first scale that commits to it, found by scanning all of them."""
+
+    def __init__(self, n, edges, params=None, eps=EPS):
+        g = DynamicGraph.from_edges(n, edges)
+        top = max(1, n * max([ln for _, _, ln in edges] or [1]))
+        self.scales = [sssp_scale_build(g, S, eps, 2 ** i, params)
+                       for i in range((top - 1).bit_length() + 1)]
+
+    def answer(self, v):
+        """(dist, path) for v, as sssp_dist and sssp_path give them."""
+        if v == S:
+            return Fraction(0), []
+        for i, inst in enumerate(self.scales):
+            got = scale_answer(own_view(inst), i, v)
+            if got is not None:
+                return got
+        return NOT_CONNECTED, NOT_CONNECTED
+
+    def delete(self, u, v):
+        for inst in self.scales:
+            sssp_scale_delete(inst, (u, v))
 
 
 def teardown(n, edges, order, params=None, eps=EPS, each=None):
@@ -417,7 +491,7 @@ def path_guard_fires(params=None):
     sp = build(10, GNP_10, params)
     v = max(range(10), key=lambda x: len(sssp_path(sp, x)))
     path = sssp_path(sp, v)
-    inst = sp.scales[sssp._locate(sp, v)[0]]
+    inst = answering_instance(sp, v)
     key = (min(path[:2]), max(path[:2]))
     inst.length[key] += inst.far_level + inst.Dp
     try:
@@ -454,10 +528,42 @@ class TestPathGuard:
     def test_path_edge_missing_from_the_table_raises(self):
         sp = build(10, GNP_10)
         path = sssp_path(sp, 9)
-        inst = sp.scales[sssp._locate(sp, 9)[0]]
+        inst = answering_instance(sp, 9)
         del inst.length[(min(path[-2:]), max(path[-2:]))]
         with pytest.raises(PathAuditFailed, match="not live"):
             sssp_path(sp, 9)
+
+
+class TestNearTreeDrift:
+    """check_scale_invariants notices a near tree whose level or table
+    drifted, or that claims the wrong scale, and raises InvariantBroken,
+    which python -O keeps."""
+
+    @pytest.fixture
+    def sp(self):
+        sp = build(10, GNP_10)
+        check_family(sp)
+        return sp
+
+    def test_raised_level(self, sp):
+        near = sp.near
+        v = max(range(10), key=near.tree.level_of)
+        near.tree.level[v] += 4
+        with pytest.raises(InvariantBroken, match=f"tree level off at {v}"):
+            check_scale_invariants(near, None, sp.h)
+
+    def test_raised_table_entry(self, sp):
+        """The first edge of the deepest vertex's path grows by the far
+        level, so the tree no longer matches the table."""
+        path = sssp_path(sp, max(range(10), key=sp.near.tree.level_of))
+        sp.near.length[(min(path[:2]), max(path[:2]))] += sp.near.far_level
+        with pytest.raises(InvariantBroken, match="tree level off"):
+            check_scale_invariants(sp.near, None, sp.h)
+
+    def test_wrong_scale(self, sp):
+        """Read as scale h - 1, the near tree's factor F >> h is off."""
+        with pytest.raises(InvariantBroken, match="not exact"):
+            check_scale_invariants(sp.near, None, sp.h - 1)
 
 
 def loaded_modules(params_src: str) -> list:
@@ -639,6 +745,68 @@ class TestAdaptive:
         assert len(order) == len(BRIDGED_TRIANGLE)
 
 
+class TestReferenceFamily:
+    """Every sssp_dist and sssp_path answer, from the near tree or a scale
+    above it, is the reference family's, to the repr, after the build and
+    after every deletion.  Lengths 1..1000 put scales above F."""
+
+    @staticmethod
+    def same_answers(n, edges, order, params=None, eps=EPS):
+        sp = build(n, edges, params, eps)
+        ref = ReferenceFamily(n, edges, params, eps)
+        assert len(ref.scales) == sp.imax + 1
+
+        def check():
+            for v in range(n):
+                got = (sssp_dist(sp, v), sssp_path(sp, v))
+                assert repr(got) == repr(ref.answer(v)), v
+
+        check()
+        for u, v in order:
+            sssp_delete(sp, u, v)
+            ref.delete(u, v)
+            check()
+        return sp
+
+    @pytest.mark.parametrize("top", [5, 1000])
+    @pytest.mark.parametrize("seed,n", [(3, 10), (5, 16)])
+    def test_random_teardown(self, seed, n, top):
+        edges = orc.gen_gnp_connected(n, 0.3, seed=seed, weights=(1, top))
+        sp = self.same_answers(n, edges, shuffled(edges, seed))
+        assert (sp.h < sp.imax) == (top == 1000)
+
+    @pytest.mark.parametrize("top", [5, 1000])
+    @pytest.mark.parametrize("eps", OTHER_EPS)
+    @pytest.mark.parametrize("seed,n,m", OTHER_EPS_GNM)
+    def test_other_eps(self, seed, n, m, eps, top):
+        edges = gnm(n, m, seed, top=top)
+        self.same_answers(n, edges, shuffled(edges, seed), eps=eps)
+
+    @pytest.mark.parametrize("top", [5, 1000])
+    def test_adaptive(self, top):
+        edges = orc.gen_gnp_connected(12, 0.4, seed=2, weights=(1, top))
+        self.same_answers(12, edges, adaptive_teardown(12, edges, None, 2))
+
+    def test_vertex_at_the_near_cap(self):
+        """Vertex 1 sits exactly at the near tree's cap (n = 4, eps = 1/2:
+        F = 32, h = 5, far level 368 = 4 * 92), so the near tree answers
+        it along the shortest path 0-2-1.  Scale 64, the first above F,
+        rounds 0-3-1 (length 93) to the same level and lists it first, so
+        it would answer along that path."""
+        edges = [(0, 3, 46), (3, 1, 47), (0, 2, 45), (2, 1, 47)]
+        sp = self.same_answers(4, edges, [])
+        assert (sp.h, sp.imax) == (5, 8)
+        assert sp.near.tree.level_of(1) == sp.near.cap == 368
+        assert sssp_path(sp, 1) == [0, 2, 1]
+        assert sssp_path_query(sp.scales[6], 1, sp.scales[6].tree.level[1]) \
+            == [0, 3, 1]
+
+    def test_override(self):
+        """Under an override every scale is built; its shared trees and
+        heavy sides answer as the scales built alone do."""
+        self.same_answers(12, GNP_12, shuffled(GNP_12, 5), LOW_TAU)
+
+
 GNP_12 = orc.gen_gnp_connected(12, 0.5, seed=1, weights=(1, 5))
 GNP_16 = orc.gen_gnp_connected(16, 0.4, seed=2, weights=(1, 5))
 
@@ -709,10 +877,8 @@ class TestSharedDecompositions:
         def same_answers():
             for i, inst in alone.items():
                 for v in range(n):
-                    assert sssp_dist_query(sp.scales[i], v) == \
-                        sssp_dist_query(inst, v), (i, v)
-                    assert sssp_path_query(sp.scales[i], v) == \
-                        sssp_path_query(inst, v), (i, v)
+                    assert scale_answer(scale_view(sp, i), i, v) == \
+                        scale_answer(own_view(inst), i, v), (i, v)
 
         same_answers()
         for u, v in shuffled(edges, 5):
@@ -811,15 +977,17 @@ def trees_of(sp):
 class TestSharedTrees:
     """The bare scales of a family whose tables are multiples of one base
     table share one tree, and each deletion repairs it once.  At the
-    default tau every scale keeps every edge; BARE_TAU keeps the paper's
-    discards with no class state, so its scales group by kept edges."""
+    default tau every scale keeps every edge, and the scales up to F read
+    the near tree; BARE_TAU keeps the paper's discards with no class
+    state, so its scales group by kept edges.  counts is (instances
+    built, trees)."""
 
     @pytest.mark.parametrize("n,edges,order,params,counts", [
         # every edge at the source, which finally cuts everything off
         (200, UNIT_200, shuffled([e for e in UNIT_200 if S in e[:2]], 1),
-         None, (9, 1)),
-        (24, GNM_24, shuffled(GNM_24, 2), None, (8, 1)),
-        (24, SPREAD_24, shuffled(SPREAD_24, 3), None, (16, 7)),
+         None, (1, 1)),
+        (24, GNM_24, shuffled(GNM_24, 2), None, (1, 1)),
+        (24, SPREAD_24, shuffled(SPREAD_24, 3), None, (7, 7)),
         (24, GNM_24, shuffled(GNM_24, 2), BARE_TAU, (8, 3)),
         (24, SPREAD_24, shuffled(SPREAD_24, 3), BARE_TAU, (16, 16)),
     ], ids=["unit", "lengths-1-5", "lengths-1-1000",
@@ -828,28 +996,27 @@ class TestSharedTrees:
                                                     params, counts):
         """Every scale, built alone over its own table, has the grouped
         scale's tree levels times its multiple, and the same dist and path
-        answers, after every deletion."""
+        answers, after every deletion; a default-tau scale below the near
+        tree reads the near tree's levels."""
         g = DynamicGraph.from_edges(n, edges)
         sp = sssp_build_all(g, S, QUARTER, params)
         alone = {i: sssp_scale_build(g, S, QUARTER, 2 ** i, params)
-                 for i in sp.scales}
+                 for i in range(sp.imax + 1)}
         assert (len(sp.scales), len(trees_of(sp))) == counts
 
         def same_answers():
             for i, inst in alone.items():
-                mine = sp.scales[i]
+                mine, k, cap = view = scale_view(sp, i)
                 assert (inst.k, inst.cap) == (1, inst.far_level)
                 for v in range(n):
                     want = inst.tree.level_of(v)
                     lv = mine.tree.level_of(v)
                     if want is None:
-                        assert lv is None or lv > mine.cap, (i, v)
+                        assert lv is None or lv > cap, (i, v)
                     else:
-                        assert lv * mine.k == want, (i, v)
-                    assert sssp_dist_query(mine, v) == \
-                        sssp_dist_query(inst, v), (i, v)
-                    assert sssp_path_query(mine, v) == \
-                        sssp_path_query(inst, v), (i, v)
+                        assert lv * k == want, (i, v)
+                    assert scale_answer(view, i, v) == \
+                        scale_answer(own_view(inst), i, v), (i, v)
 
         same_answers()
         for u, v in order:
@@ -913,7 +1080,8 @@ class TestPowerOfTwoRange:
     """Every scale rounds by F/D, F the least power of two at least
     4n/eps, so a scale D <= F has a power-of-two factor, and the bare
     scales among those that keep the same edges share one tree: at the
-    default tau, which keeps every edge at every scale, all of them."""
+    default tau, which keeps every edge at every scale, all of them read
+    the near tree, scale h, the only one of them built."""
 
     # seeded G(n, m) families whose 4n/eps has an odd part (6n at eps
     # 2/3), with their number of distinct trees
@@ -926,15 +1094,12 @@ class TestPowerOfTwoRange:
     def test_scales_up_to_F_share_trees(self, n, m, top, eps, trees):
         sp = build(n, gnm(n, m, 1, top=top), eps=eps)
         assert len(trees_of(sp)) == trees
-        F = sp.scales[0].Dp
-        held = {}  # kept edges -> the trees of the scales up to F keeping them
-        for i, inst in sp.scales.items():
-            if 2 ** i > F:
-                continue
-            f = inst.factor
-            assert f.denominator == 1 and f.numerator == F >> i, (i, f)
-            held.setdefault(frozenset(inst.length), set()).add(id(inst.tree))
-        assert len(held) == 1 and all(len(ids) == 1 for ids in held.values())
+        F, h = sp.near.Dp, sp.h
+        assert h == min(F.bit_length() - 1, sp.imax)
+        assert list(sp.scales) == list(range(h, sp.imax + 1))
+        assert sp.scales[h] is sp.near
+        f = sp.near.factor
+        assert f.denominator == 1 and f.numerator == F >> h, f
 
     @pytest.mark.parametrize("seed,n,m,top", [(1, 12, 26, 5),
                                               (2, 15, 30, 100)])
@@ -953,9 +1118,9 @@ GNM_24_SIX = [(u, v, 6 * ln) for u, v, ln in GNM_24]
 
 class TestDerivedScales:
     """At the default tau a family rounds a table at each scale above F
-    and at the highest scale up to F, which may still join a tree above
-    F; each scale D <= F/2 takes scale 2D's table, discarded set and tree
-    with k doubled."""
+    and at the highest scale up to F, h, the near tree, which may still
+    join a tree above F.  No scale below h is built: each reads the near
+    tree with k doubled per scale down."""
 
     @pytest.mark.parametrize("n,edges", [(200, UNIT_200), (24, GNM_24),
                                          (24, SPREAD_24), (24, GNM_24_SIX)],
@@ -972,21 +1137,16 @@ class TestDerivedScales:
 
         monkeypatch.setattr(sssp, "_round_table", counting)
         sp = build(n, edges, eps=QUARTER)
-        F = sp.scales[0].Dp
-        up_to_F = [i for i in sp.scales if 2 ** i <= F]
-        first = max(up_to_F)
-        assert sorted(calls) == [2 ** i for i in sp.scales if i >= first]
+        near, h = sp.near, sp.h
+        F = near.Dp
+        assert sorted(calls) == [2 ** i for i in range(h, sp.imax + 1)]
+        assert list(sp.scales) == list(range(h, sp.imax + 1))
+        assert sp.scales[h] is near
         g = math.gcd(*(ln for _, _, ln in edges))
-        for i in up_to_F:
-            inst = sp.scales[i]
-            assert inst.k == (F >> i) * g, i
-            assert inst.factor == F >> i and inst.factor.denominator == 1
-            if i < first:
-                up = sp.scales[i + 1]
-                for name in ("length", "discarded", "tree"):
-                    assert id(getattr(inst, name)) == id(getattr(up, name))
+        assert near.k == (F >> h) * g
+        assert near.factor == F >> h and near.factor.denominator == 1
         if edges is GNM_24_SIX:
-            assert sp.scales[first].tree is sp.scales[first + 1].tree
+            assert near.tree is sp.scales[h + 1].tree
 
     @pytest.mark.parametrize("params", [None, HEAVY, BARE_TAU],
                              ids=["default", "heavy", "bare-tau"])
@@ -997,7 +1157,7 @@ class TestDerivedScales:
         instance layout."""
         g = DynamicGraph.from_edges(4, BRIDGED_TRIANGLE)
         sp = sssp_build_all(g, S, EPS, params)
-        assert 2 ** sp.imax > 2 * sp.scales[0].Dp  # every kind of scale
+        assert 2 ** sp.imax > 2 * sp.scales[sp.imax].Dp  # every kind of scale
         for i, inst in sp.scales.items():
             alone = sssp_scale_build(g, S, EPS, 2 ** i, params)
             assert list(vars(inst)) == list(vars(alone)), i
@@ -1010,19 +1170,16 @@ class TestDerivedScales:
     def test_source_without_edges(self, n, edges, params):
         """The source answers 0 and [] and every other vertex is not
         connected, before and after deletions.  An edgeless table has gcd
-        1: at the default tau its highest scale up to F has k = 1 and the
-        scales below double it."""
+        1: at the default tau the near tree has k = 1."""
         sp = build(n, edges, params)
-        F = sp.scales[0].Dp
+        F = sp.scales[sp.imax].Dp
 
         def check():
             assert sssp_dist(sp, S) == 0 and sssp_path(sp, S) == []
             for v in range(1, n):
                 assert sssp_dist(sp, v) is NOT_CONNECTED
                 assert sssp_path(sp, v) is NOT_CONNECTED
-            top = sp.scales[sp.imax]
-            for inst in sp.scales.values():
-                check_scale_invariants(inst, top)
+            check_family(sp)
 
         check()
         first = max(i for i in sp.scales if 2 ** i <= F)
@@ -1045,22 +1202,24 @@ class TestEveryEdgeAtEveryScale:
     """At the default tau every scale keeps every live edge, so a scale
     D <= F holds an exact tree over (F/D) times the lengths: its answers
     lie in [d, (1 + eps/4)d], as the scale below did not commit, and its
-    paths are shortest paths.  Checked after every deletion of random and
-    adaptive teardowns, with each tree head's invariants."""
+    paths are shortest paths.  The near tree answers for all of them.
+    Checked after every deletion of random and adaptive teardowns, with
+    each tree head's invariants."""
 
     @staticmethod
     def check(sp, n, live, eps):
-        """The number of answers that came from a scale up to F."""
+        """The number of answers that came from the near tree."""
         top = sp.scales[sp.imax]
         assert not any(inst.discarded for inst in sp.scales.values())
+        near = sp.near
+        assert sp.per_tree[0] is near
         for inst in sp.per_tree:
-            check_scale_invariants(inst, top)
+            check_scale_invariants(inst, top, sp.h if inst is near else None)
         dist = orc.dijkstra(n, live, S)
-        F = top.Dp
         exact = 0
         for v in range(n):
-            i = sssp._locate(sp, v)[0]
-            if v == S or i is None or 2 ** i > F:
+            lv = near.tree.level_of(v)
+            if v == S or lv is None or lv > near.cap:
                 continue
             d = dist[v]
             assert d <= sssp_dist(sp, v) <= (1 + eps / 4) * d, (v, d)
