@@ -5,8 +5,9 @@ rescaled by F/D, with F the least power of two at least 4n/eps, and
 rounded up, which adds at most D/F <= eps*D/(4n) to an edge.  A scale
 keeps the rounded lengths as a table keyed by vertex pair, not as a copy
 of the graph.  The tree runs over the table with every length scaled by
-four.  Distance answers read one tree level and pad by eps*D/4; path
-answers walk the tree path.
+four.  Distance answers read one tree level and pad by eps*D/4; a path
+answer is the tree path, its supernode hops spliced (only a scale with
+class states has them), audited in one pass.
 
 Which edges a scale keeps depends on tau.  The paper drops the edges
 longer than 2D at scale D, so that every rounded length lies in [1, 2F]
@@ -357,50 +358,56 @@ def _near_scale(near: SsspScaleInstance, h: int, lv: int) -> int:
     return h - min(h, (near.far_level // (near.k * lv)).bit_length() - 1)
 
 
-def sssp_path_query(inst: SsspScaleInstance, v, lv):
-    """Tree path with every supernode hop spliced back into class edges.
-
-    lv is v's tree level, which the caller has just read within the cap,
-    and v is not the source.  One walk along the tree path assembles the
-    answer and audits it: the class state splices a supernode hop and
-    audits the splice (ClassState.splice), no edge may repeat, and every
-    edge must be live at this scale.  On a scale without class states the
-    summed length, k times the summed base lengths, must also stay within
-    the tree's length to v, k*lv/4, and so within the estimate."""
-    walk = inst.tree.es_walk(int(v))
-    length = inst.length
-    a = walk[0]
-    out = [a]
-    seen = set()
-    total = 0
+def _splice(inst: SsspScaleInstance, walk) -> list:
+    """A tree walk of a scale with class states with each supernode hop
+    a, sn, x replaced by sn's class path from a to x, which
+    ClassState.splice audits."""
+    out = [walk[0]]
     sn = None  # the supernode just walked through, if any
     for x in walk[1:]:
         if isinstance(x, tuple):
             sn = x
-            continue
-        if sn is None:
-            hop = (x,)
+        elif sn is None:
+            out.append(x)
         else:
-            hop = inst.classes[sn[1]].splice(a, x)
+            out += inst.classes[sn[1]].splice(out[-1], x)
             sn = None
-        for y in hop:
-            key = (a, y) if a < y else (y, a)
-            if key in seen:
-                raise PathAuditFailed(f"edge {key} repeated on the "
-                                      "assembled path")
-            seen.add(key)
-            lp = length.get(key)
-            if lp is None:
-                raise PathAuditFailed(f"path edge {key} is not live at "
-                                      "this scale")
-            total += lp
-            out.append(y)
-            a = y
+    return out
+
+
+def sssp_path_query(inst: SsspScaleInstance, v, lv):
+    """v's tree path, spliced, then audited.
+
+    lv is v's tree level, just read within the cap, and v is not the
+    source.  Only a scale with class states holds supernodes, and only it
+    calls _splice; on a bare scale the tree's fresh walk is the path.
+    One loop then audits each hop: its edge may not repeat, then it must
+    be live at this scale.  On a bare scale the summed length, k times
+    the summed base lengths, must also stay within the tree's length to
+    v, k*lv/4, and so within the estimate."""
+    path = inst.tree.es_walk(int(v))
+    if inst.classes:
+        path = _splice(inst, path)
+    length = inst.length
+    seen = set()
+    total = 0
+    hops = iter(path)
+    a = next(hops)
+    for b in hops:
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise PathAuditFailed(f"edge {key} repeated on the assembled path")
+        seen.add(key)
+        lp = length.get(key)
+        if lp is None:
+            raise PathAuditFailed(f"path edge {key} is not live at this scale")
+        total += lp
+        a = b
     # a bare tree's path sums to its level, four times its base lengths
     if not inst.classes and 4 * total > lv:
         raise PathAuditFailed(f"path length {inst.k * total} over its tree "
                               f"level {Fraction(inst.k * lv, 4)}")
-    return out
+    return path
 
 
 # -- audits ----------------------------------------------------------------
@@ -534,10 +541,13 @@ def sssp_build_all(g: DynamicGraph, s: int, eps,
     return SsspState(g, s, eps, params=params)
 
 
-def _check_live(sp: SsspState):
+def _refuse(sp: SsspState, v=None):
+    """Raise SsspPoisoned once a deletion has failed part-way, else
+    ScaleMisuse for v out of range; callers test inline, then call it."""
     if sp.poisoned is not None:
         raise SsspPoisoned(f"an earlier deletion failed part-way: "
                            f"{sp.poisoned!r}")
+    raise ScaleMisuse(f"vertex {v} out of range")
 
 
 def sssp_delete(sp: SsspState, u: int, v: int) -> None:
@@ -548,7 +558,8 @@ def sssp_delete(sp: SsspState, u: int, v: int) -> None:
     top scale keeps every live edge (at the default tau every scale does;
     under an override 2^imax is at least n times the longest length), so
     its table decides what is live."""
-    _check_live(sp)
+    if sp.poisoned is not None:
+        _refuse(sp)
     key = (u, v) if u < v else (v, u)
     if key not in sp.scales[sp.imax].length:
         raise UnknownEdge(f"no live edge ({u},{v})")
@@ -585,23 +596,18 @@ def _locate(sp, v):
     return None, None
 
 
-def _check_query(sp: SsspState, v: int):
-    _check_live(sp)
-    if not 0 <= v < sp.n:
-        raise ScaleMisuse(f"vertex {v} out of range")
-
-
 _ZERO = Fraction(0)
 
 
 def sssp_dist(sp: SsspState, v):
     """v's estimate: the scaled estimate at its level lv over the factor
-    of the first scale that commits to v.  Fractions are immutable, so
-    the near tree and each scale above it hand out one per level from a
-    dist_memo instead of building it per query.  The near tree's memo
-    holds only levels within its cap."""
+    of the first scale that commits to v.  One inline test refuses a
+    poisoned state, then a vertex out of range (_refuse).  Fractions are
+    immutable, so the near tree and each scale above it hand out one per
+    level from a dist_memo; the near tree's holds levels within its cap."""
     v = int(v)
-    _check_query(sp, v)
+    if sp.poisoned is not None or not 0 <= v < sp.n:
+        _refuse(sp, v)
     if v == sp.s:
         return _ZERO
     near = sp.near
@@ -627,10 +633,12 @@ def sssp_dist(sp: SsspState, v):
 
 
 def sssp_path(sp: SsspState, v):
-    """v's path: the tree path of the first scale that commits to v.
-    Every scale up to F walks the near tree."""
+    """v's path, a fresh list: the tree path of the first scale that
+    commits to v, spliced and audited by sssp_path_query.  Every scale up
+    to F walks the near tree.  Refusals as in sssp_dist."""
     v = int(v)
-    _check_query(sp, v)
+    if sp.poisoned is not None or not 0 <= v < sp.n:
+        _refuse(sp, v)
     if v == sp.s:
         return []
     near = sp.near

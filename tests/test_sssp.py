@@ -534,6 +534,77 @@ class TestPathGuard:
             sssp_path(sp, 9)
 
 
+def spliced_family():
+    """BRIDGED_TRIANGLE under HEAVY after (0, 1) goes: vertex 1 is then
+    reached through the triangle's supernode, so its path splices."""
+    sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+    sssp_delete(sp, 0, 1)
+    inst = answering_instance(sp, 1)
+    assert any(isinstance(x, tuple) for x in inst.tree.es_path(1))
+    return sp
+
+
+OWNED_PATH_FAMILIES = {
+    "default-tau": lambda: build(10, GNP_10),
+    "bare-tau": lambda: build(10, GNP_10, BARE_TAU),
+    "heavy-spliced": spliced_family,
+}
+
+
+class TestPathAssembly:
+    """sssp_path_query splices supernode hops only on a scale with class
+    states, audits every path in one loop, and hands each caller a list
+    of its own."""
+
+    @pytest.mark.parametrize("family", sorted(OWNED_PATH_FAMILIES))
+    def test_returned_path_belongs_to_the_caller(self, family):
+        sp = OWNED_PATH_FAMILIES[family]()
+        for v in range(sp.n):
+            want = sssp_path(sp, v)
+            if want is NOT_CONNECTED or not want:
+                continue
+            got = sssp_path(sp, v)
+            got.clear()
+            assert sssp_path(sp, v) == want
+            got = sssp_path(sp, v)
+            got.append(got[-1])
+            assert sssp_path(sp, v) == want
+        check_family(sp)
+
+    def test_repeated_edge_refused_on_a_bare_scale(self, monkeypatch):
+        """A walk that doubles back over its first, live, edge."""
+        sp = build(10, GNP_10)
+        assert sp.near is not None and not sp.near.classes
+        real = sssp.EsTree.es_walk
+
+        def doubling_back(tree, v):
+            walk = real(tree, v)
+            return walk[:2] + walk[:2] + walk[2:]
+
+        monkeypatch.setattr(sssp.EsTree, "es_walk", doubling_back)
+        with pytest.raises(PathAuditFailed, match="repeated"):
+            sssp_path(sp, 9)
+
+    @pytest.mark.parametrize("family", sorted(OWNED_PATH_FAMILIES))
+    def test_splice_only_on_scales_with_class_states(self, monkeypatch,
+                                                     family):
+        sp = OWNED_PATH_FAMILIES[family]()
+        real = sssp._splice
+        entered = []
+
+        def spy(inst, walk):
+            entered.append(inst)
+            return real(inst, walk)
+
+        monkeypatch.setattr(sssp, "_splice", spy)
+        answers = [answering_instance(sp, v) for v in range(sp.n)
+                   if v != S and sssp_path(sp, v) is not NOT_CONNECTED]
+        classed = [inst for inst in answers if inst.classes]
+        assert len(entered) == len(classed)
+        assert all(inst.classes for inst in entered)
+        assert (family == "heavy-spliced") == bool(entered)
+
+
 class TestNearTreeDrift:
     """check_scale_invariants notices a near tree whose level or table
     drifted, or that claims the wrong scale, and raises InvariantBroken,
@@ -1246,25 +1317,49 @@ class TestEveryEdgeAtEveryScale:
         assert exact > 0
 
 
+def poisoned_family(monkeypatch):
+    """BRIDGED_TRIANGLE under HEAVY after a deletion of (1, 2) failed at
+    the top scale, once the lower ones had applied it."""
+    sp = build(4, BRIDGED_TRIANGLE, HEAVY)
+    real = sssp.sssp_scale_delete
+
+    def fail_at_top(inst, e, fed=None):
+        if inst is sp.scales[sp.imax]:
+            raise LcdError("injected")
+        real(inst, e, fed)
+
+    monkeypatch.setattr(sssp, "sssp_scale_delete", fail_at_top)
+    with pytest.raises(LcdError, match="injected"):
+        sssp_delete(sp, 1, 2)
+    monkeypatch.undo()
+    return sp
+
+
 class TestPoison:
     def test_failed_deletion_poisons_the_state(self, monkeypatch):
-        sp = build(4, BRIDGED_TRIANGLE, HEAVY)
-        real = sssp.sssp_scale_delete
-
-        def fail_at_top(inst, e, fed=None):
-            if inst is sp.scales[sp.imax]:
-                raise LcdError("injected")
-            real(inst, e, fed)
-
-        monkeypatch.setattr(sssp, "sssp_scale_delete", fail_at_top)
-        with pytest.raises(LcdError, match="injected"):
-            sssp_delete(sp, 1, 2)
-        monkeypatch.undo()
+        sp = poisoned_family(monkeypatch)
         for call in (lambda: sssp_delete(sp, 1, 3),
                      lambda: sssp_dist(sp, 3),
                      lambda: sssp_path(sp, 3)):
             with pytest.raises(SsspPoisoned):
                 call()
+
+    def test_poison_is_refused_before_the_range(self, monkeypatch):
+        sp = poisoned_family(monkeypatch)
+        for call in (lambda: sssp_dist(sp, -1), lambda: sssp_path(sp, 4),
+                     lambda: sssp_delete(sp, 0, 7)):
+            with pytest.raises(SsspPoisoned, match="failed part-way"):
+                call()
+
+    @pytest.mark.parametrize("query", [sssp_dist, sssp_path])
+    @pytest.mark.parametrize("params", [None, HEAVY], ids=["default", "heavy"])
+    def test_vertex_out_of_range_is_refused(self, query, params):
+        sp = build(4, BRIDGED_TRIANGLE, params)
+        for v in (-1, 4):
+            with pytest.raises(ScaleMisuse, match=f"vertex {v} out of range"):
+                query(sp, v)
+        assert sp.poisoned is None
+        audit(sp, 4, BRIDGED_TRIANGLE)
 
     def test_unknown_edge_changes_nothing(self):
         sp = build(4, BRIDGED_TRIANGLE, HEAVY)
