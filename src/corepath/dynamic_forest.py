@@ -1,13 +1,21 @@
-"""Spanning forests under edge updates, with path queries.
+"""Spanning forests with path queries.
 
 ConnSF keeps a spanning forest of an evolving graph for connectivity
-queries; MsfState keeps the minimum spanning forest under a total order
-on (weight, edge-id), which makes the forest unique and lets tests pin
-it against a fresh Kruskal run.  Replacement edges are found by scanning
-the smaller side of a split, which is the intended desk-scale tradeoff.
+queries.  A class state's heavy side (heavy_side) builds one over its
+heavy vertices and updates it by edge deletions and vertex removals.
+Replacement edges are found by scanning the smaller side of a split,
+which is the intended desk-scale tradeoff.
 
-Path queries (connectivity, path weight, minimum edge on the path, d-th
-vertex on the path) walk the current forest directly.
+MsfState is the minimum spanning forest under a total order on
+(weight, edge-id), which makes the forest unique and lets tests pin it
+against a fresh Kruskal run.  It is not updated in the program: the LCD
+(lcd._forest) builds one per layer prefix by Kruskal on first use after
+a deletion, then reads only tree_path, tt_connect, edge_info, the forest
+neighbours and the component labels.
+
+msf_delete, msf_reweight, tt_weight, tt_minedge and tt_jump have no
+caller in corepath.  They stay only because perfbench/spans.py patches
+them by name, until its span list drops them (ROADMAP item 1a).
 """
 
 from __future__ import annotations

@@ -1004,8 +1004,12 @@ def short_path_quality(st: LcdState) -> Fraction:
     """Smallest coefficient a with every short_path(st, j, ...) output
     within n_j * a / h_j edges, n_j counting the layer-<=j prefix.
 
-    Mirrors the assembled-path budget above; callers measure it once
-    after a build and freeze the value for their own thresholds.
+    Its only caller is tests/test_sssp.py::TestDefaultTauLemma, which
+    measures it after each build to check that the formula's tau clears
+    every populated layer.  It stays beside short_path because it
+    mirrors that function's assembled-path budget (_walk_cap and the
+    alive cores' len_cap), so the two must change together (ROADMAP
+    item 8).
     """
     _check_live(st)
     treecap = _walk_cap(st.n)

@@ -5,9 +5,11 @@ rescaled by F/D, with F the least power of two at least 4n/eps, and
 rounded up, which adds at most D/F <= eps*D/(4n) to an edge.  A scale
 keeps the rounded lengths as a table keyed by vertex pair, not as a copy
 of the graph.  The tree runs over the table with every length scaled by
-four.  Distance answers read one tree level and pad by eps*D/4; a path
-answer is the tree path, its supernode hops spliced (only a scale with
-class states has them), audited in one pass.
+four.  A distance answer reads one tree level: a scale that rounds pads
+it by eps*D/4, and the near tree, which rounds nothing, answers the
+exact distance (below).  A path answer is the tree path, its supernode
+hops spliced (only a scale with class states has them), audited in one
+pass.
 
 Which edges a scale keeps depends on tau.  The paper drops the edges
 longer than 2D at scale D, so that every rounded length lies in [1, 2F]
@@ -16,11 +18,10 @@ built with tau overridden keeps that rule.  At the default tau no class
 is built (see SsspParams), so the bound buys nothing there, and a scale
 keeps every live edge.  At D <= F its table is then exactly (F/D) times
 the input lengths, and its tree is exact: it commits to v iff
-4(F/D)d(v) <= far_level and answers d(v) + eps*D/4, along a shortest
-path.  The scale below did not commit (at scale 1, d(v) >= 1 anyway), so
-d(v) > D there, and every answer from a scale up to F lies in
-[d, (1 + eps/4)d].  Scales above F round, and answer within (1+eps)d by
-the paper's argument, which never used the dropped edges.
+4(F/D)d(v) <= far_level, at level 4(F/D)d(v), along a shortest path.
+The pad eps*D/4 only covers rounding, so such a scale answers d(v)
+itself.  Scales above F round, and answer within (1+eps)d by the paper's
+argument, which never used the dropped edges.
 
 At the paper's formula for the heavy threshold no vertex can go heavy
 (see SsspParams), and the family is a scaled Even-Shiloach structure.
@@ -40,13 +41,10 @@ breadth-first tree.
 At the default tau one tree answers every scale up to F: the near tree.
 Let h be the highest scale up to F (2^h <= F, h <= imax).  Scale i <= h
 would hold exactly 2^(h-i) times scale h's table, so its tree would be
-scale h's with multiple k_h * 2^(h-i).  A family builds scale h alone
-and reads the others off its tree: at level lv, scale i commits iff
-k_h * 2^(h-i) * lv <= far_level, so the first committing scale is
-i = h - s with s = min(h, lg(far_level // (k_h * lv))), and none does
-when k_h * lv > far_level.  The answer is scale i's estimate over its
-factor F >> i, and the path is the near tree's walk, the same at every
-one of those scales.
+scale h's with multiple k_h * 2^(h-i): a smaller cap, the same paths and
+the same exact answers.  A family builds scale h alone.  It commits to
+every vertex that some scale up to F commits to, those at levels
+lv <= cap, and answers d(v) = k_h * lv / (4 F/2^h) along its walk.
 
 The other scales, those above F and every scale under an override, are
 built one per power of two.  Their bare scales group by base table (keys
@@ -342,20 +340,18 @@ def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
 # -- queries ---------------------------------------------------------------
 
 
-def _estimate(inst: SsspScaleInstance, klv: int, factor: Fraction):
-    """The estimate at scaled level klv = k*lv over factor: for eps = a/b,
-    (klv*b + a*D') / 4b, the scaled estimate klv/4 + eps*D'/4, over
-    factor."""
+def _estimate(inst: SsspScaleInstance, lv: int):
+    """inst's answer at tree level lv.  A default-tau scale with an
+    integer factor (D <= F: the near tree) rounds nothing, so its scaled
+    level k*lv is 4 * factor * d: it answers d.  Every other scale pads:
+    for eps = a/b it answers (k*lv*b + a*D') / 4b, the scaled estimate
+    k*lv/4 + eps*D'/4, over its factor."""
+    f = inst.factor
+    if inst.params.tau is None and f.denominator == 1:
+        return Fraction(inst.k * lv, 4 * f.numerator)
     b = inst.eps.denominator
-    return Fraction((klv * b + inst.eps.numerator * inst.Dp)
-                    * factor.denominator, 4 * b * factor.numerator)
-
-
-def _near_scale(near: SsspScaleInstance, h: int, lv: int) -> int:
-    """The first scale to commit to a vertex at level lv <= near.cap of
-    the near tree, scale h: scale i <= h commits iff
-    k_h * 2^(h-i) * lv <= far_level."""
-    return h - min(h, (near.far_level // (near.k * lv)).bit_length() - 1)
+    return Fraction((inst.k * lv * b + inst.eps.numerator * inst.Dp)
+                    * f.denominator, 4 * b * f.numerator)
 
 
 def _splice(inst: SsspScaleInstance, walk) -> list:
@@ -383,8 +379,8 @@ def sssp_path_query(inst: SsspScaleInstance, v, lv):
     calls _splice; on a bare scale the tree's fresh walk is the path.
     One loop then audits each hop: its edge may not repeat, then it must
     be live at this scale.  On a bare scale the summed length, k times
-    the summed base lengths, must also stay within the tree's length to
-    v, k*lv/4, and so within the estimate."""
+    the summed base lengths, must also equal the tree's length to v,
+    k*lv/4: the near tree's answer, and within every padded estimate."""
     path = inst.tree.es_walk(int(v))
     if inst.classes:
         path = _splice(inst, path)
@@ -404,23 +400,22 @@ def sssp_path_query(inst: SsspScaleInstance, v, lv):
         total += lp
         a = b
     # a bare tree's path sums to its level, four times its base lengths
-    if not inst.classes and 4 * total > lv:
-        raise PathAuditFailed(f"path length {inst.k * total} over its tree "
-                              f"level {Fraction(inst.k * lv, 4)}")
+    if not inst.classes and 4 * total != lv:
+        raise PathAuditFailed(f"path length {inst.k * total} is not its "
+                              f"tree level {Fraction(inst.k * lv, 4)}")
     return path
 
 
 # -- audits ----------------------------------------------------------------
 
 
-def check_scale_invariants(inst: SsspScaleInstance, top=None, h=None):
+def check_scale_invariants(inst: SsspScaleInstance, top=None):
     """Raise InvariantBroken where inst breaks an invariant.  top is its
     family's top scale, if any: a default-tau scale keeps every live
-    edge, so its table's keys equal top's, and it discards nothing.  h is
-    given when inst is its family's near tree, scale h: its factor is then
-    the integer F >> h, so scale i <= h holds k_h * 2^(h-i) times its
-    table, and for each vertex within the cap _near_scale names the least
-    such scale that commits."""
+    edge, so its table's keys equal top's, and it discards nothing.
+    Every dist_memo entry lies within the cap and equals _estimate's
+    answer at its level: the exact distance on a default-tau scale with
+    an integer factor, the padded estimate on every other."""
     n = inst.n
     require(inst.lam == (4 * inst.Dp).bit_length() - 1, "lam drifted")
     require(inst.far_level == far_level(n, inst.eps), "far level drifted")
@@ -470,31 +465,24 @@ def check_scale_invariants(inst: SsspScaleInstance, top=None, h=None):
         if v in gdist:
             require(Fraction(dist[v], 4) <= gdist[v],
                     f"dominance lost at {v}")
-    if h is None:
-        return
-    require(1 << h <= inst.Dp and inst.factor == inst.Dp >> h,
-            f"near tree at scale {h} is not exact")
-    for v in range(n):
-        lv = inst.tree.level_of(v)
-        if v != inst.s and lv is not None and lv <= cap:
-            i = _near_scale(inst, h, lv)
-            require(0 <= i <= h and (k << (h - i)) * lv <= far
-                    and (i == 0 or (k << (h - i + 1)) * lv > far),
-                    f"scale {i} is not the first to commit to {v}")
+    for lv, ans in inst.dist_memo.items():
+        require(lv <= cap and ans == _estimate(inst, lv),
+                f"memoized answer at level {lv} drifted")
 
 
 # -- the family --------------------------------------------------------------
 
 
 class SsspState:
-    """Scale family for one source: near, the near tree that answers
-    every scale up to F at the default tau (None under an override), h,
-    its scale (-1 under an override), scales, the instances at D = 2^i
-    for h <= i <= imax (every i under an override), and scale_ptr, one
-    int per vertex at or below the first scale above h that commits to
-    it (imax + 1 once the vertex is cut off).  Levels only rise, so the
-    pointer only moves up; _locate moves it.  The near tree answers the
-    vertices within its cap, and the pointer matters only for the rest.
+    """Scale family for one source: near, the near tree, which answers
+    the exact distance of every vertex within its cap at the default tau
+    (None under an override), h, its scale (-1 under an override),
+    scales, the instances at D = 2^i for h <= i <= imax (every i under
+    an override), and scale_ptr, one int per vertex at or below the
+    first scale above h that commits to it (imax + 1 once the vertex is
+    cut off).  Levels only rise, so the pointer only moves up; _locate
+    moves it.  The near tree answers the vertices within its cap, and the
+    pointer matters only for the rest.
 
     The bare scales share tables and trees by group: the scales over the
     same edges whose tables are multiples of one base table.  Their trees
@@ -600,11 +588,12 @@ _ZERO = Fraction(0)
 
 
 def sssp_dist(sp: SsspState, v):
-    """v's estimate: the scaled estimate at its level lv over the factor
-    of the first scale that commits to v.  One inline test refuses a
-    poisoned state, then a vertex out of range (_refuse).  Fractions are
-    immutable, so the near tree and each scale above it hand out one per
-    level from a dist_memo; the near tree's holds levels within its cap."""
+    """v's answer: d(v), exactly, where the near tree commits to v, else
+    the padded estimate at v's level lv of the first scale above it that
+    commits (_estimate).  One inline test refuses a poisoned state, then
+    a vertex out of range (_refuse).  Fractions are immutable, so the
+    near tree and each scale above it hand out one per level from a
+    dist_memo; the near tree's holds levels within its cap."""
     v = int(v)
     if sp.poisoned is not None or not 0 <= v < sp.n:
         _refuse(sp, v)
@@ -617,10 +606,7 @@ def sssp_dist(sp: SsspState, v):
         if ans is not None:
             return ans
         if lv <= near.cap:
-            # scale h - s holds 2^s times the near table, factor 2^s times
-            s = sp.h - _near_scale(near, sp.h, lv)
-            ans = near.dist_memo[lv] = _estimate(
-                near, near.k * lv << s, near.factor * (1 << s))
+            ans = near.dist_memo[lv] = _estimate(near, lv)
             return ans
     i, lv = _locate(sp, v)
     if i is None:
@@ -628,14 +614,14 @@ def sssp_dist(sp: SsspState, v):
     inst = sp.scales[i]
     ans = inst.dist_memo.get(lv)
     if ans is None:
-        ans = inst.dist_memo[lv] = _estimate(inst, inst.k * lv, inst.factor)
+        ans = inst.dist_memo[lv] = _estimate(inst, lv)
     return ans
 
 
 def sssp_path(sp: SsspState, v):
-    """v's path, a fresh list: the tree path of the first scale that
-    commits to v, spliced and audited by sssp_path_query.  Every scale up
-    to F walks the near tree.  Refusals as in sssp_dist."""
+    """v's path, a fresh list: the near tree's walk where it commits to
+    v, else the tree path of the first scale above it that commits,
+    spliced and audited by sssp_path_query.  Refusals as in sssp_dist."""
     v = int(v)
     if sp.poisoned is not None or not 0 <= v < sp.n:
         _refuse(sp, v)

@@ -113,13 +113,13 @@ FEED_DIGESTS_NO_MICROS = {
 
 SSSP_DIGESTS = {
     "default-gnp-3-10":
-        "70376a43d3438cf527b9b6ee0c568689adfe38274b2ac4f7e7da40f8f47687cb",
+        "91ddeb362d64413aa42dc0f0b406fab301242bf621b2789cb21e3eea6465dbfd",
     "bridged-triangle-heavy":
         "250c308766275322bd91543ae3396e538ae584d604e47e01f96ba68dcb36e354",
     "gnm-24-quarter":
-        "50113b50e8f7ef5fac3c85520855db565560011e37b72f29738b36b6361688ea",
+        "7532b15d6b636f217ad35b4ba793eb2f6dd2356139e0810da30104655ce13528",
     "spread-24-quarter":
-        "b50f79ec1b6f02a68f05b7c32e9e05785a9baf8e9cec77ad9deb0e09c96f1a6a",
+        "5b8f19dd2dc77c548767930b9e70ea6c6dda58de2c9e12c713001bbd898519c9",
     "gnp-12-flat-tau-2":
         "5afc6a163f2658b45a92fb4890289166d1faf150f9d3bcfc746bf1b0b1910e9b",
     "gnp-16-flat-tau-2":

@@ -233,6 +233,31 @@ class TestCutPlayerRound:
                 certified[w.n > 5] += 1
         assert certified[False] and certified[True]
 
+    def test_terminal_move_keeps_half_from_four_vertices(self):
+        """On 4 or more vertices the terminal move (V - S, S) has S of at
+        least ceil(n/2) vertices, so a move like the b = {0} of three lone
+        vertices cannot reach embed_expander.  300 seeded multigraphs on 4
+        to 14 vertices, parallel edges allowed; a move that is not
+        terminal splits V into n // 2 and the rest."""
+        moves = Counter()
+        for seed in range(300):
+            rng = random.Random(4100 + seed)
+            n = rng.randint(4, 14)
+            w = xt.MultiGraph(range(n))
+            for _ in range(rng.randint(0, 3 * n)):
+                w.add_edge(*rng.sample(range(n), 2))
+            move = xt.cut_player_round(w)
+            assert move.a | move.b == frozenset(range(n)), seed
+            assert not move.a & move.b, seed
+            if move.terminal:
+                assert 2 * len(move.b) >= n, (seed, w.edge_list(), move)
+                moves["certified part" if move.a else "certified all"] += 1
+            else:
+                assert len(move.a) == n // 2, seed
+                moves["cut"] += 1
+        assert moves["certified part"] and moves["certified all"] and \
+            moves["cut"], moves
+
     def test_witness_conductance_agrees_with_oracle(self):
         w = xt.MultiGraph(range(6))
         for u, v in [(0, 3), (1, 4), (2, 5), (0, 4), (1, 5), (2, 3)]:

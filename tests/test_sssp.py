@@ -67,9 +67,10 @@ def scale_view(sp, i):
 
 
 def first_committing_scale(sp, v):
-    """The lowest scale whose tree holds v within its cap, or None, by
-    looking at every scale."""
-    for i in range(sp.imax + 1):
+    """The lowest scale from the near tree's, h, up whose tree holds v
+    within its cap, or None, by looking at every such scale.  The near
+    tree commits to every vertex that a scale below it commits to."""
+    for i in range(max(sp.h, 0), sp.imax + 1):
         inst, _, cap = scale_view(sp, i)
         lv = inst.tree.level_of(v)
         if lv is not None and lv <= cap:
@@ -80,12 +81,16 @@ def first_committing_scale(sp, v):
 def scale_answer(view, i, v):
     """Scale i's own answer for v, read through view = (instance, its
     multiple, its cap) as scale_view gives it: (its estimate over its
-    factor F/2^i, its tree path), or None where it does not commit."""
+    factor F/2^i, its tree path), or None where it does not commit.  At
+    the default tau a scale with 2^i <= F rounds nothing and pads
+    nothing; every other scale pads by eps*F/4 before the factor."""
     inst, k, cap = view
     lv = inst.tree.level_of(v)
     if lv is None or lv > cap:
         return None
-    est = (Fraction(k * lv, 4) + inst.eps * inst.Dp / 4) * 2 ** i / inst.Dp
+    exact = inst.params.tau is None and 2 ** i <= inst.Dp
+    pad = 0 if exact else inst.eps * inst.Dp / 4
+    est = (Fraction(k * lv, 4) + pad) * 2 ** i / inst.Dp
     return est, [] if v == inst.s else sssp_path_query(inst, v, lv)
 
 
@@ -93,38 +98,53 @@ def own_view(inst):
     return inst, inst.k, inst.cap
 
 
+def near_commits(sp, v):
+    """Whether the near tree holds v within its cap, and so answers it."""
+    near = sp.near
+    if near is None:
+        return False
+    lv = near.tree.level_of(v)
+    return lv is not None and lv <= near.cap
+
+
 def answering_scale(sp, v):
     """The scale sssp_dist and sssp_path answer a vertex other than the
-    source from: the near tree's formula within its cap, else the scale
+    source from: the near tree's, h, within its cap, else the scale
     pointer's walk over the scales above it."""
-    near = sp.near
-    if near is not None:
-        lv = near.tree.level_of(v)
-        if lv is not None and lv <= near.cap:
-            return sssp._near_scale(near, sp.h, lv)
-    return sssp._locate(sp, v)[0]
+    return sp.h if near_commits(sp, v) else sssp._locate(sp, v)[0]
 
 
 def answering_instance(sp, v):
-    """The instance whose tree answers v: the near tree for every scale
-    up to F."""
+    """The instance whose tree answers v."""
     return scale_view(sp, answering_scale(sp, v))[0]
 
 
 def check_family(sp):
-    """Every scale's invariants, the near tree's in its near form.  The
-    top scale keeps every live edge, so sssp_delete validates there."""
+    """Every scale's invariants.  The top scale keeps every live edge, so
+    sssp_delete validates there."""
     top = sp.scales[sp.imax]
     assert not top.discarded
     for inst in sp.scales.values():
-        check_scale_invariants(inst, top, sp.h if inst is sp.near else None)
+        check_scale_invariants(inst, top)
+
+
+def check_exact(sp, n, live):
+    """Every vertex the near tree answers has sssp_dist(v) = d(v) = the
+    length of sssp_path(v), d by exact Dijkstra; returns their number."""
+    dist = orc.dijkstra(n, live, S)
+    exact = [v for v in range(n) if v != S and near_commits(sp, v)]
+    for v in exact:
+        assert sssp_dist(sp, v) == dist[v] == \
+            orc.path_length(live, sssp_path(sp, v)), (v, dist[v])
+    return len(exact)
 
 
 def audit(sp, n, live, eps=EPS, ptr=None):
-    """Every answer against exact Dijkstra, then every scale's invariants
-    and the scale answering every vertex against a scan of all scales.
-    ptr is the scale pointers after the previous audit of sp, which none
-    may have passed; returns them as they are now."""
+    """Every answer against exact Dijkstra, the near tree's exactly, then
+    every scale's invariants and the scale answering every vertex
+    against a scan of the scales.  ptr is the scale pointers after the
+    previous audit of sp, which none may have passed; returns them as
+    they are now."""
     dist = orc.dijkstra(n, live, S)
     for v in range(n):
         est, path = sssp_dist(sp, v), sssp_path(sp, v)
@@ -137,6 +157,7 @@ def audit(sp, n, live, eps=EPS, ptr=None):
             continue
         assert path[0] == S and path[-1] == v
         assert orc.path_length(live, path) <= est, (v, path, est)
+    check_exact(sp, n, live)
     check_family(sp)
     for v in range(n):
         if v != S:
@@ -370,8 +391,10 @@ class TestWhichClassesExist:
             self, monkeypatch):
         """tau=10 makes no vertex of a unit-length G(40, 0.5) heavy, so no
         scale keeps a class state, the degree layers that show it build no
-        decomposition, and the scales share the default family's trees
-        and give its answers over 40 seeded deletions."""
+        decomposition, and the scales share as many trees as the default
+        family's and return its paths over 40 seeded deletions.  The
+        default family answers d; the override's scales pad, within
+        [d, (1+eps)d]."""
         def refuse(*args, **kwargs):
             raise AssertionError("lcd_build called with nothing heavy")
 
@@ -381,16 +404,27 @@ class TestWhichClassesExist:
         assert all(inst.classes == {} for inst in sp.scales.values())
         default = build(40, edges)
         assert len(trees_of(sp)) == len(trees_of(default))
+        live = list(edges)
 
-        def answers(state):
-            return [(sssp_dist(state, v), sssp_path(state, v))
-                    for v in range(40)]
+        def check():
+            dist = orc.dijkstra(40, live, S)
+            for v in range(40):
+                path = sssp_path(sp, v)
+                assert path == sssp_path(default, v), v
+                d = dist[v]
+                if d == orc.INF:
+                    assert sssp_dist(sp, v) is NOT_CONNECTED
+                    assert sssp_dist(default, v) is NOT_CONNECTED
+                    continue
+                assert sssp_dist(default, v) == d, v
+                assert d <= sssp_dist(sp, v) <= (1 + EPS) * d, v
 
-        assert answers(sp) == answers(default)
+        check()
         for u, v in shuffled(edges, 1)[:40]:
             sssp_delete(sp, u, v)
             sssp_delete(default, u, v)
-            assert answers(sp) == answers(default), (u, v)
+            live = [e for e in live if {e[0], e[1]} != {u, v}]
+            check()
 
 
 class TestTauValidation:
@@ -525,6 +559,17 @@ class TestPathGuard:
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
 
+    def test_raised_near_tree_level_raises(self):
+        """A near-tree level that drifted up by one base unit would answer
+        more than the length of the path returned with it."""
+        sp = build(10, GNP_10)
+        near = sp.near
+        v = max(range(10), key=near.tree.level_of)
+        assert near.tree.level[v] + 4 <= near.cap
+        near.tree.level[v] += 4
+        with pytest.raises(PathAuditFailed, match="is not its tree level"):
+            sssp_path(sp, v)
+
     def test_path_edge_missing_from_the_table_raises(self):
         sp = build(10, GNP_10)
         path = sssp_path(sp, 9)
@@ -606,9 +651,9 @@ class TestPathAssembly:
 
 
 class TestNearTreeDrift:
-    """check_scale_invariants notices a near tree whose level or table
-    drifted, or that claims the wrong scale, and raises InvariantBroken,
-    which python -O keeps."""
+    """check_scale_invariants notices a near tree whose level, table or
+    memoized answer drifted, and raises InvariantBroken, which python -O
+    keeps."""
 
     @pytest.fixture
     def sp(self):
@@ -621,7 +666,7 @@ class TestNearTreeDrift:
         v = max(range(10), key=near.tree.level_of)
         near.tree.level[v] += 4
         with pytest.raises(InvariantBroken, match=f"tree level off at {v}"):
-            check_scale_invariants(near, None, sp.h)
+            check_scale_invariants(near)
 
     def test_raised_table_entry(self, sp):
         """The first edge of the deepest vertex's path grows by the far
@@ -629,12 +674,17 @@ class TestNearTreeDrift:
         path = sssp_path(sp, max(range(10), key=sp.near.tree.level_of))
         sp.near.length[(min(path[:2]), max(path[:2]))] += sp.near.far_level
         with pytest.raises(InvariantBroken, match="tree level off"):
-            check_scale_invariants(sp.near, None, sp.h)
+            check_scale_invariants(sp.near)
 
-    def test_wrong_scale(self, sp):
-        """Read as scale h - 1, the near tree's factor F >> h is off."""
-        with pytest.raises(InvariantBroken, match="not exact"):
-            check_scale_invariants(sp.near, None, sp.h - 1)
+    def test_drifted_memo_entry(self, sp):
+        """A cached answer that its level no longer gives would be served
+        for every later query at that level."""
+        near = sp.near
+        v = max(range(10), key=near.tree.level_of)
+        lv = near.tree.level[v]
+        near.dist_memo[lv] = sssp_dist(sp, v) + 1
+        with pytest.raises(InvariantBroken, match="memoized answer"):
+            check_scale_invariants(near)
 
 
 def loaded_modules(params_src: str) -> list:
@@ -819,23 +869,27 @@ class TestAdaptive:
 class TestReferenceFamily:
     """Every sssp_dist and sssp_path answer, from the near tree or a scale
     above it, is the reference family's, to the repr, after the build and
-    after every deletion.  Lengths 1..1000 put scales above F."""
+    after every deletion; the near tree's are exact.  Lengths 1..1000 put
+    scales above F."""
 
     @staticmethod
     def same_answers(n, edges, order, params=None, eps=EPS):
         sp = build(n, edges, params, eps)
         ref = ReferenceFamily(n, edges, params, eps)
         assert len(ref.scales) == sp.imax + 1
+        live = list(edges)
 
         def check():
             for v in range(n):
                 got = (sssp_dist(sp, v), sssp_path(sp, v))
                 assert repr(got) == repr(ref.answer(v)), v
+            check_exact(sp, n, live)
 
         check()
         for u, v in order:
             sssp_delete(sp, u, v)
             ref.delete(u, v)
+            live = [e for e in live if {e[0], e[1]} != {u, v}]
             check()
         return sp
 
@@ -1271,32 +1325,20 @@ class TestDerivedScales:
 
 class TestEveryEdgeAtEveryScale:
     """At the default tau every scale keeps every live edge, so a scale
-    D <= F holds an exact tree over (F/D) times the lengths: its answers
-    lie in [d, (1 + eps/4)d], as the scale below did not commit, and its
-    paths are shortest paths.  The near tree answers for all of them.
+    D <= F holds an exact tree over (F/D) times the lengths: it answers
+    d along a shortest path.  The near tree answers for all of them.
     Checked after every deletion of random and adaptive teardowns, with
     each tree head's invariants."""
 
     @staticmethod
-    def check(sp, n, live, eps):
+    def check(sp, n, live):
         """The number of answers that came from the near tree."""
         top = sp.scales[sp.imax]
         assert not any(inst.discarded for inst in sp.scales.values())
-        near = sp.near
-        assert sp.per_tree[0] is near
+        assert sp.per_tree[0] is sp.near
         for inst in sp.per_tree:
-            check_scale_invariants(inst, top, sp.h if inst is near else None)
-        dist = orc.dijkstra(n, live, S)
-        exact = 0
-        for v in range(n):
-            lv = near.tree.level_of(v)
-            if v == S or lv is None or lv > near.cap:
-                continue
-            d = dist[v]
-            assert d <= sssp_dist(sp, v) <= (1 + eps / 4) * d, (v, d)
-            assert orc.path_length(live, sssp_path(sp, v)) == d, (v, d)
-            exact += 1
-        return exact
+            check_scale_invariants(inst, top)
+        return check_exact(sp, n, live)
 
     @pytest.mark.parametrize("eps", [QUARTER, EPS, TWO_THIRDS])
     @pytest.mark.parametrize("top", [5, 100, 1000])
@@ -1309,11 +1351,11 @@ class TestEveryEdgeAtEveryScale:
             else shuffled(edges, top)
         sp = build(n, edges, eps=eps)
         live = list(edges)
-        exact = self.check(sp, n, live, eps)
+        exact = self.check(sp, n, live)
         for u, v in order:
             sssp_delete(sp, u, v)
             live = [e for e in live if {e[0], e[1]} != {u, v}]
-            exact += self.check(sp, n, live, eps)
+            exact += self.check(sp, n, live)
         assert exact > 0
 
 
