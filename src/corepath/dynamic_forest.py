@@ -3,8 +3,8 @@
 ConnSF keeps a spanning forest of an evolving graph for connectivity
 queries.  A class state's heavy side (heavy_side) builds one over its
 heavy vertices and updates it by edge deletions and vertex removals.
-Replacement edges are found by scanning the smaller side of a split,
-which is the intended desk-scale tradeoff.
+conn_delete(u, v) scans u's side for a replacement of a cut forest
+edge, whatever its size.  Vertices are ints, listed in ascending order.
 
 MsfState is the minimum spanning forest under a total order on
 (weight, edge-id), which makes the forest unique and lets tests pin it
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,9 @@ class _ForestBase:
     """Adjacency + forest bookkeeping shared by ConnSF and MsfState."""
 
     def __init__(self):
-        self._adj: dict[Hashable, dict[Hashable, object]] = {}
-        self._forest: dict[Hashable, dict[Hashable, object]] = {}
-        self._comp: dict[Hashable, int] = {}
+        self._adj: dict[int, dict[int, object]] = {}
+        self._forest: dict[int, dict[int, object]] = {}
+        self._comp: dict[int, int] = {}
         self._members: dict[int, set] = {}
         self._next_label = 0
 
@@ -62,7 +62,7 @@ class _ForestBase:
         return self._comp[v]
 
     def component_members(self, v) -> list:
-        return sorted(self._members[self._comp[v]], key=repr)
+        return sorted(self._members[self._comp[v]])
 
     def connected(self, u, v) -> bool:
         return self._comp[u] == self._comp[v]
@@ -105,7 +105,7 @@ class _ForestBase:
             self._comp[x] = new
         self._members[old] -= keep_side
         self._members[new] = set(keep_side)
-        return SplitEvent(old, new, tuple(sorted(keep_side, key=repr)))
+        return SplitEvent(old, new, tuple(sorted(keep_side)))
 
     def tree_path(self, u, v) -> Optional[list]:
         """Vertex path u..v inside the forest, or None."""
@@ -179,7 +179,7 @@ class ConnSF(_ForestBase):
         return self._split(side_u, self._members[self._comp[u]] - side_u)
 
     def conn_remove_vertex(self, v):
-        for u in sorted(list(self._adj.get(v, {})), key=repr):
+        for u in sorted(self._adj.get(v, {})):
             self.conn_delete(v, u)
         lab = self._comp.pop(v)
         self._members[lab].discard(v)

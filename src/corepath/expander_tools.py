@@ -3,6 +3,10 @@ cut-matching game, and short-path embeddings.
 
 Conventions shared by everything here:
 
+* vertices are ints, ordered by value wherever equals need an order;
+  the one exception is EsTree, whose vertices are any hashable names:
+  matching_or_cut adds ("mp#", 0) and ("mp#", 1), the SSSP class states
+  ("sn", i, serial) supernodes, and the oracle and LCD trees the root -1;
 * graphs are undirected and treated combinatorially (edge lengths ignored);
 * "strong" conductance of a cut inside a subgraph divides the subgraph
   boundary by host-graph volumes;
@@ -34,7 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Hashable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .es_tree import EsTree
 from .graph_core import GraphError, GraphView, UnknownEdge, cut_stats
@@ -150,8 +154,8 @@ def _default_params(phi) -> ExpanderParams:
 class MultiGraph:
     """Tiny undirected multigraph; parallel edges count everywhere."""
 
-    def __init__(self, vertices: Iterable[Hashable] = (), edges=()):
-        self._adj: dict[Hashable, Counter] = {}
+    def __init__(self, vertices: Iterable[int] = (), edges=()):
+        self._adj: dict[int, Counter] = {}
         self._m = 0
         for v in vertices:
             self.add_vertex(v)
@@ -171,7 +175,7 @@ class MultiGraph:
         self._m += 1
 
     def vertex_list(self) -> list:
-        return sorted(self._adj, key=repr)
+        return sorted(self._adj)
 
     @property
     def n(self) -> int:
@@ -184,15 +188,12 @@ class MultiGraph:
     def degree(self, u) -> int:
         return sum(self._adj[u].values())
 
-    def multiplicity(self, u, v) -> int:
-        return self._adj.get(u, Counter()).get(v, 0)
-
     def edge_list(self) -> list[tuple]:
-        """Every parallel copy listed once, endpoints in repr order."""
+        """Every parallel copy listed once, as (u, v) with u < v."""
         out = []
         for u in self.vertex_list():
-            for v, k in sorted(self._adj[u].items(), key=lambda t: repr(t[0])):
-                if repr(u) < repr(v) or (repr(u) == repr(v) and u == v):
+            for v, k in sorted(self._adj[u].items()):
+                if u < v:
                     out.extend([(u, v)] * k)
         return out
 
@@ -200,8 +201,8 @@ class MultiGraph:
         """(u, v, multiplicity) triples, each unordered pair once."""
         out = []
         for u in self.vertex_list():
-            for v, k in sorted(self._adj[u].items(), key=lambda t: repr(t[0])):
-                if repr(u) < repr(v):
+            for v, k in sorted(self._adj[u].items()):
+                if u < v:
                     out.append((u, v, k))
         return out
 
@@ -211,8 +212,7 @@ def _graph_data(g) -> tuple[list, list[tuple]]:
     (sorted vertex list, distinct (u, v, mult) edge triples)."""
     if isinstance(g, MultiGraph):
         return g.vertex_list(), g.distinct_edges()
-    verts = sorted(g.vertex_list(), key=repr)
-    return verts, [(u, v, 1) for u, v, _ in g.edge_list()]
+    return g.vertex_list(), [(u, v, 1) for u, v, _ in g.edge_list()]
 
 
 def _adjacency(verts, triples) -> dict:
@@ -323,10 +323,10 @@ def _small_side(tab: _CutTables, row: int) -> frozenset:
 
 
 def _spectral_order(verts, triples) -> list:
-    """Vertex order from a power-iteration sweep vector.
+    """Vertex order by a power-iteration sweep vector, ties as in verts.
 
-    The iteration starts from a fixed generic vector over the repr-sorted
-    verts, the golden-ratio sequence frac((i+1)*0.618...) - 1/2.  Both
+    The iteration starts from a fixed generic vector over verts, the
+    golden-ratio sequence frac((i+1)*0.618...) - 1/2.  Both
     simpler starts were measured to break oracle builds: from the exact
     second eigenvector (numpy eigh) the first build raised
     EmbeddingQualityError on 10 of 10 LCD runs, and from the ramp
@@ -356,8 +356,7 @@ def _spectral_order(verts, triples) -> list:
         if nr < 1e-14:
             break
         x = y / nr
-    keyed = sorted(range(n), key=lambda i: (x[i], repr(verts[i])))
-    return [verts[i] for i in keyed]
+    return [verts[i] for i in sorted(range(n), key=lambda i: x[i])]
 
 
 def _candidate_cuts(verts, adj, order):
@@ -522,7 +521,7 @@ def _peel(cand: frozenset, triples, half: int, cap: int) -> frozenset:
     family cut while at least half vertices remain."""
     best_psi, best_set = None, cand
     while True:
-        psi, small = _sparsity(sorted(cand, key=repr), _sub_triples(triples, cand), cap)
+        psi, small = _sparsity(sorted(cand), _sub_triples(triples, cand), cap)
         if psi is not None and (best_psi is None or psi > best_psi):
             best_psi, best_set = psi, cand
         if psi is None or small is None:
@@ -587,14 +586,14 @@ def cut_or_certify(g, params: Optional[ExpanderParams] = None):
     # no qualifying cut: peel toward the best certified half
     whole = frozenset(verts)
     best = _peel(whole, triples, half, params.exact_cap)
-    parts = _components(sorted(best, key=repr), _sub_triples(triples, best))
+    parts = _components(sorted(best), _sub_triples(triples, best))
     if len(parts) > 1:
         split = _component_split(_components(verts, triples), whole, balance_floor)
         if split is not None:
             return split
     while len(parts) > 1:
         best = _peel(max(parts, key=len), triples, half, params.exact_cap)
-        parts = _components(sorted(best, key=repr), _sub_triples(triples, best))
+        parts = _components(sorted(best), _sub_triples(triples, best))
     return Certified(best)
 
 
@@ -698,7 +697,7 @@ def ball_cut(h, s_set, t_set, ell: int) -> frozenset:
     bnd_delta = [0] * (radius + 2)
     for u in adj:
         for v in adj[u]:
-            if repr(u) < repr(v):
+            if u < v:
                 du = dist.get(u, math.inf)
                 dv = dist.get(v, math.inf)
                 lo, hi = min(du, dv), max(du, dv)
@@ -742,8 +741,8 @@ def matching_or_cut(g: GraphView, a_set, b_set, ell: int):
     target 8k log(m)/ell^2, a grown sparse cut is returned instead."""
     if ell < 1:
         raise ValueError(f"ell={ell} < 1")
-    a_left = sorted(set(a_set), key=repr)
-    b_left = sorted(set(b_set), key=repr)
+    a_left = sorted(set(a_set))
+    b_left = sorted(set(b_set))
     if set(a_left) & set(b_left):
         raise ValueError("seed sets intersect")
     if len(a_left) > len(b_left):
@@ -827,8 +826,8 @@ def terminal_matching(g: GraphView, a_set, b_set, phi, params=None):
     phi = Fraction(phi)
     if params is None:
         params = _default_params(phi)
-    a_sorted = sorted(set(a_set), key=repr)
-    b_sorted = sorted(set(b_set), key=repr)
+    a_sorted = sorted(set(a_set))
+    b_sorted = sorted(set(b_set))
     if set(a_sorted) & set(b_sorted):
         raise ValueError("A and B intersect")
     if len(a_sorted) > len(b_sorted):
@@ -891,7 +890,7 @@ def embed_expander(g: GraphView, terminals, phi, params=None) -> EmbedResult:
     phi = Fraction(phi)
     if params is None:
         params = _default_params(phi)
-    terms = sorted(set(terminals), key=repr)
+    terms = sorted(set(terminals))
     if not terms:
         raise ValueError("no terminals")
     w = MultiGraph(terms)
@@ -955,7 +954,7 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
     phi = Fraction(phi)
     if params is None:
         params = _default_params(phi)
-    verts = sorted(g.vertex_list(), key=repr)
+    verts = g.vertex_list()
     host_deg = dict.fromkeys(verts, 0)
     all_triples = []
     for u, v, _ in g.edge_list():
@@ -967,7 +966,7 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
     stack = [frozenset(verts)]
     while stack:
         piece = stack.pop()
-        pv = sorted(piece, key=repr)
+        pv = sorted(piece)
         if len(pv) <= 1:
             clusters.append(piece)
             continue
@@ -981,7 +980,7 @@ def expander_decompose(g: GraphView, phi, params=None) -> DecompResult:
         stack.append(piece - witness)
         stack.append(witness)
 
-    clusters.sort(key=lambda c: repr(sorted(c, key=repr)))
+    clusters.sort(key=sorted)
     owner = {}
     for i, c in enumerate(clusters):
         for v in c:
@@ -1008,7 +1007,7 @@ class PrunedExpander:
         if not 0 < self.phi <= 1:
             raise ValueError(f"phi={phi}")
         self.params = params if params is not None else _default_params(self.phi)
-        self.verts = tuple(sorted(view.vertex_list(), key=repr))
+        self.verts = tuple(view.vertex_list())
         self.adj0 = {u: set() for u in self.verts}
         for u, v, _ in view.edge_list():
             self.adj0[u].add(v)
@@ -1042,7 +1041,7 @@ class PrunedExpander:
                 (u, v, 1)
                 for u in rem
                 for v in self.adj[u]
-                if v not in self.pruned and repr(u) < repr(v)
+                if v not in self.pruned and u < v
             ]
             side = (self._stray_components(rem, triples)
                     if len(rem) > self.params.exact_cap else None)
@@ -1059,7 +1058,7 @@ class PrunedExpander:
                 side = _small_side(tab, int(cand))
             self.pruned.update(side)
             newly.extend(side)
-        return sorted(newly, key=repr)
+        return sorted(newly)
 
     def _stray_components(self, rem, triples) -> Optional[set]:
         """Everything outside the heaviest component; the sampled family
@@ -1068,7 +1067,7 @@ class PrunedExpander:
         comps = _components(rem, triples)
         if len(comps) <= 1:
             return None
-        comps.sort(key=lambda c: (self.vol_initial(c), min(repr(v) for v in c)))
+        comps.sort(key=lambda c: (self.vol_initial(c), min(c)))
         out: set = set()
         for c in comps[:-1]:
             out |= c

@@ -123,7 +123,7 @@ SSSP_DIGESTS = {
     "gnp-12-flat-tau-2":
         "5afc6a163f2658b45a92fb4890289166d1faf150f9d3bcfc746bf1b0b1910e9b",
     "gnp-16-flat-tau-2":
-        "4b5baae4bd5f0c6d6186527fa9db01d86e78e18a10b01b3cc543390b697b37fe",
+        "b9ee032c2424914a6664bf78db0c66c4e7a1acc8a70bfc4fd8d963a8b690fa21",
 }
 
 LAYER_MOVES_DIGEST = \

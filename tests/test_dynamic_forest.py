@@ -66,6 +66,14 @@ class TestConnSF:
         assert not f.has_vertex(0)
         assert not f.connected(1, 2)
 
+    def test_members_and_moved_ascend_by_value(self):
+        # past id 9 value order and repr order differ: repr puts 10 before 9
+        f = df.ConnSF(vertices=range(12), edges=[(i, i + 1) for i in range(11)])
+        assert f.component_members(0) == list(range(12))
+        ev = f.conn_delete(8, 9)
+        assert ev.moved == (9, 10, 11)
+        assert f.component_members(11) == [9, 10, 11]
+
     def test_duplicate_edge_rejected(self):
         f = df.ConnSF(vertices=range(2), edges=[(0, 1)])
         with pytest.raises(ValueError):

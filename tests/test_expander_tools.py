@@ -172,6 +172,23 @@ class TestCutPlayerRound:
         assert move.terminal
         assert move.a == frozenset() and move.b == frozenset(range(8))
 
+    def test_padding_takes_the_smallest_ids(self, monkeypatch):
+        # the cut's small side {11} is padded up to 6 with the smallest
+        # ids of the other side, by value: 0-4, not 0, 1, 10, 2, 3
+        w = xt.MultiGraph(range(12))
+        rest = frozenset(range(11))
+        monkeypatch.setattr(xt, "cut_or_certify",
+                            lambda g, params: xt.BalancedCut(frozenset({11}), rest, 0))
+        move = xt.cut_player_round(w)
+        assert not move.terminal
+        assert move.a == frozenset({0, 1, 2, 3, 4, 11})
+
+    def test_multigraph_lists_ascend_by_value(self):
+        w = xt.MultiGraph(range(12), [(10, 2), (2, 10), (11, 1), (9, 0)])
+        assert w.vertex_list() == list(range(12))
+        assert w.distinct_edges() == [(0, 9, 1), (1, 11, 1), (2, 10, 2)]
+        assert w.edge_list() == [(0, 9), (1, 11), (2, 10), (2, 10)]
+
     def test_game_terminates_under_adversarial_matchings(self):
         # random pairing adversary; witness quality checked exactly
         for n, trials in ((8, 12), (16, 8)):
@@ -499,6 +516,14 @@ class TestDecompose:
             assert cross_edges(edges, res.clusters) == 1
             assert res.quality_ok
 
+    def test_clusters_ascend_by_value(self):
+        # three 5-cliques in a chain: value order puts 5-9 before 10-14
+        edges = [(5 * i + a, 5 * i + b) for i in range(3)
+                 for a, b in orc.gen_complete(5)] + [(4, 5), (9, 10)]
+        res = xt.expander_decompose(view(15, edges), Fraction(1, 4))
+        assert res.clusters == tuple(frozenset(range(5 * i, 5 * i + 5))
+                                     for i in range(3))
+
     def test_star_contract_post_hoc(self):
         edges = [(0, i) for i in range(1, 9)]
         g = view(9, edges)
@@ -627,7 +652,8 @@ class TestPruning:
             sampled_hits.clear()
             newly = xt.prune_delete(p, (small[0], large[0]))
             assert sampled_hits
-            assert set(newly) == set(small) == p.pruned_set
+            # newly pruned ids come back ascending, 7-12 included
+            assert newly == small and set(small) == p.pruned_set
 
     def test_sampled_tables_hold_each_cut_once(self, monkeypatch):
         # a side and its complement are one cut; a sampled family that

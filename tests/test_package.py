@@ -79,6 +79,27 @@ def test_no_module_draws_random_numbers():
     assert takes_rng == []
 
 
+def test_no_module_orders_by_repr():
+    """Vertices are ints ordered by value: no corepath module passes
+    key=repr, and repr() is called only inside a message (a raise
+    statement or an f-string)."""
+    src = Path(corepath.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        in_message = {id(sub) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Raise, ast.JoinedStr))
+                      for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg == "key" and \
+                    isinstance(node.value, ast.Name) and node.value.id == "repr":
+                found.append(f"{path.name}:{node.value.lineno} key=repr")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "repr" and id(node) not in in_message:
+                found.append(f"{path.name}:{node.lineno} repr()")
+    assert found == []
+
+
 def test_audits_raise_under_python_O():
     """The drift tests of the LCD and near-tree audits pass under python
     -O, which strips assert statements: the audits raise InvariantBroken
