@@ -12,6 +12,10 @@ their old level any more.  A vertex with such a supporter keeps its level
 and re-points its parent there, and its subtree is left alone.  Phase 2
 runs one depth-capped Dijkstra inside the hurt set, seeded from its
 unhurt boundary; hurt vertices it does not reach become absent.  The
+orphan's own scan decides the common cases alone: it stops at a
+supporter, and a hurt orphan with no tree child is the whole hurt set,
+so the least level[y] + w over its row, met in that same scan, is its
+new level and the first neighbour reaching it its parent.  The
 build is one bulk pass that fills and checks the adjacency rows, then
 the same Dijkstra (`_settle`) with every vertex absent and the source as
 the only seed.
@@ -28,8 +32,9 @@ stops at the first supporter in row order, and a settled vertex scans
 its whole row.  Vertex names are never compared.  The heap holds only
 the levels in use, not an array over 0..depth, because caps run far
 above m and lengths can be large: the cost of a deletion does not
-depend on the depth cap, only on the rows scanned, each hurt vertex's
-row three times and each kept child of a hurt vertex up to its first
+depend on the depth cap, only on the rows scanned: each hurt row up to
+three times (phase 1, its seed, its settling), a hurt orphan's with no
+tree child once, and each kept child of a hurt vertex up to its first
 supporter.
 
 With one edge deleted, every hurt vertex's level strictly rises (its old
@@ -180,29 +185,28 @@ class EsTree:
             self._repair(u)
 
     def es_remove_vertex(self, v):
-        """Delete every edge at v, then forget it.
+        """Delete every edge at v, then forget it.  The source cannot go.
 
         The whole row goes at once and one repair runs for all of v's
-        tree children: with only them left in v's row nothing supports v,
-        so phase 1 from v finds it hurt and walks every child and its
-        subtree by old level, from the lowest.  Levels and parents follow
-        from the rows alone, so this leaves the tree that deleting the
-        edges one at a time does."""
+        tree children: phase 1 starts from them, as the dirty children of
+        a hurt vertex that no row names any more, and walks each child
+        and its subtree by old level, from the lowest.  Levels and
+        parents follow from the rows alone, so this leaves the tree that
+        deleting the edges one at a time does."""
+        if v == self.source:
+            raise PreconditionViolated(f"cannot remove the source {v!r}")
         adj, level, parent = self._adj, self.level, self.parent
-        kids = {}
-        for u, w in adj.get(v, {}).items():
+        kids = []
+        for u in adj.pop(v, ()):
             del adj[u][v]
             if parent[u] == v:
-                kids[u] = w
-        if kids:
-            adj[v] = kids
-            hurt = self._find_hurt(v)
-            del hurt[v]
-            if hurt:
-                self._relevel(hurt)
-        adj.pop(v, None)
+                kids.append(u)
         level.pop(v, None)
         parent.pop(v, None)
+        if kids:
+            hurt = self._find_hurt({}, kids)
+            if hurt:
+                self._relevel(hurt)
 
     def es_insert(self, u, v, w):
         """Single-edge insert.  Needs one endpoint fresh/absent-singleton,
@@ -287,32 +291,62 @@ class EsTree:
     # -- repair ----------------------------------------------------------
 
     def _repair(self, x):
-        """Restore levels after x lost its parent edge."""
-        hurt = self._find_hurt(x)
-        if hurt:
-            self._relevel(hurt)
+        """Restore levels after x lost its parent edge.
 
-    def _find_hurt(self, x) -> dict:
+        One scan of x's row looks for a supporter (level[y] + w at most
+        x's level), and meanwhile tracks the least level[y] + w, the first
+        neighbour in row order that reaches it, and x's tree children.  A
+        supporter ends the scan and becomes x's parent.  Otherwise x is
+        hurt.  A hurt x with no tree child is the whole hurt set: its new
+        level is that least value and its parent that first neighbour, or
+        absent and None past the cap, which is what phase 2 would find,
+        since no absent neighbour comes into range through it.  Only an
+        orphan with tree children runs the two phases."""
+        level, parent = self.level, self.parent
+        lv = level[x]
+        best, via = self._absent, None
+        kids = []
+        work = 0
+        for y, w in self._adj[x].items():
+            work += 1
+            d = level[y] + w
+            if d <= lv:
+                parent[x] = y
+                self.work += work
+                return
+            if d < best:
+                best, via = d, y
+            if parent[y] == x:
+                kids.append(y)
+        self.work += work
+        if kids:
+            self._relevel(self._find_hurt({x: lv}, kids))
+        else:
+            level[x], parent[x] = best, via
+
+    def _find_hurt(self, hurt: dict, dirty: list) -> dict:
         """Phase 1: the vertices that lose their level, with old levels.
 
-        Visits x, then the dirty vertices one old level at a time, lowest
-        first.  A vertex keeps its level if a neighbour outside the hurt
-        set still supports it (level[y] + w == level[x]) and re-points its
-        parent there; otherwise it is hurt and its tree children turn
-        dirty.  A supporter sits strictly lower, so whether it is hurt is
-        known before x's level comes up, and order within a level changes
-        no decision and no row scanned.  A child sits strictly above its
-        parent, so the bucket being drained never grows.  The buckets are
-        made only when the first hurt vertex has children: an orphan that
-        finds a supporter allocates nothing."""
+        hurt holds the vertices already known hurt, and dirty their tree
+        children.  The dirty vertices are visited one old level at a
+        time, lowest first.  A vertex keeps its
+        level if a neighbour outside the hurt set still supports it
+        (level[y] + w == level[x]) and re-points its parent there;
+        otherwise it is hurt and its tree children turn dirty.  A
+        supporter sits strictly lower, so whether it is hurt is known
+        before x's level comes up, and order within a level changes no
+        decision and no row scanned.  A child sits strictly above its
+        parent, so the bucket being drained never grows."""
         level, parent, adj = self.level, self.parent, self._adj
+        buckets: dict = {}
+        for y in dirty:
+            buckets.setdefault(level[y], []).append(y)
+        keys = list(buckets)
+        heapify(keys)
         work = 0
-        hurt: dict = {}
-        buckets = keys = None
-        todo = (x,)
-        lv = level[x]
-        while True:
-            for x in todo:
+        while keys:
+            lv = heappop(keys)
+            for x in buckets.pop(lv):
                 sup = None
                 kids = []
                 for y, w in adj[x].items():
@@ -328,8 +362,6 @@ class EsTree:
                     parent[x] = sup
                     continue
                 hurt[x] = lv
-                if kids and buckets is None:
-                    buckets, keys = {}, []
                 for y in kids:
                     ly = level[y]
                     bucket = buckets.get(ly)
@@ -338,10 +370,6 @@ class EsTree:
                         heappush(keys, ly)
                     else:
                         bucket.append(y)
-            if not keys:
-                break
-            lv = heappop(keys)
-            todo = buckets.pop(lv)
         self.work += work
         return hurt
 

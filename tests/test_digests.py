@@ -131,8 +131,8 @@ LAYER_MOVES_DIGEST = \
 
 # EsTree.work after the build and after the whole teardown
 WORK_PINS = {
-    "weighted-grid-6x7": (142, 838),
-    "sssp-adaptive-gnp-12": (52, 421),
+    "weighted-grid-6x7": (142, 834),
+    "sssp-adaptive-gnp-12": (52, 413),
 }
 
 

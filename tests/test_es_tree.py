@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from corepath.es_tree import EsTree, PreconditionViolated, SourceMissing, VertexAbsent
-from corepath.graph_core import DynamicGraph, GraphView, dijkstra
+from corepath.graph_core import DynamicGraph, GraphView, InvariantBroken, dijkstra
 
 
 def tree_from(n, edges, s, depth):
@@ -169,10 +169,24 @@ class TestDelete:
         assert t.work == before
 
     def test_vertex_removal(self):
-        t = tree_from(4, orc.gen_complete(4), 0, 5)
-        t.es_remove_vertex(0)
-        assert not t.contains(0) or True  # gone entirely
-        assert 0 not in t.vertices()
+        # 0-1-2-3 with a detour 0-2 of length 3: removing 1 lifts 2 and 3
+        t = EsTree(0, 5, [(0, 1, 1), (1, 2, 1), (0, 2, 3), (2, 3, 1)])
+        t.es_remove_vertex(1)
+        assert 1 not in t.vertices() and 1 not in t.level
+        assert 1 not in t.parent
+        assert not t.has_edge(0, 1) and not t.has_edge(2, 1)
+        assert [t.level_of(v) for v in (0, 2, 3)] == [0, 3, 4]
+        assert (t.parent[2], t.parent[3]) == (0, 2)
+        t.check()
+
+    def test_source_removal_is_refused(self):
+        t = EsTree(0, 10, [(0, 1, 1), (1, 2, 1), (0, 2, 3)])
+        before = snapshot(t)
+        with pytest.raises(PreconditionViolated):
+            t.es_remove_vertex(0)
+        assert snapshot(t) == before
+        t.es_insert(0, 3, 1)
+        t.check()
 
     def test_unknown_edge_raises(self):
         t = tree_from(3, [(0, 1)], 0, 2)
@@ -242,6 +256,89 @@ class TestBatchedRemoval:
         assert [t.level_of(x) for x in range(3, 9)] == [2, 2, 2, None,
                                                         None, None]
         assert all(t.parent[x] == 2 for x in range(3, 6))
+
+
+class TestOrphanScan:
+    """The orphan's own scan decides a supporter or a childless orphan;
+    only an orphan with tree children runs the two phases."""
+
+    @staticmethod
+    def spy(t):
+        """Record the phase calls t makes from now on."""
+        calls = []
+        for name in ("_find_hurt", "_relevel", "_settle"):
+            def call(*args, _name=name, _real=getattr(t, name)):
+                calls.append(_name)
+                return _real(*args)
+            setattr(t, name, call)
+        return calls
+
+    @pytest.mark.parametrize("first,second", [(2, 1), (1, 2)])
+    def test_tie_goes_to_the_first_neighbour_in_row_order(self, first,
+                                                          second):
+        # 3 hangs off 0; after the cut, 1 and 2 both offer level 1 + 2
+        t = EsTree(0, 10, [(0, 3, 1), (3, first, 2), (3, second, 2),
+                           (0, 1, 1), (0, 2, 1)])
+        assert [y for y, _ in t.incident(3)] == [0, first, second]
+        t.es_delete(0, 3)
+        assert (t.level_of(3), t.parent[3]) == (3, first)
+        t.check()
+
+    def test_pushed_past_the_cap_goes_absent(self):
+        # 2 hangs off 1 at level 2; its only other way in is 3 + 1
+        t = EsTree(0, 2, [(0, 1, 1), (1, 2, 1), (0, 3, 2), (3, 2, 1)])
+        assert (t.level_of(2), t.parent[2], t.parent[3]) == (2, 1, 0)
+        t.es_delete(1, 2)
+        assert t.level_of(2) is None and t.parent[2] is None
+        assert not t.contains(2)
+        with pytest.raises(VertexAbsent):
+            t.es_path(2)
+        t.check()
+
+    def test_childless_orphan_runs_no_phase(self):
+        t = EsTree(0, 10, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 2, 3),
+                           (2, 4, 4), (0, 4, 1)])
+        assert t.parent[2] == 1 and t.parent[4] == 0
+        calls = self.spy(t)
+        work = t.work
+        t.es_delete(1, 2)
+        assert calls == []
+        assert t.work - work == 2  # one scan of 2's row, now {3, 4}
+        assert (t.level_of(2), t.parent[2]) == (4, 3)
+        t.check()
+
+    def test_orphan_with_a_child_relevels_its_subtree(self):
+        # 0-1-2-3 with a detour 0-3 of length 5: cutting 0-1 turns the path
+        t = EsTree(0, 10, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 5)])
+        calls = self.spy(t)
+        t.es_delete(0, 1)
+        assert calls[:2] == ["_find_hurt", "_relevel"]
+        assert [t.level_of(v) for v in range(4)] == [0, 7, 6, 5]
+        assert [t.parent[v] for v in range(1, 4)] == [2, 3, 0]
+        t.check()
+
+
+class TestAuditCatchesDrift:
+    """check() notices a level or a parent that drifts from what the rows
+    say."""
+
+    @pytest.fixture
+    def t(self):
+        # 3 sits at level 2 through 1 and through 2; 1 comes first in its row
+        t = EsTree(0, 10, [(0, 1, 1), (0, 2, 1), (3, 1, 1), (3, 2, 1)])
+        assert (t.level_of(3), t.parent[3]) == (2, 1)
+        t.check()
+        return t
+
+    def test_bumped_level(self, t):
+        t.level[3] += 1
+        with pytest.raises(InvariantBroken, match="level of 3"):
+            t.check()
+
+    def test_parent_on_a_later_realiser(self, t):
+        t.parent[3] = 2
+        with pytest.raises(InvariantBroken, match="parent of 3"):
+            t.check()
 
 
 class TestInsert:
@@ -404,30 +501,32 @@ def repair_work(before, rows, level, depth, edge=None, vertex=None):
 
     The update deleted edge (u, v) or removed vertex; before holds the
     levels and parents before the update, rows and level the reference
-    tree after it.  The hurt vertices are those whose level rose.  Phase 1
-    visits the orphan (or the removed vertex, scanning its tree children)
-    and every tree child of a hurt vertex: a hurt one scans its whole row,
-    a kept one its row up to its first unhurt supporter at the old level.
-    Phase 2 scans each hurt row once for its seed, and again when the
-    vertex settles in range."""
+    tree after it.  The hurt vertices are those whose level rose.  A
+    deletion scans the orphan's row first: a hurt orphan with no tree
+    child scans it once, whole, and nothing else runs.  Otherwise phase 1
+    visits the orphan and every tree child of a hurt vertex (or of the
+    removed vertex, whose row is not scanned): a hurt one scans its whole
+    row, a kept one its row up to its first unhurt supporter at the old
+    level.  Phase 2 scans each hurt row once for its seed, and again when
+    the vertex settles in range."""
     old_level, old_parent = before
+    hurt = {y for y in rows if level[y] > old_level[y]}
     if vertex is None:
         u, v = edge
         if old_parent.get(v) == u:
-            roots, work = {v}, 0
+            x = v
         elif old_parent.get(u) == v:
-            roots, work = {u}, 0
+            x = u
         else:
             return 0
-        parents = set()
+        if x in hurt and not any(old_parent[y] == x for y in rows):
+            return len(rows[x])
+        roots, parents = {x}, set()
     else:
-        kids = [y for y in rows if old_parent[y] == vertex]
-        if not kids:
-            return 0
-        roots, work, parents = set(), len(kids), {vertex}
-    hurt = {y for y in rows if level[y] > old_level[y]}
+        roots, parents = set(), {vertex}
     visited = roots | {y for y in rows if old_parent[y] in hurt | parents}
     assert hurt <= visited
+    work = 0
     for y in visited - hurt:
         work += 1 + next(i for i, (z, w) in enumerate(rows[y].items())
                          if z not in hurt and old_level[z] + w == old_level[y])
@@ -510,7 +609,8 @@ class TestLevelBuckets:
         for u, v, _ in order:
             work = t.work
             t.es_delete(u, v)
-            # three scans of each hurt row and one of each kept child's
+            # at most three scans of each hurt row and one of each kept
+            # child's
             assert t.work - work <= 8 * len(edges)
         t.check()
         assert all(t.level_of(x) is None for x in range(1, n))

@@ -101,17 +101,18 @@ def test_no_module_orders_by_repr():
 
 
 def test_audits_raise_under_python_O():
-    """The drift tests of the LCD and near-tree audits pass under python
-    -O, which strips assert statements: the audits raise InvariantBroken
-    through graph_core.require instead."""
+    """The drift tests of the ES, LCD and near-tree audits pass under
+    python -O, which strips assert statements: the audits raise
+    InvariantBroken through graph_core.require instead."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(tests.parent / "src"), str(tests)]))
     run = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "test_es_tree.py") + "::TestAuditCatchesDrift",
          str(tests / "test_lcd.py") + "::TestAuditCatchesDrift",
          str(tests / "test_sssp.py") + "::TestNearTreeDrift"],
         env=env, cwd=tests.parent, capture_output=True, text=True,
         timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "6 passed" in run.stdout, run.stdout
+    assert "8 passed" in run.stdout, run.stdout

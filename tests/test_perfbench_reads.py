@@ -60,7 +60,7 @@ def test_sssp_heavy_counts():
     assert {name: metrics[name][0] for name in (
         "sssp.heavy_classes", "sssp.supernodes", "es_tree.work",
         "es_tree.delete_calls", "lcd.short_path_calls", "lcd.delete_s")} == {
-        "sssp.heavy_classes": 4, "sssp.supernodes": 4, "es_tree.work": 242,
+        "sssp.heavy_classes": 4, "sssp.supernodes": 4, "es_tree.work": 234,
         "es_tree.delete_calls": 14, "lcd.short_path_calls": 8,
         "lcd.delete_s": 0}
 
