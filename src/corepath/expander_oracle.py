@@ -1,12 +1,18 @@
 """Short-path oracle on a decremental expander.
 
-A q-level hierarchy: the input expander sits at level q, and each level
-hosts a smaller expander built on a sample of its vertices (at the top,
-on edge-subdivision points) together with an embedding of that smaller
-graph into it.  Queries walk down the hierarchy through multi-source
-shortest-path trees and translate back up through the embeddings;
-deletions cascade down through reverse lists and are absorbed by pruning
-until a level blows its budget and gets rebuilt from the level above.
+The paper's oracle is a hierarchy of depth q.  Here q is 1 or 2, the
+only depths heavy_side.q_for gives (2 for every n from 3 to 2^256), and
+oracle_init refuses any other:
+
+- q=1: the pruned input expander and one shortest-path tree in it.
+- q=2: the pruned input expander at the top, and below it level 1, a
+  smaller expander on a sample of the midpoints of the top's subdivided
+  edges, embedded into the subdivided copy.  A query walks a
+  multi-source tree from the sample up to each endpoint and crosses
+  level 1 through its tree, translating each level-1 hop back through
+  its guest path.  A top deletion cascades to level 1 through the
+  reverse lists (J-lists) of the midpoints it loses; level 1 absorbs
+  deletions up to its budget and is then rebuilt from the top.
 """
 
 from __future__ import annotations
@@ -50,29 +56,27 @@ class QueryAuditFailed(ExpanderError):
 class _Level:
     """Mutable per-level record.
 
-    `graph` lives in the level's own compact id space; `up` maps a local
-    id to the parent level's id space (the subdivided one at the top).
-    The downward-facing fields (x_set, emb, jlists, tree) describe the
-    child expander embedded into this level and are replaced wholesale
-    whenever the child is rebuilt.
+    `graph` lives in the level's own compact id space; at level 1 of a
+    q=2 oracle, `up` maps a local id to its midpoint in the top's
+    subdivided copy and `down` maps back.  At the top of a q=2 oracle,
+    the fields x_set, xid, emb, jlists and tree describe level 1's
+    embedding into that copy and are replaced wholesale whenever level 1
+    is rebuilt.
     """
 
     __slots__ = (
-        "idx", "graph", "up", "down", "prune", "d", "m0", "budget",
-        "tree", "root", "x_set", "emb", "jlists", "xid",
+        "graph", "up", "down", "prune", "d", "budget",
+        "tree", "x_set", "emb", "jlists", "xid",
     )
 
-    def __init__(self, idx: int):
-        self.idx = idx
+    def __init__(self):
         self.graph = None
         self.up = None
         self.down = None
         self.prune = None
         self.d = 0
-        self.m0 = 0
         self.budget = 1
         self.tree = None
-        self.root = None
         self.x_set = ()
         self.emb = {}
         self.jlists = {}
@@ -80,6 +84,15 @@ class _Level:
 
 
 class ExpanderHierarchy:
+    """The oracle's state, with its top at levels[q].
+
+    Only LcdState drives one, through its cores.  A core keeps a
+    hierarchy only once oracle_init has returned, and LcdState poisons
+    itself when a deletion fails part-way; so a hierarchy left
+    half-updated by an error is never read again, and it keeps no
+    poisoned flag of its own.
+    """
+
     def __init__(self, n: int, m: int, q: int, phi: Fraction,
                  params: ExpanderParams, depth: int):
         self.n = n
@@ -92,7 +105,6 @@ class ExpanderHierarchy:
         self.inits: Counter = Counter()  # level -> builds of that level
         self.stages: Counter = Counter()  # level -> budget overruns there
         self.dead = False
-        self.repairs = 0
         # degree-0 vertices at build time carry no volume, so pruning can
         # never claim them; they sit outside the expander from day one
         self.iso: frozenset = frozenset()
@@ -106,25 +118,24 @@ class ExpanderHierarchy:
         }
 
 
-def _x_count(m: int, i: int, q: int) -> int:
-    """ceil(m ** ((i-1)/q)) without float drift on perfect powers."""
-    p = i - 1
-    if p <= 0 or m <= 1:
-        return 1
-    target = m ** p
-    s = max(1, round(target ** (1.0 / q)))
-    while s ** q < target:
-        s += 1
-    while s > 1 and (s - 1) ** q >= target:
-        s -= 1
-    return s
+def require_depth(q) -> None:
+    """Refuse an oracle depth other than 1 or 2, the only depths
+    heavy_side.q_for gives (1 for n <= 2, 2 for every n up to 2^256)."""
+    if q not in (1, 2):
+        raise ValueError(f"q={q}: the oracle is built at depth 1 or 2, "
+                         "the depths heavy_side.q_for gives")
+
+
+def _x_count(m: int) -> int:
+    """Size of level 1's sample over m top edges: ceil(sqrt(m))."""
+    return math.isqrt(m - 1) + 1 if m > 0 else 0
 
 
 def _len_cap(depth: int, q: int) -> int:
-    cap = 2 * depth
-    for _ in range(q - 1):
-        cap = depth * (2 + cap)
-    return cap
+    """Edge cap of a query path at depth q: 2 * depth at q=1, and
+    depth * (2 + 2 * depth) at q=2, one step of the recurrence
+    cap(q) = depth * (2 + cap(q - 1))."""
+    return 2 * depth if q == 1 else depth * (2 + 2 * depth)
 
 
 def oracle_depth(n: int, phi) -> int:
@@ -137,8 +148,7 @@ def oracle_init(g: GraphView, q: int, phi,
     phi = Fraction(phi)
     if not 0 < phi <= 1:
         raise ValueError(f"phi={phi}")
-    if q < 1 or int(q) != q:
-        raise ValueError(f"q={q}")
+    require_depth(q)
     verts = g.vertex_list()
     n = len(verts)
     if verts != list(range(n)):
@@ -147,63 +157,50 @@ def oracle_init(g: GraphView, q: int, phi,
         params = _default_params(phi)
     h = ExpanderHierarchy(n, g.m, q, phi, params, oracle_depth(n, phi))
 
-    top = _Level(q)
+    top = _Level()
     top.graph = DynamicGraph(n)
     for u, v, _l in g.edge_list():
         top.graph.add_edge(u, v)
     h.iso = frozenset(v for v in range(n) if top.graph.degree(v) == 0)
     live = [v for v in range(n) if v not in h.iso]
     top.prune = prune_init(GraphView(top.graph, vertices=live), phi, params)
-    top.m0 = top.graph.m
     top.budget = top.prune.budget
     h.levels[q] = top
     if q == 1:
         h.inits[1] += 1
         _rebuild_t1(h)
     else:
-        _init_level(h, q)
+        _init_top(h)
     return h
 
 
-def _init_level(h: ExpanderHierarchy, i: int) -> None:
-    """Build level i's downward structures and the child expander below."""
-    h.inits[i] += 1
-    if i == 1:
-        _rebuild_t1(h)
-        return
-    lv = h.levels[i]
-    pruned = lv.prune.pruned_set if lv.prune is not None else frozenset()
-    if i == h.q:
-        pruned = pruned | h.iso
-    alive_edges = sorted((u, v) for u, v, _l in lv.graph.edge_list())
-    if i == h.q:
-        # subdivided copy: each surviving edge gets a midpoint vertex
-        base = h.n
-        xid = {}
-        gp_edges = []
-        for k, (u, v) in enumerate(alive_edges):
-            x = base + k
-            xid[(u, v)] = x
-            gp_edges.append((u, x))
-            gp_edges.append((x, v))
-        lv.xid = xid
-        gp_n = base + len(alive_edges)
-        gp_verts = [v for v in range(h.n) if v not in pruned]
-        gp_verts += list(range(base, gp_n))
-        eligible = sorted(xid.values())
-    else:
-        lv.xid = None
-        gp_n = lv.graph.n
-        gp_edges = alive_edges
-        gp_verts = [v for v in range(gp_n) if v not in pruned]
-        eligible = list(gp_verts)
+def _init_top(h: ExpanderHierarchy) -> None:
+    """Rebuild a q=2 oracle below its top: the subdivided copy of the
+    top's live edges, a fresh level 1 on a sample of its midpoints, and
+    the embedding of level 1 into the copy."""
+    h.inits[2] += 1
+    lv = h.levels[2]
+    pruned = lv.prune.pruned_set | h.iso
+    # each surviving edge gets a midpoint vertex, numbered from n
+    base = h.n
+    xid = {}
+    gp_edges = []
+    for k, (u, v) in enumerate(sorted(
+            (u, v) for u, v, _l in lv.graph.edge_list())):
+        x = base + k
+        xid[(u, v)] = x
+        gp_edges.append((u, x))
+        gp_edges.append((x, v))
+    lv.xid = xid
+    gp_n = base + len(xid)
+    gp_verts = [v for v in range(h.n) if v not in pruned]
+    gp_verts += list(range(base, gp_n))
     gp = DynamicGraph(gp_n)
     for u, v in gp_edges:
         gp.add_edge(u, v)
     gview = GraphView(gp, vertices=gp_verts)
 
-    want = _x_count(h.m, i, h.q)
-    x_list = eligible[:min(want, len(eligible))]
+    x_list = list(range(base, min(gp_n, base + _x_count(h.m))))
     lv.x_set = tuple(x_list)
 
     res = embed_expander(gview, set(x_list), h.phi, h.params)
@@ -213,14 +210,12 @@ def _init_level(h: ExpanderHierarchy, i: int) -> None:
             emb[(av, bv)] = tuple(path)
     lv.emb = emb
 
+    # every guest path registers once on the midpoint of each hop
     jl: dict = {}
     for (av, bv), path in emb.items():
         regged = set()
         for p, r in zip(path, path[1:]):
-            if i == h.q:
-                key = p if p >= h.n else r
-            else:
-                key = frozenset((p, r))
+            key = p if p >= base else r
             if key in regged:
                 continue
             regged.add(key)
@@ -231,128 +226,96 @@ def _init_level(h: ExpanderHierarchy, i: int) -> None:
     tree_edges += [(u, v, 1) for u, v in gp_edges]
     lv.tree = EsTree(VR, h.depth + 1, tree_edges, vertices=gp_verts + [VR])
 
-    child = _Level(i - 1)
+    child = _Level()
     child.up = list(x_list)
     child.down = {p: c for c, p in enumerate(child.up)}
     child.graph = DynamicGraph(len(child.up))
     for av, bv in emb:
         child.graph.add_edge(child.down[av], child.down[bv])
-    child.m0 = child.graph.m
-    if i - 1 >= 2:
-        child.prune = prune_init(GraphView(child.graph), h.phi / 6, h.params)
-        child.budget = child.prune.budget
-    else:
-        child.budget = max(1, int((h.phi / 6) * child.m0 / 10))
-    h.levels[i - 1] = child
-    _init_level(h, i - 1)
+    child.budget = max(1, int((h.phi / 6) * child.graph.m / 10))
+    h.levels[1] = child
+    h.inits[1] += 1
+    if not _rebuild_t1(h):
+        # the build reads only the top, and embed_expander draws nothing
+        # at random, so building again would give this same level 1
+        raise ExpanderError("a fresh level 1 does not span")
 
 
-def _rebuild_t1(h: ExpanderHierarchy) -> None:
+def _rebuild_t1(h: ExpanderHierarchy) -> bool:
+    """Rebuild level 1's tree; whether it reaches every level-1 vertex
+    outside the pruned set."""
     lv = h.levels[1]
-    pruned = lv.prune.pruned_set if lv.prune is not None else frozenset()
-    if 1 == h.q:
-        pruned = pruned | h.iso
+    pruned = oracle_pruned(h) if h.q == 1 else frozenset()
     verts = [v for v in range(lv.graph.n) if v not in pruned]
     if not verts:
         lv.tree = None
-        return
+        return True
     edges = [(u, v, 1) for u, v, _l in lv.graph.edge_list()]
-    lv.root = verts[0]
-    lv.tree = EsTree(lv.root, h.depth, edges, vertices=verts)
-    if any(lv.tree.level_of(v) is None for v in verts):
-        if h.q == 1:
-            # pruning keeps the remainder connected; reaching this means
-            # the expander precondition on the input was false
-            raise ExpanderError("level-1 remainder fell apart")
-        if h.repairs > 2:
-            raise ExpanderError("level-1 repair did not converge")
-        h.repairs += 1
-        try:
-            _init_level(h, 2)
-        finally:
-            h.repairs -= 1
+    lv.tree = EsTree(verts[0], h.depth, edges, vertices=verts)
+    spans = all(lv.tree.level_of(v) is not None for v in verts)
+    if not spans and h.q == 1:
+        # pruning keeps the remainder connected; reaching this means
+        # the expander precondition on the input was false
+        raise ExpanderError("level-1 remainder fell apart")
+    return spans
 
 
-def _untree_edge(h: ExpanderHierarchy, i: int, a: int, b: int) -> None:
-    lv = h.levels[i]
-    t = lv.tree
-    if t is None:
-        return
-    if i == h.q:
-        key = (a, b) if a < b else (b, a)
-        x = lv.xid.get(key)
-        if x is None:
-            return
-        for p, r in ((key[0], x), (x, key[1])):
-            if t.has_edge(p, r):
-                t.es_delete(p, r)
-    else:
-        if t.has_edge(a, b):
-            t.es_delete(a, b)
-
-
-def _delete(h: ExpanderHierarchy, i: int, le: tuple) -> None:
-    lv = h.levels[i]
-    a, b = le
+def _delete_level1(h: ExpanderHierarchy, a: int, b: int) -> None:
+    """Delete local edge (a, b) from level 1 of a q=2 oracle; rebuild
+    from the top once level 1's budget is spent or its tree falls
+    apart."""
+    lv = h.levels[1]
     if not lv.graph.has_edge(a, b):
-        return  # stale cascade entry
+        return  # an earlier guest of the cascade took it already
     if lv.d + 1 > lv.budget:
-        if i == h.q:
-            h.dead = True
-            raise TopLevelBudgetExhausted(
-                f"deletion {lv.d + 1} exceeds budget {lv.budget}")
-        h.stages[i] += 1
-        _init_level(h, i + 1)
+        h.stages[1] += 1
+        _init_top(h)
         return
     lv.graph.delete_between(a, b)
     lv.d += 1
-    dnew = [(a, b)]
-    newly = []
-    if lv.prune is not None:
-        newly = prune_delete(lv.prune, (a, b))
-        for x in newly:
-            for nbr, _e in list(lv.graph.neighbors(x)):
-                lv.graph.delete_between(x, nbr)
-                dnew.append((x, nbr))
-    if i >= 2:
-        for p, r in dnew:
-            _untree_edge(h, i, p, r)
-    if i < h.q and newly:
-        ptree = h.levels[i + 1].tree
-        pup = h.levels[i].up
-        for x in newly:
-            pid = pup[x]
-            if ptree is not None and ptree.has_edge(VR, pid):
-                ptree.es_delete(VR, pid)
-    if i == 1:
-        _rebuild_t1(h)
-        return
-    child = h.levels[i - 1]
-    for p, r in dnew:
-        if h.levels.get(i - 1) is not child:
-            break
-        if i == h.q:
-            key = lv.xid.get((p, r) if p < r else (r, p))
-        else:
-            key = frozenset((p, r))
-        for ga, gb in list(lv.jlists.get(key, ())):
-            if h.levels.get(i - 1) is not child:
-                break
-            la = child.down.get(ga)
-            lb = child.down.get(gb)
-            if la is None or lb is None:
-                continue
-            _delete(h, i - 1, (la, lb))
+    if not _rebuild_t1(h):
+        _init_top(h)
 
 
 def oracle_delete(h: ExpanderHierarchy, e) -> None:
+    """Delete edge e at the top, prune, and at q=2 take every lost edge's
+    halves out of the top tree, then cascade each lost edge's guests down
+    to level 1."""
     if h.dead:
         raise TopLevelBudgetExhausted("structure already destroyed")
     u, v = int(e[0]), int(e[1])
     top = h.levels[h.q]
     if not top.graph.has_edge(u, v):
         raise UnknownEdge(f"({u},{v}) not alive at the top level")
-    _delete(h, h.q, (u, v))
+    if top.d + 1 > top.budget:
+        h.dead = True
+        raise TopLevelBudgetExhausted(
+            f"deletion {top.d + 1} exceeds budget {top.budget}")
+    top.graph.delete_between(u, v)
+    top.d += 1
+    dnew = [(u, v)]
+    for x in prune_delete(top.prune, (u, v)):
+        for nbr, _e in list(top.graph.neighbors(x)):
+            top.graph.delete_between(x, nbr)
+            dnew.append((x, nbr))
+    if h.q == 1:
+        _rebuild_t1(h)
+        return
+    t = top.tree
+    mids = []
+    for a, b in dnew:
+        key = (a, b) if a < b else (b, a)
+        x = top.xid[key]
+        mids.append(x)
+        for p, r in ((key[0], x), (x, key[1])):
+            if t.has_edge(p, r):
+                t.es_delete(p, r)
+    child = h.levels[1]
+    for x in mids:
+        for ga, gb in list(top.jlists.get(x, ())):
+            if h.levels[1] is not child:
+                return  # rebuilt from the top: the new level 1 is current
+            _delete_level1(h, child.down[ga], child.down[gb])
 
 
 def _tree_path(t: EsTree, u, v) -> list:
@@ -366,23 +329,25 @@ def _tree_path(t: EsTree, u, v) -> list:
     return list(reversed(p1[k - 1:])) + p2[k:]
 
 
-def _query(h: ExpanderHierarchy, i: int, u: int, v: int) -> list:
-    lv = h.levels[i]
-    if i == 1:
-        return _tree_path(lv.tree, u, v)
-    pu = lv.tree.es_path(u)
-    pv = lv.tree.es_path(v)
+def _query(h: ExpanderHierarchy, u: int, v: int) -> list:
+    """A top-level walk from u to v: through the one tree at q=1; at
+    q=2, up the top tree to u's and v's sample midpoints, across level 1
+    between them, each level-1 hop replaced by its guest path."""
+    if h.q == 1:
+        return _tree_path(h.levels[1].tree, u, v)
+    top, child = h.levels[2], h.levels[1]
+    pu = top.tree.es_path(u)
+    pv = top.tree.es_path(v)
     head = list(reversed(pu))[:-1]  # u .. u'
     tail = pv[1:]                   # v' .. v
     usite, vsite = pu[1], pv[1]
     mid = [usite]
     if usite != vsite:
-        child = h.levels[i - 1]
-        local = _query(h, i - 1, child.down[usite], child.down[vsite])
+        local = _tree_path(child.tree, child.down[usite], child.down[vsite])
         for la, lb in zip(local, local[1:]):
             pa, pb = child.up[la], child.up[lb]
-            seg = lv.emb.get((pa, pb))
-            seg = list(seg) if seg is not None else list(reversed(lv.emb[(pb, pa)]))
+            seg = top.emb.get((pa, pb))
+            seg = list(seg) if seg is not None else list(reversed(top.emb[(pb, pa)]))
             mid.extend(seg[1:])
     return head + mid[1:] + tail[1:]
 
@@ -411,8 +376,8 @@ def oracle_query(h: ExpanderHierarchy, u: int, v: int) -> list:
         raise PrunedEndpoint(f"pruned endpoint in ({u},{v})")
     if u == v:
         return []
-    raw = _query(h, h.q, u, v)
-    if h.q >= 2:
+    raw = _query(h, u, v)
+    if h.q == 2:
         raw = [p for p in raw if p < h.n]
     path = [raw[0]]
     for p in raw[1:]:
@@ -446,9 +411,7 @@ def check_invariants(h: ExpanderHierarchy) -> None:
             require(len(guests) <= eta, f"J list at {key!r} too long")
         if lv.tree is None:
             continue
-        pruned = lv.prune.pruned_set if lv.prune is not None else frozenset()
-        if i == h.q:
-            pruned = pruned | h.iso
+        pruned = lv.prune.pruned_set | h.iso if i == h.q else frozenset()
         for v in range(lv.graph.n):
             if v in pruned:
                 continue

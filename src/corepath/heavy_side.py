@@ -50,7 +50,9 @@ class SideOutOfSync(ScaleMisuse):
 
 def q_for(n: int) -> int:
     """Oracle depth of the class decompositions: the smallest k with
-    k^8 >= ceil(lg n)."""
+    k^8 >= ceil(lg n).  That is 1 for n <= 2 and 2 for every n from 3 to
+    2^256, so the oracle is built for those two depths only, and
+    LcdParams and oracle_init refuse any other."""
     lg = max(1, (max(1, n) - 1).bit_length())
     k = 1
     while k ** 8 < lg:

@@ -41,6 +41,7 @@ from .expander_oracle import (
     oracle_init,
     oracle_pruned,
     oracle_query,
+    require_depth,
 )
 from .expander_tools import ExpanderParams, expander_decompose
 from .graph_core import (NOT_CONNECTED, DynamicGraph, GraphError, GraphView,
@@ -113,11 +114,16 @@ class LcdParams:
     oracle hierarchy, and the expander parameters, whose phi is the core
     expansion.  make() sizes both for n vertices; tests pass a blunter
     phi so that oracle towers stay shallow at toy sizes.  Every other
-    constant is a module constant above.
+    constant is a module constant above.  q must be 1 or 2, the depths
+    heavy_side.q_for gives; any other raises ValueError here, before a
+    core builds an oracle.
     """
 
     q: int
     expander: ExpanderParams
+
+    def __post_init__(self):
+        require_depth(self.q)
 
     @classmethod
     def make(cls, n: int, q: int = 2) -> "LcdParams":

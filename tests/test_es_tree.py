@@ -392,6 +392,17 @@ class TestInsert:
         assert not t.has_edge(0, 3)
         t.check()
 
+    def test_attach_that_would_break_a_neighbour_rolls_back(self):
+        # 4 is absent at depth 3; the edge (4, 0) would bring it in at
+        # level 1, next to 3 at level 3
+        t = tree_from(5, orc.gen_path(5), 0, 3)
+        assert not t.contains(4)
+        before = snapshot(t)
+        with pytest.raises(PreconditionViolated, match="breaks neighbor 3"):
+            t.es_insert(4, 0, 1)
+        assert snapshot(t) == before
+        t.check()
+
 
 class TestPath:
     def test_path_length_equals_level(self):

@@ -5,7 +5,10 @@ import pytest
 
 import oracles as orc
 from corepath import expander_oracle as xo
-from corepath.graph_core import DynamicGraph, GraphView, UnknownEdge
+from corepath.expander_tools import ExpanderParams
+from corepath.graph_core import (DynamicGraph, GraphView, InvariantBroken,
+                                 UnknownEdge)
+from corepath.lcd import LcdParams
 
 
 def build(n, edges, q, phi):
@@ -29,17 +32,28 @@ def repairs(h):
 
 class TestLevelSizing:
     def test_exact_integer_roots(self):
-        assert xo._x_count(120, 2, 2) == 11  # ceil(sqrt(120))
-        assert xo._x_count(100, 2, 2) == 10
-        assert xo._x_count(27, 2, 3) == 3    # float pow alone would give 4
-        assert xo._x_count(27, 3, 3) == 9
-        assert xo._x_count(96, 2, 2) == 10
-        assert xo._x_count(5, 1, 2) == 1
+        # level 1 samples ceil(sqrt(m)) midpoints; isqrt keeps it exact
+        assert xo._x_count(0) == 0
+        for m in range(1, 10_001):
+            s = xo._x_count(m)
+            assert s * s >= m > (s - 1) ** 2, m
 
     def test_length_cap_recurrence(self):
         assert xo._len_cap(10, 1) == 20
         assert xo._len_cap(10, 2) == 10 * (2 + 20)
-        assert xo._len_cap(3, 3) == 3 * (2 + 3 * (2 + 6))
+
+
+class TestDepthGuard:
+    """Only depths 1 and 2 are built, the ones heavy_side.q_for gives."""
+
+    @pytest.mark.parametrize("q", [0, 3])
+    def test_oracle_init_refuses(self, q):
+        with pytest.raises(ValueError, match="q_for"):
+            build(8, orc.gen_complete(8), q, Fraction(1, 4))
+
+    def test_lcd_params_refuse(self):
+        with pytest.raises(ValueError, match="q_for"):
+            LcdParams(q=3, expander=ExpanderParams.for_size(16))
 
 
 class TestSingleLevel:
@@ -256,3 +270,62 @@ class TestSparseRandom:
                 if u != live[0]:
                     verify_path(h, p, live[0], u)
         assert absorbed == h.levels[1].budget
+
+
+class TestTopPruneCascade:
+    """K16 with a pendant path 0-16-17-13: once both joins are gone, the
+    top prunes 16 and 17 and deletes the edge between them from the top
+    graph and, at q=2, both its halves from the top tree."""
+
+    EDGES = orc.gen_complete(16) + [(0, 16), (13, 17), (16, 17)]
+
+    @pytest.mark.parametrize("order", [[(0, 16), (13, 17)],
+                                       [(13, 17), (0, 16)]])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_pruned_pair_leaves_every_level(self, q, order):
+        h = build(18, self.EDGES, q, Fraction(1, 4))
+        x = h.levels[2].xid[(16, 17)] if q == 2 else None
+        for step, e in enumerate(order):
+            xo.oracle_delete(h, e)
+            if step == 1:
+                top = h.levels[h.q]
+                assert xo.oracle_pruned(h) == {16, 17}
+                assert not top.graph.has_edge(16, 17)
+                if q == 2:
+                    assert not top.tree.has_edge(16, x)
+                    assert not top.tree.has_edge(x, 17)
+            xo.check_invariants(h)
+            live = sorted(set(range(18)) - xo.oracle_pruned(h))
+            for u in live:
+                for v in live:
+                    if u < v:
+                        verify_path(h, xo.oracle_query(h, u, v), u, v)
+
+
+class TestAuditCatchesDrift:
+    """check_invariants notices a level over budget, a J-list over the
+    congestion cap, or a live vertex missing from a level's tree."""
+
+    @pytest.fixture
+    def h(self):
+        h = build(16, orc.gen_complete(16), 2, Fraction(1, 4))
+        xo.check_invariants(h)
+        return h
+
+    def test_level_over_budget(self, h):
+        h.levels[1].d = h.levels[1].budget + 1
+        with pytest.raises(InvariantBroken, match="level 1 over budget"):
+            xo.check_invariants(h)
+
+    def test_jlist_over_congestion_cap(self, h):
+        top = h.levels[2]
+        x, guests = min(top.jlists.items())
+        eta = h.params.congestion_cap(max(2, h.m))
+        top.jlists[x] = guests[:1] * (eta + 1)
+        with pytest.raises(InvariantBroken, match="too long"):
+            xo.check_invariants(h)
+
+    def test_live_vertex_dropped_from_tree(self, h):
+        del h.levels[2].tree.level[5]
+        with pytest.raises(InvariantBroken, match="level 2 lost 5"):
+            xo.check_invariants(h)

@@ -101,8 +101,8 @@ def test_no_module_orders_by_repr():
 
 
 def test_audits_raise_under_python_O():
-    """The drift tests of the ES, LCD and near-tree audits pass under
-    python -O, which strips assert statements: the audits raise
+    """The drift tests of the ES, LCD, near-tree and oracle audits pass
+    under python -O, which strips assert statements: the audits raise
     InvariantBroken through graph_core.require instead."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -111,8 +111,9 @@ def test_audits_raise_under_python_O():
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(tests / "test_es_tree.py") + "::TestAuditCatchesDrift",
          str(tests / "test_lcd.py") + "::TestAuditCatchesDrift",
-         str(tests / "test_sssp.py") + "::TestNearTreeDrift"],
+         str(tests / "test_sssp.py") + "::TestNearTreeDrift",
+         str(tests / "test_expander_oracle.py") + "::TestAuditCatchesDrift"],
         env=env, cwd=tests.parent, capture_output=True, text=True,
         timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "8 passed" in run.stdout, run.stdout
+    assert "11 passed" in run.stdout, run.stdout
