@@ -6,36 +6,28 @@ A vertex's parent is always the first neighbour in adjacency order that
 realises its level; `check()` audits this rule.
 
 Deleting a tree edge repairs in two phases (the Ramalingam-Reps split of
-a deletion).  Phase 1 walks the orphaned subtree in order of old level
-and finds the hurt vertices: those that no unhurt neighbour supports at
-their old level any more.  A vertex with such a supporter keeps its level
-and re-points its parent there, and its subtree is left alone.  Phase 2
-runs one depth-capped Dijkstra inside the hurt set, seeded from its
-unhurt boundary; hurt vertices it does not reach become absent.  The
-orphan's own scan decides the common cases alone: it stops at a
-supporter, and a hurt orphan with no tree child is the whole hurt set,
-so the least level[y] + w over its row, met in that same scan, is its
-new level and the first neighbour reaching it its parent.  The
-build is one bulk pass that fills and checks the adjacency rows, then
-the same Dijkstra (`_settle`) with every vertex absent and the source as
-the only seed.
+a deletion).  Phase 1 walks the orphaned subtree by old level and finds
+the hurt vertices, those that no unhurt neighbour supports at their old
+level any more; a vertex with a supporter re-points its parent there,
+and its subtree is left alone.  Phase 2 runs one depth-capped Dijkstra
+inside the hurt set, seeded from its unhurt boundary; hurt vertices it
+does not reach become absent.  The orphan's own scan settles a supporter
+or a childless orphan alone (`_repair`).  The build fills and checks the
+rows in one pass, then runs the same Dijkstra (`_settle`) from the source.
 
 Both phases drain one queue shape, Dial's buckets keyed by level: a dict
 from level to a list of vertices, and a heap of the distinct levels in
-use.  Pop the least level and drain its list.  Whatever a drained vertex
-queues sits strictly higher (a tree child at its parent's level plus w,
-a relaxation at the vertex's level plus w, and w >= 1), so a list never
-grows while it drains.  Order within a level changes no level, parent or
-unit of work: a parent or a supporter sits strictly lower, so its level
-and whether it is hurt are final before the level's turn; a phase-1 scan
-stops at the first supporter in row order, and a settled vertex scans
-its whole row.  Vertex names are never compared.  The heap holds only
-the levels in use, not an array over 0..depth, because caps run far
-above m and lengths can be large: the cost of a deletion does not
-depend on the depth cap, only on the rows scanned: each hurt row up to
-three times (phase 1, its seed, its settling), a hurt orphan's with no
-tree child once, and each kept child of a hurt vertex up to its first
-supporter.
+use.  Whatever a drained vertex queues sits strictly higher (w >= 1), so
+a list never grows while it drains.  Order within a level changes no
+level, parent or unit of work: a parent or a supporter sits strictly
+lower, so its level and whether it is hurt are final before the level's
+turn; a phase-1 scan stops at the first supporter in row order, and a
+settled vertex scans its whole row.  Vertex ids are never ordered.  The
+heap holds only the levels in use, as caps run far above m and lengths
+can be large: a deletion costs the rows it scans, whatever the cap: each
+hurt row up to three times (phase 1, its seed, its settling), a
+childless hurt orphan's once, and each kept child of a hurt vertex up to
+its first supporter.
 
 With one edge deleted, every hurt vertex's level strictly rises (its old
 supporters are all hurt, and by induction on level they all rose), so
@@ -49,18 +41,22 @@ promise that no distance from the source decreases.  The promise is
 checked locally and violations raise.
 
 The tree keeps its own adjacency snapshot, so composed graphs (virtual
-roots, supernodes, level graphs) can be driven through the same code.
-Vertex names are any hashables other than None, which marks "no parent";
-an edge is (u, v, w) with integer length w >= 1, and its adjacency rows
-map each endpoint to that length.
+roots, supernodes, level graphs) run through the same code, their extra
+vertices numbered just past the graph's.  Vertices are the ids 0..N-1:
+the build's n, plus one per es_attach, which appends the next id.  level
+and parent are lists (None: no parent), and a row maps each neighbour to
+the integer length w >= 1 of edge (u, v, w).  A removed vertex keeps its
+id, absent with an empty row; no id is reused.  An id outside 0..N-1
+raises UnknownVertex before anything changes: a list would read -1 as
+the last vertex.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Hashable, Iterable, Optional
+from typing import Iterable, NoReturn, Optional
 
-from .graph_core import GraphError, GraphView, dijkstra, require
+from .graph_core import BadVertex, GraphError, GraphView, dijkstra, require
 
 
 class SourceMissing(GraphError):
@@ -75,93 +71,100 @@ class PreconditionViolated(GraphError):
     pass
 
 
+class UnknownVertex(BadVertex, ValueError):
+    """An id outside the tree's 0..N-1; a ValueError, as a bad edge is."""
+
+
 class EsTree:
-    def __init__(
-        self,
-        source: Hashable,
-        depth: int,
-        edges: Iterable[tuple] = (),
-        vertices: Iterable[Hashable] = (),
-    ):
-        """edges: (u, v, w) with integer w >= 1."""
+    def __init__(self, source: int, depth: int, edges: Iterable[tuple],
+                 n: int):
+        """Vertices 0..n-1; edges: (u, v, w) with integer w >= 1."""
         if depth < 0:
             raise ValueError(f"depth {depth}")
+        if not 0 <= source < n:
+            raise SourceMissing(f"source {source!r} is not an id below {n}")
         self.source = source
         self.depth = depth
         self.work = 0
-        self._adj = adj = {v: {} for v in vertices}
+        self._adj = adj = [{} for _ in range(n)]
         for u, v, w in edges:
-            # an int length >= 1 between two vertices needs no more checks
-            if type(w) is not int or w < 1 or u == v:
-                self._check_edge(u, v, w)
+            # an int length >= 1 between two ids needs no more checks
+            if type(w) is not int or w < 1 or u == v or \
+                    not (0 <= u < n and 0 <= v < n):
+                self._check_edge(u, v, w, n)
                 w = int(w)
-            row = adj.get(u)
-            if row is None:
-                row = adj[u] = {}
+            row = adj[u]
             if v in row:
                 raise ValueError(f"duplicate edge ({u!r},{v!r})")
-            row[v] = w
-            row = adj.get(v)
-            if row is None:
-                row = adj[v] = {}
-            row[u] = w
-        if source not in adj:
-            raise SourceMissing(f"source {source!r} not among the vertices")
-        self._absent = self.depth + 1
-        self.level: dict = dict.fromkeys(self._adj, self._absent)
-        self.parent: dict = dict.fromkeys(self._adj)  # vertex or None
+            row[v] = adj[v][u] = w
+        self._absent = depth + 1
+        self.level = [self._absent] * n
+        self.parent: list = [None] * n  # vertex or None
         self._settle({source: 0})
 
     @classmethod
     def es_build(cls, view: GraphView, source: int, depth: int) -> "EsTree":
-        return cls(source, depth, view.edge_list(),
-                   vertices=view.vertex_list())
+        if not view.contains(source):
+            raise SourceMissing(f"source {source!r} not in the view")
+        return cls(source, depth, view.edge_list(), view.graph.n)
 
     # -- plumbing --------------------------------------------------------
 
+    def _refuse(self, v) -> NoReturn:
+        """Raise UnknownVertex; lookups index a list with v only if v >= 0."""
+        raise UnknownVertex(f"no id {v!r} below {len(self._adj)}") from None
+
+    def _row(self, v) -> dict:
+        try:
+            return self._adj[v] if v >= 0 else self._refuse(v)
+        except IndexError:
+            self._refuse(v)
+
     @staticmethod
-    def _check_edge(u, v, w):
+    def _check_edge(u, v, w, n):
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise UnknownVertex(f"no id {x!r} below {n}")
         if u == v:
             raise ValueError(f"self-loop at {u!r}")
         if w < 1 or int(w) != w:
             raise ValueError(f"length {w!r} on ({u!r},{v!r})")
 
     def _add_adj(self, u, v, w):
-        self._check_edge(u, v, w)
-        row = self._adj.setdefault(u, {})
+        self._check_edge(u, v, w, len(self._adj))
+        row = self._adj[u]
         if v in row:
             raise ValueError(f"duplicate edge ({u!r},{v!r})")
-        row[v] = int(w)
-        self._adj.setdefault(v, {})[u] = int(w)
+        row[v] = self._adj[v][u] = int(w)
 
     # -- queries ---------------------------------------------------------
 
-    def contains(self, v) -> bool:
-        return self.level.get(v, self._absent) <= self.depth
-
     def level_of(self, v) -> Optional[int]:
-        lv = self.level.get(v, self._absent)
+        try:
+            lv = self.level[v] if v >= 0 else self._refuse(v)
+        except IndexError:
+            self._refuse(v)
         return lv if lv <= self.depth else None
 
-    def vertices(self):
-        return self._adj.keys()
+    def contains(self, v) -> bool:
+        return self.level_of(v) is not None
 
     def has_edge(self, u, v) -> bool:
-        return v in self._adj.get(u, {})
+        return v in self._row(u)
 
     def incident(self, v) -> list:
         """(other, w) rows for the live edges at v."""
-        return list(self._adj.get(v, {}).items())
+        return list(self._row(v).items())
 
     def es_path(self, v) -> list:
         """Vertex path source..v along parent pointers."""
-        if self.level.get(v, self._absent) > self.depth:
+        if self.level_of(v) is None:
             raise VertexAbsent(f"{v!r} is beyond depth {self.depth}")
         return self.es_walk(v)
 
     def es_walk(self, v) -> list:
-        """es_path for a caller that has just read v's level in range;
-        from a v out of range it fails with a KeyError."""
+        """es_path for a caller that has just read v's level within the
+        cap.  Unchecked: an absent v fails (TypeError), -1 walks N - 1."""
         parent, source = self.parent, self.source
         path = [v]
         while v != source:
@@ -174,119 +177,106 @@ class EsTree:
 
     def es_delete(self, u, v):
         """Remove edge (u, v) and restore correct levels."""
-        row = self._adj.get(u)
-        if row is None or v not in row:
+        adj = self._adj
+        try:
+            row = adj[u] if u >= 0 else self._refuse(u)
+        except IndexError:
+            self._refuse(u)
+        if v not in row:
+            self._row(v)  # an unknown v raises UnknownVertex
             raise KeyError(f"no edge ({u!r},{v!r})")
-        del self._adj[u][v]
-        del self._adj[v][u]
-        if self.parent.get(v) == u:
+        del row[v]
+        del adj[v][u]
+        parent = self.parent
+        if parent[v] == u:
             self._repair(v)
-        elif self.parent.get(u) == v:
+        elif parent[u] == v:
             self._repair(u)
 
     def es_remove_vertex(self, v):
-        """Delete every edge at v, then forget it.  The source cannot go.
+        """Delete every edge at v and mark it absent; its id stays and is
+        never reused.  The source cannot go.
 
-        The whole row goes at once and one repair runs for all of v's
-        tree children: phase 1 starts from them, as the dirty children of
-        a hurt vertex that no row names any more, and walks each child
-        and its subtree by old level, from the lowest.  Levels and
-        parents follow from the rows alone, so this leaves the tree that
-        deleting the edges one at a time does."""
+        The whole row goes at once, and one repair starts phase 1 from all
+        of v's tree children, as the dirty children of a hurt vertex that
+        no row names any more.  Levels and parents follow from the rows
+        alone, so this leaves the tree that deleting the edges one at a
+        time does."""
+        row = self._row(v)
         if v == self.source:
             raise PreconditionViolated(f"cannot remove the source {v!r}")
-        adj, level, parent = self._adj, self.level, self.parent
+        adj, parent = self._adj, self.parent
         kids = []
-        for u in adj.pop(v, ()):
+        for u in row:
             del adj[u][v]
             if parent[u] == v:
                 kids.append(u)
-        level.pop(v, None)
-        parent.pop(v, None)
+        adj[v] = {}
+        self.level[v], parent[v] = self._absent, None
         if kids:
             hurt = self._find_hurt({}, kids)
             if hurt:
                 self._relevel(hurt)
 
     def es_insert(self, u, v, w):
-        """Single-edge insert.  Needs one endpoint fresh/absent-singleton,
-        or the caller's promise that no level would decrease; a promise
-        violation raises PreconditionViolated."""
+        """Single-edge insert under the caller's promise that no level
+        drops, checked on the new edge and on the other edges of an
+        endpoint it brings into range; PreconditionViolated undoes it."""
         self._add_adj(u, v, w)
-        for x in (u, v):
-            if x not in self.level:
-                self.level[x] = self._absent
-                self.parent[x] = None
-        lu, lv = self.level[u], self.level[v]
-        pu, pv = self.contains(u), self.contains(v)
-        if pu and pv:
-            if lu + w < lv or lv + w < lu:
-                del self._adj[u][v]
-                del self._adj[v][u]
-                raise PreconditionViolated(
-                    f"edge ({u!r},{v!r},{w}) would lower a level "
-                    f"({lu} vs {lv})")
-            return
-        if not pu and not pv:
-            return
-        far, near = (u, v) if pv else (v, u)
-        cand = self.level[near] + w
-        if cand > self.depth:
-            return
-        # the far endpoint comes into range; its other edges must agree
-        for y, wy in self._adj[far].items():
-            self.work += 1
-            ly = self.level.get(y, self._absent)
-            bad = (
-                (cand + wy < ly or ly + wy < cand)
-                if ly <= self.depth
-                else cand + wy <= self.depth  # would drag an absent vertex in
-            )
-            if bad and y != near:
-                del self._adj[u][v]
-                del self._adj[v][u]
-                raise PreconditionViolated(
-                    f"attaching {far!r} at level {cand} breaks neighbor {y!r}"
-                )
-        self.level[far] = cand
-        self.parent[far] = near
+        level, depth = self.level, self.depth
+        near, far = (u, v) if level[u] <= level[v] else (v, u)
+        cand = level[near] + w
+        if cand >= level[far]:
+            return  # no level drops, and an absent far stays absent
+        if level[far] <= depth:
+            msg = f"edge ({u!r},{v!r},{w}) would lower {far!r}'s level"
+        else:
+            # far comes into range; its other edges must agree, and one
+            # to an absent y (ly = depth + 1) may not drag y in
+            for y, wy in self._adj[far].items():
+                self.work += 1
+                ly = level[y]
+                if cand + wy < ly or ly + wy < cand:
+                    msg = (f"attaching {far!r} at level {cand} breaks "
+                           f"neighbor {y!r}")
+                    break
+            else:
+                level[far], self.parent[far] = cand, near
+                return
+        del self._adj[u][v]
+        del self._adj[v][u]
+        raise PreconditionViolated(msg)
 
     def es_attach(self, v, edges: Iterable[tuple]):
-        """Case-(i) batch: add fresh vertex v with all its edges at once.
-
-        edges: (other, w) pairs.  The new vertex adopts the
-        correct level; existing levels must not drop (checked).  Every
-        row is checked before the tree changes, so a rejected attach
-        leaves it as it was."""
-        if v in self._adj:
-            raise PreconditionViolated(f"{v!r} is not fresh")
-        level, absent = self.level, self._absent
+        """Case-(i) batch: add vertex v, the next id N, with its edges, the
+        (other, w) pairs, each other an id below N.  v takes its correct
+        level, and no other level may drop; every row is checked before
+        the tree changes, so a rejected attach leaves it as it was."""
+        adj, level = self._adj, self.level
+        if v != len(adj):
+            raise PreconditionViolated(f"{v!r} is not the next id {len(adj)}")
         row: dict = {}
-        best = None
+        lv, par = self._absent, None  # least level[o] + w in range, first
         for o, w in edges:
-            self._check_edge(v, o, w)
+            self._check_edge(v, o, w, v + 1)
             if o in row:
                 raise ValueError(f"duplicate edge ({v!r},{o!r})")
             row[o] = int(w)
             self.work += 1
-            lo = level.get(o, absent)
-            if lo <= self.depth and (best is None or lo + w < best[0]):
-                best = (lo + w, o)
-        lv, par = absent, None
-        if best is not None and best[0] <= self.depth:
-            lv, par = best
+            if level[o] + w < lv:
+                lv, par = level[o] + w, o
+        if par is not None:
             for o, w in row.items():
                 self.work += 1
-                lo = level.get(o, absent)
-                if lv + w < lo:
+                if lv + w < level[o]:
                     raise PreconditionViolated(
                         f"attaching {v!r} would lower {o!r}: "
-                        f"{lv}+{w} < {lo}"
-                    )
-        self._adj[v] = row
+                        f"{lv}+{w} < {level[o]}")
+        adj.append(row)
         for o, w in row.items():
-            self._adj.setdefault(o, {})[v] = w
-        level[v], self.parent[v] = lv, par
+            adj[o][v] = w
+        level.append(lv)
+        self.parent.append(par)
 
     # -- repair ----------------------------------------------------------
 
@@ -457,10 +447,10 @@ class EsTree:
         """Raise InvariantBroken unless levels are exactly capped
         distances and each parent is the first neighbour in adjacency
         order that realises the level."""
-        edges = [(u, v, w) for u, row in self._adj.items()
+        edges = [(u, v, w) for u, row in enumerate(self._adj)
                  for v, w in row.items()]
         dist = dijkstra(self.source, edges, cap=self.depth)
-        for v, row in self._adj.items():
+        for v, row in enumerate(self._adj):
             require(self.level[v] == dist.get(v, self._absent),
                     f"level of {v!r} is {self.level[v]}, not {dist.get(v)}")
             if v != self.source and self.contains(v):

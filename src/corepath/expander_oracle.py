@@ -35,7 +35,6 @@ from .expander_tools import (
 from .graph_core import (DynamicGraph, GraphView, GraphError, UnknownEdge,
                          require)
 
-VR = -1  # virtual root shared by all multi-source trees
 C_DEPTH = 8  # tree depth cap coefficient: C_DEPTH * lg n / phi
 
 
@@ -222,9 +221,10 @@ def _init_top(h: ExpanderHierarchy) -> None:
             jl.setdefault(key, []).append((av, bv))
     lv.jlists = jl
 
-    tree_edges = [(VR, x, 1) for x in x_list]
+    # the sample hangs off a virtual root, the id past the copy's
+    tree_edges = [(gp_n, x, 1) for x in x_list]
     tree_edges += [(u, v, 1) for u, v in gp_edges]
-    lv.tree = EsTree(VR, h.depth + 1, tree_edges, vertices=gp_verts + [VR])
+    lv.tree = EsTree(gp_n, h.depth + 1, tree_edges, gp_n + 1)
 
     child = _Level()
     child.up = list(x_list)
@@ -251,7 +251,7 @@ def _rebuild_t1(h: ExpanderHierarchy) -> bool:
         lv.tree = None
         return True
     edges = [(u, v, 1) for u, v, _l in lv.graph.edge_list()]
-    lv.tree = EsTree(verts[0], h.depth, edges, vertices=verts)
+    lv.tree = EsTree(verts[0], h.depth, edges, lv.graph.n)
     spans = all(lv.tree.level_of(v) is not None for v in verts)
     if not spans and h.q == 1:
         # pruning keeps the remainder connected; reaching this means

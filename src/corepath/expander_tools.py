@@ -4,9 +4,9 @@ cut-matching game, and short-path embeddings.
 Conventions shared by everything here:
 
 * vertices are ints, ordered by value wherever equals need an order;
-  the one exception is EsTree, whose vertices are any hashable names:
-  matching_or_cut adds ("mp#", 0) and ("mp#", 1), the SSSP class states
-  ("sn", i, serial) supernodes, and the oracle and LCD trees the root -1;
+  an EsTree holds the ids 0..N-1, so a tree's virtual vertices are the
+  ids just past its graph's: matching_or_cut's source and sink, the SSSP
+  class states' supernodes, and the oracle and LCD trees' roots;
 * graphs are undirected and treated combinatorially (edge lengths ignored);
 * "strong" conductance of a cut inside a subgraph divides the subgraph
   boundary by host-graph volumes;
@@ -753,12 +753,11 @@ def matching_or_cut(g: GraphView, a_set, b_set, ell: int):
 
     k = len(a_left)
     target = 8.0 * k * _lg(m) / (ell * ell)
-    src = ("mp#", 0)
-    sink = ("mp#", 1)
+    src, sink = g.graph.n, g.graph.n + 1  # the ids past the host graph's
     edges = [(u, v, 1) for u, v, _ in g.edge_list()]
     edges += [(src, a, 1) for a in a_left]
     edges += [(b, sink, 1) for b in b_left]
-    tree = EsTree(src, ell + 2, edges, vertices=list(g.vertex_list()) + [src, sink])
+    tree = EsTree(src, ell + 2, edges, sink + 1)
 
     used: set = set()  # harvested graph edges as (min, max) pairs
     pairs = []

@@ -108,9 +108,10 @@ def _build_classes(inst, sides: dict) -> dict:
     return classes
 
 
-def _fresh_sn(inst, i: int):
-    snid = ("sn", i, inst.sn_serial)
-    inst.sn_serial += 1
+def _fresh_sn(inst, i: int) -> int:
+    """The next supernode id of scale inst, noted in sn_class as class i's."""
+    snid = inst.n + inst.sn_serial
+    inst.sn_class.append(i)
     return snid
 
 
@@ -124,9 +125,10 @@ class ClassState:
     (_heavy_side), the same objects at every scale of a family whose class
     has the same edge set and tau, and updated once per deletion; the
     class index, the supernode ids and the light volume stay with each
-    scale.  The heavy set follows layers, the side's own degree layers;
-    lcd answers the short-path splices and is fed only while the side
-    lives."""
+    scale: the k-th supernode is the tree id n + k, and inst.sn_class[k]
+    names its class.  The heavy set follows layers, the side's own degree
+    layers; lcd answers the short-path splices and is fed only while the
+    side lives."""
 
     def __init__(self, i: int, tau: Fraction, side):
         self.i = i
@@ -211,7 +213,8 @@ class ClassState:
         """The class state of scale inst against its class edges mine in
         the scale's table: an overridden class at k = 1, its side in sync,
         its heavy set and components rebuilt from scratch, and one
-        supernode per component with exactly its rays in the tree."""
+        supernode per component, an id of this class past the scale's
+        vertices, with exactly its rays in the tree."""
         i, n, heavy = self.i, inst.n, self.heavy
         require(inst.params.override(i) is not None and inst.k == 1,
                 f"class {i} state on a scale it does not fit")
@@ -247,7 +250,11 @@ class ClassState:
                 f"class {i} heavy components drifted")
         require(set(self.sn_of) == set(live), f"class {i} supernodes drifted")
         for lab, grp in sorted(live.items()):
-            rows = inst.tree.incident(self.sn_of[lab])
+            sn = self.sn_of[lab]
+            require(n <= sn < n + inst.sn_serial and
+                    inst.sn_class[sn - n] == i,
+                    f"supernode {sn} is not an id of class {i}")
+            rows = inst.tree.incident(sn)
             require({r[0] for r in rows} == grp,
                     f"supernode {lab} rays drifted")
             require(all(r[1] == 1 for r in rows),

@@ -67,7 +67,6 @@ C_TCP = 16  # to-core walk length cap coefficient
 # coefficient of the lifetime caps that check_invariants puts on each
 # layer's buffer moves, phase starts and created cores
 LIFETIME_COEFF = 64
-ROOT = -1   # shared virtual root of every to-core tree
 
 
 class LcdError(GraphError):
@@ -241,7 +240,7 @@ class Core:
 class PhaseState:
     """Mutable state of one non-buffer sublayer within a phase: frozen
     degree targets, cores, the trimmed residue, and the to-core search
-    tree hanging off a shared virtual root."""
+    tree hanging off a virtual root, the id n past the graph's."""
 
     __slots__ = ("j", "ell", "serial", "targets", "uset", "assoc",
                  "cores", "tree")
@@ -550,10 +549,10 @@ def _start_phase(st: LcdState, j, lv):
     tedges = [(a, b, 1) for a, b in hkeys]
     for k in ph.cores:
         for v in sorted(k.live):
-            tedges.append((ROOT, v, 1))
+            tedges.append((st.n, v, 1))
     for u in sorted(ph.assoc):
-        tedges.append((ROOT, u, 1))
-    ph.tree = EsTree(ROOT, depth, tedges, vertices=members + [ROOT])
+        tedges.append((st.n, u, 1))
+    ph.tree = EsTree(st.n, depth, tedges, st.n + 1)
     sub.phases[lv] = ph
     sub.starts[lv] = sub.starts.get(lv, 0) + 1
     st._work(len(members) + len(hkeys))
@@ -730,8 +729,8 @@ def _repair_links(st: LcdState):
                 if not cands:
                     if u in ph.assoc:
                         ph.assoc.pop(u)
-                        if ph.tree is not None and ph.tree.has_edge(ROOT, u):
-                            ph.tree.es_delete(ROOT, u)
+                        if ph.tree is not None and ph.tree.has_edge(st.n, u):
+                            ph.tree.es_delete(st.n, u)
                     continue
                 if u not in ph.assoc:
                     # candidates only shrink; a fresh link cannot appear
@@ -757,10 +756,8 @@ def _tree_claims(st: LcdState, a, b) -> bool:
     if ph is None or ph.tree is None or not ph.tree.contains(a):
         return False
     # compare, never test truthiness: vertex 0 is a valid parent
-    par = ph.tree.parent.get(a)
-    if par == b:
-        return True
-    return par == ROOT and ph.assoc.get(a) == b
+    par = ph.tree.parent[a]
+    return par == b or par == st.n and ph.assoc.get(a) == b
 
 
 def _edge_weight(st: LcdState, a, b) -> int:

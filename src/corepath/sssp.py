@@ -265,7 +265,7 @@ class SsspScaleInstance:
             _round_table(edges, d_new, D, params.tau is not None)
         self.lam = (4 * self.Dp).bit_length() - 1
         self.far_level = far
-        self.sn_serial = 0
+        self.sn_class: list = []  # supernode n + k's class index at k
         self.classes: dict = {}
         if params.tau is not None:
             from . import heavy_side
@@ -273,6 +273,11 @@ class SsspScaleInstance:
                 self, {} if sides is None else sides)
         self._build_tree(trees)
         self.dist_memo: dict = {}
+
+    @property
+    def sn_serial(self) -> int:
+        """Supernodes made so far; the next one's id is n + sn_serial."""
+        return len(self.sn_class)
 
     # -- construction ----------------------------------------------------
 
@@ -302,7 +307,7 @@ class SsspScaleInstance:
         for i in sorted(self.classes):
             edges = self.classes[i].contract(edges, self)
         # levels past the cap are never read, so the tree stops there
-        self.tree = EsTree(self.s, self.cap, edges, vertices=range(self.n))
+        self.tree = EsTree(self.s, self.cap, edges, self.n + self.sn_serial)
 
 
 def sssp_scale_build(g: DynamicGraph, s: int, eps, D,
@@ -357,16 +362,16 @@ def _estimate(inst: SsspScaleInstance, lv: int):
 def _splice(inst: SsspScaleInstance, walk) -> list:
     """A tree walk of a scale with class states with each supernode hop
     a, sn, x replaced by sn's class path from a to x, which
-    ClassState.splice audits."""
+    ClassState.splice audits.  A supernode is an id n or above."""
     out = [walk[0]]
     sn = None  # the supernode just walked through, if any
     for x in walk[1:]:
-        if isinstance(x, tuple):
+        if x >= inst.n:
             sn = x
         elif sn is None:
             out.append(x)
         else:
-            out += inst.classes[sn[1]].splice(out[-1], x)
+            out += inst.classes[inst.sn_class[sn - inst.n]].splice(out[-1], x)
             sn = None
     return out
 
@@ -456,7 +461,8 @@ def check_scale_invariants(inst: SsspScaleInstance, top=None):
                     f"tree level off at {v!r}")
         else:
             require(lv is None or lv > cap, f"{v!r} should sit past the cap")
-    tree_deg = sum(len(inst.tree.incident(x)) for x in inst.tree.vertices())
+    tree_deg = sum(len(inst.tree.incident(x))
+                   for x in range(len(inst.tree.level)))
     require(tree_deg == 2 * len(hat), "stray edges inside the tree")
     # dominance: contraction never stretches a scaled distance
     gdist = dijkstra(inst.s, [(a, b, k * lp) for (a, b), lp

@@ -326,6 +326,7 @@ class TestAuditCatchesDrift:
             xo.check_invariants(h)
 
     def test_live_vertex_dropped_from_tree(self, h):
-        del h.levels[2].tree.level[5]
+        tree = h.levels[2].tree
+        tree.level[5] = tree.depth + 1  # absent
         with pytest.raises(InvariantBroken, match="level 2 lost 5"):
             xo.check_invariants(h)

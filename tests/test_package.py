@@ -100,6 +100,76 @@ def test_no_module_orders_by_repr():
     assert found == []
 
 
+def _es_tree_misuse(tree: ast.AST, where: str) -> list:
+    """EsTree(...) calls that pass vertices=, or a tuple or a negative
+    literal as a vertex: as the source or as an end of an edge, looked up
+    through the names the module binds (by =, += or .append)."""
+    bound: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name):
+                    bound.setdefault(t.id, []).append(node.value)
+        elif isinstance(node, ast.AugAssign) and \
+                isinstance(node.target, ast.Name):
+            bound.setdefault(node.target.id, []).append(node.value)
+        elif isinstance(node, ast.Call) and node.args and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "append" and \
+                isinstance(node.func.value, ast.Name):
+            bound.setdefault(node.func.value.id, []).append(
+                ast.List(elts=node.args))
+
+    def values(node, seen=()):
+        """node, and every value a name in it is bound to."""
+        if isinstance(node, ast.BinOp):
+            return values(node.left, seen) + values(node.right, seen)
+        if not isinstance(node, ast.Name) or node.id in seen:
+            return [node]
+        return [node] + [x for v in bound.get(node.id, ())
+                         for x in values(v, seen + (node.id,))]
+
+    def ends(edges):
+        for v in values(edges):
+            rows = [v.elt] if isinstance(v, ast.ListComp) else \
+                v.elts if isinstance(v, (ast.List, ast.Tuple)) else []
+            for e in rows:
+                if isinstance(e, ast.Tuple):
+                    yield from e.elts[:2]
+
+    def bad(vertex):
+        return any(isinstance(v, ast.Tuple) or (
+            isinstance(v, ast.UnaryOp) and isinstance(v.op, ast.USub)
+            and isinstance(v.operand, ast.Constant)) for v in values(vertex))
+
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and
+                getattr(node.func, "id", None) == "EsTree"):
+            continue
+        kw = {k.arg: k.value for k in node.keywords}
+        args = node.args + [kw.get(a) for a in ("source", "depth", "edges")
+                            if a in kw]
+        if "vertices" in kw:
+            found.append(f"{where}:{node.lineno} vertices=")
+        if args and bad(args[0]):
+            found.append(f"{where}:{node.lineno} source")
+        if len(args) > 2 and any(bad(x) for x in ends(args[2])):
+            found.append(f"{where}:{node.lineno} edge end")
+    return found
+
+
+def test_es_trees_take_int_ids():
+    """Every EsTree in corepath holds the ids 0..N-1: no call passes
+    vertices=, and none passes a tuple or a negative literal as a vertex;
+    a virtual vertex is an id past the graph's."""
+    src = Path(corepath.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        found += _es_tree_misuse(ast.parse(path.read_text()), path.name)
+    assert found == []
+
+
 def test_audits_raise_under_python_O():
     """The drift tests of the ES, LCD, near-tree and oracle audits pass
     under python -O, which strips assert statements: the audits raise

@@ -585,7 +585,7 @@ def spliced_family():
     sp = build(4, BRIDGED_TRIANGLE, HEAVY)
     sssp_delete(sp, 0, 1)
     inst = answering_instance(sp, 1)
-    assert any(isinstance(x, tuple) for x in inst.tree.es_path(1))
+    assert any(x >= inst.n for x in inst.tree.es_path(1))  # a supernode
     return sp
 
 
@@ -594,6 +594,25 @@ OWNED_PATH_FAMILIES = {
     "bare-tau": lambda: build(10, GNP_10, BARE_TAU),
     "heavy-spliced": spliced_family,
 }
+
+
+class TestSupernodeIds:
+    """check_scale_invariants audits each live supernode's id: an id
+    past the scale's vertices whose sn_class entry names its own class."""
+
+    @pytest.mark.parametrize("drift", ["foreign-class", "below-n"])
+    def test_drifted_supernode_raises(self, drift):
+        inst = answering_instance(spliced_family(), 1)
+        check_scale_invariants(inst)
+        (i, cs), = inst.classes.items()
+        lab, sn = min(cs.sn_of.items())
+        assert sn >= inst.n and inst.sn_class[sn - inst.n] == i
+        if drift == "foreign-class":
+            inst.sn_class[sn - inst.n] = i + 1
+        else:
+            cs.sn_of[lab] = inst.n - 1
+        with pytest.raises(InvariantBroken, match=f"not an id of class {i}"):
+            check_scale_invariants(inst)
 
 
 class TestPathAssembly:
@@ -821,7 +840,7 @@ class TestHeavyClass:
         sssp_delete(sp, 0, 1)
         inst = sp.scales[sssp._locate(sp, 1)[0]]
         walk = inst.tree.es_path(1)
-        assert any(isinstance(x, tuple) for x in walk)  # a supernode hop
+        assert any(x >= inst.n for x in walk)  # a supernode hop
         assert all(S not in cs.heavy for cs in inst.classes.values())
         monkeypatch.setattr(lcd, "short_path",
                             lambda st, j, a, x: splice(a, x))
@@ -1453,8 +1472,8 @@ def retire_and_audit(monkeypatch, insts, delete, order):
             assert all(cs.heavy for cs in inst.classes.values()), (u, v)
             check_scale_invariants(inst)
             inst.tree.check()
-            assert {x for x in inst.tree.vertices()
-                    if isinstance(x, tuple)} == \
+            assert {x for x in range(inst.n, len(inst.tree.level))
+                    if inst.tree.incident(x)} == \
                 {snid for cs in inst.classes.values()
                  for snid in cs.sn_of.values()}, (u, v)
     return len(retired), later
@@ -1553,8 +1572,8 @@ class TestRetiredSides:
         assert calls == []
         for inst in holders:
             assert not inst.classes
-            assert not any(isinstance(x, tuple)
-                           for x in inst.tree.vertices())
+            assert not any(inst.tree.incident(x)
+                           for x in range(inst.n, len(inst.tree.level)))
             inst.tree.check()
         audit(sp, n, [e for e in edges
                       if e[:2] not in before and e[:2] != retiring])
