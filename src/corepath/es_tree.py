@@ -8,12 +8,14 @@ realises its level; `check()` audits this rule.
 Deleting a tree edge repairs in two phases (the Ramalingam-Reps split of
 a deletion).  Phase 1 walks the orphaned subtree by old level and finds
 the hurt vertices, those that no unhurt neighbour supports at their old
-level any more; a vertex with a supporter re-points its parent there,
-and its subtree is left alone.  Phase 2 runs one depth-capped Dijkstra
-inside the hurt set, seeded from its unhurt boundary; hurt vertices it
-does not reach become absent.  The orphan's own scan settles a supporter
-or a childless orphan alone (`_repair`).  The build fills and checks the
-rows in one pass, then runs the same Dijkstra (`_settle`) from the source.
+level any more, and marks each absent as it is found; a vertex with a
+supporter re-points its parent there, and its subtree is left alone.
+Phase 2 runs one depth-capped Dijkstra inside the hurt set, seeded from
+its unhurt boundary; hurt vertices it does not reach stay absent.
+es_delete scans the orphan's row itself, which settles a supporter or a
+childless orphan alone; only an orphan with tree children runs the two
+phases.  The build fills and checks the rows in one pass, then runs the
+same Dijkstra (`_settle`) from the source.
 
 Both phases drain one queue shape, Dial's buckets keyed by level: a dict
 from level to a list of vertices, and a heap of the distinct levels in
@@ -176,7 +178,18 @@ class EsTree:
     # -- mutation --------------------------------------------------------
 
     def es_delete(self, u, v):
-        """Remove edge (u, v) and restore correct levels."""
+        """Remove edge (u, v) and restore correct levels.
+
+        If the edge held x, one of its ends, to its parent, one scan of
+        x's row looks for a supporter (level[y] + w at most x's level),
+        and meanwhile tracks the least level[y] + w, the first neighbour
+        in row order that reaches it, and x's tree children.  A supporter
+        ends the scan and becomes x's parent.  Otherwise x is hurt.  A
+        hurt x with no tree child is the whole hurt set: its new level is
+        that least value and its parent that first neighbour, or absent
+        and None past the cap, which is what phase 2 would find, since no
+        absent neighbour comes into range through it.  Only an orphan
+        with tree children runs the two phases."""
         adj = self._adj
         try:
             row = adj[u] if u >= 0 else self._refuse(u)
@@ -189,9 +202,33 @@ class EsTree:
         del adj[v][u]
         parent = self.parent
         if parent[v] == u:
-            self._repair(v)
+            x, row = v, adj[v]
         elif parent[u] == v:
-            self._repair(u)
+            x = u
+        else:
+            return
+        level = self.level
+        lv = level[x]
+        best, via = self._absent, None
+        kids = []
+        work = 0
+        for y, w in row.items():
+            work += 1
+            d = level[y] + w
+            if d <= lv:
+                parent[x] = y
+                self.work += work
+                return
+            if d < best:
+                best, via = d, y
+            if parent[y] == x:
+                kids.append(y)
+        self.work += work
+        if kids:
+            level[x], parent[x] = self._absent, None
+            self._relevel(self._find_hurt([x], kids))
+        else:
+            level[x], parent[x] = best, via
 
     def es_remove_vertex(self, v):
         """Delete every edge at v and mark it absent; its id stays and is
@@ -214,7 +251,7 @@ class EsTree:
         adj[v] = {}
         self.level[v], parent[v] = self._absent, None
         if kids:
-            hurt = self._find_hurt({}, kids)
+            hurt = self._find_hurt([], kids)
             if hurt:
                 self._relevel(hurt)
 
@@ -280,54 +317,24 @@ class EsTree:
 
     # -- repair ----------------------------------------------------------
 
-    def _repair(self, x):
-        """Restore levels after x lost its parent edge.
+    def _find_hurt(self, hurt: list, dirty: list) -> list:
+        """Phase 1: the vertices that lose their level.
 
-        One scan of x's row looks for a supporter (level[y] + w at most
-        x's level), and meanwhile tracks the least level[y] + w, the first
-        neighbour in row order that reaches it, and x's tree children.  A
-        supporter ends the scan and becomes x's parent.  Otherwise x is
-        hurt.  A hurt x with no tree child is the whole hurt set: its new
-        level is that least value and its parent that first neighbour, or
-        absent and None past the cap, which is what phase 2 would find,
-        since no absent neighbour comes into range through it.  Only an
-        orphan with tree children runs the two phases."""
-        level, parent = self.level, self.parent
-        lv = level[x]
-        best, via = self._absent, None
-        kids = []
-        work = 0
-        for y, w in self._adj[x].items():
-            work += 1
-            d = level[y] + w
-            if d <= lv:
-                parent[x] = y
-                self.work += work
-                return
-            if d < best:
-                best, via = d, y
-            if parent[y] == x:
-                kids.append(y)
-        self.work += work
-        if kids:
-            self._relevel(self._find_hurt({x: lv}, kids))
-        else:
-            level[x], parent[x] = best, via
-
-    def _find_hurt(self, hurt: dict, dirty: list) -> dict:
-        """Phase 1: the vertices that lose their level, with old levels.
-
-        hurt holds the vertices already known hurt, and dirty their tree
-        children.  The dirty vertices are visited one old level at a
-        time, lowest first.  A vertex keeps its
-        level if a neighbour outside the hurt set still supports it
-        (level[y] + w == level[x]) and re-points its parent there;
-        otherwise it is hurt and its tree children turn dirty.  A
+        hurt lists the vertices already found hurt, each marked absent,
+        and dirty their tree children.  The dirty vertices are visited
+        one old level at a time, lowest first.  A vertex keeps its level
+        if a neighbour still supports it (level[y] + w == level[x]) and
+        re-points its parent there; otherwise it is hurt and its tree
+        children turn dirty.  A hurt vertex goes absent (level depth + 1,
+        parent None) the moment it is found, so it supports no one and is
+        no one's parent: the scan needs no test of membership.  A
         supporter sits strictly lower, so whether it is hurt is known
         before x's level comes up, and order within a level changes no
         decision and no row scanned.  A child sits strictly above its
-        parent, so the bucket being drained never grows."""
+        parent, so the bucket being drained never grows.  Returns hurt,
+        extended."""
         level, parent, adj = self.level, self.parent, self._adj
+        absent = self._absent
         buckets: dict = {}
         for y in dirty:
             buckets.setdefault(level[y], []).append(y)
@@ -341,8 +348,6 @@ class EsTree:
                 kids = []
                 for y, w in adj[x].items():
                     work += 1
-                    if y in hurt:
-                        continue
                     if level[y] + w <= lv:
                         sup = y
                         break
@@ -351,7 +356,8 @@ class EsTree:
                 if sup is not None:
                     parent[x] = sup
                     continue
-                hurt[x] = lv
+                hurt.append(x)
+                level[x], parent[x] = absent, None
                 for y in kids:
                     ly = level[y]
                     bucket = buckets.get(ly)
@@ -363,19 +369,17 @@ class EsTree:
         self.work += work
         return hurt
 
-    def _relevel(self, hurt: dict):
-        """Phase 2: one depth-capped Dijkstra inside the hurt set.
+    def _relevel(self, hurt: list):
+        """Phase 2: one depth-capped Dijkstra inside the hurt set, which
+        phase 1 left absent.
 
         Seeded from the hurt set's boundary.  Only hurt vertices are
         rescanned, and each one's level strictly rises, so the total stays
-        O(m * depth).  Hurt vertices the search does not reach fall out of
+        O(m * depth).  Hurt vertices the search does not reach stay out of
         range."""
-        level, parent, adj = self.level, self.parent, self._adj
+        level, adj = self.level, self._adj
         depth, absent = self.depth, self._absent
         work = 0
-        for x in hurt:
-            level[x] = absent
-            parent[x] = None
         seeds = {}
         for x in hurt:
             d = absent

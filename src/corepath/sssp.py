@@ -72,10 +72,12 @@ across scales: a path P of level at most L = far_level at scale i has
 level at most L/2 + 4|P| <= L at scale i+1, as |P| < n <= L/8
 (L >= 8F), so the pointer stops where such a search would.
 
-A deletion goes to one scale per distinct tree, the lowest, which pops
-the edge from the table it holds and repairs the tree once; a class
-state's heavy side is updated once per deletion, whichever scales hold
-it (see heavy_side).
+A deletion goes to one scale per distinct tree, the lowest, and pops
+the edge from the table it holds, then repairs the tree once.  For a
+bare group sssp_delete takes both steps itself, so a default-tau
+deletion is one table pop and one es_delete per tree; a scale with
+class states goes through sssp_scale_delete, and its heavy side is
+updated once per deletion, whichever scales hold it (see heavy_side).
 """
 
 from __future__ import annotations
@@ -319,14 +321,15 @@ def sssp_scale_build(g: DynamicGraph, s: int, eps, D,
 
 def sssp_scale_delete(inst: SsspScaleInstance, e, fed=None) -> None:
     """Delete e from one scale: pop it from the table (or, under an
-    override, the discarded set) and repair the tree.  The scales of a
-    group share both, so a family sends each deletion to one scale per
-    tree through sssp_delete; a direct call on a member of a family is
-    internal.  An edge of a class with a class state goes to that state
-    (ClassState.scale_delete).  fed maps each heavy side (by its conn)
-    this deletion has already updated to the record of that update, which
-    every scale holding the side replays on its own tree; without fed the
-    scale updates its own."""
+    override, the discarded set) and repair the tree.  This is the entry
+    point for a scale built alone.  A family's deletion goes through
+    sssp_delete, which takes the same bare step itself for each bare
+    group and calls this only for a scale with class states; a direct
+    call on a member of a family is internal.  An edge of a class with a
+    class state goes to that state (ClassState.scale_delete).  fed maps
+    each heavy side (by its conn) this deletion has already updated to
+    the record of that update, which every scale holding the side
+    replays on its own tree; without fed the scale updates its own."""
     u, v = int(e[0]), int(e[1])
     key = (u, v) if u < v else (v, u)
     lp = inst.length.pop(key, None)
@@ -545,11 +548,13 @@ def _refuse(sp: SsspState, v=None):
 
 
 def sssp_delete(sp: SsspState, u: int, v: int) -> None:
-    """Delete (u, v) from every scale through one scale per tree, which
-    pops the table and repairs the tree its group shares; each shared
-    heavy side is updated once.  An unknown edge changes nothing; an error
-    once the deletion has begun poisons the state and is re-raised.  The
-    top scale keeps every live edge (at the default tau every scale does;
+    """Delete (u, v) from every scale through one scale per tree.  A bare
+    group's scale pops the key from the table its group shares, or from
+    its discarded set, and repairs the shared tree here; a scale with
+    class states goes through sssp_scale_delete, so each shared heavy
+    side is updated once.  An unknown edge changes nothing; an error once
+    the deletion has begun poisons the state and is re-raised.  The top
+    scale keeps every live edge (at the default tau every scale does;
     under an override 2^imax is at least n times the longest length), so
     its table decides what is live."""
     if sp.poisoned is not None:
@@ -560,7 +565,16 @@ def sssp_delete(sp: SsspState, u: int, v: int) -> None:
     fed: dict = {}
     try:
         for inst in sp.per_tree:
-            sssp_scale_delete(inst, (u, v), fed)
+            # sssp_scale_delete's bare step, inline for a bare group
+            if inst.classes:
+                sssp_scale_delete(inst, (u, v), fed)
+            elif inst.length.pop(key, None) is not None:
+                inst.tree.es_delete(u, v)
+            elif key in inst.discarded:
+                inst.discarded.remove(key)
+            else:
+                raise UnknownEdge(f"({u},{v}) is not a live edge at "
+                                  "this scale")
     except BaseException as exc:
         sp.poisoned = exc
         raise

@@ -296,6 +296,24 @@ class TestOrphanScan:
             t.es_path(2)
         t.check()
 
+    def test_hurt_vertex_pushed_past_the_cap_goes_absent(self):
+        # 0-1-2-3 at unit lengths, 3 at the cap and also reached by 0-5-3;
+        # cutting 0-1 brings 1 back at 3 through 4, which pushes its child
+        # 2 past the cap, while 2's child 3 keeps its level through 5
+        t = EsTree(0, 3, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 1),
+                          (4, 1, 2), (0, 5, 1), (5, 3, 2)], 6)
+        assert [t.level_of(v) for v in range(6)] == [0, 1, 2, 3, 1, 1]
+        assert [t.parent[v] for v in range(1, 4)] == [0, 1, 2]
+        calls = self.spy(t)
+        t.es_delete(0, 1)
+        assert calls[:2] == ["_find_hurt", "_relevel"]
+        assert [t.level_of(v) for v in range(6)] == [0, 3, None, 3, 1, 1]
+        assert t.level[2] == t.depth + 1 and t.parent[2] is None
+        assert (t.parent[1], t.parent[3]) == (4, 5)
+        with pytest.raises(VertexAbsent):
+            t.es_path(2)
+        t.check()
+
     def test_childless_orphan_runs_no_phase(self):
         t = EsTree(0, 10, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 2, 3),
                            (2, 4, 4), (0, 4, 1)], 5)

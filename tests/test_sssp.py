@@ -1169,10 +1169,54 @@ class TestSharedTrees:
                 sssp_scale_delete(inst, (u, v))
             same_answers()
 
+    @pytest.mark.parametrize("edges,params,seed", [
+        (SPREAD_24, None, 5),
+        (GNM_24, BARE_TAU, 6),
+    ], ids=["default-tau-lengths-1-1000", "bare-tau-with-discards"])
+    def test_inline_bare_step_matches_lone_scales(self, edges, params,
+                                                  seed):
+        """sssp_delete takes sssp_scale_delete's bare step itself for each
+        bare group.  After every deletion of a seeded teardown, each
+        scale's table (in order), discarded set, tree levels and tree
+        parents equal, through its multiple k, those of the scale built
+        alone (k = 1) and driven by sssp_scale_delete: where the lone
+        scale commits to v, k times the level and the parent; elsewhere
+        the level lies past the cap."""
+        g = DynamicGraph.from_edges(24, edges)
+        sp = sssp_build_all(g, S, QUARTER, params)
+        alone = {i: sssp_scale_build(g, S, QUARTER, 2 ** i, params)
+                 for i in sp.scales}
+        assert not any(inst.classes for inst in sp.scales.values())
+        if params is None:
+            assert any(2 ** i > inst.Dp for i, inst in sp.scales.items())
+        else:
+            assert any(inst.discarded for inst in sp.scales.values())
+
+        def same_state():
+            for i, inst in sp.scales.items():
+                lone, k, tree = alone[i], inst.k, inst.tree
+                assert [(e, k * lp) for e, lp in inst.length.items()] == \
+                    list(lone.length.items()), i
+                assert inst.discarded == lone.discarded, i
+                for v in range(24):
+                    want = lone.tree.level_of(v)
+                    if want is None:
+                        assert tree.level[v] > inst.cap, (i, v)
+                    else:
+                        assert (k * tree.level[v], tree.parent[v]) == \
+                            (want, lone.tree.parent[v]), (i, v)
+
+        same_state()
+        for u, v in shuffled(edges, seed):
+            sssp_delete(sp, u, v)
+            for lone in alone.values():
+                sssp_scale_delete(lone, (u, v))
+            same_state()
+
     def test_a_deletion_repairs_each_tree_once(self, monkeypatch):
-        """A deletion reaches one scale per tree, and repairs each tree
-        holding the edge once; the scales that share a tree share its
-        table and its discarded set."""
+        """A deletion repairs each tree whose table held the edge once,
+        and leaves the edge in no scale's table or discarded set; the
+        scales that share a tree share its table and its discarded set."""
         self.repairs_each_tree_once(monkeypatch, None, 1)
 
     def test_a_deletion_repairs_each_tree_once_with_discards(self,
@@ -1183,30 +1227,30 @@ class TestSharedTrees:
     def repairs_each_tree_once(monkeypatch, params, trees):
         sp = build(24, GNM_24, params, eps=QUARTER)
         calls = []
-        scales = []
         real = sssp.EsTree.es_delete
-        real_scale = sssp.sssp_scale_delete
 
         def counting(tree, u, v):
             calls.append(id(tree))
             return real(tree, u, v)
 
-        def counting_scale(inst, e, fed=None):
-            scales.append(id(inst.tree))
-            return real_scale(inst, e, fed)
-
         monkeypatch.setattr(sssp.EsTree, "es_delete", counting)
-        monkeypatch.setattr(sssp, "sssp_scale_delete", counting_scale)
+        heads = [id(inst.tree) for inst in sp.per_tree]
+        assert sorted(heads) == sorted(trees_of(sp))
+        dropped = 0  # deletions of an edge some scale had discarded
         for u, v in shuffled(GNM_24, 2)[:20]:
             key = (min(u, v), max(u, v))
             holding = {id(inst.tree) for inst in sp.scales.values()
                        if key in inst.length}
+            dropped += any(key in inst.discarded
+                           for inst in sp.scales.values())
             calls.clear()
-            scales.clear()
             sssp_delete(sp, u, v)
             assert sorted(calls) == sorted(holding), (u, v)
-            assert sorted(scales) == sorted(trees_of(sp)), (u, v)
+            for i, inst in sp.scales.items():
+                assert key not in inst.length, (u, v, i)
+                assert key not in inst.discarded, (u, v, i)
         assert len(trees_of(sp)) == trees
+        assert bool(dropped) == (params is not None)
         by_tree = {}
         for inst in sp.scales.values():
             by_tree.setdefault(id(inst.tree), []).append(inst)
@@ -1411,6 +1455,59 @@ class TestPoison:
                      lambda: sssp_delete(sp, 0, 7)):
             with pytest.raises(SsspPoisoned, match="failed part-way"):
                 call()
+
+    def test_failed_bare_repair_poisons_the_state(self):
+        """A default-tau family repairs its bare trees inside sssp_delete;
+        a repair that raises once earlier trees took the deletion poisons
+        the state."""
+        sp = build(24, SPREAD_24, eps=QUARTER)
+        assert len(sp.per_tree) >= 3
+        assert not any(inst.classes for inst in sp.per_tree)
+        first, second, third = sp.per_tree[:3]
+        real = second.tree.es_delete
+
+        def fail_part_way(u, v):
+            real(u, v)
+            raise RuntimeError("injected")
+
+        second.tree.es_delete = fail_part_way
+        u, v = SPREAD_24[0][:2]
+        key = (min(u, v), max(u, v))
+        with pytest.raises(RuntimeError, match="injected"):
+            sssp_delete(sp, u, v)
+        del second.tree.es_delete
+        assert key not in first.length and key in third.length
+        for call in (lambda: sssp_delete(sp, *SPREAD_24[1][:2]),
+                     lambda: sssp_dist(sp, 3),
+                     lambda: sssp_path(sp, 3)):
+            with pytest.raises(SsspPoisoned, match="injected"):
+                call()
+
+    def test_unknown_edge_changes_nothing_and_does_not_poison(self):
+        sp = build(24, SPREAD_24, eps=QUARTER)
+        assert len(sp.per_tree) >= 2
+        live = {frozenset(e[:2]) for e in SPREAD_24}
+        u, v = next((a, b) for a in range(24) for b in range(a + 1, 24)
+                    if frozenset((a, b)) not in live)
+
+        def state():
+            return [(list(inst.length.items()), set(inst.discarded),
+                     list(inst.tree.level), list(inst.tree.parent),
+                     [list(row.items()) for row in inst.tree._adj],
+                     inst.tree.work) for inst in sp.scales.values()]
+
+        before = state()
+        for a, b in ((u, v), (v, u)):
+            with pytest.raises(UnknownEdge):
+                sssp_delete(sp, a, b)
+        assert state() == before and sp.poisoned is None
+        x, y = SPREAD_24[0][:2]
+        sssp_delete(sp, x, y)
+        with pytest.raises(UnknownEdge):
+            sssp_delete(sp, y, x)  # deleted already
+        assert sp.poisoned is None
+        live = [e for e in SPREAD_24 if e[:2] != (x, y)]
+        audit(sp, 24, live, eps=QUARTER)
 
     @pytest.mark.parametrize("query", [sssp_dist, sssp_path])
     @pytest.mark.parametrize("params", [None, HEAVY], ids=["default", "heavy"])
