@@ -1,18 +1,22 @@
 """Short-path oracle on a decremental expander.
 
-The paper's oracle is a hierarchy of depth q.  Here q is 1 or 2, the
-only depths heavy_side.q_for gives (2 for every n from 3 to 2^256), and
-oracle_init refuses any other:
+The paper's oracle is a hierarchy of depth q.  Sized as the least k
+with k^8 >= lg n, q is 2 for every n from 3 to 2^256, so the oracle here
+has two levels, always.  (n <= 2 would give q = 1, one tree in the
+expander; the two-level build gives the same answers there, so it takes
+that case too.)
 
-- q=1: the pruned input expander and one shortest-path tree in it.
-- q=2: the pruned input expander at the top, and below it level 1, a
-  smaller expander on a sample of the midpoints of the top's subdivided
-  edges, embedded into the subdivided copy.  A query walks a
-  multi-source tree from the sample up to each endpoint and crosses
-  level 1 through its tree, translating each level-1 hop back through
-  its guest path.  A top deletion cascades to level 1 through the
-  reverse lists (J-lists) of the midpoints it loses; level 1 absorbs
-  deletions up to its budget and is then rebuilt from the top.
+- The top, level 2, is the pruned input expander and a multi-source
+  tree over its subdivided copy, hanging off a sample of the midpoints
+  of the copy's edges.
+- Level 1 is a smaller expander on that sample, embedded into the
+  subdivided copy, with one shortest-path tree of its own.
+
+A query walks the top tree from each endpoint up to its sample midpoint
+and crosses level 1 through its tree, translating each level-1 hop back
+through its guest path.  A top deletion cascades to level 1 through the
+reverse lists (J-lists) of the midpoints it loses; level 1 absorbs
+deletions up to its budget and is then rebuilt from the top.
 """
 
 from __future__ import annotations
@@ -55,12 +59,12 @@ class QueryAuditFailed(ExpanderError):
 class _Level:
     """Mutable per-level record.
 
-    `graph` lives in the level's own compact id space; at level 1 of a
-    q=2 oracle, `up` maps a local id to its midpoint in the top's
-    subdivided copy and `down` maps back.  At the top of a q=2 oracle,
-    the fields x_set, xid, emb, jlists and tree describe level 1's
-    embedding into that copy and are replaced wholesale whenever level 1
-    is rebuilt.
+    `graph` lives in the level's own compact id space.  At level 1, `up`
+    maps a local id to its midpoint in the top's subdivided copy and
+    `down` maps back, and `tree` spans `graph`.  At the top, `prune`
+    tracks the pruned set, and the fields x_set, xid, emb, jlists and
+    tree describe level 1's embedding into the subdivided copy and are
+    replaced wholesale whenever level 1 is rebuilt.
     """
 
     __slots__ = (
@@ -83,7 +87,7 @@ class _Level:
 
 
 class ExpanderHierarchy:
-    """The oracle's state, with its top at levels[q].
+    """The oracle's state: its top at levels[2], level 1 below it.
 
     Only LcdState drives one, through its cores.  A core keeps a
     hierarchy only once oracle_init has returned, and LcdState poisons
@@ -92,11 +96,10 @@ class ExpanderHierarchy:
     poisoned flag of its own.
     """
 
-    def __init__(self, n: int, m: int, q: int, phi: Fraction,
+    def __init__(self, n: int, m: int, phi: Fraction,
                  params: ExpanderParams, depth: int):
         self.n = n
         self.m = m
-        self.q = q
         self.phi = phi
         self.params = params
         self.depth = depth
@@ -117,24 +120,16 @@ class ExpanderHierarchy:
         }
 
 
-def require_depth(q) -> None:
-    """Refuse an oracle depth other than 1 or 2, the only depths
-    heavy_side.q_for gives (1 for n <= 2, 2 for every n up to 2^256)."""
-    if q not in (1, 2):
-        raise ValueError(f"q={q}: the oracle is built at depth 1 or 2, "
-                         "the depths heavy_side.q_for gives")
-
-
 def _x_count(m: int) -> int:
     """Size of level 1's sample over m top edges: ceil(sqrt(m))."""
     return math.isqrt(m - 1) + 1 if m > 0 else 0
 
 
-def _len_cap(depth: int, q: int) -> int:
-    """Edge cap of a query path at depth q: 2 * depth at q=1, and
-    depth * (2 + 2 * depth) at q=2, one step of the recurrence
-    cap(q) = depth * (2 + cap(q - 1))."""
-    return 2 * depth if q == 1 else depth * (2 + 2 * depth)
+def _len_cap(depth: int) -> int:
+    """Edge cap of a query path: depth * (2 + 2 * depth), one step of the
+    recurrence cap(q) = depth * (2 + cap(q - 1)) from the cap 2 * depth
+    of a path through one tree."""
+    return depth * (2 + 2 * depth)
 
 
 def oracle_depth(n: int, phi) -> int:
@@ -142,19 +137,18 @@ def oracle_depth(n: int, phi) -> int:
     return math.ceil(C_DEPTH * _lg(max(2, n)) / Fraction(phi))
 
 
-def oracle_init(g: GraphView, q: int, phi,
+def oracle_init(g: GraphView, phi,
                 params: Optional[ExpanderParams] = None) -> ExpanderHierarchy:
     phi = Fraction(phi)
     if not 0 < phi <= 1:
         raise ValueError(f"phi={phi}")
-    require_depth(q)
     verts = g.vertex_list()
     n = len(verts)
     if verts != list(range(n)):
         raise ValueError("expected contiguous vertex ids")
     if params is None:
         params = _default_params(phi)
-    h = ExpanderHierarchy(n, g.m, q, phi, params, oracle_depth(n, phi))
+    h = ExpanderHierarchy(n, g.m, phi, params, oracle_depth(n, phi))
 
     top = _Level()
     top.graph = DynamicGraph(n)
@@ -164,17 +158,13 @@ def oracle_init(g: GraphView, q: int, phi,
     live = [v for v in range(n) if v not in h.iso]
     top.prune = prune_init(GraphView(top.graph, vertices=live), phi, params)
     top.budget = top.prune.budget
-    h.levels[q] = top
-    if q == 1:
-        h.inits[1] += 1
-        _rebuild_t1(h)
-    else:
-        _init_top(h)
+    h.levels[2] = top
+    _init_top(h)
     return h
 
 
 def _init_top(h: ExpanderHierarchy) -> None:
-    """Rebuild a q=2 oracle below its top: the subdivided copy of the
+    """Rebuild the oracle below its top: the subdivided copy of the
     top's live edges, a fresh level 1 on a sample of its midpoints, and
     the embedding of level 1 into the copy."""
     h.inits[2] += 1
@@ -242,26 +232,16 @@ def _init_top(h: ExpanderHierarchy) -> None:
 
 
 def _rebuild_t1(h: ExpanderHierarchy) -> bool:
-    """Rebuild level 1's tree; whether it reaches every level-1 vertex
-    outside the pruned set."""
+    """Rebuild level 1's tree; whether it reaches every level-1 vertex.
+    Level 1 has a vertex: embed_expander refuses an empty sample."""
     lv = h.levels[1]
-    pruned = oracle_pruned(h) if h.q == 1 else frozenset()
-    verts = [v for v in range(lv.graph.n) if v not in pruned]
-    if not verts:
-        lv.tree = None
-        return True
     edges = [(u, v, 1) for u, v, _l in lv.graph.edge_list()]
-    lv.tree = EsTree(verts[0], h.depth, edges, lv.graph.n)
-    spans = all(lv.tree.level_of(v) is not None for v in verts)
-    if not spans and h.q == 1:
-        # pruning keeps the remainder connected; reaching this means
-        # the expander precondition on the input was false
-        raise ExpanderError("level-1 remainder fell apart")
-    return spans
+    lv.tree = EsTree(0, h.depth, edges, lv.graph.n)
+    return all(lv.tree.level_of(v) is not None for v in range(lv.graph.n))
 
 
 def _delete_level1(h: ExpanderHierarchy, a: int, b: int) -> None:
-    """Delete local edge (a, b) from level 1 of a q=2 oracle; rebuild
+    """Delete local edge (a, b) from level 1; rebuild
     from the top once level 1's budget is spent or its tree falls
     apart."""
     lv = h.levels[1]
@@ -278,13 +258,13 @@ def _delete_level1(h: ExpanderHierarchy, a: int, b: int) -> None:
 
 
 def oracle_delete(h: ExpanderHierarchy, e) -> None:
-    """Delete edge e at the top, prune, and at q=2 take every lost edge's
-    halves out of the top tree, then cascade each lost edge's guests down
-    to level 1."""
+    """Delete edge e at the top, prune, take every lost edge's halves out
+    of the top tree, then cascade each lost edge's guests down to
+    level 1."""
     if h.dead:
         raise TopLevelBudgetExhausted("structure already destroyed")
     u, v = int(e[0]), int(e[1])
-    top = h.levels[h.q]
+    top = h.levels[2]
     if not top.graph.has_edge(u, v):
         raise UnknownEdge(f"({u},{v}) not alive at the top level")
     if top.d + 1 > top.budget:
@@ -298,9 +278,6 @@ def oracle_delete(h: ExpanderHierarchy, e) -> None:
         for nbr, _e in list(top.graph.neighbors(x)):
             top.graph.delete_between(x, nbr)
             dnew.append((x, nbr))
-    if h.q == 1:
-        _rebuild_t1(h)
-        return
     t = top.tree
     mids = []
     for a, b in dnew:
@@ -330,11 +307,9 @@ def _tree_path(t: EsTree, u, v) -> list:
 
 
 def _query(h: ExpanderHierarchy, u: int, v: int) -> list:
-    """A top-level walk from u to v: through the one tree at q=1; at
-    q=2, up the top tree to u's and v's sample midpoints, across level 1
-    between them, each level-1 hop replaced by its guest path."""
-    if h.q == 1:
-        return _tree_path(h.levels[1].tree, u, v)
+    """A walk from u to v in the subdivided copy: up the top tree to u's
+    and v's sample midpoints, across level 1 between them, each level-1
+    hop replaced by its guest path."""
     top, child = h.levels[2], h.levels[1]
     pu = top.tree.es_path(u)
     pv = top.tree.es_path(v)
@@ -376,15 +351,13 @@ def oracle_query(h: ExpanderHierarchy, u: int, v: int) -> list:
         raise PrunedEndpoint(f"pruned endpoint in ({u},{v})")
     if u == v:
         return []
-    raw = _query(h, u, v)
-    if h.q == 2:
-        raw = [p for p in raw if p < h.n]
+    raw = [p for p in _query(h, u, v) if p < h.n]
     path = [raw[0]]
     for p in raw[1:]:
         if p != path[-1]:
             path.append(p)
     path = _strip_cycles(path)
-    top = h.levels[h.q].graph
+    top = h.levels[2].graph
     if path[0] != u or path[-1] != v:
         raise QueryAuditFailed(f"path {path!r} does not join {u} and {v}")
     if len(set(path)) != len(path):
@@ -392,7 +365,7 @@ def oracle_query(h: ExpanderHierarchy, u: int, v: int) -> list:
     for a, b in zip(path, path[1:]):
         if not top.has_edge(a, b):
             raise QueryAuditFailed(f"edge ({a},{b}) not alive")
-    if len(path) - 1 > _len_cap(h.depth, h.q):
+    if len(path) - 1 > _len_cap(h.depth):
         raise QueryAuditFailed(f"path of {len(path) - 1} edges over the length cap")
     return path
 
@@ -400,7 +373,7 @@ def oracle_query(h: ExpanderHierarchy, u: int, v: int) -> list:
 def oracle_pruned(h: ExpanderHierarchy) -> frozenset:
     if h.dead:
         return frozenset(range(h.n))
-    return h.levels[h.q].prune.pruned_set | h.iso
+    return h.levels[2].prune.pruned_set | h.iso
 
 
 def check_invariants(h: ExpanderHierarchy) -> None:
@@ -409,9 +382,7 @@ def check_invariants(h: ExpanderHierarchy) -> None:
         require(lv.d <= lv.budget, f"level {i} over budget")
         for key, guests in lv.jlists.items():
             require(len(guests) <= eta, f"J list at {key!r} too long")
-        if lv.tree is None:
-            continue
-        pruned = lv.prune.pruned_set | h.iso if i == h.q else frozenset()
+        pruned = lv.prune.pruned_set | h.iso if i == 2 else frozenset()
         for v in range(lv.graph.n):
             if v in pruned:
                 continue

@@ -38,6 +38,7 @@ from fractions import Fraction
 from . import lcd  # called through the module, where patches land
 from .degree_layers import LayerState
 from .dynamic_forest import ConnSF
+from .expander_tools import ExpanderParams
 from .graph_core import (NOT_CONNECTED, DynamicGraph, GraphView, edge_class,
                          require)
 from .sssp import PathAuditFailed, ScaleMisuse
@@ -46,18 +47,6 @@ from .sssp import PathAuditFailed, ScaleMisuse
 class SideOutOfSync(ScaleMisuse):
     """A heavy side's own degree layers and its decomposition's disagreed
     on which vertices a deletion moved past j_i."""
-
-
-def q_for(n: int) -> int:
-    """Oracle depth of the class decompositions: the smallest k with
-    k^8 >= ceil(lg n).  That is 1 for n <= 2 and 2 for every n from 3 to
-    2^256, so the oracle is built for those two depths only, and
-    LcdParams and oracle_init refuse any other."""
-    lg = max(1, (max(1, n) - 1).bit_length())
-    k = 1
-    while k ** 8 < lg:
-        k += 1
-    return k
 
 
 def _heavy_side(n: int, pairs, tau: Fraction):
@@ -77,7 +66,7 @@ def _heavy_side(n: int, pairs, tau: Fraction):
     conn = ConnSF(sorted(heavy), [p for p in pairs
                                   if p[0] in heavy and p[1] in heavy])
     st = lcd.lcd_build(DynamicGraph.from_edges(n, pairs),
-                       lcd.LcdParams.make(n, q_for(n)))
+                       ExpanderParams.for_size(max(2, n)))
     return j_i, heavy, conn, st, layers
 
 

@@ -41,7 +41,6 @@ from .expander_oracle import (
     oracle_init,
     oracle_pruned,
     oracle_query,
-    require_depth,
 )
 from .expander_tools import ExpanderParams, expander_decompose
 from .graph_core import (NOT_CONNECTED, DynamicGraph, GraphError, GraphView,
@@ -108,28 +107,6 @@ def _ekey(u: int, v: int) -> tuple:
 
 
 @dataclass
-class LcdParams:
-    """The inputs of one decomposition: q, the depth of every core's
-    oracle hierarchy, and the expander parameters, whose phi is the core
-    expansion.  make() sizes both for n vertices; tests pass a blunter
-    phi so that oracle towers stay shallow at toy sizes.  Every other
-    constant is a module constant above.  q must be 1 or 2, the depths
-    heavy_side.q_for gives; any other raises ValueError here, before a
-    core builds an oracle.
-    """
-
-    q: int
-    expander: ExpanderParams
-
-    def __post_init__(self):
-        require_depth(self.q)
-
-    @classmethod
-    def make(cls, n: int, q: int = 2) -> "LcdParams":
-        return cls(q=q, expander=ExpanderParams.for_size(max(2, n)))
-
-
-@dataclass
 class DagResult:
     """Acyclic orientation of the trimmed residue.
 
@@ -170,7 +147,7 @@ class Core:
     __slots__ = ("cid", "j", "ell", "live", "fwd", "back", "h", "snap",
                  "params", "e0", "fed", "seen", "destroyed")
 
-    def __init__(self, cid, j, ell, members, keys, params: LcdParams):
+    def __init__(self, cid, j, ell, members, keys, params: ExpanderParams):
         self.cid = cid
         self.j = j
         self.ell = ell
@@ -188,10 +165,8 @@ class Core:
     def oracle(self):
         """The core's oracle, built from the sorted snapshot on first call."""
         if self.h is None:
-            p = self.params
             g = DynamicGraph.from_edges(len(self.back), sorted(self.snap))
-            self.h = oracle_init(GraphView(g), p.q, p.expander.phi,
-                                 p.expander)
+            self.h = oracle_init(GraphView(g), self.params.phi, self.params)
             self.snap = None
         return self.h
 
@@ -199,14 +174,14 @@ class Core:
         """Whether local ids a and b share a live core edge."""
         if self.h is None:
             return (a, b) in self.snap or (b, a) in self.snap
-        return self.h.levels[self.h.q].graph.has_edge(a, b)
+        return self.h.levels[2].graph.has_edge(a, b)
 
     def local_neighbors(self, x) -> list:
         """The local ids sharing a live core edge with local id x, sorted."""
         if self.h is None:
             return sorted(b if a == x else a for a, b in self.snap
                           if x in (a, b))
-        top = self.h.levels[self.h.q].graph
+        top = self.h.levels[2].graph
         return sorted(w for w, _e in top.neighbors(x))
 
     def local_edges(self):
@@ -214,7 +189,7 @@ class Core:
         if self.h is None:
             return self.snap
         return [(a, b) for a, b, _len
-                in self.h.levels[self.h.q].graph.edge_list()]
+                in self.h.levels[2].graph.edge_list()]
 
     def pruned(self) -> frozenset:
         """Local ids outside the expander.  Before the oracle exists that
@@ -228,8 +203,7 @@ class Core:
 
     def len_cap(self) -> int:
         """Edge cap of one oracle path, known without building the oracle."""
-        return _len_cap(oracle_depth(len(self.back), self.params.expander.phi),
-                        self.params.q)
+        return _len_cap(oracle_depth(len(self.back), self.params.phi))
 
     def edge_alive(self, a, b) -> bool:
         if a not in self.fwd or b not in self.fwd:
@@ -286,7 +260,7 @@ class SublayerState:
 
 
 class LcdState:
-    def __init__(self, g: DynamicGraph, params: LcdParams):
+    def __init__(self, g: DynamicGraph, params: ExpanderParams):
         self.g = g
         self.n = g.n
         self.params = params
@@ -354,7 +328,8 @@ def _as_targets(view: GraphView, targets) -> dict:
     return out
 
 
-def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
+def core_decompose(view: GraphView, degree_targets,
+                   params: ExpanderParams = None):
     """Split H into expander cores plus an acyclically oriented residue.
 
     Vertices whose current degree drops below target/TRIM_DIV are trimmed
@@ -366,7 +341,7 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
     verts = sorted(view.vertex_list())
     targets = _as_targets(view, degree_targets)
     if params is None:
-        params = LcdParams.make(max(2, len(verts)))
+        params = ExpanderParams.for_size(max(2, len(verts)))
     adj: dict = {u: set() for u in verts}
     for u in verts:
         for v, _e in view.neighbors(u):
@@ -399,7 +374,7 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
         # trimming and core removal only drop edges whose endpoint leaves
         # remaining, so the residue is the subgraph induced on remaining
         res = expander_decompose(GraphView(view.graph, vertices=remaining),
-                                 params.expander.phi, params.expander)
+                                 params.phi, params)
         if not res.quality_ok:
             raise LcdError("expander decomposition failed its quality check")
         for piece in res.clusters:
@@ -428,7 +403,7 @@ def core_decompose(view: GraphView, degree_targets, params: LcdParams = None):
         if TRIM_DIV * d > targets[u]:
             raise PhaseBroken(f"in-degree at {u} over its cap")
     # deg < phi * target / TRIM_DIV, cross-multiplied to integers
-    phi = params.expander.phi
+    phi = params.phi
     for piece, edges in cores:
         deg = {u: 0 for u in piece}
         for a, b in edges:
@@ -524,7 +499,7 @@ def _start_phase(st: LcdState, j, lv):
     cores_sets, dag = core_decompose(view, ph.targets, st.params)
     # creation census: the sublayer cannot afford more cores than
     # CENSUS_COEFF*|members|/(phi^2 h), in integers
-    phi = st.params.expander.phi
+    phi = st.params.phi
     if len(cores_sets) * phi.numerator ** 2 * sub.h > \
             CENSUS_COEFF * len(members) * phi.denominator ** 2:
         raise PhaseBroken("phase created too many cores")
@@ -582,8 +557,8 @@ def _core_destroy(st: LcdState, core: Core):
 
 
 def _core_prune_moves(st: LcdState, core: Core):
-    if core.destroyed:
-        return
+    """Pull the members that core's oracle newly pruned into the buffer;
+    called only after a feed the core survived."""
     newly = [p for p in sorted(oracle_pruned(core.h)) if p not in core.seen]
     if not newly:
         return
@@ -609,7 +584,7 @@ def _core_feed_local(st: LcdState, core: Core, a, b):
     if not core.has_local(a, b):
         return
     st._work(4)
-    phi = st.params.expander.phi
+    phi = st.params.phi
     if (core.fed + 1) * WEAR_DIV * phi.denominator > phi.numerator * core.e0:
         core.fed += 1
         _core_destroy(st, core)
@@ -793,14 +768,18 @@ def _forest(st: LcdState, j) -> MsfState:
 # -- build ----------------------------------------------------------------
 
 
-def lcd_build(g: DynamicGraph, params: LcdParams = None) -> LcdState:
+def lcd_build(g: DynamicGraph, params: ExpanderParams = None) -> LcdState:
     """Build the layered structure over a simple unweighted graph.
 
     Takes ownership of g; all later deletions must go through
-    lcd_delete_edge.  params defaults to LcdParams.make(g.n).
+    lcd_delete_edge.  params are the expander parameters of every core
+    decomposition and core oracle, whose phi is the core expansion; they
+    default to ExpanderParams.for_size(max(2, g.n)); tests pass their
+    own phi to reach toy-size regimes.  Every other constant is a module
+    constant above.
     """
     if params is None:
-        params = LcdParams.make(g.n)
+        params = ExpanderParams.for_size(max(2, g.n))
     st = LcdState(g, params)
     for j in range(1, st.r + 1):
         sub = st.lay[j] = SublayerState(j, st.layers.h(j),
@@ -1052,7 +1031,7 @@ def check_invariants(st: LcdState):
         require(homes == [l],
                 f"vertex {u} containers disagree: {homes} vs {l}")
     polylog = (1 + _ilg(st.n)) ** 3
-    phi = st.params.expander.phi
+    phi = st.params.phi
     for j in range(1, st.r + 1):
         sub = st.lay[j]
         for l in range(2, sub.L + 1):
@@ -1193,8 +1172,8 @@ def lcd_state_json(st: LcdState) -> dict:
         "n": st.n,
         "r": st.r,
         "delta": DELTA,
-        "phi": str(st.params.expander.phi),
-        "q": st.params.q,
+        "phi": str(st.params.phi),
+        "q": 2,  # every core oracle has two levels
         "alive_edges": len(st.eid_of),
         "layers": layers,
         "cores": cores,

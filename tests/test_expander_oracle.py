@@ -5,24 +5,22 @@ import pytest
 
 import oracles as orc
 from corepath import expander_oracle as xo
-from corepath.expander_tools import ExpanderParams
 from corepath.graph_core import (DynamicGraph, GraphView, InvariantBroken,
                                  UnknownEdge)
-from corepath.lcd import LcdParams
 
 
-def build(n, edges, q, phi):
-    return xo.oracle_init(GraphView(DynamicGraph.from_edges(n, edges)), q, phi)
+def build(n, edges, phi):
+    return xo.oracle_init(GraphView(DynamicGraph.from_edges(n, edges)), phi)
 
 
 def verify_path(h, path, u, v):
     """Consecutive hops alive at the top, endpoints right, no repeats."""
-    g = h.levels[h.q].graph
+    g = h.levels[2].graph
     assert path[0] == u and path[-1] == v
     assert len(set(path)) == len(path)
     for a, b in zip(path, path[1:]):
         assert g.has_edge(a, b)
-    assert len(path) - 1 <= xo._len_cap(h.depth, h.q)
+    assert len(path) - 1 <= xo._len_cap(h.depth)
 
 
 def repairs(h):
@@ -39,83 +37,43 @@ class TestLevelSizing:
             assert s * s >= m > (s - 1) ** 2, m
 
     def test_length_cap_recurrence(self):
-        assert xo._len_cap(10, 1) == 20
-        assert xo._len_cap(10, 2) == 10 * (2 + 20)
+        assert xo._len_cap(10) == 10 * (2 + 20)
 
 
-class TestDepthGuard:
-    """Only depths 1 and 2 are built, the ones heavy_side.q_for gives."""
+class TestTinyInputs:
+    """The smallest graphs build the same two levels as any other and
+    answer every pair with its one shortest path, or PrunedEndpoint at
+    a vertex without edges."""
 
-    @pytest.mark.parametrize("q", [0, 3])
-    def test_oracle_init_refuses(self, q):
-        with pytest.raises(ValueError, match="q_for"):
-            build(8, orc.gen_complete(8), q, Fraction(1, 4))
-
-    def test_lcd_params_refuse(self):
-        with pytest.raises(ValueError, match="q_for"):
-            LcdParams(q=3, expander=ExpanderParams.for_size(16))
-
-
-class TestSingleLevel:
-    """q=1: one pruned expander plus one shortest-path tree."""
-
-    def test_k8_all_pairs(self):
-        h = build(8, orc.gen_complete(8), 1, Fraction(1, 4))
-        assert h.levels[1].budget == 1  # floor(phi*28/10) == 0, floored up
-        for u in range(8):
-            for v in range(8):
+    @pytest.mark.parametrize("n,edges", [(2, [(0, 1)]),
+                                         (3, [(0, 1), (1, 2)]),
+                                         (3, [(0, 1)])],
+                             ids=["k2", "path3", "edge-plus-isolated"])
+    def test_every_pair(self, n, edges):
+        h = build(n, edges, Fraction(1, 4))
+        assert sorted(h.levels) == [1, 2]
+        xo.check_invariants(h)
+        deg = orc.degrees(n, edges)
+        for u in range(n):
+            dist = orc.bfs_dist(n, edges, u)
+            for v in range(n):
+                if deg[u] == 0 or deg[v] == 0:
+                    with pytest.raises(xo.PrunedEndpoint):
+                        xo.oracle_query(h, u, v)
+                    continue
                 p = xo.oracle_query(h, u, v)
                 if u == v:
                     assert p == []
-                else:
-                    verify_path(h, p, u, v)
-
-    def test_delete_then_reroute(self):
-        h = build(8, orc.gen_complete(8), 1, Fraction(1, 4))
-        xo.oracle_delete(h, (0, 1))
-        assert xo.oracle_pruned(h) == frozenset()
-        p = xo.oracle_query(h, 0, 1)
-        verify_path(h, p, 0, 1)
-        assert len(p) == 3  # one intermediate hop now
-
-    def test_broken_length_cap_raises_named_error(self, monkeypatch):
-        h = build(8, orc.gen_complete(8), 1, Fraction(1, 4))
-        monkeypatch.setattr(xo, "_len_cap", lambda depth, q: 0)
-        with pytest.raises(xo.QueryAuditFailed):
-            xo.oracle_query(h, 0, 1)
-
-    def test_budget_exhaustion_prunes_everything(self):
-        h = build(8, orc.gen_complete(8), 1, Fraction(1, 4))
-        xo.oracle_delete(h, (0, 1))
-        with pytest.raises(xo.TopLevelBudgetExhausted):
-            xo.oracle_delete(h, (2, 3))
-        assert xo.oracle_pruned(h) == frozenset(range(8))
-        with pytest.raises(xo.PrunedEndpoint):
-            xo.oracle_query(h, 0, 7)
-        with pytest.raises(xo.TopLevelBudgetExhausted):
-            xo.oracle_delete(h, (4, 5))
-
-    def test_dead_edge_rejected(self):
-        h = build(8, orc.gen_complete(8), 1, Fraction(1, 4))
-        xo.oracle_delete(h, (0, 1))
-        with pytest.raises(UnknownEdge):
-            xo.oracle_delete(h, (0, 1))
-
-    def test_isolated_vertex_sits_outside(self):
-        edges = orc.gen_complete(5)
-        h = build(6, edges, 1, Fraction(1, 4))
-        assert h.iso == frozenset({5})
-        assert 5 in xo.oracle_pruned(h)
-        with pytest.raises(xo.PrunedEndpoint):
-            xo.oracle_query(h, 5, 0)
-        xo.check_invariants(h)
+                    continue
+                verify_path(h, p, u, v)
+                assert len(p) - 1 == dist[v]
 
 
 class TestTwoLevelStructure:
     """Frozen facts about the deterministic build on K16 at phi=1/4."""
 
     def setup_method(self):
-        self.h = build(16, orc.gen_complete(16), 2, Fraction(1, 4))
+        self.h = build(16, orc.gen_complete(16), Fraction(1, 4))
 
     def test_level_sizes(self):
         h = self.h
@@ -194,6 +152,39 @@ class TestTwoLevelStructure:
             xo.oracle_delete(h, (4, 5))
         assert xo.oracle_pruned(h) == frozenset(range(16))
 
+    def test_broken_length_cap_raises_named_error(self, monkeypatch):
+        monkeypatch.setattr(xo, "_len_cap", lambda depth: 0)
+        with pytest.raises(xo.QueryAuditFailed, match="length cap"):
+            xo.oracle_query(self.h, 0, 1)
+
+    def test_budget_exhaustion_prunes_everything(self):
+        h = self.h
+        for e in [(0, 1), (0, 2), (0, 3)]:
+            xo.oracle_delete(h, e)
+        with pytest.raises(xo.TopLevelBudgetExhausted):
+            xo.oracle_delete(h, (2, 3))
+        assert xo.oracle_pruned(h) == frozenset(range(16))
+        with pytest.raises(xo.PrunedEndpoint):
+            xo.oracle_query(h, 0, 7)
+        with pytest.raises(xo.TopLevelBudgetExhausted):
+            xo.oracle_delete(h, (4, 5))
+
+    def test_dead_edge_rejected(self):
+        h = self.h
+        xo.oracle_delete(h, (0, 12))
+        with pytest.raises(UnknownEdge):
+            xo.oracle_delete(h, (0, 12))
+        assert h.levels[2].d == 1
+
+    def test_isolated_vertex_sits_outside(self):
+        h = build(17, orc.gen_complete(16), Fraction(1, 4))
+        assert h.iso == frozenset({16})
+        assert 16 in xo.oracle_pruned(h)
+        with pytest.raises(xo.PrunedEndpoint):
+            xo.oracle_query(h, 16, 0)
+        verify_path(h, xo.oracle_query(h, 0, 15), 0, 15)
+        xo.check_invariants(h)
+
     def test_query_rejects_bad_vertices(self):
         h = self.h
         with pytest.raises(xo.PrunedEndpoint):
@@ -206,25 +197,25 @@ class TestRegularWorkload:
 
     def test_ten_deletions_with_rebuilds(self):
         n = 64
-        h = build(n, orc.gen_random_regular(n, 3, seed=7), 2, Fraction(1, 4))
+        h = build(n, orc.gen_random_regular(n, 3, seed=7), Fraction(1, 4))
         assert len(h.levels[2].x_set) == 10  # ceil(96^(1/2))
         rng = random.Random(42)
         rebuilds = 0
         pruned_before = xo.oracle_pruned(h)
         for _step in range(10):
-            cur = h.levels[h.q].graph
+            cur = h.levels[2].graph
             e = rng.choice([(u, v) for u, v, _l in cur.edge_list()])
             try:
                 xo.oracle_delete(h, e)
                 assert pruned_before <= xo.oracle_pruned(h)
             except xo.TopLevelBudgetExhausted:
                 rebuilds += 1
-                cur = h.levels[h.q].graph
+                cur = h.levels[2].graph
                 cur.delete_between(*e)
-                h = xo.oracle_init(GraphView(cur), 2, Fraction(1, 4))
+                h = xo.oracle_init(GraphView(cur), Fraction(1, 4))
             pruned_before = xo.oracle_pruned(h)
             xo.check_invariants(h)
-            cur = h.levels[h.q].graph
+            cur = h.levels[2].graph
             live = [v for v in range(n) if v not in pruned_before]
             for _ in range(15):
                 u, v = rng.choice(live), rng.choice(live)
@@ -238,7 +229,7 @@ class TestRegularWorkload:
         assert len(xo.oracle_pruned(h)) == 1
 
     def test_stage_counts_grow_with_deletions(self):
-        h = build(16, orc.gen_complete(16), 2, Fraction(1, 4))
+        h = build(16, orc.gen_complete(16), Fraction(1, 4))
         base = h.inits[2]
         assert base == 1
         for e in [(0, 1), (0, 2), (0, 3)]:
@@ -248,14 +239,14 @@ class TestRegularWorkload:
 
 
 class TestSparseRandom:
-    def test_gnp_single_level_sweep(self):
+    def test_gnp_sweep(self):
         n = 14
         edges = orc.gen_gnp_connected(n, 0.5, seed=11)
-        h = build(n, edges, 1, Fraction(1, 8))
+        h = build(n, edges, Fraction(1, 8))
         rng = random.Random(5)
         absorbed = 0
         while True:
-            alive = [(u, v) for u, v, _l in h.levels[1].graph.edge_list()]
+            alive = [(u, v) for u, v, _l in h.levels[2].graph.edge_list()]
             if not alive:
                 break
             try:
@@ -269,31 +260,29 @@ class TestSparseRandom:
                 p = xo.oracle_query(h, live[0], u)
                 if u != live[0]:
                     verify_path(h, p, live[0], u)
-        assert absorbed == h.levels[1].budget
+        assert absorbed == h.levels[2].budget
 
 
 class TestTopPruneCascade:
     """K16 with a pendant path 0-16-17-13: once both joins are gone, the
     top prunes 16 and 17 and deletes the edge between them from the top
-    graph and, at q=2, both its halves from the top tree."""
+    graph and both its halves from the top tree."""
 
     EDGES = orc.gen_complete(16) + [(0, 16), (13, 17), (16, 17)]
 
     @pytest.mark.parametrize("order", [[(0, 16), (13, 17)],
                                        [(13, 17), (0, 16)]])
-    @pytest.mark.parametrize("q", [1, 2])
-    def test_pruned_pair_leaves_every_level(self, q, order):
-        h = build(18, self.EDGES, q, Fraction(1, 4))
-        x = h.levels[2].xid[(16, 17)] if q == 2 else None
+    def test_pruned_pair_leaves_every_level(self, order):
+        h = build(18, self.EDGES, Fraction(1, 4))
+        x = h.levels[2].xid[(16, 17)]
         for step, e in enumerate(order):
             xo.oracle_delete(h, e)
             if step == 1:
-                top = h.levels[h.q]
+                top = h.levels[2]
                 assert xo.oracle_pruned(h) == {16, 17}
                 assert not top.graph.has_edge(16, 17)
-                if q == 2:
-                    assert not top.tree.has_edge(16, x)
-                    assert not top.tree.has_edge(x, 17)
+                assert not top.tree.has_edge(16, x)
+                assert not top.tree.has_edge(x, 17)
             xo.check_invariants(h)
             live = sorted(set(range(18)) - xo.oracle_pruned(h))
             for u in live:
@@ -308,7 +297,7 @@ class TestAuditCatchesDrift:
 
     @pytest.fixture
     def h(self):
-        h = build(16, orc.gen_complete(16), 2, Fraction(1, 4))
+        h = build(16, orc.gen_complete(16), Fraction(1, 4))
         xo.check_invariants(h)
         return h
 

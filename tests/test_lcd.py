@@ -20,7 +20,6 @@ from corepath.lcd import (
     CoreDestroyed,
     LayerViolation,
     LcdError,
-    LcdParams,
     LcdPoisoned,
     NotInCore,
     PhaseBroken,
@@ -35,18 +34,15 @@ from corepath.lcd import (
 )
 
 
-def coarse_params(q=2, den=16):
-    """Blunt cut threshold so oracle towers stay shallow at toy sizes."""
-    phi = Fraction(1, den)
-    return LcdParams(q=q, expander=ExpanderParams(phi=phi,
-                                                  gamma=Fraction(den // 2)))
+def coarse_params(den=16):
+    """Blunt cut threshold so that toy graphs decompose into few cores."""
+    return ExpanderParams(phi=Fraction(1, den), gamma=Fraction(den // 2))
 
 
 def wide_params():
     # phi*|E|/10 >= 1 for a K8 core, so one in-core deletion fits the
     # wear budget instead of tearing the core down immediately
-    phi = Fraction(1, 2)
-    return LcdParams(q=2, expander=ExpanderParams(phi=phi, gamma=Fraction(2)))
+    return ExpanderParams(phi=Fraction(1, 2), gamma=Fraction(2))
 
 
 def gnp(n, p, seed):
@@ -371,7 +367,7 @@ class TestShortCorePath:
                 assert len(p) - 1 <= cap
                 for a, b in zip(p, p[1:]):
                     assert core.edge_alive(a, b)
-        assert cap == xo._len_cap(core.h.depth, core.h.q)
+        assert cap == xo._len_cap(core.h.depth)
 
     def test_outsider_rejected(self):
         st = build(10, orc.gen_two_cliques_bridge(5), coarse_params())
@@ -446,7 +442,7 @@ class TestLazyOracle:
         assert not core.destroyed
         assert core.fed == 1
         assert core.h is not None and len(inits) == 1
-        assert not core.h.levels[core.h.q].graph.has_edge(0, 1)
+        assert not core.h.levels[2].graph.has_edge(0, 1)
         check_invariants(st)
 
     @pytest.mark.parametrize("n,p,seed", [(9, 0.5, 31), (10, 0.55, 12)])
@@ -574,6 +570,54 @@ class TestShortPath:
         check_invariants(st)
 
 
+class TestCorePrunes:
+    """K17 and K12 joined through vertex 29, which meets 0..7 and 17, 18,
+    under wide_params(): 29 lands in the K12 side's core with just two
+    core edges.  The first deletion builds that core's oracle; the second
+    leaves 29 without a core edge, so the oracle prunes it and the core
+    pulls it into its layer's buffer."""
+
+    EDGES = (orc.gen_complete(17)
+             + [(u + 17, v + 17) for u, v in orc.gen_complete(12)]
+             + [(v, 29) for v in range(8)] + [(17, 29), (18, 29)])
+
+    def test_pruned_member_moves_to_the_buffer(self):
+        st = build(30, self.EDGES, wide_params())
+        core = st.core_at(29)
+        assert core.cid == 2 and core.j == 3
+        logs = []
+        for e in [(17, 29), (18, 29)]:
+            logs.append(lcd_delete_edge(st, e))
+            check_invariants(st)
+            for j in range(1, st.r + 1):
+                keep = [v for v in range(st.n) if st.layer_of(v) <= j]
+                check_short_paths(st, j, list(combinations(keep, 2)))
+        assert logs[0].prunings == []
+        assert logs[1].prunings == [(2, 29)]
+        assert logs[1].buffer_moves == [(29, 3, "K")]
+        assert 29 not in core.live and st.core_at(29) is None
+        assert st.pos[29] == st.lay[3].L
+        assert not core.destroyed and core.fed == 2
+
+    def test_departed_member_pruned_after_it_left(self):
+        """Deleting 29's edges into K17 drops it to layer 4 at the third
+        deletion; its two core edges are fed away as it leaves, so the
+        oracle prunes a vertex that is no member any more, which is no
+        pruning."""
+        st = build(30, self.EDGES, wide_params())
+        core = st.core_at(29)
+        for v in range(3):
+            cl = lcd_delete_edge(st, (v, 29))
+            check_invariants(st)
+            for j in range(1, st.r + 1):
+                keep = [x for x in range(st.n) if st.layer_of(x) <= j]
+                check_short_paths(st, j, list(combinations(keep, 2)))
+        assert cl.layer_moves == [(29, 3, 4)]
+        assert cl.buffer_moves == [(29, 4, "D")] and cl.prunings == []
+        assert core.seen == {core.fwd[29]} and 29 not in core.live
+        assert not core.destroyed and core.fed == 2
+
+
 class TestLazyForests:
     """short_path builds a prefix's forest on first use and keeps it until
     the next deletion; the queries themselves change no forest weight."""
@@ -657,10 +701,10 @@ class TestAuditCatchesDrift:
 class TestFuzzTeardown:
     """Randomized deletions with the full structural audit turned on."""
 
-    @pytest.mark.parametrize("seed,n,p,q", [(11, 9, 0.4, 2), (12, 10, 0.55, 2)])
-    def test_full_teardown(self, seed, n, p, q):
+    @pytest.mark.parametrize("seed,n,p", [(11, 9, 0.4), (12, 10, 0.55)])
+    def test_full_teardown(self, seed, n, p):
         edges = gnp(n, p, seed)
-        st = build(n, edges, coarse_params(q=q))
+        st = build(n, edges, coarse_params())
         rng = random.Random(seed + 1)
         order = sorted(st.eid_of)
         rng.shuffle(order)
@@ -690,12 +734,12 @@ class TestFuzzTeardown:
 
 
 def shipped_teardown():
-    """lcd_build at LcdParams.make(60) over G(60, 0.35) (m = 688), then
+    """lcd_build at ExpanderParams.for_size(60) over G(60, 0.35) (m = 688), then
     60 seeded shuffled deletions; returns the state.  Every core dies at
     its first feed here, so each deletion that reaches one restarts its
     phase and decomposes the sublayer again."""
     edges = orc.gen_gnp_connected(60, 0.35, 7)
-    st = build(60, edges, LcdParams.make(60))
+    st = build(60, edges, ExpanderParams.for_size(60))
     order = sorted(edges)
     random.Random(1).shuffle(order)
     for e in order[:60]:
@@ -750,7 +794,7 @@ class TestSampledOracleBuilds:
             return real(verts, triples, cap, *args, **kwargs)
 
         monkeypatch.setattr(xt, "_cut_tables", spy)
-        st = build(60, gnp(60, 0.35, 1), LcdParams.make(60))
+        st = build(60, gnp(60, 0.35, 1), ExpanderParams.for_size(60))
         rng = random.Random(101)
         order = sorted(st.eid_of)
         rng.shuffle(order)

@@ -170,6 +170,34 @@ def test_es_trees_take_int_ids():
     assert found == []
 
 
+def _depth_knobs(tree: ast.AST, where: str) -> list:
+    """Parameters named q, and attributes or class fields named q."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.arg == "q":
+            found.append(f"{where}:{node.lineno} parameter q")
+        elif isinstance(node, ast.Attribute) and node.attr == "q" and \
+                isinstance(node.ctx, ast.Store):
+            found.append(f"{where}:{node.lineno} attribute q")
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+                    [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+                found += [f"{where}:{stmt.lineno} field q" for t in targets
+                          if isinstance(t, ast.Name) and t.id == "q"]
+    return found
+
+
+def test_oracle_depth_is_no_knob():
+    """The short-path oracle is built at one depth, two levels: no
+    function takes a depth q, and no class keeps one."""
+    src = Path(corepath.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        found += _depth_knobs(ast.parse(path.read_text()), path.name)
+    assert found == []
+
+
 def test_audits_raise_under_python_O():
     """The drift tests of the ES, LCD, near-tree and oracle audits pass
     under python -O, which strips assert statements: the audits raise

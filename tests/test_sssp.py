@@ -15,8 +15,8 @@ from corepath import heavy_side, lcd, sssp
 from corepath.dynamic_forest import ConnSF
 from corepath.graph_core import (DynamicGraph, InvariantBroken, UnknownEdge,
                                  edge_class)
-from corepath.heavy_side import SideOutOfSync, q_for
-from corepath.lcd import (NOT_CONNECTED, LcdError, LcdParams, lcd_build,
+from corepath.heavy_side import SideOutOfSync
+from corepath.lcd import (NOT_CONNECTED, LcdError, lcd_build,
                           lcd_delete_edge, short_path_quality)
 from corepath.sssp import (
     PathAuditFailed,
@@ -277,7 +277,7 @@ def class_decompositions(n, live, i):
     for key, lp in length.items():
         by_class.setdefault(edge_class(lp), []).append(key)
     lcds = {c: lcd_build(DynamicGraph.from_edges(n, sorted(es)),
-                         LcdParams.make(n, q_for(n)))
+                         xt.ExpanderParams.for_size(max(2, n)))
             for c, es in by_class.items()}
     alpha = max([Fraction(1)] + [short_path_quality(st)
                                  for st in lcds.values()])
@@ -784,6 +784,33 @@ class TestFarLevel:
 
 
 class TestHeavyClass:
+    def test_two_vertex_family_splices_through_a_core_oracle(self,
+                                                             monkeypatch):
+        """At n = 2 the class decomposition's core oracle has the same
+        two levels as at any other n, and the one path goes through it."""
+        real = lcd.short_path
+        splices = []
+
+        def spy(st, j, u, v):
+            splices.append(real(st, j, u, v))
+            return splices[-1]
+
+        monkeypatch.setattr(lcd, "short_path", spy)
+        sp = sssp_build_all(DynamicGraph.from_edges(2, [(0, 1, 1)]), 0,
+                            Fraction(1, 2), SsspParams(tau=1))
+        assert sorted(sp.scales) == [0, 1]
+        assert all(inst.classes for inst in sp.scales.values())
+        for inst in sp.scales.values():
+            check_scale_invariants(inst)
+        assert sssp_path(sp, 1) == [0, 1]
+        assert splices == [[0, 1]]
+        oracles = [k.h for inst in sp.scales.values()
+                   for cs in inst.classes.values()
+                   for sub in cs.lcd.lay.values()
+                   for ph in sub.phases.values() for k in ph.cores
+                   if k.h is not None]
+        assert oracles and all(sorted(h.levels) == [1, 2] for h in oracles)
+
     def test_supernodes_and_departures_keep_answers_valid(self):
         sp = build(4, BRIDGED_TRIANGLE, HEAVY)
         heavy0 = sum(len(cs.heavy) for inst in sp.scales.values()
