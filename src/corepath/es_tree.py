@@ -15,7 +15,11 @@ its unhurt boundary; hurt vertices it does not reach stay absent.
 es_delete scans the orphan's row itself, which settles a supporter or a
 childless orphan alone; only an orphan with tree children runs the two
 phases.  The build fills and checks the rows in one pass, then runs the
-same Dijkstra (`_settle`) from the source.
+same Dijkstra (`_settle`) from the source.  The rows come from an edge
+list, in its order, or, through es_build, straight from a GraphView's
+graph columns in GraphView.edge_list order: by u, then u's graph row,
+each edge once at its lesser end.  A vertex's row lists its neighbours
+in that order, which fixes the parents.
 
 Both phases drain one queue shape, Dial's buckets keyed by level: a dict
 from level to a list of vertices, and a heap of the distinct levels in
@@ -78,9 +82,10 @@ class UnknownVertex(BadVertex, ValueError):
 
 
 class EsTree:
-    def __init__(self, source: int, depth: int, edges: Iterable[tuple],
-                 n: int):
-        """Vertices 0..n-1; edges: (u, v, w) with integer w >= 1."""
+    def __init__(self, source: int, depth: int,
+                 edges: Iterable[tuple] | GraphView, n: int):
+        """Vertices 0..n-1; edges: (u, v, w) with integer w >= 1, or the
+        GraphView over an n-vertex graph that es_build passes."""
         if depth < 0:
             raise ValueError(f"depth {depth}")
         if not 0 <= source < n:
@@ -89,16 +94,19 @@ class EsTree:
         self.depth = depth
         self.work = 0
         self._adj = adj = [{} for _ in range(n)]
-        for u, v, w in edges:
-            # an int length >= 1 between two ids needs no more checks
-            if type(w) is not int or w < 1 or u == v or \
-                    not (0 <= u < n and 0 <= v < n):
-                self._check_edge(u, v, w, n)
-                w = int(w)
-            row = adj[u]
-            if v in row:
-                raise ValueError(f"duplicate edge ({u!r},{v!r})")
-            row[v] = adj[v][u] = w
+        if isinstance(edges, GraphView):
+            self._fill_from_view(edges, n)
+        else:
+            for u, v, w in edges:
+                # an int length >= 1 between two ids needs no more checks
+                if type(w) is not int or w < 1 or u == v or \
+                        not (0 <= u < n and 0 <= v < n):
+                    self._check_edge(u, v, w, n)
+                    w = int(w)
+                row = adj[u]
+                if v in row:
+                    raise ValueError(f"duplicate edge ({u!r},{v!r})")
+                row[v] = adj[v][u] = w
         self._absent = depth + 1
         self.level = [self._absent] * n
         self.parent: list = [None] * n  # vertex or None
@@ -106,9 +114,13 @@ class EsTree:
 
     @classmethod
     def es_build(cls, view: GraphView, source: int, depth: int) -> "EsTree":
+        """The tree over the view's live edges, its rows read straight from
+        the graph's columns in GraphView.edge_list order; no edge list is
+        built.  Rows, levels, parents and work equal those of
+        EsTree(source, depth, view.edge_list(), view.graph.n)."""
         if not view.contains(source):
             raise SourceMissing(f"source {source!r} not in the view")
-        return cls(source, depth, view.edge_list(), view.graph.n)
+        return cls(source, depth, view, view.graph.n)
 
     # -- plumbing --------------------------------------------------------
 
@@ -131,6 +143,29 @@ class EsTree:
             raise ValueError(f"self-loop at {u!r}")
         if w < 1 or int(w) != w:
             raise ValueError(f"length {w!r} on ({u!r},{v!r})")
+
+    def _fill_from_view(self, view: GraphView, n: int):
+        """The constructor's fill for a view: the loop of
+        GraphView.edge_list, each edge entered and refused as the
+        edge-list loop would (a graph never holds a self-loop, and
+        edge_list drops one)."""
+        g, inside, adj = view.graph, view.vertices, self._adj
+        rows, alive, eu, ev, elen = g._adj, g._alive, g._u, g._v, g._len
+        for u in view.vertex_list():
+            row = adj[u]
+            for eid in rows[u]:
+                if alive[eid]:
+                    v = ev[eid]
+                    if v == u:
+                        v = eu[eid]
+                    if u < v and (inside is None or v in inside):
+                        w = elen[eid]
+                        if type(w) is not int or w < 1 or v >= n:
+                            self._check_edge(u, v, w, n)
+                            w = int(w)
+                        if v in row:
+                            raise ValueError(f"duplicate edge ({u!r},{v!r})")
+                        row[v] = adj[v][u] = w
 
     def _add_adj(self, u, v, w):
         self._check_edge(u, v, w, len(self._adj))

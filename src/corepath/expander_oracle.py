@@ -108,7 +108,9 @@ class ExpanderHierarchy:
         self.stages: Counter = Counter()  # level -> budget overruns there
         self.dead = False
         # degree-0 vertices at build time carry no volume, so pruning can
-        # never claim them; they sit outside the expander from day one
+        # never claim them; they sit outside the expander from day one.
+        # Pruning stops at a lone vertex, and one left with no edge joins
+        # them, since no top-tree path leads from it to the sample
         self.iso: frozenset = frozenset()
 
     def stats(self) -> dict:
@@ -258,9 +260,10 @@ def _delete_level1(h: ExpanderHierarchy, a: int, b: int) -> None:
 
 
 def oracle_delete(h: ExpanderHierarchy, e) -> None:
-    """Delete edge e at the top, prune, take every lost edge's halves out
-    of the top tree, then cascade each lost edge's guests down to
-    level 1."""
+    """Delete edge e at the top, prune, set an unpruned vertex left with
+    no edge beside the degree-0 ones (h.iso), take every lost edge's
+    halves out of the top tree, then cascade each lost edge's guests down
+    to level 1."""
     if h.dead:
         raise TopLevelBudgetExhausted("structure already destroyed")
     u, v = int(e[0]), int(e[1])
@@ -278,6 +281,9 @@ def oracle_delete(h: ExpanderHierarchy, e) -> None:
         for nbr, _e in list(top.graph.neighbors(x)):
             top.graph.delete_between(x, nbr)
             dnew.append((x, nbr))
+    out = top.prune.pruned_set | h.iso
+    h.iso |= {x for pair in dnew for x in pair
+              if x not in out and next(top.graph.neighbors(x), None) is None}
     t = top.tree
     mids = []
     for a, b in dnew:

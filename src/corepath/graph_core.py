@@ -177,7 +177,10 @@ class DynamicGraph:
                 yield eid
 
     def edge_list(self) -> list[tuple[int, int, int]]:
-        return [(self._u[e], self._v[e], self._len[e]) for e in self.alive_edges()]
+        """Live (u, v, len) edges by edge id."""
+        eu, ev, elen = self._u, self._v, self._len
+        return [(eu[e], ev[e], elen[e])
+                for e, ok in enumerate(self._alive) if ok]
 
     # -- mutation --------------------------------------------------------
 

@@ -163,9 +163,9 @@ def _family_terms(n: int, eps) -> tuple:
     scale, so a family computes them once and hands them to every scale
     it builds."""
     eps = _frac(eps)
-    if not 0 < eps < 1:
+    a, b = eps.numerator, eps.denominator  # b > 0
+    if not 0 < a < b:
         raise ScaleMisuse(f"eps {eps} outside (0, 1)")
-    a, b = eps.numerator, eps.denominator
     c = -((-4 * n * b) // a)  # ceil(4n/eps)
     dp = 1 << (c - 1).bit_length()  # the least power of two >= c
     return eps, dp, dp * (8 * b + 7 * a) // b

@@ -128,6 +128,91 @@ class TestBulkBuild:
         assert t.level_of(2) == 3
 
 
+def view_case(kind, seed):
+    """A seeded weighted graph and a view over it.  The edges go in
+    shuffled and in mixed orientation, so a vertex's graph row is not in
+    the tree's row order; "gnp-deleted" deletes three fifths of the edges,
+    which compacts rows, and "restricted" keeps two thirds of the
+    vertices."""
+    rng = random.Random(seed)
+    if kind == "grid":
+        n, edges = 64, orc.gen_grid(8, 8)
+    else:
+        n, edges = 30, orc.gen_gnp_connected(30, 0.3, seed=seed)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(edges)
+    g = DynamicGraph.from_edges(n, [(u, v, rng.randint(1, 5))
+                                    for u, v in edges])
+    if kind == "gnp-deleted":
+        before = [len(row) for row in g._adj]
+        for eid in rng.sample(range(len(edges)), len(edges) * 3 // 5):
+            g.delete_edge(eid)
+        assert any(len(row) < b for row, b in zip(g._adj, before))
+    inside = rng.sample(range(n), n * 2 // 3) if kind == "restricted" \
+        else None
+    view = GraphView(g, inside)
+    return view, rng.choice(view.vertex_list()), rng.randint(3, 15)
+
+
+def rows_of(t):
+    return [list(row.items()) for row in t._adj]
+
+
+class TestViewBuild:
+    """es_build reads the graph's columns in place: the tree it returns is
+    the one the constructor builds from the view's edge list, row order
+    included, and it refuses what the constructor refuses."""
+
+    @pytest.mark.parametrize("kind", ["grid", "gnp-deleted", "restricted"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_edge_list_build(self, kind, seed):
+        view, s, depth = view_case(kind, seed)
+        t = EsTree.es_build(view, s, depth)
+        ref = EsTree(s, depth, view.edge_list(), view.graph.n)
+        assert rows_of(t) == rows_of(ref)
+        assert (t.level, t.parent, t.work) == (ref.level, ref.parent, ref.work)
+        t.check()
+
+    def test_builds_no_edge_list(self, monkeypatch):
+        view, s, depth = view_case("restricted", 0)
+        ref = EsTree(s, depth, view.edge_list(), view.graph.n)
+
+        def refuse(self):
+            raise AssertionError("es_build listed the edges")
+
+        monkeypatch.setattr(GraphView, "edge_list", refuse)
+        t = EsTree.es_build(view, s, depth)
+        assert rows_of(t) == rows_of(ref) and t.level == ref.level
+
+    def test_source_and_depth_refused(self):
+        g = DynamicGraph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        for view, s in [(GraphView(g, [1, 2, 3]), 0), (GraphView(g), 4),
+                        (GraphView(g), -1)]:
+            with pytest.raises(SourceMissing):
+                EsTree.es_build(view, s, 3)
+        with pytest.raises(ValueError):
+            EsTree.es_build(GraphView(g), 0, -1)
+
+    @pytest.mark.parametrize("column,value,error", [
+        ("_len", 0, ValueError),
+        ("_len", 2.5, ValueError),
+        ("_v", 9, UnknownVertex),
+        ("_u", 2, ValueError),  # edge 0 reads (2, 1): (1, 2) twice
+    ])
+    def test_patched_columns_refused(self, column, value, error):
+        g = DynamicGraph.from_edges(4, [(0, 1, 1), (1, 2, 1), (0, 3, 1)])
+        getattr(g, column)[0] = value
+        with pytest.raises(error):
+            EsTree.es_build(GraphView(g), 1, 5)
+
+    def test_integral_length_stored_as_int(self):
+        g = DynamicGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        g._len[1] = 3.0
+        t = EsTree.es_build(GraphView(g), 0, 9)
+        assert t.incident(2) == [(1, 3)] and type(t.incident(2)[0][1]) is int
+        assert t.level_of(2) == 4
+
+
 class TestDelete:
     def test_fuzz_matches_dijkstra_after_every_deletion(self):
         rng = random.Random(4)

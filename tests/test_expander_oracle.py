@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -67,6 +68,53 @@ class TestTinyInputs:
                     continue
                 verify_path(h, p, u, v)
                 assert len(p) - 1 == dist[v]
+
+
+class TestTinyDeletions:
+    """K2, the path 0-1-2 and K3 at phi = 1/4, their edges deleted in
+    every order until the budget runs out.  After each deletion the audit
+    holds; every unpruned vertex keeps a live edge, and together they
+    form a strong phi/6-expander against the build's degrees; and every
+    pair answers PrunedEndpoint at a pruned end, [] for itself, or a
+    shortest path over the live edges between unpruned vertices."""
+
+    @pytest.mark.parametrize("n,edges", [(2, [(0, 1)]),
+                                         (3, [(0, 1), (1, 2)]),
+                                         (3, orc.gen_complete(3))],
+                             ids=["k2", "path3", "k3"])
+    def test_every_order(self, n, edges):
+        phi = Fraction(1, 4)
+        vol0 = orc.degrees(n, edges)
+        for order in permutations(edges):
+            h = build(n, edges, phi)
+            live = list(edges)
+            for e in order:
+                try:
+                    xo.oracle_delete(h, e)
+                except xo.TopLevelBudgetExhausted:
+                    assert xo.oracle_pruned(h) == frozenset(range(n))
+                    break
+                live.remove(e)
+                xo.check_invariants(h)
+                out = xo.oracle_pruned(h)
+                keep = [v for v in range(n) if v not in out]
+                inner = [(a, b) for a, b in live if a in keep and b in keep]
+                deg = orc.degrees(n, inner)
+                assert all(deg[v] > 0 for v in keep), (order, e)
+                assert orc.is_strong_expander_exact(keep, inner, vol0,
+                                                    phi / 6)[0]
+                for u in range(n):
+                    dist = orc.bfs_dist(n, inner, u)
+                    for v in range(n):
+                        if u in out or v in out:
+                            with pytest.raises(xo.PrunedEndpoint):
+                                xo.oracle_query(h, u, v)
+                        elif u == v:
+                            assert xo.oracle_query(h, u, v) == []
+                        else:
+                            p = xo.oracle_query(h, u, v)
+                            verify_path(h, p, u, v)
+                            assert len(p) - 1 == dist[v]
 
 
 class TestTwoLevelStructure:
